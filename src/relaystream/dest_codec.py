@@ -20,6 +20,7 @@ handled internally.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field as dc_field
 
 from .scheme_params import SchemeParams, derive_dims, header_overhead
@@ -37,17 +38,6 @@ class MissingDependency(ValueError):
     """Interference cancellation needs a message that was never decoded."""
 
 
-@dataclass(frozen=True)
-class SymbolRecord:
-    """One received second-hop symbol in codeword coordinates."""
-
-    t: int
-    role: str  # "estimate" (systematic) or "parity"
-    codeword: int
-    position: int
-    value: int
-
-
 def interference_terms(p: SchemeParams, em: PosEmission, layer: int):
     """(t', flat', coeff) interference an estimate of ``layer`` carries.
 
@@ -56,16 +46,11 @@ def interference_terms(p: SchemeParams, em: PosEmission, layer: int):
     (recorded in the emission) survive into the transmitted value.
     """
     field, code = _codes_cached(p)
-    d = derive_dims(p)
     _, mu = emission_coefficients(field, code, em)
-    kept = {q for (_, q) in em.interference}
-    out = []
-    for q, coeff in mu.items():
-        if q not in kept:
-            continue
-        src_t = em.t - em.pos + q
-        out.append((src_t, layer * d.k_prime + q, coeff))
-    return out
+    u = em.t - em.pos
+    return [
+        (u + q, layer * code.k + q, mu[q]) for (_, q) in em.interference if q in mu
+    ]
 
 
 @dataclass
@@ -73,9 +58,9 @@ class _MessageState:
     plan: MessagePlan | None = None
     got_tx: dict = dc_field(default_factory=dict)  # slot -> symbol list
     got_par: dict = dc_field(default_factory=dict)  # slot -> symbol list
+    received: int = 0  # symbols filed; no decode before this reaches len(plan.tx)
     outcome: object = None  # None (pending) | list[int] | FAILED
     decode_slot: int | None = None
-    records: list = dc_field(default_factory=list)
 
 
 class DecoderState:
@@ -85,6 +70,11 @@ class DecoderState:
     (slot -> bool).  In header mode pass None; the pattern is accumulated
     from received packet headers, and anything that needs bits not yet
     covered by a header simply waits.
+
+    Decoding is event-driven: ``due(now)`` yields only the messages whose
+    attempt could succeed (or must fail) since their last one, i.e. those
+    that gained enough symbols, got their plan, saw a dependency finalize, or
+    passed their deadline.  ``try_decode`` itself stays exact for any caller.
     """
 
     def __init__(self, p: SchemeParams, e1_erased=None, header_mode: bool = False):
@@ -100,6 +90,11 @@ class DecoderState:
         self._known_bits: dict[int, int] = {}
         self.msgs: dict[int, _MessageState] = {}
         self.last_slot = -1
+        self._due: list[int] = []  # heap of messages to attempt
+        self._flagged: set[int] = set()  # members of _due
+        self._waiters: dict[int, set[int]] = {}  # pending t' -> messages blocked on it
+        self._planless: set[int] = set()  # messages holding symbols but no plan yet
+        self._expired_below = 0  # every t below this was flagged for its deadline
 
     # -- first-hop pattern knowledge ------------------------------------------
 
@@ -135,6 +130,40 @@ class DecoderState:
             self.msgs[t] = st
         return st
 
+    # -- decode events --------------------------------------------------------
+
+    def _flag(self, t: int) -> None:
+        if t not in self._flagged:
+            self._flagged.add(t)
+            heapq.heappush(self._due, t)
+
+    def _flag_if_enough(self, t: int, st: _MessageState) -> None:
+        """Flag t once it holds a plan and as many symbols as it transmits.
+
+        Every tx item sits in exactly one codeword, and a codeword decodes
+        only from as many symbols as it has tx items, so fewer symbols than
+        ``len(plan.tx)`` can never decode.
+        """
+        if st.plan is None:
+            self._planless.add(t)
+        elif st.received >= len(st.plan.tx):
+            self._flag(t)
+
+    def due(self, now: int):
+        """Yield, in ascending t, every pending message worth attempting at
+        slot ``now``.  Messages finalized while the caller iterates flag the
+        later messages blocked on them, which are yielded in the same pass.
+        """
+        for t in range(self._expired_below, now - self.params.T):
+            self._flag(t)  # deadline t+T passed
+        self._expired_below = max(self._expired_below, now - self.params.T)
+        while self._due:
+            t = heapq.heappop(self._due)
+            self._flagged.discard(t)
+            st = self.msgs.get(t)
+            if st is None or st.outcome is None:
+                yield t
+
     # -- ingest -----------------------------------------------------------------
 
     def ingest(self, slot: int, wire) -> None:
@@ -153,6 +182,10 @@ class DecoderState:
                 if s >= 0:
                     self._known_bits[s] = b
             symbols = symbols[delta:]
+            for t in [t for t in self._planless if self._plan_ready(t)]:
+                self._planless.discard(t)
+                self.plan(t)
+                self._flag_if_enough(t, self.msgs[t])
         offset = 0
         for t in range(max(0, slot - p.T), slot - p.j + 1):
             size = self._subpacket_size(t, slot)
@@ -188,6 +221,8 @@ class DecoderState:
             st.got_tx[slot] = syms
         else:
             st.got_par[slot] = syms
+        st.received += len(syms)
+        self._flag_if_enough(t, st)
 
     # -- decoding -----------------------------------------------------------------
 
@@ -208,21 +243,25 @@ class DecoderState:
             result = self._attempt(t, st)
         except MissingDependency:
             result = FAILED
-        if result is not None:
-            st.outcome = result
-            if result is not FAILED:
-                st.decode_slot = now
-            return result
-        if now > t + p.T:
-            st.outcome = FAILED
-            return FAILED
-        return "pending"
+        if result is None:
+            if now <= t + p.T:
+                return "pending"
+            result = FAILED
+        st.outcome = result
+        if result is not FAILED:
+            st.decode_slot = now
+        self._planless.discard(t)
+        for w in self._waiters.pop(t, ()):
+            self._flag(w)
+        return result
 
     def _attempt(self, t: int, st: _MessageState):
         p, d = self.params, self.dims
         plan = self.plan(t)
         if plan is None:
             return None  # pattern bits still missing (header mode)
+        if st.received < len(plan.tx):
+            return None  # see _flag_if_enough
 
         # received symbols in queue / codeword coordinates
         tx_vals: dict[int, int] = {}
@@ -240,13 +279,6 @@ class DecoderState:
             m = slot - t - first_parity
             for ci, v in enumerate(syms):
                 par_vals[(ci, m)] = v
-        st.records = [
-            SymbolRecord(t, "estimate", self._codeword_of(plan, idx), idx, v)
-            for idx, v in sorted(tx_vals.items())
-        ] + [
-            SymbolRecord(t, "parity", ci, plan.codewords[ci].k + m, v)
-            for (ci, m), v in sorted(par_vals.items())
-        ]
 
         # decode every codeword that is still missing systematic symbols
         queue_vals: dict[int, int] = dict(tx_vals)
@@ -279,12 +311,6 @@ class DecoderState:
             return None  # relay never forwarded a full message (inadmissible hop)
         return self._cancel(t, plan, est)
 
-    def _codeword_of(self, plan: MessagePlan, idx: int) -> int:
-        for ci, cw in enumerate(plan.codewords):
-            if idx in cw.sys_items:
-                return ci
-        return -1
-
     def _cancel(self, t: int, plan: MessagePlan, est: dict):
         """Subtract interference using already-decoded messages."""
         d = self.dims
@@ -302,7 +328,9 @@ class DecoderState:
                         f"message {t} needs FAILED message {t2} for cancellation"
                     )
                 if dep_val is None:
-                    return None  # dependency still pending; its deadline is earlier
+                    # dependency still pending; its deadline is earlier
+                    self._waiters.setdefault(t2, set()).add(t)
+                    return None
                 value = self.field.sub(value, self.field.mul(coeff, dep_val[flat2]))
             out[flat] = value
         return out

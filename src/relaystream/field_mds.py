@@ -50,11 +50,14 @@ def _small_primes(limit: int) -> list[int]:
     return [i for i in range(limit + 1) if sieve[i]]
 
 
+_SMALL_PRIMES = _small_primes(256)  # every prime factor a q < 2**16 can need
+
+
 def _prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, m) with q == p**m, or None if q is not a prime power."""
     if q < 2:
         return None
-    for p in _small_primes(256):
+    for p in _SMALL_PRIMES:
         if q % p == 0:
             m = 0
             x = q
@@ -265,12 +268,12 @@ def make_field(q: int) -> GaloisField:
 # dense linear algebra over a field (small systems only)
 
 
-def solve_linear(field: GaloisField, rows: list[list[int]], rhs: list[int]) -> list[int]:
-    """Solve the square system rows * x = rhs by Gaussian elimination."""
+def _eliminate(field: GaloisField, rows: list[list[int]], rhs: list[list[int]]):
+    """Gauss-Jordan on [rows | rhs]: the X with rows * X = rhs (n x w)."""
     n = len(rows)
     if any(len(r) != n for r in rows) or len(rhs) != n:
-        raise DimensionMismatch("solve_linear expects a square system")
-    a = [row[:] + [r] for row, r in zip(rows, rhs)]
+        raise DimensionMismatch("expected a square system")
+    a = [row + extra for row, extra in zip(rows, rhs)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
@@ -282,18 +285,17 @@ def solve_linear(field: GaloisField, rows: list[list[int]], rhs: list[int]) -> l
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [field.sub(v, field.mul(f, w)) for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    return [row[n:] for row in a]
+
+
+def solve_linear(field: GaloisField, rows: list[list[int]], rhs: list[int]) -> list[int]:
+    """Solve the square system rows * x = rhs by Gaussian elimination."""
+    return [x for (x,) in _eliminate(field, rows, [[r] for r in rhs])]
 
 
 def invert_matrix(field: GaloisField, rows: list[list[int]]) -> list[list[int]]:
     n = len(rows)
-    cols = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        cols.append(solve_linear(field, rows, e))
-    # cols[i] is the i-th column of the inverse
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return _eliminate(field, rows, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +323,16 @@ class MdsCode:
             for i in range(k)
         ]
         self.parity = [row[k:] for row in self.gen]
+        # inverse of the k x k system per tuple of decoding positions: at
+        # most C(n, k) entries per code
+        self._inverses: dict[tuple[int, ...], list[list[int]]] = {}
 
     def _dot(self, a: list[int], b: list[int]) -> int:
         f = self.field
         out = 0
         for x, y in zip(a, b):
-            out = f.add(out, f.mul(x, y))
+            if x and y:
+                out = f.add(out, f.mul(x, y))
         return out
 
     def encode(self, message: list[int]) -> list[int]:
@@ -354,10 +360,14 @@ class MdsCode:
         if len(seen) < self.k:
             raise InsufficientSymbols(f"need {self.k} positions, got {len(seen)}")
         positions = sorted(seen)
-        base = positions[: self.k]
-        cols = [[self.gen[i][j] for j in range(self.n)] for i in range(self.k)]
-        system = [[cols[i][j] for i in range(self.k)] for j in base]
-        message = solve_linear(self.field, system, [seen[j] for j in base])
+        base = tuple(positions[: self.k])
+        inverse = self._inverses.get(base)
+        if inverse is None:
+            system = [[self.gen[i][j] for i in range(self.k)] for j in base]
+            inverse = invert_matrix(self.field, system)
+            self._inverses[base] = inverse
+        y = [seen[j] for j in base]
+        message = [self._dot(row, y) for row in inverse]
         # verify surplus symbols really lie on the decoded codeword
         if len(positions) > self.k:
             word = self.encode(message)

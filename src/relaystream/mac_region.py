@@ -12,6 +12,7 @@ builds exactly (as Fractions) together with its Pareto frontier and the
 reference bounds it is compared against.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -220,6 +221,7 @@ class MacSpotReport:
     horizon: int
     episodes: int = 0
     failures: tuple = ()
+    user_episodes: tuple = (0, 0)  # episodes run for user 1 and user 2
 
     @property
     def ok(self) -> bool:
@@ -254,7 +256,8 @@ def interleaved_spot_check(
     codec level is that each user still decodes every message by its
     deadline when the relay-link erasures are drawn from the *shared* budget
     N3.  This probes burst patterns on all three links (each admissible for
-    its own budget) up to `budget` episodes and reports any failure.
+    its own budget) up to `budget` episodes, split evenly between the two
+    users (user 1 gets the odd one), and reports any failure.
     """
     from .sim_harness import run_episode
 
@@ -268,18 +271,18 @@ def interleaved_spot_check(
     )
     report = MacSpotReport(mac=mac, horizon=horizon)
     failures = []
-    for which, first_budget in ((1, mac.N1), (2, mac.N2)):
+    per_user = []
+    shares = (budget - budget // 2, budget // 2)
+    for which, first_budget, share in ((1, mac.N1, shares[0]), (2, mac.N2, shares[1])):
         p = mac.user(which)
-        first = _burst_family(horizon, first_budget, [0, mac.user(which).j + 1, T])
-        for e3 in shared:
-            for e1 in first:
-                if report.episodes >= budget:
-                    break
-                ep = run_episode(p, e1, e3, horizon=horizon, seed=seed)
-                report.episodes += 1
-                if not ep.ok:
-                    failures.append(
-                        (which, tuple(e1), tuple(e3), ep.failed, ep.violations)
-                    )
+        first = _burst_family(horizon, first_budget, [0, p.j + 1, T])
+        pairs = list(itertools.islice(itertools.product(shared, first), share))
+        for e3, e1 in pairs:
+            ep = run_episode(p, e1, e3, horizon=horizon, seed=seed)
+            if not ep.ok:
+                failures.append((which, tuple(e1), tuple(e3), ep.failed, ep.violations))
+        per_user.append(len(pairs))
+    report.episodes = sum(per_user)
+    report.user_episodes = tuple(per_user)
     report.failures = tuple(failures)
     return report

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .field_mds import is_prime_power
 
@@ -72,7 +73,9 @@ class DerivedDims:
     delta: int
 
 
+@cache
 def derive_dims(p: SchemeParams) -> DerivedDims:
+    """Code dimensions of ``p``; cached, since every codec stage asks per call."""
     T, N1, N2, j = p.T, p.N1, p.N2, p.j
     k_prime = T + 1 - N1 - N2
     n_prime = T + 1 - N2
@@ -177,8 +180,12 @@ def nominal_field_size(p: SchemeParams) -> int:
     return max(p.T + 1 - p.j, p.T + 1 - p.N2)
 
 
+@cache
 def implemented_field_size(p: SchemeParams) -> int:
-    """Smallest prime power >= the nominal size (what the codecs run over)."""
+    """Smallest prime power >= the nominal size (what the codecs run over).
+
+    Cached per parameter set: the header codec asks once per packet.
+    """
     q = nominal_field_size(p)
     while not is_prime_power(q):
         q += 1

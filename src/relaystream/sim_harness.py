@@ -129,7 +129,6 @@ def run_episode(
     payloads = []
     outcomes: dict[int, object] = {}
     decode_slots: dict[int, int] = {}
-    pending: list[int] = []
     violations: list[tuple] = []
     for s in range(horizon):
         history.append([int(x) for x in msgs[s]])
@@ -139,18 +138,14 @@ def run_episode(
         if rp.payload_symbols > d.n2_star:
             violations.append(("payload-bound", s, rp.payload_symbols))
         dest.ingest(s, None if bits2[s] else rp.wire_symbols())
-        pending.append(s)
-        still = []
-        for t in pending:
+        # only messages whose decode could have changed since their last try
+        for t in dest.due(s):
             r = dest.try_decode(t, now=s)
-            if r == "pending":
-                still.append(t)
-            elif r is FAILED:
+            if r is FAILED:
                 outcomes[t] = FAILED
-            else:
+            elif r != "pending":
                 outcomes[t] = r
                 decode_slots[t] = s
-        pending = still
 
     failed = []
     n_assess = max(0, horizon - p.T)

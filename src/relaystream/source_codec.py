@@ -71,9 +71,12 @@ def encode_source(p: SchemeParams, history: list[list[int]]) -> SourcePacket:
     if not history:
         raise DimensionMismatch("history must contain at least the current message")
     t = len(history) - 1
-    for i, msg in enumerate(history):
-        if len(msg) != d.k_src:
-            raise DimensionMismatch(f"message {i} has {len(msg)} symbols, expected {d.k_src}")
+    # the packet reads s_i for i in [t-k'-N1+1, t] only
+    for i in range(max(0, t - d.k_prime - p.N1 + 1), t + 1):
+        if len(history[i]) != d.k_src:
+            raise DimensionMismatch(
+                f"message {i} has {len(history[i])} symbols, expected {d.k_src}"
+            )
 
     def sym(time: int, layer: int, pos: int) -> int:
         if time < 0:
@@ -212,15 +215,26 @@ def emission_schedule(p: SchemeParams, erased, t: int) -> list[PosEmission]:
     return out
 
 
+# (q, n, k, pos, parity_rows, late) -> (lambda, mu); bounded by the layer
+# code's combinatorics, not by stream length
+_COEFFICIENTS: dict[tuple, tuple[tuple[int, ...], dict[int, int]]] = {}
+
+
 def emission_coefficients(
     field: GaloisField, code: MdsCode, em: PosEmission
-) -> tuple[list[int], dict[int, int]]:
+) -> tuple[tuple[int, ...], dict[int, int]]:
     """(lambda per parity row, mu per systematic position) for one emission.
 
     mu maps every position outside {pos}+late to its leftover coefficient in
     the combination (zero entries dropped); interference terms keep exactly
-    these coefficients, known terms get subtracted with them.
+    these coefficients, known terms get subtracted with them.  Memoized: the
+    result depends only on the code and the emission's shape, and callers
+    must not mutate it.
     """
+    key = (field.q, code.n, code.k, em.pos, em.parity_rows, em.late)
+    got = _COEFFICIENTS.get(key)
+    if got is not None:
+        return got
     P = code.parity
     cols = (em.pos,) + em.late
     system = [[P[pos][m] for m in em.parity_rows] for pos in cols]
@@ -235,7 +249,8 @@ def emission_coefficients(
             acc = field.add(acc, field.mul(l_coef, P[pos][m]))
         if acc:
             mu[pos] = acc
-    return lam, mu
+    got = _COEFFICIENTS[key] = (tuple(lam), mu)
+    return got
 
 
 # ---------------------------------------------------------------------------

@@ -201,3 +201,57 @@ def test_failure_propagates_through_interference():
     assert oracle_decode(p, plan6, dest, truth) == messages[6]
     # messages clear of both failures still decode
     assert try_decode(dest, 10) == messages[10]
+
+
+def _decode_both_ways(p, bits1, bits2, messages, header_mode):
+    """Feed one relay's packets to two decoders: one attempts every pending
+    message on every slot, the other only what ``due`` yields.  Returns the
+    (outcome, decode slot) per message of each."""
+    horizon = len(bits1)
+    relay = RelayState(p, header_mode=header_mode)
+
+    def decoder():
+        if header_mode:
+            return DecoderState(p, header_mode=True)
+        return DecoderState(p, e1_erased=lambda s: 0 <= s < horizon and bits1[s] == 1)
+
+    polled, driven = decoder(), decoder()
+    seen = {"polled": {}, "driven": {}}
+    pending = []
+    for s in range(horizon):
+        relay.ingest_source(s, None if bits1[s] else encode_source(p, messages[: s + 1]))
+        rp = relay.emit(s)
+        wire = None if bits2[s] else rp.wire_symbols()
+        polled.ingest(s, wire)
+        driven.ingest(s, wire)
+        pending.append(s)
+        for t in pending:
+            r = polled.try_decode(t, now=s)
+            if r != "pending":
+                seen["polled"][t] = (r, s)
+        pending = [t for t in pending if t not in seen["polled"]]
+        for t in driven.due(s):
+            r = driven.try_decode(t, now=s)
+            if r != "pending":
+                seen["driven"][t] = (r, s)
+    return seen["polled"], seen["driven"]
+
+
+@pytest.mark.parametrize("p", [P523, P623, SchemeParams(7, 3, 1, 1)])
+@pytest.mark.parametrize("header_mode", [False, True])
+def test_event_driven_decoding_matches_polling(p, header_mode):
+    """Attempting only flagged messages finalizes every message with the same
+    outcome in the same slot as attempting all of them, including losses
+    through dependencies and past deadlines (i.i.d. loss, often inadmissible)."""
+    horizon = 40
+    messages = episode_messages(p, horizon, seed=53)
+    failed = decoded = 0
+    for seed in range(8):
+        rng = np.random.default_rng([seed, p.T, header_mode])
+        bits1 = (rng.random(horizon) < 0.2).astype(int).tolist()
+        bits2 = (rng.random(horizon) < 0.25).astype(int).tolist()
+        polled, driven = _decode_both_ways(p, bits1, bits2, messages, header_mode)
+        assert list(driven.items()) == list(polled.items()), (bits1, bits2)
+        failed += sum(r is FAILED for r, _ in polled.values())
+        decoded += sum(r is not FAILED for r, _ in polled.values())
+    assert failed and decoded

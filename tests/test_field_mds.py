@@ -6,6 +6,7 @@ tests are independent of the implementation under test.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -198,3 +199,40 @@ def test_field_is_cached_or_cheap_to_rebuild():
     a, b = make_field(16), make_field(16)
     assert isinstance(a, GaloisField) and isinstance(b, GaloisField)
     assert a.q == b.q == 16
+
+
+def test_decode_flags_corrupted_surplus_with_cached_inverse():
+    """The inverse of a decoding system is cached per position set; a
+    second decode that reuses it must still check the surplus symbols."""
+    code = make_mds(make_field(7), 6, 3)
+    cw = mds_encode(code, [1, 2, 3])
+    assert mds_erasure_decode(code, [(i, cw[i]) for i in range(6)]) == [1, 2, 3]
+    assert (0, 1, 2) in code._inverses
+    received = [(i, cw[i]) for i in range(6)]
+    received[4] = (4, (cw[4] + 1) % 7)
+    with pytest.raises(InconsistentSymbols):
+        mds_erasure_decode(code, received)
+    other = mds_encode(code, [6, 0, 5])
+    assert mds_erasure_decode(code, [(i, other[i]) for i in (0, 1, 2, 5)]) == [6, 0, 5]
+
+
+def test_inverse_cache_matches_fresh_elimination():
+    field = make_field(16)
+    code = make_mds(field, 9, 4)
+    msg = [3, 15, 0, 8]
+    cw = mds_encode(code, msg)
+    for keep in itertools.combinations(range(9), 4):
+        system = [[code.gen[i][j] for i in range(4)] for j in keep]
+        fresh = solve_linear(field, system, [cw[j] for j in keep])
+        assert mds_erasure_decode(code, [(j, cw[j]) for j in keep]) == fresh == msg
+    assert len(code._inverses) == math.comb(9, 4)
+
+
+def test_prime_power_does_not_resieve(monkeypatch):
+    import relaystream.field_mds as field_mds
+
+    def no_sieve(limit):
+        raise AssertionError("primes re-sieved per call")
+
+    monkeypatch.setattr(field_mds, "_small_primes", no_sieve)
+    assert is_prime_power(49) and is_prime_power(65521) and not is_prime_power(18)

@@ -158,3 +158,12 @@ def test_interleaved_spot_check_passes():
     assert rep.ok, rep.failures
     assert rep.episodes > 0
     assert rep.failures == ()
+
+
+def test_interleaved_spot_check_splits_budget_between_users():
+    rep = interleaved_spot_check(MAC, budget=10)
+    assert rep.ok, rep.failures
+    assert rep.user_episodes == (5, 5)
+    assert rep.episodes == 10
+    odd = interleaved_spot_check(MAC, budget=3)
+    assert odd.user_episodes == (2, 1)

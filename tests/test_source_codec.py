@@ -236,3 +236,42 @@ def test_ingest_order_is_enforced():
         ledger.ingest(2, packets[2])  # skipped slot 1
     with pytest.raises(OutOfOrder):
         ledger.ingest(1, packets[2])  # stamp mismatch
+
+
+class CountingHistory(list):
+    """A history that counts how many messages the encoder reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+
+@pytest.mark.parametrize("p", [P523, P7313])
+def test_encode_reads_a_bounded_window_of_history(p):
+    """The packet at time t reads only s_i for i in [t-k'-N1+1, t], so its
+    cost must not grow with the length of the history."""
+    reads = []
+    for horizon in (20, 200, 2000):
+        history = CountingHistory(random_history(p, horizon, seed=horizon))
+        pkt = encode_source(p, history)
+        reads.append(history.reads)
+        assert pkt == encode_source(p, list(history))
+    assert reads[0] == reads[1] == reads[2]
+
+
+def test_encode_validates_messages_the_packet_reads():
+    p = P523
+    d = derive_dims(p)
+    history = random_history(p, 30, seed=5)
+    oldest = len(history) - 1 - d.k_prime - p.N1 + 1
+    for i in (oldest, len(history) - 2, len(history) - 1):
+        bad = [list(m) for m in history]
+        bad[i] = bad[i][:-1]
+        with pytest.raises(DimensionMismatch):
+            encode_source(p, bad)
