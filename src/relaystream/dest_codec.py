@@ -86,8 +86,14 @@ class DecoderState:
         self.dims = derive_dims(p)
         self.field, self.first_code = _codes_cached(p)
         self.header_mode = header_mode
-        self._oracle = e1_erased
         self._known_bits: dict[int, int] = {}
+        # first-hop lookup; it closes over the pattern, not the decoder, so
+        # the plans the decoder keeps hold no reference back to it
+        if header_mode:
+            known = self._known_bits
+            self._erased1 = lambda s: s >= 0 and bool(known.get(s, 1))  # unseen: erased
+        else:
+            self._erased1 = lambda s: s >= 0 and bool(e1_erased(s))
         self.msgs: dict[int, _MessageState] = {}
         self.last_slot = -1
         self._due: list[int] = []  # heap of messages to attempt
@@ -98,24 +104,14 @@ class DecoderState:
 
     # -- first-hop pattern knowledge ------------------------------------------
 
-    def _bit_known(self, slot: int) -> bool:
-        if slot < 0 or not self.header_mode:
-            return True
-        return slot in self._known_bits
-
-    def _erased1(self, slot: int) -> bool:
-        if slot < 0:
-            return False
-        if not self.header_mode:
-            return bool(self._oracle(slot))
-        return bool(self._known_bits.get(slot, 1))  # unknown treated as erased
-
     def _plan_ready(self, t: int) -> bool:
         """All pattern bits a full plan for message t can depend on are known."""
+        if not self.header_mode:
+            return True
         k = self.dims.k_prime
         lo = max(0, t - 2 * (k - 1))
         hi = t + self.params.T - self.params.N2
-        return all(self._bit_known(s) for s in range(lo, hi + 1))
+        return all(s in self._known_bits for s in range(lo, hi + 1))
 
     def plan(self, t: int) -> MessagePlan | None:
         st = self._state(t)
@@ -146,7 +142,7 @@ class DecoderState:
         """
         if st.plan is None:
             self._planless.add(t)
-        elif st.received >= len(st.plan.tx):
+        elif st.received >= st.plan.n_tx:
             self._flag(t)
 
     def due(self, now: int):
@@ -210,10 +206,8 @@ class DecoderState:
         already in the past that reproduces the relay's causal decision
         exactly (the relay had the same bits and no more).
         """
-        plan = self.plan(t)
-        if plan is None:
-            plan = build_message_plan(self.params, self._erased1, t)
-        return plan.schedule.alpha[slot - t]
+        plan = self.plan(t) or build_message_plan(self.params, self._erased1, t)
+        return plan.alpha[slot - t]
 
     def _file_symbols(self, t: int, slot: int, syms: list[int]) -> None:
         st = self._state(t)
@@ -260,19 +254,13 @@ class DecoderState:
         plan = self.plan(t)
         if plan is None:
             return None  # pattern bits still missing (header mode)
-        if st.received < len(plan.tx):
+        if st.received < plan.n_tx:
             return None  # see _flag_if_enough
 
         # received symbols in queue / codeword coordinates
-        tx_vals: dict[int, int] = {}
-        consumed = 0
-        for i in range(p.T - p.N2 + 1):
-            a = plan.schedule.alpha[i]
-            got = st.got_tx.get(t + i)
-            if got is not None:
-                for r, v in enumerate(got):
-                    tx_vals[consumed + r] = v
-            consumed += a
+        queue_vals: dict[int, int] = {}
+        for slot, got in sorted(st.got_tx.items()):
+            queue_vals.update(enumerate(got, plan.sent_before(slot - t)))
         par_vals: dict[tuple[int, int], int] = {}
         first_parity = p.T - p.N2 + 1
         for slot, syms in st.got_par.items():
@@ -280,33 +268,28 @@ class DecoderState:
             for ci, v in enumerate(syms):
                 par_vals[(ci, m)] = v
 
-        # decode every codeword that is still missing systematic symbols
-        queue_vals: dict[int, int] = dict(tx_vals)
-        for ci, cw in enumerate(plan.codewords):
-            if all(item in queue_vals for item in cw.sys_items):
+        # decode every codeword that is still missing systematic symbols; the
+        # plan's shape has the layout, so no absolute view is built
+        for ci, (n, k, items) in enumerate(plan.shape.codewords):
+            if all(item in queue_vals for item in items):
                 continue
-            received = [
-                (r, queue_vals[item])
-                for r, item in enumerate(cw.sys_items)
-                if item in queue_vals
-            ]
+            received = [(r, queue_vals[item]) for r, item in enumerate(items) if item in queue_vals]
             # positions beyond the scheduled queue were zero-padded at the relay
-            received += [(r, 0) for r in range(len(cw.sys_items), cw.k)]
-            received += [
-                (cw.k + m, par_vals[(ci, m)]) for m in range(p.N2) if (ci, m) in par_vals
-            ]
-            if len(received) < cw.k:
+            received += [(r, 0) for r in range(len(items), k)]
+            received += [(k + m, par_vals[(ci, m)]) for m in range(p.N2) if (ci, m) in par_vals]
+            if len(received) < k:
                 return None  # not yet decodable
-            word = second_code(p, cw.n, cw.k).erasure_decode(received)
-            for r, item in enumerate(cw.sys_items):
+            word = second_code(p, n, k).erasure_decode(received)
+            for r, item in enumerate(items):
                 queue_vals[item] = word[r]
 
+        flats = [flat for flat, _, _ in plan.shape.tx]
         if not plan.erased:
             out = [0] * d.k_src
             for idx, v in queue_vals.items():
-                out[plan.tx[idx].flat] = v
+                out[flats[idx]] = v
             return out
-        est = {plan.tx[idx].flat: (idx, v) for idx, v in queue_vals.items()}
+        est = {flats[idx]: (idx, v) for idx, v in queue_vals.items()}
         if len(est) < d.k_src:
             return None  # relay never forwarded a full message (inadmissible hop)
         return self._cancel(t, plan, est)
@@ -316,10 +299,9 @@ class DecoderState:
         d = self.dims
         out = [0] * d.k_src
         for flat, (idx, value) in est.items():
-            em = plan.tx[idx].emission
-            terms = (
-                interference_terms(self.params, em, flat // d.k_prime) if em else ()
-            )
+            _, _, e = plan.shape.tx[idx]  # emission index, -1 if systematic
+            layer = flat // d.k_prime
+            terms = interference_terms(self.params, plan.emissions[e], layer) if e >= 0 else ()
             for (t2, flat2, coeff) in terms:
                 dep = self.msgs.get(t2)
                 dep_val = dep.outcome if dep is not None else None
@@ -408,16 +390,11 @@ def oracle_decode(p: SchemeParams, plan: MessagePlan, state: DecoderState, histo
         return row, const
 
     rows, rhs = [], []
-    consumed = 0
-    for i in range(p.T - p.N2 + 1):
-        a = plan.schedule.alpha[i]
-        got = st.got_tx.get(t + i)
-        if got is not None:
-            for r, v in enumerate(got):
-                row, const = tx_row(consumed + r)
-                rows.append(row)
-                rhs.append(field.sub(v, const))
-        consumed += a
+    for slot, got in sorted(st.got_tx.items()):
+        for idx, v in enumerate(got, plan.sent_before(slot - t)):
+            row, const = tx_row(idx)
+            rows.append(row)
+            rhs.append(field.sub(v, const))
     first_parity = p.T - p.N2 + 1
     for slot, syms in st.got_par.items():
         m = slot - t - first_parity

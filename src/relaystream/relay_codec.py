@@ -28,11 +28,21 @@ window starting at t+j.  Two parity layouts follow:
 
 Either way each codeword never puts two symbols in one slot, so N2 erasures
 cost it at most N2 symbols -- exactly what its parity budget covers.
+
+One plan engine serves every stage: ``build_message_plan(p, erased, t)``.
+Everything in a plan except the interference an estimate carries depends
+only on the T-N2+1 bits of [t, t+T-N2].  So the plan's shape is kept in slot
+offsets from t and memoized per parameter set on those bits, at most
+2^(T-N2+1) shapes.  A hit costs one key lookup.  Interference reads bits
+before t and is resolved per message.  The relay's per-slot size at slot s,
+the ledger's estimates due at s and the destination's slicing all read the
+plan seen with every slot after s masked as erased.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
+from functools import cache, cached_property
 
 from .field_mds import MdsCode, make_mds
 from .scheme_params import SchemeParams, derive_dims, header_overhead, implemented_field_size
@@ -41,6 +51,7 @@ from .source_codec import (
     PosEmission,
     SourcePacket,
     _codes_cached,
+    emission_interference,
     emission_schedule,
 )
 
@@ -74,7 +85,7 @@ class Schedule:
 
 
 def _schedule_core(p: SchemeParams, erased_msg: bool, erased_after, avail) -> Schedule:
-    """Algorithm shared by the contract-level op and the episode plans.
+    """The per-slot schedule rule; the plan engine is its only caller.
 
     erased_after(i): whether slot t+i was erased (queried for 1 <= i <= T-N2).
     avail(i): estimates available once slot t+i arrived.
@@ -117,7 +128,6 @@ def compute_schedule(p: SchemeParams, t: int, erased: bool, prefix) -> Schedule:
     prefix[i-1] is the erasure bit of slot t+i.  Raises InadmissiblePattern
     if the visible window [t, t+T-N2] already exceeds N1 erasures.
     """
-    d = derive_dims(p)
     bits = [int(b) for b in prefix]
     if len(bits) != p.T - p.N2:
         raise InadmissiblePattern(
@@ -127,18 +137,8 @@ def compute_schedule(p: SchemeParams, t: int, erased: bool, prefix) -> Schedule:
         raise InadmissiblePattern(
             f"{int(erased) + sum(bits)} erasures in a {p.T - p.N2 + 1}-slot window exceed N1={p.N1}"
         )
-
-    def erased_after(i: int) -> bool:
-        return bool(bits[i - 1])
-
-    def avail(i: int) -> int:
-        if not erased:
-            return d.k_src
-        got = sum(1 for a in range(1, i + 1) if not erased_after(a))
-        return min(d.k_src, d.l_prime * got)
-
-    sched = _schedule_core(p, erased, erased_after, avail)
-    return Schedule(t, sched.erased, sched.grouped, sched.alpha, sched.ell, sched.gamma)
+    window = [bool(erased)] + [bool(b) for b in bits]
+    return build_message_plan(p, lambda s: 0 <= s - t < len(window) and window[s - t], t).schedule
 
 
 # ---------------------------------------------------------------------------
@@ -166,87 +166,147 @@ class CodewordSpec:
 
 
 @dataclass(frozen=True)
+class _PlanShape:
+    """A plan in slot offsets from its message t, shared by every message
+    whose window [t, t+T-N2] reads the same first-hop bits."""
+
+    schedule: Schedule  # at t = 0
+    emissions: tuple[PosEmission, ...]  # at t = 0, without interference
+    tx: tuple[tuple[int, int, int], ...]  # flat, offset, emission index (-1: systematic)
+    codewords: tuple[tuple[int, int, tuple[int, ...]], ...]  # n, k, sys_items
+
+
+def _plan_shape(p: SchemeParams, bits: tuple[bool, ...], shared: dict) -> _PlanShape:
+    """Build the shape for window bits ``bits`` (bits[i] is slot t+i).  Equal
+    tuples, which most shapes share, are stored once through ``shared``."""
+    d = derive_dims(p)
+
+    def one(x):
+        return shared.setdefault(x, x)
+
+    def window(s: int) -> bool:  # the message at slot 0, with a clean past
+        return 0 <= s < len(bits) and bits[s]
+
+    erased_msg = bits[0]
+    emissions = tuple(one(em) for em in emission_schedule(p, window, 0)) if erased_msg else ()
+
+    def avail(i: int) -> int:  # estimates held once slot i arrived
+        return d.l_prime * sum(1 for em in emissions if em.slot <= i) if erased_msg else d.k_src
+
+    sched = _schedule_core(p, erased_msg, window, avail)
+
+    # transmission queue in ledger order
+    if erased_msg:
+        queue = [
+            (c * d.k_prime + em.pos, e) for e, em in enumerate(emissions) for c in range(d.l_prime)
+        ]
+    else:
+        queue = [
+            (layer * d.k_dprime + w, -1) for w in range(d.k_dprime) for layer in range(d.l_dprime)
+        ]
+    offsets = [i for i in range(p.T - p.N2 + 1) for _ in range(sched.alpha[i])]
+    tx = tuple(one((flat, i, e)) for (flat, e), i in zip(queue, offsets))
+
+    # codeword c takes every step-th tx item from c on: grouped, the c-th
+    # member of each group of k'' estimates; otherwise layer c
+    if sched.grouped:
+        n_code, k_code, step = p.T + 1 - p.N1, d.l_dprime, d.k_dprime
+    else:
+        n_code, k_code, step = d.n_dprime, d.k_dprime, d.l_dprime
+    end = min(len(tx), k_code * step)
+    codewords = tuple(one((n_code, k_code, tuple(range(c, end, step)))) for c in range(step))
+
+    return _PlanShape(one(sched), one(emissions), one(tx), one(codewords))
+
+
 class MessagePlan:
-    t: int
-    erased: bool
-    schedule: Schedule
-    tx: tuple[TxItem, ...]
-    codewords: tuple[CodewordSpec, ...]
-    slot_spans: dict = dc_field(default_factory=dict, compare=False)
+    """Message t's relay treatment: a memoized shape placed at slot t.
+
+    ``alpha``, ``n_tx`` and ``sent_before`` read the shape; ``schedule``,
+    ``emissions``, ``tx`` and ``codewords`` are built on first use.  Only
+    interference reads bits before t, through the plan's lookup: that may
+    since have learned bits it masked as erased, but no slot up to the last
+    emission may have changed.
+    """
+
+    def __init__(self, p: SchemeParams, t: int, shape: _PlanShape, erased_fn):
+        self.params, self.t, self.shape = p, t, shape
+        self.erased, self.alpha = shape.schedule.erased, shape.schedule.alpha
+        self.n_tx = len(shape.tx)
+        self._erased_fn = erased_fn
+
+    def sent_before(self, i: int) -> int:
+        """Queue symbols sent at offsets before i <= T-N2."""
+        return sum(self.alpha[:i])
+
+    @property
+    def schedule(self) -> Schedule:
+        return replace(self.shape.schedule, t=self.t)
+
+    def _place(self, em: PosEmission) -> PosEmission:
+        t, slot = self.t, self.t + em.slot
+        inter = emission_interference(self.params, self._erased_fn, t, em.pos, slot)
+        return PosEmission(t, em.pos, slot, em.parity_rows, em.late, inter)
+
+    def emissions_at(self, slot: int) -> list[PosEmission]:
+        """The emissions made at ``slot``, in emission order."""
+        return [self._place(em) for em in self.shape.emissions if self.t + em.slot == slot]
+
+    @cached_property
+    def emissions(self) -> tuple[PosEmission, ...]:
+        return tuple(map(self._place, self.shape.emissions))
+
+    @cached_property
+    def tx(self) -> tuple[TxItem, ...]:
+        ems, t = self.emissions, self.t
+        return tuple(TxItem(f, t + off, ems[e] if e >= 0 else None) for f, off, e in self.shape.tx)
+
+    @cached_property
+    def codewords(self) -> tuple[CodewordSpec, ...]:
+        first_parity = self.t + self.params.T - self.params.N2 + 1
+        return tuple(
+            CodewordSpec(n, k, items, tuple((first_parity + m, c) for m in range(self.params.N2)))
+            for c, (n, k, items) in enumerate(self.shape.codewords)
+        )
+
+    def _fields(self) -> tuple:
+        return (self.t, self.erased, self.schedule, self.tx, self.codewords)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MessagePlan) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+# SchemeParams -> (rule, {window bits: _PlanShape}, shared tuples).  A memo
+# is bounded by 2^(T-N2+1) shapes and filled on first use.  It is valid only
+# for the rule that filled it: swapping _schedule_core at run time starts a
+# fresh memo.
+_PLAN_MEMO: dict[SchemeParams, tuple[object, dict, dict]] = {}
 
 
 def build_message_plan(p: SchemeParams, erased_fn, t: int) -> MessagePlan:
-    """Everything about message t's relay treatment, from the pattern alone."""
-    d = derive_dims(p)
-    erased_msg = bool(erased_fn(t))
-    emissions = emission_schedule(p, erased_fn, t) if erased_msg else []
+    """Everything about message t's relay treatment, from the pattern alone.
 
-    def erased_after(i: int) -> bool:
-        return bool(erased_fn(t + i))
-
-    def avail(i: int) -> int:
-        if not erased_msg:
-            return d.k_src
-        return d.l_prime * sum(1 for em in emissions if em.slot <= t + i)
-
-    sched = _schedule_core(p, erased_msg, erased_after, avail)
-    sched = Schedule(t, sched.erased, sched.grouped, sched.alpha, sched.ell, sched.gamma)
-
-    # transmission queue in ledger order
-    queue: list[tuple[int, PosEmission | None]] = []
-    if erased_msg:
-        for em in emissions:
-            for c in range(d.l_prime):
-                queue.append((c * d.k_prime + em.pos, em))
-    else:
-        for w in range(d.k_dprime):
-            for layer in range(d.l_dprime):
-                queue.append((layer * d.k_dprime + w, None))
-
-    tx: list[TxItem] = []
-    consumed = 0
-    for i in range(p.T - p.N2 + 1):
-        for _ in range(sched.alpha[i]):
-            flat, em = queue[consumed]
-            tx.append(TxItem(flat, t + i, em))
-            consumed += 1
-
-    codewords: list[CodewordSpec] = []
-    first_parity = p.T - p.N2 + 1
-    if sched.grouped:
-        gs = d.k_dprime
-        n_code, k_code = p.T + 1 - p.N1, d.l_dprime
-        for pos in range(gs):
-            sys_items = tuple(
-                r * gs + pos for r in range(k_code) if r * gs + pos < len(tx)
-            )
-            pars = tuple(
-                (t + first_parity + m, pos) for m in range(p.N2)
-            )
-            codewords.append(CodewordSpec(n_code, k_code, sys_items, pars))
-    else:
-        n_code, k_code = d.n_dprime, d.k_dprime
-        for layer in range(d.l_dprime):
-            sys_items = tuple(
-                w * d.l_dprime + layer for w in range(k_code) if w * d.l_dprime + layer < len(tx)
-            )
-            pars = tuple((t + first_parity + m, layer) for m in range(p.N2))
-            codewords.append(CodewordSpec(n_code, k_code, sys_items, pars))
-
-    return MessagePlan(t, erased_msg, sched, tuple(tx), tuple(codewords))
+    ``erased_fn`` is a slot -> bool first-hop lookup.  The shape is memoized
+    on the bits of [t, t+T-N2]; bits before t are read only to resolve
+    interference, when the plan's emissions are first asked for.
+    """
+    entry = _PLAN_MEMO.get(p)
+    if entry is None or entry[0] is not _schedule_core:
+        entry = _PLAN_MEMO[p] = (_schedule_core, {}, {})
+    shapes = entry[1]
+    key = tuple(map(bool, map(erased_fn, range(t, t + p.T - p.N2 + 1))))
+    shape = shapes.get(key)
+    if shape is None:
+        shape = shapes[key] = _plan_shape(p, key, entry[2])
+    return MessagePlan(p, t, shape, erased_fn)
 
 
-_SECOND_CODES: dict[tuple[SchemeParams, int, int], MdsCode] = {}
-
-
+@cache
 def second_code(p: SchemeParams, n: int, k: int) -> MdsCode:
-    key = (p, n, k)
-    code = _SECOND_CODES.get(key)
-    if code is None:
-        field, _ = _codes_cached(p)
-        code = make_mds(field, n, k)
-        _SECOND_CODES[key] = code
-    return code
+    return make_mds(_codes_cached(p)[0], n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -272,26 +332,25 @@ def build_parity_groups(
     IncompleteEstimates; otherwise missing symbols encode as zeros.
     """
     d = derive_dims(p)
-    if len(values) != len(plan.tx):
+    n_tx = plan.n_tx
+    if len(values) != n_tx:
+        raise IncompleteEstimates(f"{len(values)} values for {n_tx} transmitted symbols")
+    codewords = plan.shape.codewords  # (n, k, sys_items)
+    if strict and codewords and n_tx < d.k_src:
         raise IncompleteEstimates(
-            f"{len(values)} values for {len(plan.tx)} transmitted symbols"
+            f"message {plan.t}: only {n_tx} of {d.k_src} symbols scheduled"
         )
-    if strict and plan.codewords and len(plan.tx) < d.k_src:
-        raise IncompleteEstimates(
-            f"message {plan.t}: only {len(plan.tx)} of {d.k_src} symbols scheduled"
-        )
-    if not plan.codewords or p.N2 == 0:
-        return ParityGroups(plan.t, plan.schedule.grouped, tuple(() for _ in range(p.N2)))
+    if not codewords or p.N2 == 0:
+        return ParityGroups(plan.t, plan.shape.schedule.grouped, tuple(() for _ in range(p.N2)))
     rows: list[list[int]] = [[] for _ in range(p.N2)]
-    for cw in plan.codewords:
-        code = second_code(p, cw.n, cw.k)
-        msg = [0] * cw.k
-        for r, item in enumerate(cw.sys_items):
+    for n, k, sys_items in codewords:
+        msg = [0] * k
+        for r, item in enumerate(sys_items):
             msg[r] = values[item]
-        word = code.encode(msg)
+        word = second_code(p, n, k).encode(msg)
         for m in range(p.N2):
-            rows[m].append(word[cw.k + m])
-    return ParityGroups(plan.t, plan.schedule.grouped, tuple(tuple(r) for r in rows))
+            rows[m].append(word[k + m])
+    return ParityGroups(plan.t, plan.shape.schedule.grouped, tuple(tuple(r) for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +377,12 @@ class RelayPacket:
 class RelayState:
     """Drives the relay across an episode: ingest first hop, emit second hop.
 
-    Message-phase scheduling is strictly causal: at slot s the relay uses only
-    erasure bits and estimates up to s.  The full MessagePlan (needed for the
-    parity layout) is materialized only once a message's data window
-    [t, t+T-N2] lies in the past, at which point it provably reproduces the
-    causal decisions already taken.
+    Message-phase scheduling is strictly causal: at slot s the relay reads
+    the plan of message t with every slot after s masked as erased, whose
+    offsets up to s-t already equal the full plan's (an emission at slot s'
+    reads no bit after s').  The full plan, which fixes the parity layout,
+    is used once the data window [t, t+T-N2] lies in the past.  A message's
+    plan and parities are dropped once slot t+T has been emitted.
     """
 
     def __init__(self, p: SchemeParams, header_mode: bool = False):
@@ -332,78 +392,59 @@ class RelayState:
         self.header_mode = header_mode
         self.plans: dict[int, MessagePlan] = {}
         self.parities: dict[int, ParityGroups] = {}
-        self._consumed: dict[int, int] = {}
 
     def ingest_source(self, slot: int, packet: SourcePacket | None) -> None:
         self.ledger.ingest(slot, packet)
 
     def full_plan(self, t: int) -> MessagePlan:
         """Plan for message t; only valid once slot t+T-N2 was ingested."""
-        plan = self.plans.get(t)
-        if plan is None:
-            if self.ledger.next_slot <= t + self.params.T - self.params.N2:
-                raise ScheduleOverrun(
-                    f"plan for message {t} requested before its window closed"
-                )
-            plan = build_message_plan(self.params, self.ledger.erased, t)
-            self.plans[t] = plan
-        return plan
+        if self.ledger.next_slot <= t + self.params.T - self.params.N2:
+            raise ScheduleOverrun(f"plan for message {t} requested before its window closed")
+        if t not in self.plans:
+            self.plans[t] = build_message_plan(self.params, self.ledger.erased, t)
+        return self.plans[t]
 
-    def _queue_value(self, t: int, idx: int) -> int:
-        """idx-th symbol of message t's transmission queue (ledger order)."""
-        d = self.dims
+    def _queue_values(self, t: int, start: int, size: int) -> tuple[int, ...]:
+        """Symbols start .. start+size-1 of message t's transmission queue
+        (ledger order)."""
         if self.ledger.erased(t):
-            recs = self.ledger.records_for(t)
-            if idx >= len(recs):
-                raise ScheduleOverrun(f"message {t}: queue index {idx} beyond ledger")
-            return recs[idx].value
-        w, layer = idx // d.l_dprime, idx % d.l_dprime
-        flat = layer * d.k_dprime + w
-        return self.ledger.packets[t].rows[flat // d.k_prime][flat % d.k_prime]
-
-    def _message_phase_alpha(self, t: int, slot: int) -> int:
-        """Causal Algorithm-1 step for message t at slot = t+i, i <= T-N2."""
-        p, d = self.params, self.dims
-        i = slot - t
-        erased_msg = self.ledger.erased(t)
-        g = sum(1 for a in range(t + 1, slot) if self.ledger.erased(a))
-        if i < p.j or (not erased_msg):
-            cap = d.l_dprime if i >= p.j else 0
-        elif g <= p.j - 1:
-            cap = d.l_dprime
-        elif i >= p.N1:
-            cap = d.k_dprime
-        else:
-            cap = 0
-        avail = self.ledger.available_count(t, slot)
-        return min(cap, avail - self._consumed.get(t, 0))
+            recs = self.ledger.records_for(t)[start : start + size]
+            if len(recs) < size:
+                raise ScheduleOverrun(f"message {t}: queue index {start + size - 1} beyond ledger")
+            return tuple(rec.value for rec in recs)
+        d, rows = self.dims, self.ledger.packets[t].rows
+        flats = [(i % d.l_dprime) * d.k_dprime + i // d.l_dprime for i in range(start, start + size)]
+        return tuple(rows[f // d.k_prime][f % d.k_prime] for f in flats)
 
     def emit(self, slot: int) -> RelayPacket:
         """Relay packet for this slot; first-hop slots <= slot must have been
         ingested already."""
         p = self.params
+        last_msg = p.T - p.N2
         subpackets = []
         for t in range(max(0, slot - p.T), slot - p.j + 1):
             i = slot - t
-            if i <= p.T - p.N2:
-                size = self._message_phase_alpha(t, slot)
+            if i <= last_msg:
+                plan = build_message_plan(p, self.ledger.erased, t)
+                size = plan.alpha[i]
                 if size <= 0:
                     continue
-                start = self._consumed.get(t, 0)
-                syms = tuple(self._queue_value(t, start + r) for r in range(size))
-                self._consumed[t] = start + size
+                syms = self._queue_values(t, plan.sent_before(i), size)
             else:
                 plan = self.full_plan(t)
-                if plan.schedule.alpha[i] == 0:
+                if plan.alpha[i] == 0:
                     continue
                 pg = self.parities.get(t)
                 if pg is None:
-                    vals = [self._queue_value(t, r) for r in range(len(plan.tx))]
+                    vals = list(self._queue_values(t, 0, plan.n_tx))
                     pg = build_parity_groups(p, plan, vals, strict=False)
                     self.parities[t] = pg
-                syms = tuple(pg.rows[i - (p.T - p.N2 + 1)])
+                syms = tuple(pg.rows[i - last_msg - 1])
             if syms:
                 subpackets.append((t, syms))
+        # message slot-T had its last slot
+        self.plans.pop(slot - p.T, None)
+        self.parities.pop(slot - p.T, None)
         header = ()
         if self.header_mode:
             bits = [int(self.ledger.erased(s)) for s in range(slot - p.T, slot + 1)]

@@ -6,14 +6,17 @@ full codec is infeasible beyond toy sizes (the pair count grows like 4^T), so
 
 * Structure.  Everything the relay schedules for message t -- subpacket
   sizes, queue layout, codeword shapes and slots -- is a pure function of the
-  T+1 erasure bits starting at t, and the relay payload at slot s is a pure
-  function of the T+1 bits ending at s.  Enumerating every admissible
-  (T+1)-bit window therefore checks schedule conservation, availability
-  counts, payload bounds, and the per-codeword slot discipline (no codeword
-  puts two symbols in one slot, spans at most [t, t+T], and carries exactly
-  N2 parities) against *all* admissible first-hop patterns at once.  The slot
-  discipline is what makes any admissible second hop survivable: at most N2
-  of each codeword's symbols can be lost, which its parity budget covers.
+  T-N2+1 erasure bits of [t, t+T-N2].  It is the t-relative plan shape that
+  `build_message_plan` memoizes on those bits and that the relay, its ledger
+  and the destination all read; the certificate reads it with a clean past.
+  The relay payload at slot s is a pure function of the T+1 bits ending at
+  s.  Enumerating every admissible (T+1)-bit window therefore checks
+  schedule conservation, availability counts, payload bounds, and the
+  per-codeword slot discipline (no codeword puts two symbols in one slot,
+  spans at most [t, t+T], and carries exactly N2 parities) against *all*
+  admissible first-hop patterns at once.  The slot discipline is what makes
+  any admissible second hop survivable: at most N2 of each codeword's
+  symbols can be lost, which its parity budget covers.
 * Values.  The symbol-level pipeline (estimate extraction, interference
   bookkeeping, MDS decode, cancellation) is exercised by driving full
   episodes over probe pattern families and seeded admissible samples, with

@@ -27,6 +27,7 @@ what lets the destination replay the relay's bookkeeping symbolically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .field_mds import GaloisField, MdsCode, DimensionMismatch, make_field, make_mds, solve_linear
 from .scheme_params import SchemeParams, derive_dims, implemented_field_size, nominal_field_size
@@ -97,15 +98,7 @@ def encode_source(p: SchemeParams, history: list[list[int]]) -> SourcePacket:
     return SourcePacket(t, tuple(rows))
 
 
-_CODE_CACHE: dict[SchemeParams, tuple[GaloisField, MdsCode]] = {}
-
-
-def _codes_cached(p: SchemeParams) -> tuple[GaloisField, MdsCode]:
-    got = _CODE_CACHE.get(p)
-    if got is None:
-        got = make_codes(p)
-        _CODE_CACHE[p] = got
-    return got
+_codes_cached = cache(make_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +195,25 @@ def emission_schedule(p: SchemeParams, erased, t: int) -> list[PosEmission]:
             if len(rows) < len(late) + 1:
                 continue
             rows = rows[: len(late) + 1]
-            interference = []
-            for q in range(pos):
-                s_q = u + q
-                if s_q < 0 or not erased(s_q):
-                    continue
-                ready = relay_recovery_slot(p, erased, s_q)
-                if ready is None or ready > slot:
-                    interference.append((s_q, q))
-            out.append(PosEmission(t, pos, slot, rows, late, tuple(interference)))
+            inter = emission_interference(p, erased, t, pos, slot)
+            out.append(PosEmission(t, pos, slot, rows, late, inter))
             emitted[pos] = True
     return out
+
+
+def emission_interference(p: SchemeParams, erased, t: int, pos: int, slot: int):
+    """(t', pos') terms an estimate of (t, pos) made at ``slot`` keeps: the
+    earlier positions of its diagonal whose message was erased and not yet
+    recovered by the relay at ``slot``."""
+    out = []
+    for q in range(pos):
+        s_q = t - pos + q
+        if s_q < 0 or not erased(s_q):
+            continue
+        ready = relay_recovery_slot(p, erased, s_q)
+        if ready is None or ready > slot:
+            out.append((s_q, q))
+    return tuple(out)
 
 
 # (q, n, k, pos, parity_rows, late) -> (lambda, mu); bounded by the layer
@@ -304,7 +305,7 @@ class EstimateLedger:
         if packet is None:
             return
         self.packets[slot] = packet
-        d, p = self.dims, self.params
+        p = self.params
         lo = max(0, slot - (p.T - p.N2))
         for t in range(lo, slot):
             if not self.erased(t):
@@ -312,30 +313,25 @@ class EstimateLedger:
             self._extract_for(t, slot)
 
     def _extract_for(self, t: int, now: int) -> None:
-        """Emit every estimate of erased message t constructible at slot now."""
-        d, p = self.dims, self.params
-        ems = self.emissions.setdefault(t, [])
-        have = {em.pos for em in ems}
-        for pos in range(d.k_prime - 1, -1, -1):
-            if pos in have:
-                continue
-            em = self._try_build(t, pos, now)
-            if em is None:
-                continue
-            ems.append(em)
-            have.add(pos)
+        """Emit every estimate of erased message t constructible at slot now.
+
+        Which ones comes from t's plan as seen at ``now``; only the symbol
+        values are worked out here."""
+        d = self.dims
+        plan = relay_codec.build_message_plan(self.params, self.erased, t)
+        for em in plan.emissions_at(now):
+            self.emissions.setdefault(t, []).append(em)
             lam, mu = emission_coefficients(self.field, self.code, em)
             interference_pos = {q for (tq, q) in em.interference}
+            u = t - em.pos
             for c in range(d.l_prime):
                 value = 0
                 for l_coef, m in zip(lam, em.parity_rows):
-                    u = t - pos
-                    pslot = u + d.k_prime + m
-                    pval = self.packets[pslot].rows[c][d.k_prime + m]
+                    pval = self.packets[u + d.k_prime + m].rows[c][d.k_prime + m]
                     value = self.field.add(value, self.field.mul(l_coef, pval))
                 inter: list[tuple[int, int, int]] = []
                 for q, coeff in mu.items():
-                    src_t = t - pos + q
+                    src_t = u + q
                     if src_t < 0:
                         continue  # symbol is an implicit zero
                     if q in interference_pos:
@@ -345,34 +341,8 @@ class EstimateLedger:
                             value, self.field.mul(coeff, self._known_symbol(src_t, c, q, now))
                         )
                 self.records.setdefault(t, []).append(
-                    SymbolRecord(t, c * d.k_prime + pos, value, tuple(inter))
+                    SymbolRecord(t, c * d.k_prime + em.pos, value, tuple(inter))
                 )
-
-    def _try_build(self, t: int, pos: int, now: int) -> PosEmission | None:
-        d, p = self.dims, self.params
-        if now > t + p.T - p.N2:
-            return None
-        u = t - pos
-        late = tuple(
-            q for q in range(pos + 1, d.k_prime) if u + q >= 0 and self.erased(u + q)
-        )
-        rows = tuple(
-            m
-            for s, m in _diag_parity_slots(t, pos, d.k_prime, p.N1)
-            if s <= now and not self.erased(s)
-        )
-        if len(rows) < len(late) + 1:
-            return None
-        rows = rows[: len(late) + 1]
-        interference = []
-        for q in range(pos):
-            s_q = u + q
-            if s_q < 0 or not self.erased(s_q):
-                continue
-            ready = relay_recovery_slot(p, self.erased, s_q)
-            if ready is None or ready > now:
-                interference.append((s_q, q))
-        return PosEmission(t, pos, now, rows, late, tuple(interference))
 
     # -- known symbol values --------------------------------------------------
 
@@ -438,3 +408,7 @@ def estimates_available(ledger: EstimateLedger, t: int, now: int) -> int:
     hi = min(now, t + ledger.params.T - ledger.params.N2)
     got = sum(1 for s in range(t + 1, hi + 1) if not ledger.erased(s))
     return min(d.k_src, d.l_prime * got)
+
+
+# the plan engine builds on this module; imported last to close the cycle
+from . import relay_codec  # noqa: E402

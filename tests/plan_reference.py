@@ -1,0 +1,160 @@
+"""Reference copy of the unmemoized plan rule, for differential tests.
+
+These are the bodies ``build_message_plan``, ``emission_schedule`` and
+``compute_schedule`` had before plans were memoized: every call rebuilds the
+whole plan from the erasure lookup, in absolute slots, and the contract
+schedule counts availability in closed form.  ``tests/test_plan_engine.py``
+checks the memoized engine against them.  Only the frozen record types and
+``relay_recovery_slot`` come from the library.
+"""
+
+from relaystream.relay_codec import CodewordSpec, Schedule, TxItem
+from relaystream.scheme_params import derive_dims
+from relaystream.source_codec import PosEmission, relay_recovery_slot
+
+
+def _diag_parity_slots(t, pos, k_prime, n1_rows):
+    u = t - pos
+    return [(u + k_prime + m, m) for m in range(n1_rows)]
+
+
+def emission_schedule(p, erased, t):
+    """All estimate emissions for message t, in transmission order."""
+    if not erased(t):
+        return []
+    d = derive_dims(p)
+    k_prime = d.k_prime
+    out = []
+    emitted = [False] * k_prime
+    for slot in range(t + 1, t + p.T - p.N2 + 1):
+        if erased(slot):
+            continue
+        for pos in range(k_prime - 1, -1, -1):
+            if emitted[pos]:
+                continue
+            u = t - pos
+            late = tuple(q for q in range(pos + 1, k_prime) if u + q >= 0 and erased(u + q))
+            rows = tuple(
+                m
+                for s, m in _diag_parity_slots(t, pos, k_prime, p.N1)
+                if s <= slot and not erased(s)
+            )
+            if len(rows) < len(late) + 1:
+                continue
+            rows = rows[: len(late) + 1]
+            interference = []
+            for q in range(pos):
+                s_q = u + q
+                if s_q < 0 or not erased(s_q):
+                    continue
+                ready = relay_recovery_slot(p, erased, s_q)
+                if ready is None or ready > slot:
+                    interference.append((s_q, q))
+            out.append(PosEmission(t, pos, slot, rows, late, tuple(interference)))
+            emitted[pos] = True
+    return out
+
+
+def schedule_core(p, erased_msg, erased_after, avail):
+    d = derive_dims(p)
+    T, N1, N2, j = p.T, p.N1, p.N2, p.j
+    last_msg = T - N2
+    gamma, ell, alpha = [], [], []
+    sent = 0
+    for i in range(last_msg + 1):
+        g = sum(1 for a in range(1, i) if erased_after(a))
+        gamma.append(g)
+        if i < j or (not erased_msg):
+            cap = d.l_dprime if i >= j else 0
+        elif g <= j - 1:
+            cap = d.l_dprime
+        elif i >= N1:
+            cap = d.k_dprime
+        else:
+            cap = 0
+        ell.append(cap)
+        a = min(cap, avail(i) - sent)
+        assert a >= 0
+        alpha.append(a)
+        sent += a
+    grouped = erased_msg and gamma[last_msg] > j - 1
+    par = 0 if sent == 0 and erased_msg else (d.k_dprime if grouped else d.l_dprime)
+    for i in range(last_msg + 1, T + 1):
+        alpha.append(par)
+        ell.append(par)
+    return tuple(alpha), tuple(ell), tuple(gamma), grouped
+
+
+def build_message_plan(p, erased_fn, t):
+    """(t, erased, schedule, tx, codewords) of message t."""
+    d = derive_dims(p)
+    erased_msg = bool(erased_fn(t))
+    emissions = emission_schedule(p, erased_fn, t) if erased_msg else []
+
+    def erased_after(i):
+        return bool(erased_fn(t + i))
+
+    def avail(i):
+        if not erased_msg:
+            return d.k_src
+        return d.l_prime * sum(1 for em in emissions if em.slot <= t + i)
+
+    alpha, ell, gamma, grouped = schedule_core(p, erased_msg, erased_after, avail)
+    sched = Schedule(t, erased_msg, grouped, alpha, ell, gamma)
+
+    queue = []
+    if erased_msg:
+        for em in emissions:
+            for c in range(d.l_prime):
+                queue.append((c * d.k_prime + em.pos, em))
+    else:
+        for w in range(d.k_dprime):
+            for layer in range(d.l_dprime):
+                queue.append((layer * d.k_dprime + w, None))
+
+    tx = []
+    consumed = 0
+    for i in range(p.T - p.N2 + 1):
+        for _ in range(alpha[i]):
+            flat, em = queue[consumed]
+            tx.append(TxItem(flat, t + i, em))
+            consumed += 1
+
+    codewords = []
+    first_parity = p.T - p.N2 + 1
+    if grouped:
+        gs = d.k_dprime
+        n_code, k_code = p.T + 1 - p.N1, d.l_dprime
+        for pos in range(gs):
+            sys_items = tuple(r * gs + pos for r in range(k_code) if r * gs + pos < len(tx))
+            pars = tuple((t + first_parity + m, pos) for m in range(p.N2))
+            codewords.append(CodewordSpec(n_code, k_code, sys_items, pars))
+    else:
+        n_code, k_code = d.n_dprime, d.k_dprime
+        for layer in range(d.l_dprime):
+            sys_items = tuple(
+                w * d.l_dprime + layer for w in range(k_code) if w * d.l_dprime + layer < len(tx)
+            )
+            pars = tuple((t + first_parity + m, layer) for m in range(p.N2))
+            codewords.append(CodewordSpec(n_code, k_code, sys_items, pars))
+
+    return t, erased_msg, sched, tuple(tx), tuple(codewords)
+
+
+def compute_schedule(p, t, erased, prefix):
+    """The contract schedule with the closed-form availability count
+    min(k_src, l' * received slots in (t, t+i])."""
+    d = derive_dims(p)
+    bits = [int(b) for b in prefix]
+
+    def erased_after(i):
+        return bool(bits[i - 1])
+
+    def avail(i):
+        if not erased:
+            return d.k_src
+        got = sum(1 for a in range(1, i + 1) if not erased_after(a))
+        return min(d.k_src, d.l_prime * got)
+
+    alpha, ell, gamma, grouped = schedule_core(p, erased, erased_after, avail)
+    return Schedule(t, erased, grouped, alpha, ell, gamma)

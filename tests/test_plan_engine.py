@@ -1,0 +1,182 @@
+"""The memoized plan engine against the unmemoized rule, and its one causal rule.
+
+``build_message_plan`` memoizes a t-relative plan shape on the first-hop
+bits of [t, t+T-N2] and resolves interference, the only part that reads bits
+before t, per message.  The differential tests replay seeded patterns through
+it and through the reference copy in ``plan_reference.py`` under the three
+views the codec uses:
+
+* oracle: the full first-hop pattern;
+* masked: every slot after some ``now`` reads as erased, as the relay and the
+  ledger see the stream at slot ``now`` and a header-mode destination sees it
+  before later headers arrive;
+* clean past: the verify certificate's window, message at slot 0 and no
+  erasure before it.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import plan_reference
+from relaystream import relay_codec
+from relaystream.dest_codec import DecoderState
+from relaystream.relay_codec import RelayState, build_message_plan, compute_schedule
+from relaystream.scheme_params import SchemeParams, derive_dims
+from relaystream.sim_harness import all_valid_params
+from relaystream.source_codec import emission_schedule, encode_source, make_codes
+
+P12 = SchemeParams(12, 3, 4, 1)
+P7311 = SchemeParams(7, 3, 1, 1)
+
+
+def fields(plan):
+    return plan.t, plan.erased, plan.schedule, plan.tx, plan.codewords
+
+
+def oracle_view(bits):
+    return lambda s: 0 <= s < len(bits) and bits[s] == 1
+
+
+def masked_view(bits, now):
+    return lambda s: 0 <= s and (s > now or (s < len(bits) and bits[s] == 1))
+
+
+def random_bits(rng, n, p_erase):
+    return [int(b) for b in rng.random(n) < p_erase]
+
+
+def test_engine_matches_reference_on_every_parameter_set():
+    """Oracle and masked views, t from 0 (the window reaches negative
+    slots for t < 2(k'-1)) to the end of the stream."""
+    plans = 0
+    for idx, p in enumerate(all_valid_params(7)):
+        d = derive_dims(p)
+        rng = np.random.default_rng([31, idx])
+        horizon = max(2 * (p.T + 1), 2 * (d.k_prime - 1) + p.T + 2)
+        for p_erase in (p.N1 / (p.T + 1), 0.5):
+            bits = random_bits(rng, horizon, p_erase)
+            for t in range(horizon - p.T + p.N2):
+                views = [oracle_view(bits)]
+                views += [masked_view(bits, now) for now in (t, t + p.j, t + p.T - p.N2 - 1)]
+                for view in views:
+                    got = fields(build_message_plan(p, view, t))
+                    assert got == plan_reference.build_message_plan(p, view, t), (p, bits, t)
+                    assert emission_schedule(p, view, t) == plan_reference.emission_schedule(
+                        p, view, t
+                    )
+                    plans += 1
+    assert plans > 10_000
+
+
+def test_engine_matches_reference_on_clean_past_windows():
+    """The verify certificate's view: message at slot 0, window of T+1 bits."""
+    for idx, p in enumerate(all_valid_params(7)):
+        rng = np.random.default_rng([37, idx])
+        for _ in range(6):
+            window = tuple(random_bits(rng, p.T + 1, p.N1 / (p.T + 1)))
+            view = oracle_view(window)
+            got = fields(build_message_plan(p, view, 0))
+            assert got == plan_reference.build_message_plan(p, view, 0), (p, window)
+
+
+def test_compute_schedule_matches_closed_form_availability():
+    """Every admissible prefix of every parameter set: the engine's
+    availability (estimates actually emitted) equals the closed form."""
+    checked = 0
+    for p in all_valid_params(7):
+        for bits in itertools.product((False, True), repeat=p.T - p.N2 + 1):
+            if sum(bits) > p.N1:
+                continue
+            erased, prefix = bits[0], list(bits[1:])
+            want = plan_reference.compute_schedule(p, 3, erased, prefix)
+            assert compute_schedule(p, 3, erased, prefix) == want, (p, bits)
+            checked += 1
+    assert checked > 5000
+
+
+def test_interference_is_resolved_per_message():
+    """Two messages with the same window bits share one shape, but each
+    resolves its own interference from the bits before it."""
+    p = P12
+    d = derive_dims(p)
+    k = d.k_prime
+    lead = 2 * (k - 1)
+    window = [1, 0, 0, 0, 1, 0, 0, 0, 0]  # bits [t, t+T-N2]
+    quiet = [0] * lead + window
+    noisy = [0] * lead + window
+    noisy[lead - 1] = noisy[lead - 3] = 1  # erasures just before t
+    a = build_message_plan(p, oracle_view(quiet), lead)
+    b = build_message_plan(p, oracle_view(noisy), lead)
+    assert a.shape is b.shape
+    assert all(not em.interference for em in a.emissions)
+    assert any(em.interference for em in b.emissions)
+    for view, plan in ((oracle_view(quiet), a), (oracle_view(noisy), b)):
+        assert fields(plan) == plan_reference.build_message_plan(p, view, lead)
+
+
+def test_plan_memo_is_bounded_by_the_window():
+    """After a 5000-slot i.i.d. stream at eps=0.15, seen by the oracle and
+    by the relay at every message-phase slot, the memo for (12,3,4,1) holds
+    at most 2^(T-N2+1) shapes, and still does after a second stream."""
+    p = P12
+    width = p.T - p.N2 + 1
+    sizes = []
+    for seed in (41, 42):
+        bits = random_bits(np.random.default_rng(seed), 5000, 0.15)
+        for t in range(5000 - p.T):
+            build_message_plan(p, oracle_view(bits), t)
+            for now in range(t + p.j, t + width):
+                build_message_plan(p, masked_view(bits, now), t)
+        sizes.append(len(relay_codec._PLAN_MEMO[p][1]))
+    assert sizes[0] <= 2**width
+    assert sizes[1] <= 2**width
+
+
+def drive(p, bits1, header_mode, seed):
+    """Relay over ``bits1`` with a clean second hop; returns, per slot, the
+    relay's subpacket sizes and the destination's, both as {t: size}."""
+    d = derive_dims(p)
+    field, _ = make_codes(p)
+    rng = np.random.default_rng(seed)
+    relay = RelayState(p, header_mode=header_mode)
+    dest = (
+        DecoderState(p, header_mode=True)
+        if header_mode
+        else DecoderState(p, e1_erased=oracle_view(bits1))
+    )
+    history = []
+    out = []
+    for s, b in enumerate(bits1):
+        history.append([int(x) for x in rng.integers(0, field.q, d.k_src)])
+        relay.ingest_source(s, None if b else encode_source(p, history))
+        pkt = relay.emit(s)
+        dest.ingest(s, pkt.wire_symbols())
+        sent = {t: len(syms) for t, syms in pkt.subpackets}
+        span = range(max(0, s - p.T), s - p.j + 1)
+        relay_sizes = {t: sent.get(t, 0) for t in span}
+        dest_sizes = {t: dest._subpacket_size(t, s) for t in span}
+        out.append((relay_sizes, dest_sizes))
+    return out
+
+
+@pytest.mark.parametrize("header_mode", [False, True])
+@pytest.mark.parametrize("p", [P12, P7311])
+def test_relay_and_destination_agree_on_every_subpacket(p, header_mode):
+    """One causal rule: for every (t, slot) the relay's emitted size equals
+    the destination's, on i.i.d. first hops that include inadmissible
+    stretches, where the ledger runs short of estimates."""
+    d = derive_dims(p)
+    short = 0
+    for seed, p_erase in ((51, 0.15), (52, 0.35)):
+        bits = random_bits(np.random.default_rng(seed), 160, p_erase)
+        for s, (relay_sizes, dest_sizes) in enumerate(drive(p, bits, header_mode, seed)):
+            assert relay_sizes == dest_sizes, (p, seed, s)
+        view = oracle_view(bits)
+        short += sum(
+            1
+            for t in range(len(bits) - p.T)
+            if bits[t] and len(build_message_plan(p, view, t).tx) < d.k_src
+        )
+    assert short > 0  # the inadmissible case was reached

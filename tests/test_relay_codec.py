@@ -304,3 +304,19 @@ def test_header_length_errors():
         encode_header(P523, [0] * 5)
     with pytest.raises(ValueError):
         decode_header(P523, (0,))
+
+
+def test_relay_state_stays_bounded_over_a_long_episode():
+    """Per-message relay state is dropped once slot t+T has been emitted:
+    after 3000 slots every per-message store of the relay holds at most T+1
+    entries, one per message still in flight."""
+    p = P523
+    horizon = 3000
+    rng = np.random.default_rng(29)
+    bits = [int(b) for b in rng.random(horizon) < 0.2]
+    relay, packets = drive_relay(p, bits, episode_messages(p, horizon, seed=29))
+    assert len(packets) == horizon
+    stores = {name: v for name, v in vars(relay).items() if isinstance(v, dict)}
+    assert "parities" in stores
+    for name, store in stores.items():
+        assert len(store) <= p.T + 1, (name, len(store))
