@@ -316,122 +316,3 @@ class DecoderState:
                 value = self.field.sub(value, self.field.mul(coeff, dep_val[flat2]))
             out[flat] = value
         return out
-
-
-def dest_ingest(state: DecoderState, slot: int, packet, side_info=None) -> DecoderState:
-    """Feed one relay-hop slot into the decoder (packet=None for erased).
-
-    ``packet`` may be a RelayPacket or a plain symbol list; ``side_info`` can
-    carry the first-hop erasure bit of ``slot`` as a cross-check in oracle
-    mode.
-    """
-    wire = packet.wire_symbols() if hasattr(packet, "wire_symbols") else packet
-    if side_info is not None and not state.header_mode:
-        if bool(side_info) != state._erased1(slot):
-            raise ValueError(f"side information for slot {slot} contradicts the oracle")
-    state.ingest(slot, wire)
-    return state
-
-
-def try_decode(state: DecoderState, t: int, now: int | None = None):
-    return state.try_decode(t, now)
-
-
-def cancel_interference(field, records, history: dict):
-    """Standalone cancellation: records maps flat -> (value, [(t', flat', c)]).
-
-    history maps t' -> decoded message (list) or FAILED.  Raises
-    MissingDependency when a needed message is absent or FAILED.
-    """
-    out = {}
-    for flat, (value, terms) in records.items():
-        for (t2, flat2, coeff) in terms:
-            dep = history.get(t2)
-            if dep is None or dep is FAILED:
-                raise MissingDependency(f"needs message {t2}")
-            value = field.sub(value, field.mul(coeff, dep[flat2]))
-        out[flat] = value
-    return out
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: decode one message by generic linear algebra
-#
-# Every received symbol of message t is an affine functional of the k_src
-# unknowns s_t[.] once older messages are substituted from `history`.  Solving
-# the stacked system with plain Gaussian elimination must agree with the
-# structured decoder above whenever the latter succeeds.
-
-
-def oracle_decode(p: SchemeParams, plan: MessagePlan, state: DecoderState, history: dict):
-    """Decode message plan.t from raw received symbols by solving one linear
-    system, ignoring the codeword structure.  Returns list | None."""
-    field = state.field
-    d = derive_dims(p)
-    t = plan.t
-    st = state.msgs.get(t)
-    if st is None:
-        return None
-
-    def tx_row(idx: int):
-        """Functional of plan.tx[idx] over the unknowns, plus constant."""
-        row = [0] * d.k_src
-        const = 0
-        item = plan.tx[idx]
-        row[item.flat] = 1
-        if item.emission is not None:
-            for (t2, flat2, coeff) in interference_terms(
-                p, item.emission, item.flat // d.k_prime
-            ):
-                dep = history.get(t2)
-                if dep is None or dep is FAILED:
-                    raise MissingDependency(f"needs message {t2}")
-                const = field.add(const, field.mul(coeff, dep[flat2]))
-        return row, const
-
-    rows, rhs = [], []
-    for slot, got in sorted(st.got_tx.items()):
-        for idx, v in enumerate(got, plan.sent_before(slot - t)):
-            row, const = tx_row(idx)
-            rows.append(row)
-            rhs.append(field.sub(v, const))
-    first_parity = p.T - p.N2 + 1
-    for slot, syms in st.got_par.items():
-        m = slot - t - first_parity
-        for ci, v in enumerate(syms):
-            cw = plan.codewords[ci]
-            code = second_code(p, cw.n, cw.k)
-            row = [0] * d.k_src
-            const = 0
-            for r in range(len(cw.sys_items)):
-                g = code.parity[r][m]
-                if not g:
-                    continue
-                srow, sconst = tx_row(cw.sys_items[r])
-                for f_i, c_i in enumerate(srow):
-                    if c_i:
-                        row[f_i] = field.add(row[f_i], field.mul(g, c_i))
-                const = field.add(const, field.mul(g, sconst))
-            rows.append(row)
-            rhs.append(field.sub(v, const))
-
-    # rectangular Gauss-Jordan: solvable iff every unknown gets a pivot
-    if len(rows) < d.k_src:
-        return None
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivot_row: dict[int, int] = {}
-    rank = 0
-    for col in range(d.k_src):
-        piv = next((r for r in range(rank, len(aug)) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = field.inv(aug[rank][col])
-        aug[rank] = [field.mul(inv, v) for v in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [field.sub(v, field.mul(f, w)) for v, w in zip(aug[r], aug[rank])]
-        pivot_row[col] = rank
-        rank += 1
-    return [aug[pivot_row[col]][d.k_src] for col in range(d.k_src)]

@@ -378,15 +378,3 @@ class MdsCode:
 
     def __repr__(self) -> str:
         return f"MdsCode(q={self.field.q}, n={self.n}, k={self.k})"
-
-
-def make_mds(field: GaloisField, n: int, k: int) -> MdsCode:
-    return MdsCode(field, n, k)
-
-
-def mds_encode(code: MdsCode, message: list[int]) -> list[int]:
-    return code.encode(message)
-
-
-def mds_erasure_decode(code: MdsCode, received: list[tuple[int, int]]) -> list[int]:
-    return code.erasure_decode(received)

@@ -103,8 +103,9 @@ class RateRegion:
 def pareto_frontier(points: Iterable[RatePair]) -> tuple[RatePair, ...]:
     """Maximal elements under componentwise >=, sorted by decreasing R1."""
     best: list[RatePair] = []
-    for r1, r2 in sorted(set(points), key=lambda p: (-p[0], -p[1])):
-        # r1 never increases along the sweep, so only r2 can disqualify
+    for r1, r2 in sorted(points, reverse=True):
+        # r1 never increases along the sweep, so only r2 can disqualify; the
+        # strict test also drops duplicates
         if not best or r2 > best[-1][1]:
             best.append((r1, r2))
     return tuple(best)
@@ -139,7 +140,8 @@ def build_region(mac: MacParams, mix_bound: int = 64) -> RateRegion:
             denom = max(a * n1_1, b * n1_2, a * nr_1 + b * nr_2)
             pts.add((Fraction(a * k1, denom), Fraction(b * k2, denom)))
 
-    frontier = pareto_frontier(pts)
+    points = tuple(sorted(pts))
+    frontier = pareto_frontier(points)
     bound1 = pp_capacity(mac.T - mac.N3, mac.N1)
     bound2 = pp_capacity(mac.T - mac.N3, mac.N2)
     sumrate = pp_capacity(mac.T - mac.N2, mac.N3)
@@ -161,7 +163,7 @@ def build_region(mac: MacParams, mix_bound: int = 64) -> RateRegion:
     return RateRegion(
         mac=mac,
         mix_bound=mix_bound,
-        points=tuple(sorted(pts)),
+        points=points,
         frontier=frontier,
         bound1=bound1,
         bound2=bound2,

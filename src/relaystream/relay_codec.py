@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
-from .field_mds import MdsCode, make_mds
+from .field_mds import MdsCode
 from .scheme_params import SchemeParams, derive_dims, header_overhead, implemented_field_size
 from .source_codec import (
     EstimateLedger,
@@ -306,7 +306,7 @@ def build_message_plan(p: SchemeParams, erased_fn, t: int) -> MessagePlan:
 
 @cache
 def second_code(p: SchemeParams, n: int, k: int) -> MdsCode:
-    return make_mds(_codes_cached(p)[0], n, k)
+    return MdsCode(_codes_cached(p)[0], n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +404,17 @@ class RelayState:
             self.plans[t] = build_message_plan(self.params, self.ledger.erased, t)
         return self.plans[t]
 
-    def _queue_values(self, t: int, start: int, size: int) -> tuple[int, ...]:
-        """Symbols start .. start+size-1 of message t's transmission queue
-        (ledger order)."""
-        if self.ledger.erased(t):
+    def _queue_values(self, plan: MessagePlan, start: int, size: int) -> tuple[int, ...]:
+        """Symbols start .. start+size-1 of message plan.t's transmission
+        queue, in the order the plan fixes."""
+        t = plan.t
+        if plan.erased:
             recs = self.ledger.records_for(t)[start : start + size]
             if len(recs) < size:
                 raise ScheduleOverrun(f"message {t}: queue index {start + size - 1} beyond ledger")
             return tuple(rec.value for rec in recs)
-        d, rows = self.dims, self.ledger.packets[t].rows
-        flats = [(i % d.l_dprime) * d.k_dprime + i // d.l_dprime for i in range(start, start + size)]
-        return tuple(rows[f // d.k_prime][f % d.k_prime] for f in flats)
+        k, rows = self.dims.k_prime, self.ledger.packets[t].rows
+        return tuple(rows[f // k][f % k] for f, _, _ in plan.shape.tx[start : start + size])
 
     def emit(self, slot: int) -> RelayPacket:
         """Relay packet for this slot; first-hop slots <= slot must have been
@@ -429,14 +429,14 @@ class RelayState:
                 size = plan.alpha[i]
                 if size <= 0:
                     continue
-                syms = self._queue_values(t, plan.sent_before(i), size)
+                syms = self._queue_values(plan, plan.sent_before(i), size)
             else:
                 plan = self.full_plan(t)
                 if plan.alpha[i] == 0:
                     continue
                 pg = self.parities.get(t)
                 if pg is None:
-                    vals = list(self._queue_values(t, 0, plan.n_tx))
+                    vals = list(self._queue_values(plan, 0, plan.n_tx))
                     pg = build_parity_groups(p, plan, vals, strict=False)
                     self.parities[t] = pg
                 syms = tuple(pg.rows[i - last_msg - 1])

@@ -159,16 +159,13 @@ def worst_case_n2(p: SchemeParams) -> int:
     return (T + 1 - N2 - N1) * (T + 1 - N1) + (T + 1 - N2 - j) * (N1 - j)
 
 
-def header_overhead(p: SchemeParams, q: int | None = None) -> int:
+def header_overhead(p: SchemeParams) -> int:
     """Symbols needed to describe T+1 erasure bits: ceil((T+1) * log_q 2).
 
-    Uses the nominal alphabet q = T+1-j unless an explicit q is given.
-    Computed exactly: the smallest d with q**d >= 2**(T+1).
+    Uses the nominal alphabet q = T+1-j, which a valid parameter set keeps
+    at q >= 2.  Computed exactly: the smallest d with q**d >= 2**(T+1).
     """
-    if q is None:
-        q = p.T + 1 - p.j
-    if q < 2:
-        raise InvalidParams(f"header alphabet must have q >= 2, got {q}")
+    q = p.T + 1 - p.j
     d = 1
     while q**d < 2 ** (p.T + 1):
         d += 1

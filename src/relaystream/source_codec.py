@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .field_mds import GaloisField, MdsCode, DimensionMismatch, make_field, make_mds, solve_linear
+from .field_mds import GaloisField, MdsCode, DimensionMismatch, make_field, solve_linear
 from .scheme_params import SchemeParams, derive_dims, implemented_field_size, nominal_field_size
 
 
@@ -48,7 +48,7 @@ def make_codes(p: SchemeParams) -> tuple[GaloisField, MdsCode]:
     # the construction promises a field at least as large as every code length
     assert nominal_field_size(p) >= max(d.n_prime, d.n_dprime, p.T + 1 - p.N1)
     field = make_field(q)
-    return field, make_mds(field, d.n_prime, d.k_prime)
+    return field, MdsCode(field, d.n_prime, d.k_prime)
 
 
 @dataclass(frozen=True)
@@ -390,24 +390,6 @@ class EstimateLedger:
             return self.dims.k_src if now >= t else 0
         ems = self.emissions.get(t, [])
         return self.dims.l_prime * sum(1 for em in ems if em.slot <= now)
-
-
-def relay_ingest(ledger: EstimateLedger, slot: int, packet: SourcePacket | None) -> EstimateLedger:
-    """Feed one first-hop slot (None = erased) into the ledger."""
-    ledger.ingest(slot, packet)
-    return ledger
-
-
-def estimates_available(ledger: EstimateLedger, t: int, now: int) -> int:
-    """Closed-form count min(k_src, l' * #nonerased in [t+1, now]) for erased
-    messages (k_src once received, for nonerased).  Matches the ledger's
-    actual holdings on admissible patterns."""
-    d = ledger.dims
-    if not ledger.erased(t):
-        return d.k_src if now >= t else 0
-    hi = min(now, t + ledger.params.T - ledger.params.N2)
-    got = sum(1 for s in range(t + 1, hi + 1) if not ledger.erased(s))
-    return min(d.k_src, d.l_prime * got)
 
 
 # the plan engine builds on this module; imported last to close the cycle

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from relaystream.erasure_channel import ChannelConfig
-from relaystream.field_mds import make_field, make_mds, mds_encode, mds_erasure_decode
+from relaystream.field_mds import MdsCode, make_field
 from relaystream.mac_region import MacParams, build_region
 from relaystream.relay_codec import build_message_plan, compute_schedule
 from relaystream.scheme_params import (
@@ -147,12 +147,12 @@ def test_criterion_07_mds_and_field_layer():
     decoded_sets = 0
     for q, n, k in sorted(triples):
         f = make_field(q)
-        code = make_mds(f, n, k)
+        code = MdsCode(f, n, k)
         msg = [(3 * i + 1) % q for i in range(k)]
-        word = mds_encode(code, msg)
+        word = code.encode(msg)
         for erased in itertools.combinations(range(n), n - k):
             kept = [(i, word[i]) for i in range(n) if i not in erased]
-            assert mds_erasure_decode(code, kept) == msg
+            assert code.erasure_decode(kept) == msg
             decoded_sets += 1
     _ok(7, f"{len(triples)} (q,n,k) codes, {decoded_sets} erasure sets decoded, "
            f"axioms for q in {fields} ({time.monotonic() - start:.1f}s)")

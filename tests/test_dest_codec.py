@@ -10,15 +10,12 @@ import itertools
 import numpy as np
 import pytest
 
+from codec_reference import cancel_interference, dest_ingest, oracle_decode
 from relaystream.dest_codec import (
     FAILED,
     DecoderState,
     MalformedPacket,
     MissingDependency,
-    cancel_interference,
-    dest_ingest,
-    oracle_decode,
-    try_decode,
 )
 from relaystream.erasure_channel import enumerate_admissible
 from relaystream.relay_codec import RelayState
@@ -52,12 +49,12 @@ def run_pipeline(p, bits1, bits2, messages, header_mode=False):
         dest_ingest(dest, s, None if bits2[s] else rp.wire_symbols())
         # attempt in ascending t so interference dependencies resolve first
         for t in range(0, s + 1):
-            try_decode(dest, t)
+            dest.try_decode(t)
     return dest
 
 
 def outcomes(dest, horizon, T):
-    return {t: try_decode(dest, t) for t in range(horizon - T)}
+    return {t: dest.try_decode(t) for t in range(horizon - T)}
 
 
 def test_worked_example_decodes_under_every_parity_erasure_triple():
@@ -72,14 +69,14 @@ def test_worked_example_decodes_under_every_parity_erasure_triple():
     for erased_slots in itertools.combinations(range(5, 11), 3):
         bits2 = [1 if s in erased_slots else 0 for s in range(horizon)]
         dest = run_pipeline(p, bits1, bits2, messages)
-        got = try_decode(dest, 4)
+        got = dest.try_decode(4)
         assert got == messages[4], erased_slots
         # decoded by the deadline, not after it
         assert dest.msgs[4].decode_slot <= 4 + p.T, erased_slots
         # every other assessable message decodes too (the pattern stays
         # admissible for the second hop)
         for t in range(horizon - p.T):
-            assert try_decode(dest, t) == messages[t], (erased_slots, t)
+            assert dest.try_decode(t) == messages[t], (erased_slots, t)
 
 
 @pytest.mark.parametrize(
@@ -101,7 +98,7 @@ def test_structured_decoder_agrees_with_linear_algebra_oracle(e2_bits):
         dest = run_pipeline(p, bits1, e2_bits, messages)
         history = {}
         for t in range(horizon - p.T):
-            got = try_decode(dest, t)
+            got = dest.try_decode(t)
             assert got == messages[t], (bits1, t)
             history[t] = got
             plan = dest.plan(t)
@@ -119,7 +116,7 @@ def test_header_mode_matches_oracle_mode():
     d_oracle = run_pipeline(p, bits1, bits2, messages, header_mode=False)
     d_header = run_pipeline(p, bits1, bits2, messages, header_mode=True)
     for t in range(horizon - p.T):
-        assert try_decode(d_header, t) == try_decode(d_oracle, t) == messages[t]
+        assert d_header.try_decode(t) == d_oracle.try_decode(t) == messages[t]
 
 
 def test_malformed_packet_lengths():
@@ -159,10 +156,10 @@ def test_pending_then_failed_after_deadline():
     dest = DecoderState(p, e1_erased=lambda s: False)
     for s in range(p.T + 1):
         dest.ingest(s, None)  # second hop fully erased
-        assert try_decode(dest, 0, now=s) in ("pending", FAILED)
-    assert try_decode(dest, 0, now=p.T + 1) is FAILED
+        assert dest.try_decode(0, now=s) in ("pending", FAILED)
+    assert dest.try_decode(0, now=p.T + 1) is FAILED
     # FAILED is permanent even if symbols appear later
-    assert try_decode(dest, 0) is FAILED
+    assert dest.try_decode(0) is FAILED
 
 
 def test_cancel_interference_helper():
@@ -191,8 +188,8 @@ def test_failure_propagates_through_interference():
     messages = episode_messages(p, horizon, seed=47)
     dest = run_pipeline(p, bits1, bits2, messages)
 
-    assert try_decode(dest, 4) is FAILED  # symbol starvation
-    assert try_decode(dest, 6) is FAILED  # dependency propagation
+    assert dest.try_decode(4) is FAILED  # symbol starvation
+    assert dest.try_decode(6) is FAILED  # dependency propagation
     # message 6's own symbols would have sufficed: the generic oracle
     # recovers it once message 4's value is supplied out of band
     truth = {t: messages[t] for t in range(horizon)}
@@ -200,7 +197,7 @@ def test_failure_propagates_through_interference():
     assert plan6 is not None
     assert oracle_decode(p, plan6, dest, truth) == messages[6]
     # messages clear of both failures still decode
-    assert try_decode(dest, 10) == messages[10]
+    assert dest.try_decode(10) == messages[10]
 
 
 def _decode_both_ways(p, bits1, bits2, messages, header_mode):

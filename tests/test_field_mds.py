@@ -18,14 +18,12 @@ from relaystream.field_mds import (
     InconsistentSymbols,
     InsufficientSymbols,
     LengthExceedsField,
+    MdsCode,
     NotPrimePower,
     SingularMatrix,
     invert_matrix,
     is_prime_power,
     make_field,
-    make_mds,
-    mds_encode,
-    mds_erasure_decode,
     solve_linear,
 )
 
@@ -120,13 +118,13 @@ def test_solve_linear_errors():
 
 def test_mds_code_needs_room_in_field():
     with pytest.raises(LengthExceedsField):
-        make_mds(make_field(4), 5, 2)
+        MdsCode(make_field(4), 5, 2)
 
 
 def test_mds_systematic_prefix():
-    code = make_mds(make_field(7), 6, 3)
+    code = MdsCode(make_field(7), 6, 3)
     msg = [3, 1, 4]
-    cw = mds_encode(code, msg)
+    cw = code.encode(msg)
     assert len(cw) == 6
     assert cw[:3] == msg
 
@@ -138,35 +136,35 @@ def test_mds_systematic_prefix():
 def test_all_erasure_sets_decode(q, n, k):
     """Any n-k erasures leave a decodable codeword -- the defining property."""
     field = make_field(q)
-    code = make_mds(field, n, k)
+    code = MdsCode(field, n, k)
     msg = [(3 * i + 1) % q for i in range(k)]
-    cw = mds_encode(code, msg)
+    cw = code.encode(msg)
     for erased in itertools.combinations(range(n), n - k):
         received = [(i, cw[i]) for i in range(n) if i not in erased]
-        assert mds_erasure_decode(code, received) == msg, erased
+        assert code.erasure_decode(received) == msg, erased
 
 
 def test_decode_rejects_too_few_symbols():
-    code = make_mds(make_field(7), 6, 3)
-    cw = mds_encode(code, [1, 2, 3])
+    code = MdsCode(make_field(7), 6, 3)
+    cw = code.encode([1, 2, 3])
     with pytest.raises(InsufficientSymbols):
-        mds_erasure_decode(code, [(0, cw[0]), (1, cw[1])])
+        code.erasure_decode([(0, cw[0]), (1, cw[1])])
 
 
 def test_decode_flags_corrupted_surplus():
-    code = make_mds(make_field(7), 6, 3)
-    cw = mds_encode(code, [1, 2, 3])
+    code = MdsCode(make_field(7), 6, 3)
+    cw = code.encode([1, 2, 3])
     received = [(i, cw[i]) for i in range(6)]
     received[5] = (5, (cw[5] + 1) % 7)
     with pytest.raises(InconsistentSymbols):
-        mds_erasure_decode(code, received)
+        code.erasure_decode(received)
 
 
 def test_decode_dedupes_repeated_positions():
-    code = make_mds(make_field(7), 6, 3)
-    cw = mds_encode(code, [4, 0, 2])
+    code = MdsCode(make_field(7), 6, 3)
+    cw = code.encode([4, 0, 2])
     received = [(0, cw[0]), (0, cw[0]), (1, cw[1]), (2, cw[2]), (3, cw[3])]
-    assert mds_erasure_decode(code, received) == [4, 0, 2]
+    assert code.erasure_decode(received) == [4, 0, 2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,18 +174,18 @@ def test_random_k_subsets_decode(data):
         st.sampled_from([(7, 6, 3), (8, 7, 3), (9, 8, 5), (13, 12, 7)])
     )
     field = make_field(q)
-    code = make_mds(field, n, k)
+    code = MdsCode(field, n, k)
     msg = data.draw(st.lists(st.integers(0, q - 1), min_size=k, max_size=k))
-    cw = mds_encode(code, msg)
+    cw = code.encode(msg)
     keep = data.draw(st.permutations(range(n)))[:k]
-    assert mds_erasure_decode(code, [(i, cw[i]) for i in keep]) == msg
+    assert code.erasure_decode([(i, cw[i]) for i in keep]) == msg
 
 
 def test_parity_matrix_matches_encode():
     field = make_field(7)
-    code = make_mds(field, 6, 3)
+    code = MdsCode(field, 6, 3)
     msg = [2, 5, 6]
-    cw = mds_encode(code, msg)
+    cw = code.encode(msg)
     for m in range(3):
         acc = 0
         for pos in range(3):
@@ -204,27 +202,27 @@ def test_field_is_cached_or_cheap_to_rebuild():
 def test_decode_flags_corrupted_surplus_with_cached_inverse():
     """The inverse of a decoding system is cached per position set; a
     second decode that reuses it must still check the surplus symbols."""
-    code = make_mds(make_field(7), 6, 3)
-    cw = mds_encode(code, [1, 2, 3])
-    assert mds_erasure_decode(code, [(i, cw[i]) for i in range(6)]) == [1, 2, 3]
+    code = MdsCode(make_field(7), 6, 3)
+    cw = code.encode([1, 2, 3])
+    assert code.erasure_decode([(i, cw[i]) for i in range(6)]) == [1, 2, 3]
     assert (0, 1, 2) in code._inverses
     received = [(i, cw[i]) for i in range(6)]
     received[4] = (4, (cw[4] + 1) % 7)
     with pytest.raises(InconsistentSymbols):
-        mds_erasure_decode(code, received)
-    other = mds_encode(code, [6, 0, 5])
-    assert mds_erasure_decode(code, [(i, other[i]) for i in (0, 1, 2, 5)]) == [6, 0, 5]
+        code.erasure_decode(received)
+    other = code.encode([6, 0, 5])
+    assert code.erasure_decode([(i, other[i]) for i in (0, 1, 2, 5)]) == [6, 0, 5]
 
 
 def test_inverse_cache_matches_fresh_elimination():
     field = make_field(16)
-    code = make_mds(field, 9, 4)
+    code = MdsCode(field, 9, 4)
     msg = [3, 15, 0, 8]
-    cw = mds_encode(code, msg)
+    cw = code.encode(msg)
     for keep in itertools.combinations(range(9), 4):
         system = [[code.gen[i][j] for i in range(4)] for j in keep]
         fresh = solve_linear(field, system, [cw[j] for j in keep])
-        assert mds_erasure_decode(code, [(j, cw[j]) for j in keep]) == fresh == msg
+        assert code.erasure_decode([(j, cw[j]) for j in keep]) == fresh == msg
     assert len(code._inverses) == math.comb(9, 4)
 
 

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from relaystream.erasure_channel import enumerate_admissible
-from relaystream.field_mds import mds_encode
 from relaystream.relay_codec import (
     InadmissiblePattern,
     RelayState,
@@ -220,7 +219,7 @@ def test_relay_emits_plan_sizes_and_codewords():
         2: (messages[4][5], messages[4][4]),
     }
     for pos, cw in enumerate(plan.codewords):
-        word = mds_encode(code, list(sys_vals[pos]))
+        word = code.encode(list(sys_vals[pos]))
         got = [subpacket(s, 4)[idx] for s, idx in cw.parity_slots]
         assert got == word[2:], pos
 

@@ -11,17 +11,16 @@ import itertools
 import numpy as np
 import pytest
 
+from codec_reference import estimates_available
 from relaystream.erasure_channel import enumerate_admissible, pattern_from_bits
-from relaystream.field_mds import DimensionMismatch, mds_encode
+from relaystream.field_mds import DimensionMismatch
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.source_codec import (
     EstimateLedger,
     OutOfOrder,
     SourcePacket,
     encode_source,
-    estimates_available,
     make_codes,
-    relay_ingest,
     relay_recovery_slot,
 )
 
@@ -70,7 +69,7 @@ def test_every_diagonal_is_a_codeword(p):
             word += [
                 packets[u + d.k_prime + m].rows[c][d.k_prime + m] for m in range(p.N1)
             ]
-            assert word == mds_encode(code, msg), (u, c)
+            assert word == code.encode(msg), (u, c)
 
 
 def test_early_packets_use_zero_history():
@@ -93,7 +92,7 @@ def ingest_pattern(p, history, bits):
     packets = encode_stream(p, history)
     ledger = EstimateLedger(p)
     for s, b in enumerate(bits):
-        relay_ingest(ledger, s, None if b else packets[s])
+        ledger.ingest(s, None if b else packets[s])
     return ledger, packets
 
 
