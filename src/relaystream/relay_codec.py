@@ -34,9 +34,10 @@ Everything in a plan except the interference an estimate carries depends
 only on the T-N2+1 bits of [t, t+T-N2].  So the plan's shape is kept in slot
 offsets from t and memoized per parameter set on those bits, at most
 2^(T-N2+1) shapes.  A hit costs one key lookup.  Interference reads bits
-before t and is resolved per message.  The relay's per-slot size at slot s,
-the ledger's estimates due at s and the destination's slicing all read the
-plan seen with every slot after s masked as erased.
+before t and is resolved per message.  The relay's per-slot size and queue
+slice at slot s and the destination's slicing all read the plan seen with
+every slot after s masked as erased.  The plan is the relay's only queue: an
+estimate's values are worked out by the ledger when the relay first sends it.
 """
 
 from __future__ import annotations
@@ -61,11 +62,13 @@ class InadmissiblePattern(ValueError):
 
 
 class ScheduleOverrun(ValueError):
-    """Schedule asks for more symbols than the ledger holds."""
+    """Schedule asks for a symbol the relay does not hold yet: an estimate
+    whose emission slot is not yet ingested, or a full plan whose data
+    window is still open."""
 
 
 class IncompleteEstimates(ValueError):
-    """Parity groups requested before all scheduled estimates exist."""
+    """Parity groups given a value count other than the plan's queue length."""
 
 
 @dataclass(frozen=True)
@@ -195,7 +198,8 @@ def _plan_shape(p: SchemeParams, bits: tuple[bool, ...], shared: dict) -> _PlanS
 
     sched = _schedule_core(p, erased_msg, window, avail)
 
-    # transmission queue in ledger order
+    # transmission queue: estimates in emission order, layer by layer;
+    # a received message column by column of its second-hop layers
     if erased_msg:
         queue = [
             (c * d.k_prime + em.pos, e) for e, em in enumerate(emissions) for c in range(d.l_prime)
@@ -248,9 +252,9 @@ class MessagePlan:
         inter = emission_interference(self.params, self._erased_fn, t, em.pos, slot)
         return PosEmission(t, em.pos, slot, em.parity_rows, em.late, inter)
 
-    def emissions_at(self, slot: int) -> list[PosEmission]:
-        """The emissions made at ``slot``, in emission order."""
-        return [self._place(em) for em in self.shape.emissions if self.t + em.slot == slot]
+    def emission(self, e: int) -> PosEmission:
+        """Emission ``e`` of the shape, placed at t with its interference."""
+        return self._place(self.shape.emissions[e])
 
     @cached_property
     def emissions(self) -> tuple[PosEmission, ...]:
@@ -268,15 +272,6 @@ class MessagePlan:
             CodewordSpec(n, k, items, tuple((first_parity + m, c) for m in range(self.params.N2)))
             for c, (n, k, items) in enumerate(self.shape.codewords)
         )
-
-    def _fields(self) -> tuple:
-        return (self.t, self.erased, self.schedule, self.tx, self.codewords)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MessagePlan) and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
 
 # SchemeParams -> (rule, {window bits: _PlanShape}, shared tuples).  A memo
@@ -322,24 +317,17 @@ class ParityGroups:
     rows: tuple[tuple[int, ...], ...]
 
 
-def build_parity_groups(
-    p: SchemeParams, plan: MessagePlan, values: list[int], strict: bool = True
-) -> ParityGroups:
+def build_parity_groups(p: SchemeParams, plan: MessagePlan, values: list[int]) -> ParityGroups:
     """MDS parities over the transmitted symbol values of one message.
 
-    values[i] is the value of plan.tx[i].  With strict=True, a grouped plan
-    whose transmission fell short of k_src estimates raises
-    IncompleteEstimates; otherwise missing symbols encode as zeros.
+    values[i] is the value of plan.tx[i].  A codeword position beyond the
+    transmitted queue (a plan that fell short of k_src estimates) encodes as
+    zero.
     """
-    d = derive_dims(p)
     n_tx = plan.n_tx
     if len(values) != n_tx:
         raise IncompleteEstimates(f"{len(values)} values for {n_tx} transmitted symbols")
     codewords = plan.shape.codewords  # (n, k, sys_items)
-    if strict and codewords and n_tx < d.k_src:
-        raise IncompleteEstimates(
-            f"message {plan.t}: only {n_tx} of {d.k_src} symbols scheduled"
-        )
     if not codewords or p.N2 == 0:
         return ParityGroups(plan.t, plan.shape.schedule.grouped, tuple(() for _ in range(p.N2)))
     rows: list[list[int]] = [[] for _ in range(p.N2)]
@@ -381,8 +369,11 @@ class RelayState:
     the plan of message t with every slot after s masked as erased, whose
     offsets up to s-t already equal the full plan's (an emission at slot s'
     reads no bit after s').  The full plan, which fixes the parity layout,
-    is used once the data window [t, t+T-N2] lies in the past.  A message's
-    plan and parities are dropped once slot t+T has been emitted.
+    is used once the data window [t, t+T-N2] lies in the past.  The plan's
+    queue fixes what each slot sends; an estimate's values are asked of the
+    ledger when the relay first sends it and kept in ``estimates``.  A
+    message's plan, parities and estimates are dropped once slot t+T has
+    been emitted.
     """
 
     def __init__(self, p: SchemeParams, header_mode: bool = False):
@@ -392,6 +383,7 @@ class RelayState:
         self.header_mode = header_mode
         self.plans: dict[int, MessagePlan] = {}
         self.parities: dict[int, ParityGroups] = {}
+        self.estimates: dict[int, dict[int, int]] = {}  # t -> flat -> value
 
     def ingest_source(self, slot: int, packet: SourcePacket | None) -> None:
         self.ledger.ingest(slot, packet)
@@ -407,14 +399,22 @@ class RelayState:
     def _queue_values(self, plan: MessagePlan, start: int, size: int) -> tuple[int, ...]:
         """Symbols start .. start+size-1 of message plan.t's transmission
         queue, in the order the plan fixes."""
-        t = plan.t
-        if plan.erased:
-            recs = self.ledger.records_for(t)[start : start + size]
-            if len(recs) < size:
-                raise ScheduleOverrun(f"message {t}: queue index {start + size - 1} beyond ledger")
-            return tuple(rec.value for rec in recs)
-        k, rows = self.dims.k_prime, self.ledger.packets[t].rows
-        return tuple(rows[f // k][f % k] for f, _, _ in plan.shape.tx[start : start + size])
+        t, k = plan.t, self.dims.k_prime
+        items = plan.shape.tx[start : start + size]
+        if not plan.erased:
+            rows = self.ledger.packets[t].rows
+            return tuple(rows[f // k][f % k] for f, _, _ in items)
+        held = self.estimates.setdefault(t, {})
+        for flat, _, e in items:
+            if flat not in held:
+                em = plan.emission(e)
+                if em.slot >= self.ledger.next_slot:
+                    raise ScheduleOverrun(
+                        f"message {t}: estimate emitted at slot {em.slot}, not yet ingested"
+                    )
+                for c, value in enumerate(self.ledger.estimate(em)):
+                    held[c * k + em.pos] = value
+        return tuple(held[flat] for flat, _, _ in items)
 
     def emit(self, slot: int) -> RelayPacket:
         """Relay packet for this slot; first-hop slots <= slot must have been
@@ -437,7 +437,7 @@ class RelayState:
                 pg = self.parities.get(t)
                 if pg is None:
                     vals = list(self._queue_values(plan, 0, plan.n_tx))
-                    pg = build_parity_groups(p, plan, vals, strict=False)
+                    pg = build_parity_groups(p, plan, vals)
                     self.parities[t] = pg
                 syms = tuple(pg.rows[i - last_msg - 1])
             if syms:
@@ -445,6 +445,7 @@ class RelayState:
         # message slot-T had its last slot
         self.plans.pop(slot - p.T, None)
         self.parities.pop(slot - p.T, None)
+        self.estimates.pop(slot - p.T, None)
         header = ()
         if self.header_mode:
             bits = [int(self.ledger.erased(s)) for s in range(slot - p.T, slot + 1)]

@@ -15,13 +15,16 @@ rows of p's diagonal so that all later-position unknowns cancel and p keeps
 coefficient 1 (every square submatrix of a systematic-MDS parity block is
 nonsingular, so the combination always exists).  Unknown earlier-position
 symbols remain embedded in the estimate; they belong to strictly older
-messages and are recorded as interference so the destination can cancel them
-after decoding those messages.  Terms whose message the relay has already
-fully recovered are cancelled immediately and never recorded.
+messages and are kept as interference so the destination can cancel them
+after decoding those messages.  Terms whose message the relay had fully
+recovered by the emission slot are cancelled.
 
 Everything structural here (which positions are emitted when, what
 interference they carry) is a pure function of the erasure pattern, which is
-what lets the destination replay the relay's bookkeeping symbolically.
+what lets the destination replay the relay's bookkeeping symbolically.  The
+plan engine in ``relay_codec`` owns that structure.  The ledger only stores
+what arrived and, when the relay first sends an estimate, works out its
+values from the packets ingested so far.
 """
 
 from __future__ import annotations
@@ -258,20 +261,14 @@ def emission_coefficients(
 # value-level ledger (what the relay actually stores and forwards)
 
 
-@dataclass(frozen=True)
-class SymbolRecord:
-    """One estimate the relay can transmit: value of s_t[flat] plus the
-    interference terms still embedded in it."""
-
-    t: int
-    flat: int
-    value: int
-    interference: tuple[tuple[int, int, int], ...]  # (t', flat', coeff)
-
-
 class EstimateLedger:
-    """Relay-side ingest of the first hop: erasure tracking, packet storage,
-    and eager estimate extraction with interference bookkeeping."""
+    """Relay-side ingest of the first hop: erasure bits and received packets.
+
+    It keeps no per-estimate records.  Which estimates exist, when they
+    appear and in what order they are sent is the plan engine's business;
+    ``estimate`` works out the values of one emission the plan placed, from
+    the packets ingested so far.
+    """
 
     def __init__(self, p: SchemeParams):
         self.params = p
@@ -280,8 +277,6 @@ class EstimateLedger:
         self.next_slot = 0
         self.erased_bits: list[bool] = []
         self.packets: dict[int, SourcePacket] = {}
-        self.records: dict[int, list[SymbolRecord]] = {}
-        self.emissions: dict[int, list[PosEmission]] = {}
         self._recovered: dict[tuple[int, int], int] = {}  # (t, flat) -> value
 
     # -- pattern lookups ----------------------------------------------------
@@ -290,7 +285,7 @@ class EstimateLedger:
         if slot < 0:
             return False
         if slot >= len(self.erased_bits):
-            return True  # not yet seen; callers never ask beyond next_slot
+            return True  # not yet seen
         return self.erased_bits[slot]
 
     # -- ingest ---------------------------------------------------------------
@@ -302,62 +297,41 @@ class EstimateLedger:
             raise OutOfOrder(f"packet is stamped t={packet.t}, ingested at slot {slot}")
         self.erased_bits.append(packet is None)
         self.next_slot += 1
-        if packet is None:
-            return
-        self.packets[slot] = packet
-        p = self.params
-        lo = max(0, slot - (p.T - p.N2))
-        for t in range(lo, slot):
-            if not self.erased(t):
-                continue
-            self._extract_for(t, slot)
+        if packet is not None:
+            self.packets[slot] = packet
 
-    def _extract_for(self, t: int, now: int) -> None:
-        """Emit every estimate of erased message t constructible at slot now.
+    # -- values -----------------------------------------------------------------
 
-        Which ones comes from t's plan as seen at ``now``; only the symbol
-        values are worked out here."""
-        d = self.dims
-        plan = relay_codec.build_message_plan(self.params, self.erased, t)
-        for em in plan.emissions_at(now):
-            self.emissions.setdefault(t, []).append(em)
-            lam, mu = emission_coefficients(self.field, self.code, em)
-            interference_pos = {q for (tq, q) in em.interference}
-            u = t - em.pos
-            for c in range(d.l_prime):
-                value = 0
-                for l_coef, m in zip(lam, em.parity_rows):
-                    pval = self.packets[u + d.k_prime + m].rows[c][d.k_prime + m]
-                    value = self.field.add(value, self.field.mul(l_coef, pval))
-                inter: list[tuple[int, int, int]] = []
-                for q, coeff in mu.items():
-                    src_t = u + q
-                    if src_t < 0:
-                        continue  # symbol is an implicit zero
-                    if q in interference_pos:
-                        inter.append((src_t, c * d.k_prime + q, coeff))
-                    else:
-                        value = self.field.sub(
-                            value, self.field.mul(coeff, self._known_symbol(src_t, c, q, now))
-                        )
-                self.records.setdefault(t, []).append(
-                    SymbolRecord(t, c * d.k_prime + em.pos, value, tuple(inter))
-                )
+    def estimate(self, em: PosEmission) -> tuple[int, ...]:
+        """Per-layer values of emission ``em``: entry c estimates
+        s_{em.t}[c*k' + em.pos].  Every leftover term is subtracted except
+        those ``em.interference`` keeps; slot ``em.slot`` must be ingested."""
+        d, field = self.dims, self.field
+        lam, mu = emission_coefficients(field, self.code, em)
+        kept = {q for _, q in em.interference}
+        u = em.t - em.pos
+        out = []
+        for c in range(d.l_prime):
+            value = 0
+            for l_coef, m in zip(lam, em.parity_rows):
+                pval = self.packets[u + d.k_prime + m].rows[c][d.k_prime + m]
+                value = field.add(value, field.mul(l_coef, pval))
+            for q, coeff in mu.items():
+                if u + q >= 0 and q not in kept:  # before time 0: an implicit zero
+                    value = field.sub(value, field.mul(coeff, self._known_symbol(u + q, c, q)))
+            out.append(value)
+        return tuple(out)
 
-    # -- known symbol values --------------------------------------------------
-
-    def _known_symbol(self, t: int, layer: int, pos: int, now: int) -> int:
+    def _known_symbol(self, t: int, layer: int, pos: int) -> int:
         """Value of s_t[layer, pos] when the relay provably knows it."""
-        if t < 0:
-            return 0
         if not self.erased(t):
             return self.packets[t].rows[layer][pos]
         key = (t, layer * self.dims.k_prime + pos)
         if key not in self._recovered:
-            self._recover_message(t, now)
+            self._recover_message(t)
         return self._recovered[key]
 
-    def _recover_message(self, t: int, now: int) -> None:
+    def _recover_message(self, t: int) -> None:
         """MDS-decode every diagonal of fully-known erased message t."""
         d = self.dims
         for pos in range(d.k_prime):
@@ -368,29 +342,13 @@ class EstimateLedger:
                     s_q = u + q
                     if s_q < 0:
                         received.append((q, 0))
-                    elif not self.erased(s_q) and s_q <= now:
+                    elif not self.erased(s_q):
                         received.append((q, self.packets[s_q].rows[c][q]))
                 for s_m, m in _diag_parity_slots(t, pos, d.k_prime, self.params.N1):
-                    if 0 <= s_m <= now and not self.erased(s_m):
+                    if s_m >= 0 and not self.erased(s_m):
                         received.append((d.k_prime + m, self.packets[s_m].rows[c][d.k_prime + m]))
                 word = self.code.erasure_decode(received)
                 for q in range(d.k_prime):
                     s_q = u + q
                     if s_q >= 0:
                         self._recovered[(s_q, c * d.k_prime + q)] = word[q]
-
-    # -- queries ----------------------------------------------------------------
-
-    def records_for(self, t: int) -> list[SymbolRecord]:
-        return self.records.get(t, [])
-
-    def available_count(self, t: int, now: int) -> int:
-        """Estimates of message t actually held once slot `now` was ingested."""
-        if not self.erased(t):
-            return self.dims.k_src if now >= t else 0
-        ems = self.emissions.get(t, [])
-        return self.dims.l_prime * sum(1 for em in ems if em.slot <= now)
-
-
-# the plan engine builds on this module; imported last to close the cycle
-from . import relay_codec  # noqa: E402

@@ -5,7 +5,8 @@ rectangular elimination, so it shares no decoding path with ``DecoderState``
 or with ``field_mds``.  ``cancel_interference`` is the standalone form of the
 decoder's cancellation step, ``dest_ingest`` feeds a relay packet with an
 optional side-information cross-check, and ``estimates_available`` is the
-closed-form count the ledger's holdings must match on admissible patterns.
+closed-form count the plan engine's availability must match on admissible
+patterns.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ def cancel_interference(field, records, history: dict):
 
 def estimates_available(ledger: EstimateLedger, t: int, now: int) -> int:
     """Closed-form count min(k_src, l' * #nonerased in [t+1, now]) for erased
-    messages (k_src once received, for nonerased).  Matches the ledger's
-    actual holdings on admissible patterns."""
+    messages (k_src once received, for nonerased).  Matches what the relay
+    holds by slot ``now`` on admissible patterns."""
     d = ledger.dims
     if not ledger.erased(t):
         return d.k_src if now >= t else 0

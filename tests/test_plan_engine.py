@@ -180,3 +180,27 @@ def test_relay_and_destination_agree_on_every_subpacket(p, header_mode):
             if bits[t] and len(build_message_plan(p, view, t).tx) < d.k_src
         )
     assert short > 0  # the inadmissible case was reached
+
+
+def test_plan_reads_only_the_header_mode_window():
+    """A plan, emissions and interference included, reads no first-hop bit
+    outside [t-2(k'-1), t+T-N2]: the window a header-mode destination waits
+    for before it builds message t's plan.  Both ends are reached."""
+    plans = at_lower = 0
+    for idx, p in enumerate(all_valid_params(7)):
+        d = derive_dims(p)
+        rng = np.random.default_rng([37, idx])
+        horizon = max(2 * (p.T + 1), 2 * (d.k_prime - 1) + p.T + 2)
+        for p_erase in (p.N1 / (p.T + 1), 0.5):
+            bits = random_bits(rng, horizon, p_erase)
+            for t in range(horizon - p.T + p.N2):
+                lo, hi = t - 2 * (d.k_prime - 1), t + p.T - p.N2
+                for look in [oracle_view(bits)] + [masked_view(bits, now) for now in (t, hi - 1)]:
+                    reads = []
+                    plan = build_message_plan(p, lambda s: reads.append(s) or look(s), t)
+                    plan.emissions, plan.tx, plan.codewords  # force every lazy part
+                    assert lo <= min(reads) and max(reads) == hi, (p, bits, t, min(reads))
+                    at_lower += min(reads) == lo
+                    plans += 1
+    assert plans > 10_000
+    assert at_lower > 0

@@ -270,6 +270,20 @@ def test_full_plan_guard():
         relay.full_plan(0)  # window [0, T-N2] not yet closed
 
 
+def test_queue_guard_refuses_an_estimate_not_yet_ingested():
+    """The relay values an estimate only once its emission slot has been
+    ingested; a plan that runs ahead of the first hop is refused."""
+    p = P623
+    bits = worked_pattern_623()
+    look = lambda s: 0 <= s < len(bits) and bits[s] == 1
+    messages = episode_messages(p, len(bits), seed=19)
+    relay, _ = drive_relay(p, bits[:6], messages[:6])
+    plan = build_message_plan(p, look, 4)  # estimates of message 4 at slots 5 and 7
+    assert relay._queue_values(plan, 0, plan.alpha[1] + plan.alpha[2])
+    with pytest.raises(ScheduleOverrun):
+        relay._queue_values(plan, 0, plan.n_tx)
+
+
 def test_parity_groups_value_guard():
     p = P623
     bits = worked_pattern_623()

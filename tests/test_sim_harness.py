@@ -114,8 +114,8 @@ def test_verify_detects_corrupted_parities(monkeypatch):
     caught by the value-level episodes."""
     real = relay_codec.build_parity_groups
 
-    def corrupted(p, plan, values, strict=True):
-        pg = real(p, plan, values, strict=strict)
+    def corrupted(p, plan, values):
+        pg = real(p, plan, values)
         rows = [list(r) for r in pg.rows]
         if rows and rows[0]:
             rows[0][0] = (rows[0][0] + 1) % 7

@@ -2,8 +2,9 @@
 
 The main oracles here are value-level and independent of the implementation:
 every diagonal of the emitted packet stream must be a codeword of the layer
-MDS code, and every estimate record must equal the target symbol plus its
-declared interference terms when evaluated against the ground-truth messages.
+MDS code, and every estimate the plan places, valued by the ledger, must
+equal the target symbol plus its declared interference terms when evaluated
+against the ground-truth messages.
 """
 
 import itertools
@@ -12,8 +13,10 @@ import numpy as np
 import pytest
 
 from codec_reference import estimates_available
+from relaystream.dest_codec import interference_terms
 from relaystream.erasure_channel import enumerate_admissible, pattern_from_bits
 from relaystream.field_mds import DimensionMismatch
+from relaystream.relay_codec import build_message_plan
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.source_codec import (
     EstimateLedger,
@@ -152,17 +155,25 @@ def test_recovery_none_when_diagonal_starved():
     assert relay_recovery_slot(P523, look, 0) is None
 
 
-def ground_truth_value(field, history, rec):
-    """Evaluate the estimate's defining identity against the true messages."""
-    val = history[rec.t][rec.flat]
-    for t2, flat2, coeff in rec.interference:
+def ground_truth_value(p, field, history, em, layer):
+    """Evaluate the estimate's defining identity against the true messages:
+    the target symbol plus the interference the destination will cancel."""
+    val = history[em.t][layer * derive_dims(p).k_prime + em.pos]
+    for t2, flat2, coeff in interference_terms(p, em, layer):
         val = field.add(val, field.mul(coeff, history[t2][flat2]))
     return val
 
 
+def at_slot(erased, now):
+    """The first-hop lookup as seen once slot ``now`` was ingested."""
+    return lambda s: s > now or erased(s)
+
+
 @pytest.mark.parametrize("p", [P523, P623])
 def test_estimates_sound_under_all_admissible_patterns(p):
-    """Each record's stored value == target symbol + declared interference."""
+    """Each estimate the plan places, valued by the ledger after the whole
+    stream was ingested, equals its target symbol plus the interference
+    declared at the estimate's own slot."""
     d = derive_dims(p)
     field, _ = make_codes(p)
     horizon = 2 * (p.T + 1)
@@ -170,15 +181,30 @@ def test_estimates_sound_under_all_admissible_patterns(p):
     for pat in enumerate_admissible(p.T, p.N1, horizon):
         ledger, _ = ingest_pattern(p, history, pat.bits)
         for t in range(horizon):
-            recs = ledger.records_for(t)
-            flats = [r.flat for r in recs]
+            plan = build_message_plan(p, ledger.erased, t)
+            flats = [c * d.k_prime + em.pos for em in plan.emissions for c in range(d.l_prime)]
             assert len(set(flats)) == len(flats)  # no duplicate targets
-            for rec in recs:
-                assert rec.value == ground_truth_value(field, history, rec), (
-                    pat.bits,
-                    t,
-                    rec,
-                )
+            for em in plan.emissions:
+                own = build_message_plan(p, at_slot(ledger.erased, em.slot), t)
+                placed = next(e for e in own.emissions if e.pos == em.pos)
+                assert placed == em  # interference fixed at the estimate's slot
+                values = ledger.estimate(em)
+                for c in range(d.l_prime):
+                    assert values[c] == ground_truth_value(p, field, history, em, c), (
+                        pat.bits,
+                        t,
+                        em,
+                    )
+
+
+def engine_available(p, erased, t, now):
+    """Symbols of message t the relay holds once slot ``now`` was ingested,
+    counted from the plan the relay sees at that slot."""
+    d = derive_dims(p)
+    plan = build_message_plan(p, at_slot(erased, now), t)
+    if not plan.erased:
+        return plan.n_tx if now >= t else 0
+    return d.l_prime * len(plan.shape.emissions)
 
 
 def test_estimate_counts_match_closed_form():
@@ -189,13 +215,13 @@ def test_estimate_counts_match_closed_form():
         ledger, _ = ingest_pattern(p, history, pat.bits)
         for t in range(horizon - p.T):
             for now in range(t, horizon):
-                assert ledger.available_count(t, now) == estimates_available(
+                assert engine_available(p, ledger.erased, t, now) == estimates_available(
                     ledger, t, now
                 ), (pat.bits, t, now)
 
 
 def test_full_estimate_set_for_erased_message():
-    # an erased message eventually yields exactly k_src estimate records
+    # an erased message eventually yields exactly k_src estimates
     p = P623
     d = derive_dims(p)
     horizon = p.T + 3
@@ -203,11 +229,16 @@ def test_full_estimate_set_for_erased_message():
     bits = [0] * horizon
     bits[4] = 1
     ledger, _ = ingest_pattern(p, history, bits)
-    recs = ledger.records_for(4)
-    assert len(recs) == d.k_src
-    assert sorted(r.flat for r in recs) == list(range(d.k_src))
-    # isolated erasure, all neighbours received: no interference anywhere
-    assert all(not r.interference for r in recs)
+    plan = build_message_plan(p, ledger.erased, 4)
+    values = {
+        c * d.k_prime + em.pos: v for em in plan.emissions for c, v in enumerate(ledger.estimate(em))
+    }
+    assert len(plan.emissions) * d.l_prime == d.k_src
+    assert sorted(values) == list(range(d.k_src))
+    # isolated erasure, all neighbours received: no interference anywhere,
+    # so every estimate is the symbol itself
+    assert all(not em.interference for em in plan.emissions)
+    assert values == dict(enumerate(history[4]))
 
 
 def test_interference_only_on_unresolved_messages():
@@ -219,7 +250,7 @@ def test_interference_only_on_unresolved_messages():
         look = lambda s: 0 <= s < horizon and bits[s] == 1
         ledger, _ = ingest_pattern(p, history, bits)
         for t in range(horizon):
-            for em in ledger.emissions.get(t, []):
+            for em in build_message_plan(p, ledger.erased, t).emissions:
                 for t2, _pos in em.interference:
                     ready = relay_recovery_slot(p, look, t2)
                     assert ready is None or ready > em.slot
