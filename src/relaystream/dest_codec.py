@@ -3,8 +3,9 @@
 The destination never sees the first hop.  It learns the first-hop erasure
 pattern either out of band (oracle side information, the default) or from the
 delta-symbol header each relay packet carries, rebuilds every message's
-transmission plan with the exact code the relay used, slices received relay
-packets into subpackets, and then:
+transmission plan with the exact code the relay used, slices each received
+relay packet by ``slot_layout`` -- the relay's own per-slot rule, applied to
+the packet's header or to the oracle window -- and then:
 
 1. per second-hop codeword, erasure-decodes as soon as any k of its n symbols
    are in hand (each codeword loses at most one symbol per erased slot);
@@ -25,13 +26,13 @@ from dataclasses import dataclass, field as dc_field
 
 from .scheme_params import SchemeParams, derive_dims, header_overhead
 from .source_codec import PosEmission, _codes_cached, emission_coefficients
-from .relay_codec import MessagePlan, build_message_plan, decode_header, second_code
+from .relay_codec import MessagePlan, build_message_plan, decode_header, second_code, slot_layout
 
 FAILED = "FAILED"
 
 
 class MalformedPacket(ValueError):
-    """Relay packet length disagrees with the reconstructed schedule."""
+    """Relay packet disagrees with the reconstructed schedule or header alphabet."""
 
 
 class MissingDependency(ValueError):
@@ -56,8 +57,8 @@ def interference_terms(p: SchemeParams, em: PosEmission, layer: int):
 @dataclass
 class _MessageState:
     plan: MessagePlan | None = None
-    got_tx: dict = dc_field(default_factory=dict)  # slot -> symbol list
-    got_par: dict = dc_field(default_factory=dict)  # slot -> symbol list
+    got_tx: dict = dc_field(default_factory=dict)  # queue start -> symbol list
+    got_par: dict = dc_field(default_factory=dict)  # parity row -> symbol list
     received: int = 0  # symbols filed; no decode before this reaches len(plan.tx)
     outcome: object = None  # None (pending) | list[int] | FAILED
     decode_slot: int | None = None
@@ -140,9 +141,10 @@ class DecoderState:
         only from as many symbols as it has tx items, so fewer symbols than
         ``len(plan.tx)`` can never decode.
         """
-        if st.plan is None:
+        plan = self.plan(t)
+        if plan is None:
             self._planless.add(t)
-        elif st.received >= st.plan.n_tx:
+        elif st.received >= plan.n_tx:
             self._flag(t)
 
     def due(self, now: int):
@@ -173,50 +175,38 @@ class DecoderState:
             delta = header_overhead(p)
             if len(symbols) < delta:
                 raise MalformedPacket(f"slot {slot}: packet shorter than its header")
-            for off, b in enumerate(decode_header(p, symbols[:delta])):
+            try:
+                bits = decode_header(p, symbols[:delta])
+            except ValueError as exc:
+                raise MalformedPacket(f"slot {slot}: {exc}") from None
+            for off, b in enumerate(bits):
                 s = slot - p.T + off
                 if s >= 0:
                     self._known_bits[s] = b
             symbols = symbols[delta:]
             for t in [t for t in self._planless if self._plan_ready(t)]:
                 self._planless.discard(t)
-                self.plan(t)
                 self._flag_if_enough(t, self.msgs[t])
+        else:
+            bits = [self._erased1(s) for s in range(slot - p.T, slot + 1)]
         offset = 0
-        for t in range(max(0, slot - p.T), slot - p.j + 1):
-            size = self._subpacket_size(t, slot)
-            if size == 0:
-                continue
+        for t, _, start, size, row in slot_layout(p, bits, slot):
             if offset + size > len(symbols):
                 raise MalformedPacket(
                     f"slot {slot}: payload ends inside the subpacket of message {t}"
                 )
-            self._file_symbols(t, slot, symbols[offset : offset + size])
+            st = self._state(t)
+            if row is None:
+                st.got_tx[start] = symbols[offset : offset + size]
+            else:
+                st.got_par[row] = symbols[offset : offset + size]
+            st.received += size
+            self._flag_if_enough(t, st)
             offset += size
         if offset != len(symbols):
             raise MalformedPacket(
                 f"slot {slot}: {len(symbols) - offset} trailing symbols beyond the schedule"
             )
-
-    def _subpacket_size(self, t: int, slot: int) -> int:
-        """alpha_t(slot - t), from the known pattern bits.
-
-        In header mode a message whose full window is still open gets a
-        transient plan with unseen bits masked as erased; for slot offsets
-        already in the past that reproduces the relay's causal decision
-        exactly (the relay had the same bits and no more).
-        """
-        plan = self.plan(t) or build_message_plan(self.params, self._erased1, t)
-        return plan.alpha[slot - t]
-
-    def _file_symbols(self, t: int, slot: int, syms: list[int]) -> None:
-        st = self._state(t)
-        if slot - t <= self.params.T - self.params.N2:
-            st.got_tx[slot] = syms
-        else:
-            st.got_par[slot] = syms
-        st.received += len(syms)
-        self._flag_if_enough(t, st)
 
     # -- decoding -----------------------------------------------------------------
 
@@ -259,12 +249,10 @@ class DecoderState:
 
         # received symbols in queue / codeword coordinates
         queue_vals: dict[int, int] = {}
-        for slot, got in sorted(st.got_tx.items()):
-            queue_vals.update(enumerate(got, plan.sent_before(slot - t)))
+        for start, got in st.got_tx.items():
+            queue_vals.update(enumerate(got, start))
         par_vals: dict[tuple[int, int], int] = {}
-        first_parity = p.T - p.N2 + 1
-        for slot, syms in st.got_par.items():
-            m = slot - t - first_parity
+        for m, syms in st.got_par.items():
             for ci, v in enumerate(syms):
                 par_vals[(ci, m)] = v
 

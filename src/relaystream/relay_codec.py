@@ -34,10 +34,11 @@ Everything in a plan except the interference an estimate carries depends
 only on the T-N2+1 bits of [t, t+T-N2].  So the plan's shape is kept in slot
 offsets from t and memoized per parameter set on those bits, at most
 2^(T-N2+1) shapes.  A hit costs one key lookup.  Interference reads bits
-before t and is resolved per message.  The relay's per-slot size and queue
-slice at slot s and the destination's slicing all read the plan seen with
-every slot after s masked as erased.  The plan is the relay's only queue: an
-estimate's values are worked out by the ledger when the relay first sends it.
+before t and is resolved per message.  One rule, ``slot_layout(p, bits,
+s)``, says what rides relay slot s from the T+1 header bits of [s-T, s]:
+the relay emits, the destination slices and the verifier bounds the payload
+by it.  The plan is the relay's only queue: an estimate's values are worked
+out by the ledger when the relay first sends it.
 """
 
 from __future__ import annotations
@@ -81,10 +82,6 @@ class Schedule:
     alpha: tuple[int, ...]
     ell: tuple[int, ...]
     gamma: tuple[int, ...]
-
-    @property
-    def message_symbols(self) -> int:
-        return sum(self.alpha[: len(self.gamma)])
 
 
 def _schedule_core(p: SchemeParams, erased_msg: bool, erased_after, avail) -> Schedule:
@@ -226,11 +223,11 @@ def _plan_shape(p: SchemeParams, bits: tuple[bool, ...], shared: dict) -> _PlanS
 class MessagePlan:
     """Message t's relay treatment: a memoized shape placed at slot t.
 
-    ``alpha``, ``n_tx`` and ``sent_before`` read the shape; ``schedule``,
-    ``emissions``, ``tx`` and ``codewords`` are built on first use.  Only
-    interference reads bits before t, through the plan's lookup: that may
-    since have learned bits it masked as erased, but no slot up to the last
-    emission may have changed.
+    ``alpha`` and ``n_tx`` read the shape; ``schedule``, ``emissions``,
+    ``tx`` and ``codewords`` are built on first use.  Only interference
+    reads bits before t, through the plan's lookup: that may since have
+    learned bits it masked as erased, but no slot up to the last emission
+    may have changed.
     """
 
     def __init__(self, p: SchemeParams, t: int, shape: _PlanShape, erased_fn):
@@ -238,10 +235,6 @@ class MessagePlan:
         self.erased, self.alpha = shape.schedule.erased, shape.schedule.alpha
         self.n_tx = len(shape.tx)
         self._erased_fn = erased_fn
-
-    def sent_before(self, i: int) -> int:
-        """Queue symbols sent at offsets before i <= T-N2."""
-        return sum(self.alpha[:i])
 
     @property
     def schedule(self) -> Schedule:
@@ -281,6 +274,19 @@ class MessagePlan:
 _PLAN_MEMO: dict[SchemeParams, tuple[object, dict, dict]] = {}
 
 
+def _memo_shapes(p: SchemeParams, keys):
+    """Yield the memoized shape of each key, the bits of a window [t, t+T-N2]."""
+    entry = _PLAN_MEMO.get(p)
+    if entry is None or entry[0] is not _schedule_core:
+        entry = _PLAN_MEMO[p] = (_schedule_core, {}, {})
+    _, shapes, shared = entry
+    for key in keys:
+        shape = shapes.get(key)
+        if shape is None:
+            shape = shapes[key] = _plan_shape(p, key, shared)
+        yield shape
+
+
 def build_message_plan(p: SchemeParams, erased_fn, t: int) -> MessagePlan:
     """Everything about message t's relay treatment, from the pattern alone.
 
@@ -288,15 +294,35 @@ def build_message_plan(p: SchemeParams, erased_fn, t: int) -> MessagePlan:
     on the bits of [t, t+T-N2]; bits before t are read only to resolve
     interference, when the plan's emissions are first asked for.
     """
-    entry = _PLAN_MEMO.get(p)
-    if entry is None or entry[0] is not _schedule_core:
-        entry = _PLAN_MEMO[p] = (_schedule_core, {}, {})
-    shapes = entry[1]
     key = tuple(map(bool, map(erased_fn, range(t, t + p.T - p.N2 + 1))))
-    shape = shapes.get(key)
-    if shape is None:
-        shape = shapes[key] = _plan_shape(p, key, entry[2])
-    return MessagePlan(p, t, shape, erased_fn)
+    return MessagePlan(p, t, next(_memo_shapes(p, [key])), erased_fn)
+
+
+def slot_layout(p: SchemeParams, bits, s: int) -> list[tuple]:
+    """Who rides relay slot ``s``, oldest message first.
+
+    ``bits[i]`` is the first-hop bit of slot s-T+i, as in the header.  Slots
+    before 0 count as clean and slots after s as erased, as the relay sees
+    them at slot s; a shape so masked agrees with the full plan up to offset
+    s-t.  Each message t with a nonzero subpacket gives ``(t, shape, start,
+    size, parity_row)``: queue items start .. start+size-1 with parity_row
+    None, or one symbol per codeword of parity row parity_row with start 0.
+    """
+    if len(bits) != p.T + 1:
+        raise ValueError(f"slot layout reads T+1 = {p.T + 1} bits, got {len(bits)}")
+    width = p.T - p.N2 + 1  # message-phase offsets 0 .. T-N2
+    window = tuple(map(bool, bits)) + (True,) * (width - 1)
+    first = max(0, s - p.T)
+    keys = [window[lo : lo + width] for lo in range(first - s + p.T, p.T - p.j + 1)]
+    rides = []
+    for t, shape in enumerate(_memo_shapes(p, keys), first):
+        i, alpha = s - t, shape.schedule.alpha
+        if alpha[i]:
+            if i < width:
+                rides.append((t, shape, sum(alpha[:i]), alpha[i], None))
+            else:
+                rides.append((t, shape, 0, alpha[i], i - width))
+    return rides
 
 
 @cache
@@ -365,15 +391,12 @@ class RelayPacket:
 class RelayState:
     """Drives the relay across an episode: ingest first hop, emit second hop.
 
-    Message-phase scheduling is strictly causal: at slot s the relay reads
-    the plan of message t with every slot after s masked as erased, whose
-    offsets up to s-t already equal the full plan's (an emission at slot s'
-    reads no bit after s').  The full plan, which fixes the parity layout,
-    is used once the data window [t, t+T-N2] lies in the past.  The plan's
-    queue fixes what each slot sends; an estimate's values are asked of the
-    ledger when the relay first sends it and kept in ``estimates``.  A
-    message's plan, parities and estimates are dropped once slot t+T has
-    been emitted.
+    Scheduling is strictly causal: what slot s sends is ``slot_layout`` of
+    the T+1 bits the relay has seen up to s.  The plan's queue fixes the
+    symbols; an estimate's values are asked of the ledger when the relay
+    first sends it and kept in ``estimates``.  A message's parities are
+    encoded from its full plan at its first parity slot.  Its parities and
+    estimates are dropped once slot t+T has been emitted.
     """
 
     def __init__(self, p: SchemeParams, header_mode: bool = False):
@@ -381,7 +404,6 @@ class RelayState:
         self.dims = derive_dims(p)
         self.ledger = EstimateLedger(p)
         self.header_mode = header_mode
-        self.plans: dict[int, MessagePlan] = {}
         self.parities: dict[int, ParityGroups] = {}
         self.estimates: dict[int, dict[int, int]] = {}  # t -> flat -> value
 
@@ -392,9 +414,7 @@ class RelayState:
         """Plan for message t; only valid once slot t+T-N2 was ingested."""
         if self.ledger.next_slot <= t + self.params.T - self.params.N2:
             raise ScheduleOverrun(f"plan for message {t} requested before its window closed")
-        if t not in self.plans:
-            self.plans[t] = build_message_plan(self.params, self.ledger.erased, t)
-        return self.plans[t]
+        return build_message_plan(self.params, self.ledger.erased, t)
 
     def _queue_values(self, plan: MessagePlan, start: int, size: int) -> tuple[int, ...]:
         """Symbols start .. start+size-1 of message plan.t's transmission
@@ -419,37 +439,25 @@ class RelayState:
     def emit(self, slot: int) -> RelayPacket:
         """Relay packet for this slot; first-hop slots <= slot must have been
         ingested already."""
-        p = self.params
-        last_msg = p.T - p.N2
+        p, erased = self.params, self.ledger.erased
+        bits = [int(erased(s)) for s in range(slot - p.T, slot + 1)]
         subpackets = []
-        for t in range(max(0, slot - p.T), slot - p.j + 1):
-            i = slot - t
-            if i <= last_msg:
-                plan = build_message_plan(p, self.ledger.erased, t)
-                size = plan.alpha[i]
-                if size <= 0:
-                    continue
-                syms = self._queue_values(plan, plan.sent_before(i), size)
+        for t, shape, start, size, row in slot_layout(p, bits, slot):
+            if row is None:
+                syms = self._queue_values(MessagePlan(p, t, shape, erased), start, size)
             else:
-                plan = self.full_plan(t)
-                if plan.alpha[i] == 0:
-                    continue
                 pg = self.parities.get(t)
                 if pg is None:
-                    vals = list(self._queue_values(plan, 0, plan.n_tx))
-                    pg = build_parity_groups(p, plan, vals)
-                    self.parities[t] = pg
-                syms = tuple(pg.rows[i - last_msg - 1])
-            if syms:
-                subpackets.append((t, syms))
+                    plan = self.full_plan(t)
+                    pg = self.parities[t] = build_parity_groups(
+                        p, plan, list(self._queue_values(plan, 0, plan.n_tx))
+                    )
+                syms = pg.rows[row]
+            subpackets.append((t, syms))
         # message slot-T had its last slot
-        self.plans.pop(slot - p.T, None)
         self.parities.pop(slot - p.T, None)
         self.estimates.pop(slot - p.T, None)
-        header = ()
-        if self.header_mode:
-            bits = [int(self.ledger.erased(s)) for s in range(slot - p.T, slot + 1)]
-            header = encode_header(p, bits)
+        header = encode_header(p, bits) if self.header_mode else ()
         return RelayPacket(slot, tuple(subpackets), header)
 
 
@@ -477,7 +485,7 @@ def encode_header(p: SchemeParams, window_bits) -> tuple[int, ...]:
 
 
 def decode_header(p: SchemeParams, symbols) -> tuple[int, ...]:
-    """Inverse of encode_header."""
+    """Inverse of encode_header; ValueError on symbols no header holds."""
     q = implemented_field_size(p)
     delta = header_overhead(p)
     syms = list(symbols)
@@ -485,7 +493,11 @@ def decode_header(p: SchemeParams, symbols) -> tuple[int, ...]:
         raise ValueError(f"expected {delta} header symbols, got {len(syms)}")
     x = 0
     for s in reversed(syms):
+        if not 0 <= s < q:
+            raise ValueError(f"header symbol {s} outside [0, {q})")
         x = x * q + s
+    if x >> (p.T + 1):
+        raise ValueError(f"header value {x} exceeds T+1 = {p.T + 1} bits")
     bits = []
     for _ in range(p.T + 1):
         bits.append(x & 1)

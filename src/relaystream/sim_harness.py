@@ -7,16 +7,17 @@ full codec is infeasible beyond toy sizes (the pair count grows like 4^T), so
 * Structure.  Everything the relay schedules for message t -- subpacket
   sizes, queue layout, codeword shapes and slots -- is a pure function of the
   T-N2+1 erasure bits of [t, t+T-N2].  It is the t-relative plan shape that
-  `build_message_plan` memoizes on those bits and that the relay, its ledger
-  and the destination all read; the certificate reads it with a clean past.
-  The relay payload at slot s is a pure function of the T+1 bits ending at
-  s.  Enumerating every admissible (T+1)-bit window therefore checks
-  schedule conservation, availability counts, payload bounds, and the
-  per-codeword slot discipline (no codeword puts two symbols in one slot,
-  spans at most [t, t+T], and carries exactly N2 parities) against *all*
-  admissible first-hop patterns at once.  The slot discipline is what makes
-  any admissible second hop survivable: at most N2 of each codeword's
-  symbols can be lost, which its parity budget covers.
+  `build_message_plan` memoizes on those bits and that the relay and the
+  destination read; the certificate reads it with a clean past.  The relay
+  payload at slot s is the sum of the sizes `slot_layout` gives for the T+1
+  bits ending at s: the one per-slot rule the relay emits by and the
+  destination slices by.  Enumerating every admissible (T+1)-bit window
+  therefore checks schedule conservation, availability counts, payload
+  bounds, and the per-codeword slot discipline (no codeword puts two symbols
+  in one slot, spans at most [t, t+T], and carries exactly N2 parities)
+  against *all* admissible first-hop patterns at once.  The slot discipline
+  is what makes any admissible second hop survivable: at most N2 of each
+  codeword's symbols can be lost, which its parity budget covers.
 * Values.  The symbol-level pipeline (estimate extraction, interference
   bookkeeping, MDS decode, cancellation) is exercised by driving full
   episodes over probe pattern families and seeded admissible samples, with
@@ -59,7 +60,7 @@ from .erasure_channel import (
     pattern_from_bits,
 )
 from .source_codec import _codes_cached, encode_source
-from .relay_codec import RelayState, build_message_plan
+from .relay_codec import RelayState, build_message_plan, slot_layout
 from .dest_codec import FAILED, DecoderState
 
 VERIFY_T_LIMIT = 7  # full mode; larger T must use randomized=True
@@ -190,12 +191,12 @@ class VerifyReport:
 
 def _window_plan_checks(p: SchemeParams, window: tuple, cache: dict):
     """Schedule/codeword certificate for a message whose local pattern is
-    ``window`` (bit 0 = the message's own slot).  Returns (alpha, problem)."""
+    ``window`` (bit 0 = the message's own slot).  Returns the problem found,
+    or None."""
     d = derive_dims(p)
     key = window[: p.T - p.N2 + 1]
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    if key in cache:
+        return cache[key]
 
     def erased(s: int) -> bool:
         return 0 <= s < len(window) and bool(window[s])
@@ -238,9 +239,8 @@ def _window_plan_checks(p: SchemeParams, window: tuple, cache: dict):
             if min(slots) < 0 or max(slots) > p.T:
                 problem = f"codeword span [{min(slots)},{max(slots)}] leaves [t,t+T]"
                 break
-    out = (alpha, problem)
-    cache[key] = out
-    return out
+    cache[key] = problem
+    return problem
 
 
 def _structural_pass(p: SchemeParams, windows) -> tuple:
@@ -251,18 +251,15 @@ def _structural_pass(p: SchemeParams, windows) -> tuple:
     count = 0
     for window in windows:
         count += 1
-        # message-level checks, keyed by the message's visible prefix
-        _, problem = _window_plan_checks(p, window, cache)
-        if problem is not None:
-            return count, max_payload, {"window": window, "problem": problem}
-        # payload at the slot that sees `window` as its trailing T+1 bits
-        payload = 0
-        for t in range(0, p.T - p.j + 1):
-            sub = window[t:]
-            alpha, problem = _window_plan_checks(p, sub, cache)
+        # message-level checks on the window and on each suffix that a
+        # message riding its last slot sees with a clean future; a full
+        # sweep meets every suffix as a window too, a sampled one may not
+        for lo in range(p.T - p.j + 1):
+            problem = _window_plan_checks(p, window[lo:], cache)
             if problem is not None:
-                return count, max_payload, {"window": sub, "problem": problem}
-            payload += alpha[p.T - t]
+                return count, max_payload, {"window": window[lo:], "problem": problem}
+        # payload at the slot that sees `window` as its trailing T+1 bits
+        payload = sum(size for _, _, _, size, _ in slot_layout(p, window, p.T))
         max_payload = max(max_payload, payload)
         if payload > d.n2_star:
             return count, max_payload, {

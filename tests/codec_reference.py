@@ -72,7 +72,9 @@ def estimates_available(ledger: EstimateLedger, t: int, now: int) -> int:
 
 def oracle_decode(p: SchemeParams, plan: MessagePlan, state: DecoderState, history: dict):
     """Decode message plan.t from raw received symbols by solving one linear
-    system, ignoring the codeword structure.  Returns list | None."""
+    system, ignoring the codeword structure.  Reads the symbols as the
+    decoder filed them: message symbols by queue start, parities by row.
+    Returns list | None."""
     field = state.field
     d = derive_dims(p)
     t = plan.t
@@ -97,14 +99,12 @@ def oracle_decode(p: SchemeParams, plan: MessagePlan, state: DecoderState, histo
         return row, const
 
     rows, rhs = [], []
-    for slot, got in sorted(st.got_tx.items()):
-        for idx, v in enumerate(got, plan.sent_before(slot - t)):
+    for start, got in sorted(st.got_tx.items()):
+        for idx, v in enumerate(got, start):
             row, const = tx_row(idx)
             rows.append(row)
             rhs.append(field.sub(v, const))
-    first_parity = p.T - p.N2 + 1
-    for slot, syms in st.got_par.items():
-        m = slot - t - first_parity
+    for m, syms in st.got_par.items():
         for ci, v in enumerate(syms):
             cw = plan.codewords[ci]
             code = second_code(p, cw.n, cw.k)

@@ -138,6 +138,36 @@ def test_malformed_packet_lengths():
         dest.ingest(horizon - 1, wire + [0])  # trailing symbols
 
 
+def test_corrupted_header_is_one_malformed_slot():
+    """A header symbol outside the field makes its own slot malformed and
+    nothing else: the slot writes no pattern bit, the clean packets after it
+    ingest, and every message decodes as after a hop-2 erasure of the slot."""
+    p = P523
+    horizon, bad = 20, 8
+    bits1 = [0] * horizon
+    bits1[3] = bits1[9] = bits1[15] = 1
+    messages = episode_messages(p, horizon, seed=47)
+    q = make_codes(p)[0].q
+    relay = RelayState(p, header_mode=True)
+    dest = DecoderState(p, header_mode=True)
+    for s in range(horizon):
+        relay.ingest_source(s, None if bits1[s] else encode_source(p, messages[: s + 1]))
+        wire = relay.emit(s).wire_symbols()
+        if s == bad:
+            wire[0] = q + 7
+            known = dict(dest._known_bits)
+            with pytest.raises(MalformedPacket):
+                dest.ingest(s, wire)
+            assert dest._known_bits == known
+        else:
+            dest.ingest(s, wire)
+    bits2 = [0] * horizon
+    bits2[bad] = 1
+    erased = run_pipeline(p, bits1, bits2, messages, header_mode=True)
+    for t in range(horizon - p.T):
+        assert dest.try_decode(t) == erased.try_decode(t) == messages[t], t
+
+
 def test_decoder_constructor_guards():
     with pytest.raises(ValueError):
         DecoderState(P523)  # oracle mode without a pattern

@@ -12,6 +12,10 @@ views the codec uses:
   before later headers arrive;
 * clean past: the verify certificate's window, message at slot 0 and no
   erasure before it.
+
+``slot_layout``, the per-slot rule the relay, the destination and the
+verifier share, is checked against the per-message plans of the masked view,
+and end to end: what the destination files is what the relay sent.
 """
 
 import itertools
@@ -22,7 +26,12 @@ import pytest
 import plan_reference
 from relaystream import relay_codec
 from relaystream.dest_codec import DecoderState
-from relaystream.relay_codec import RelayState, build_message_plan, compute_schedule
+from relaystream.relay_codec import (
+    RelayState,
+    build_message_plan,
+    compute_schedule,
+    slot_layout,
+)
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import all_valid_params
 from relaystream.source_codec import emission_schedule, encode_source, make_codes
@@ -134,9 +143,49 @@ def test_plan_memo_is_bounded_by_the_window():
     assert sizes[1] <= 2**width
 
 
+def layout_from_plans(p, view, s):
+    """slot_layout's rides at slot s, from each message's plan seen through
+    ``view``: size alpha[s-t]; start the sum of alpha before s-t, or parity
+    row s-t-(T-N2+1)."""
+    rides = []
+    for t in range(max(0, s - p.T), s - p.j + 1):
+        plan, i = build_message_plan(p, view, t), s - t
+        if plan.alpha[i]:
+            if i <= p.T - p.N2:
+                rides.append((t, plan.shape, sum(plan.alpha[:i]), plan.alpha[i], None))
+            else:
+                rides.append((t, plan.shape, 0, plan.alpha[i], i - (p.T - p.N2 + 1)))
+    return rides
+
+
+def test_slot_layout_matches_the_message_plans():
+    """Every (T+1)-bit window of every parameter set, at slot T, and every
+    slot of two i.i.d. streams at (12,3,4,1) from slot 0 on, where the
+    window reaches negative slots."""
+    rides = 0
+    for p in all_valid_params(7):
+        for window in itertools.product((0, 1), repeat=p.T + 1):
+            view = masked_view(window, p.T)
+            got = slot_layout(p, window, p.T)
+            assert got == layout_from_plans(p, view, p.T), (p, window)
+            rides += len(got)
+    p = P12
+    for seed, p_erase in ((53, 0.15), (54, 0.4)):
+        bits = random_bits(np.random.default_rng(seed), 400, p_erase)
+        for s in range(len(bits)):
+            window = [bits[x] if x >= 0 else 0 for x in range(s - p.T, s + 1)]
+            got = slot_layout(p, window, s)
+            assert got == layout_from_plans(p, masked_view(bits, s), s), (seed, s)
+            rides += len(got)
+    assert rides > 100_000
+
+
 def drive(p, bits1, header_mode, seed):
-    """Relay over ``bits1`` with a clean second hop; returns, per slot, the
-    relay's subpacket sizes and the destination's, both as {t: size}."""
+    """Relay over ``bits1`` with a clean second hop.  Returns the relay's
+    subpackets and what the destination filed, both as {t: (message
+    symbols by queue start, parity symbols by row)}.  The relay's starts and
+    rows come from each message's full plan: the prefix sum of its alpha up
+    to the slot offset, and the offset past T-N2."""
     d = derive_dims(p)
     field, _ = make_codes(p)
     rng = np.random.default_rng(seed)
@@ -147,32 +196,40 @@ def drive(p, bits1, header_mode, seed):
         else DecoderState(p, e1_erased=oracle_view(bits1))
     )
     history = []
-    out = []
+    sent = {}
     for s, b in enumerate(bits1):
         history.append([int(x) for x in rng.integers(0, field.q, d.k_src)])
         relay.ingest_source(s, None if b else encode_source(p, history))
         pkt = relay.emit(s)
         dest.ingest(s, pkt.wire_symbols())
-        sent = {t: len(syms) for t, syms in pkt.subpackets}
-        span = range(max(0, s - p.T), s - p.j + 1)
-        relay_sizes = {t: sent.get(t, 0) for t in span}
-        dest_sizes = {t: dest._subpacket_size(t, s) for t in span}
-        out.append((relay_sizes, dest_sizes))
-    return out
+        for t, syms in pkt.subpackets:
+            i = s - t
+            got_tx, got_par = sent.setdefault(t, ({}, {}))
+            if i <= p.T - p.N2:
+                alpha = build_message_plan(p, oracle_view(bits1), t).alpha
+                got_tx[sum(alpha[:i])] = list(syms)
+            else:
+                got_par[i - (p.T - p.N2 + 1)] = list(syms)
+    filed = {t: (st.got_tx, st.got_par) for t, st in dest.msgs.items() if st.received}
+    return sent, filed
 
 
 @pytest.mark.parametrize("header_mode", [False, True])
 @pytest.mark.parametrize("p", [P12, P7311])
 def test_relay_and_destination_agree_on_every_subpacket(p, header_mode):
-    """One causal rule: for every (t, slot) the relay's emitted size equals
-    the destination's, on i.i.d. first hops that include inadmissible
-    stretches, where the ledger runs short of estimates."""
+    """One causal rule: every subpacket the relay sends is filed by the
+    destination under the same message, queue start or parity row, with the
+    same symbols, and nothing else is filed.  The first hops are i.i.d. and
+    include inadmissible stretches, where the ledger runs short of
+    estimates."""
     d = derive_dims(p)
     short = 0
     for seed, p_erase in ((51, 0.15), (52, 0.35)):
         bits = random_bits(np.random.default_rng(seed), 160, p_erase)
-        for s, (relay_sizes, dest_sizes) in enumerate(drive(p, bits, header_mode, seed)):
-            assert relay_sizes == dest_sizes, (p, seed, s)
+        sent, filed = drive(p, bits, header_mode, seed)
+        assert sent.keys() == filed.keys(), (p, seed)
+        for t in sent:
+            assert sent[t] == filed[t], (p, seed, t)
         view = oracle_view(bits)
         short += sum(
             1

@@ -43,14 +43,14 @@ def test_schedule_burst_worked_example():
     assert s.alpha == (0, 0, 3, 3, 3, 3)
     assert s.grouped
     assert s.t == 1 and s.erased
-    assert s.message_symbols == 3  # whole message crosses by t+T-N2
+    assert sum(s.alpha[: P523.T - P523.N2 + 1]) == 3  # whole message crosses by t+T-N2
 
 
 def test_schedule_isolated_worked_example():
     s = compute_schedule(P623, t=4, erased=True, prefix=[0, 1, 0])
     assert s.alpha == (0, 2, 1, 3, 3, 3, 3)
     assert s.grouped
-    assert s.message_symbols == 6
+    assert sum(s.alpha[: P623.T - P623.N2 + 1]) == 6
 
 
 def test_schedule_clean_message_rides_steady_rate():
@@ -317,6 +317,30 @@ def test_header_length_errors():
         encode_header(P523, [0] * 5)
     with pytest.raises(ValueError):
         decode_header(P523, (0,))
+
+
+def test_header_rejects_symbols_no_header_holds():
+    """Symbols outside [0, q) and values of T+2 bits or more raise instead
+    of turning into arbitrary bits.  At (5,2,3,0) q = 7 and delta = 3, so
+    the 343 symbol triples hold 64 headers."""
+    p = P523
+    valid = encode_header(p, [1, 0, 1, 1, 0, 1])
+    for bad in (7, 14, -1):
+        for k in range(len(valid)):
+            syms = list(valid)
+            syms[k] = bad
+            with pytest.raises(ValueError):
+                decode_header(p, syms)
+    decoded = 0
+    for syms in itertools.product(range(7), repeat=3):
+        value = syms[0] + 7 * syms[1] + 49 * syms[2]
+        if value < 2 ** (p.T + 1):
+            decode_header(p, syms)
+            decoded += 1
+        else:
+            with pytest.raises(ValueError):
+                decode_header(p, syms)
+    assert decoded == 64
 
 
 def test_relay_state_stays_bounded_over_a_long_episode():
