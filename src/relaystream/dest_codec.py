@@ -32,7 +32,8 @@ FAILED = "FAILED"
 
 
 class MalformedPacket(ValueError):
-    """Relay packet disagrees with the reconstructed schedule or header alphabet."""
+    """Relay packet disagrees with the reconstructed schedule, the header
+    alphabet or the field."""
 
 
 class MissingDependency(ValueError):
@@ -171,6 +172,10 @@ class DecoderState:
         if wire is None:
             return
         symbols = list(wire)
+        # symbols index the field's tables: a slot holding one outside
+        # [0, q) files nothing
+        if symbols and (min(symbols) < 0 or max(symbols) >= self.field.q):
+            raise MalformedPacket(f"slot {slot}: symbol outside [0, {self.field.q})")
         if self.header_mode:
             delta = header_overhead(p)
             if len(symbols) < delta:
@@ -285,6 +290,7 @@ class DecoderState:
     def _cancel(self, t: int, plan: MessagePlan, est: dict):
         """Subtract interference using already-decoded messages."""
         d = self.dims
+        mul, sub = self.field.MUL, self.field.SUB
         out = [0] * d.k_src
         for flat, (idx, value) in est.items():
             _, _, e = plan.shape.tx[idx]  # emission index, -1 if systematic
@@ -301,6 +307,6 @@ class DecoderState:
                     # dependency still pending; its deadline is earlier
                     self._waiters.setdefault(t2, set()).add(t)
                     return None
-                value = self.field.sub(value, self.field.mul(coeff, dep_val[flat2]))
+                value = sub[value][mul[coeff][dep_val[flat2]]]
             out[flat] = value
         return out

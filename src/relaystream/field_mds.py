@@ -1,8 +1,11 @@
 """Finite fields GF(q) and systematic MDS erasure codes.
 
-Fields are exp/log-table based and support any prime power q up to 2**16.
-Elements are plain ints in [0, q); for extension fields the int is the
-little-endian base-p encoding of the polynomial representation.
+Fields are table driven and support any prime power q up to 256.  Elements
+are plain ints in [0, q); for extension fields the int is the little-endian
+base-p encoding of the polynomial representation.  Each field builds q x q
+``MUL``, ``ADD`` and ``SUB`` tables once, from the polynomial arithmetic, so
+prime, 2^m and odd p^m fields share one code path: a hot loop holds a
+constant c as the row ``MUL[c]`` and indexes it with the symbol.
 
 MDS codes are systematized Reed-Solomon generators built from the Vandermonde
 matrix on evaluation points 0..n-1, so construction is deterministic for a
@@ -38,7 +41,8 @@ class SingularMatrix(ValueError):
     """Linear system has no unique solution."""
 
 
-_MAX_Q = 1 << 16
+_MAX_Q = 1 << 16  # largest size is_prime_power answers for
+_TABLE_MAX_Q = 256  # largest field: q x q tables stay at most 64k entries
 
 
 def _small_primes(limit: int) -> list[int]:
@@ -130,34 +134,29 @@ def _undigits(d: list[int], p: int) -> int:
     return x
 
 
-def _factorize(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class GaloisField:
-    """Arithmetic in GF(q), q = p**m prime power, elements as ints in [0, q)."""
+    """Arithmetic in GF(q), q = p**m <= 256 a prime power, elements as ints
+    in [0, q).
+
+    ``MUL[a][b]``, ``ADD[a][b]`` and ``SUB[a][b]`` are a*b, a+b and a-b;
+    every scalar method reads the same tables.
+    """
 
     def __init__(self, q: int):
         pm = _prime_power(q)
-        if q > _MAX_Q or pm is None:
-            raise NotPrimePower(f"field size {q} is not a supported prime power")
+        if q > _TABLE_MAX_Q or pm is None:
+            raise NotPrimePower(f"field size {q} is not a prime power up to {_TABLE_MAX_Q}")
         self.q = q
         self.p, self.m = pm
         if self.m == 1:
             self._modulus = None
         else:
             self._modulus = self._find_irreducible()
-        self._build_log_tables()
+        els = range(q)
+        self.MUL = [[self._raw_mul(a, b) for b in els] for a in els]
+        self.ADD = [[self._raw_add(a, b) for b in els] for a in els]
+        neg = [self._raw_neg(b) for b in els]
+        self.SUB = [[row[nb] for nb in neg] for row in self.ADD]
 
     # -- construction ------------------------------------------------------
 
@@ -177,42 +176,9 @@ class GaloisField:
         prod = _poly_mod(prod, self._modulus, p)
         return _undigits(prod + [0] * (self.m - len(prod)), p)
 
-    def _build_log_tables(self) -> None:
-        q = self.q
-        factors = _factorize(q - 1)
-        gen = None
-        for cand in range(2, q):
-            if all(self._pow_raw(cand, (q - 1) // f) != 1 for f in factors):
-                gen = cand
-                break
-        if gen is None:  # q == 2
-            gen = 1
-        self.generator = gen
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = self._raw_mul(exp[i - 1], gen)
-        log = [0] * q
-        for i, e in enumerate(exp):
-            log[e] = i
-        self._exp, self._log = exp, log
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
-                out = self._raw_mul(out, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return out
-
-    # -- arithmetic --------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
+    def _raw_add(self, a: int, b: int) -> int:
+        """Digit-wise sum mod p of the base-p encodings."""
         p = self.p
-        if self.m == 1:
-            return (a + b) % p
-        if p == 2:
-            return a ^ b
         out, mult = 0, 1
         while a or b:
             out += ((a + b) % p) * mult
@@ -221,12 +187,9 @@ class GaloisField:
             mult *= p
         return out
 
-    def neg(self, a: int) -> int:
+    def _raw_neg(self, a: int) -> int:
+        """Digit-wise negation mod p of the base-p encoding."""
         p = self.p
-        if self.m == 1:
-            return (-a) % p
-        if p == 2:
-            return a
         out, mult = 0, 1
         while a:
             out += ((p - a % p) % p) * mult
@@ -234,26 +197,34 @@ class GaloisField:
             mult *= p
         return out
 
+    # -- arithmetic --------------------------------------------------------
+
+    def add(self, a: int, b: int) -> int:
+        return self.ADD[a][b]
+
+    def neg(self, a: int) -> int:
+        return self.SUB[0][a]
+
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.SUB[a][b]
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self.MUL[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(q)")
-        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        return self.MUL[a].index(1)
 
     def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        return self.MUL[a][self.inv(b)]
 
     def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0 if e else 1
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
+        """a**e for e >= 0 (0**0 == 1)."""
+        out = 1
+        for _ in range(e):
+            out = self.MUL[out][a]
+        return out
 
     def __repr__(self) -> str:
         return f"GaloisField(q={self.q})"
@@ -317,36 +288,37 @@ class MdsCode:
             raise DimensionMismatch(f"need 1 <= k <= n, got (n={n}, k={k})")
         self.field, self.n, self.k = field, n, k
         vand = [[field.pow(x, i) for x in range(n)] for i in range(k)]
-        a_inv = invert_matrix(field, [row[:k] for row in vand])
+        a_inv = self._inverse_rows([row[:k] for row in vand])
         self.gen = [
             [self._dot(a_inv[i], [vand[r][j] for r in range(k)]) for j in range(n)]
             for i in range(k)
         ]
         self.parity = [row[k:] for row in self.gen]
-        # inverse of the k x k system per tuple of decoding positions: at
-        # most C(n, k) entries per code
-        self._inverses: dict[tuple[int, ...], list[list[int]]] = {}
+        # parity_mul[j][i] is the MUL row of parity[i][j]: parity symbol j of
+        # a message is the sum of parity_mul[j][i][message[i]]
+        self.parity_mul = [[field.MUL[row[j]] for row in self.parity] for j in range(n - k)]
+        # inverse of the k x k system per tuple of decoding positions, as MUL
+        # rows: at most C(n, k) entries per code
+        self._inverses: dict[tuple[int, ...], list[list[list[int]]]] = {}
 
-    def _dot(self, a: list[int], b: list[int]) -> int:
-        f = self.field
+    def _inverse_rows(self, rows: list[list[int]]) -> list[list[list[int]]]:
+        """Inverse of a square matrix, each entry held as its MUL row."""
+        mul = self.field.MUL
+        return [[mul[c] for c in row] for row in invert_matrix(self.field, rows)]
+
+    def _dot(self, rows: list[list[int]], vec: list[int]) -> int:
+        """Sum of rows[i][vec[i]]: a dot product with the left factor held
+        as MUL rows."""
+        add = self.field.ADD
         out = 0
-        for x, y in zip(a, b):
-            if x and y:
-                out = f.add(out, f.mul(x, y))
+        for row, x in zip(rows, vec):
+            out = add[out][row[x]]
         return out
 
     def encode(self, message: list[int]) -> list[int]:
         if len(message) != self.k:
             raise DimensionMismatch(f"message length {len(message)} != k={self.k}")
-        f = self.field
-        tail = []
-        for j in range(self.n - self.k):
-            acc = 0
-            for i, m in enumerate(message):
-                if m:
-                    acc = f.add(acc, f.mul(m, self.parity[i][j]))
-            tail.append(acc)
-        return list(message) + tail
+        return list(message) + [self._dot(col, message) for col in self.parity_mul]
 
     def erasure_decode(self, received: list[tuple[int, int]]) -> list[int]:
         """Recover the message from >= k (position, symbol) pairs."""
@@ -364,10 +336,9 @@ class MdsCode:
         inverse = self._inverses.get(base)
         if inverse is None:
             system = [[self.gen[i][j] for i in range(self.k)] for j in base]
-            inverse = invert_matrix(self.field, system)
-            self._inverses[base] = inverse
+            inverse = self._inverses[base] = self._inverse_rows(system)
         y = [seen[j] for j in base]
-        message = [self._dot(row, y) for row in inverse]
+        message = [self._dot(rows, y) for rows in inverse]
         # verify surplus symbols really lie on the decoded codeword
         if len(positions) > self.k:
             word = self.encode(message)

@@ -223,7 +223,7 @@ def _plan_shape(p: SchemeParams, bits: tuple[bool, ...], shared: dict) -> _PlanS
 class MessagePlan:
     """Message t's relay treatment: a memoized shape placed at slot t.
 
-    ``alpha`` and ``n_tx`` read the shape; ``schedule``, ``emissions``,
+    ``erased`` and ``n_tx`` read the shape; ``schedule``, ``emissions``,
     ``tx`` and ``codewords`` are built on first use.  Only interference
     reads bits before t, through the plan's lookup: that may since have
     learned bits it masked as erased, but no slot up to the last emission
@@ -232,7 +232,7 @@ class MessagePlan:
 
     def __init__(self, p: SchemeParams, t: int, shape: _PlanShape, erased_fn):
         self.params, self.t, self.shape = p, t, shape
-        self.erased, self.alpha = shape.schedule.erased, shape.schedule.alpha
+        self.erased = shape.schedule.erased
         self.n_tx = len(shape.tx)
         self._erased_fn = erased_fn
 

@@ -129,13 +129,14 @@ def run_episode(
         if header_mode
         else DecoderState(p, e1_erased=erased1)
     )
-    history: list[list[int]] = []
+    rows = msgs.tolist()
+    history: list[list[int]] = []  # rows[: s + 1], the messages sent so far
     payloads = []
     outcomes: dict[int, object] = {}
     decode_slots: dict[int, int] = {}
     violations: list[tuple] = []
     for s in range(horizon):
-        history.append([int(x) for x in msgs[s]])
+        history.append(rows[s])
         relay.ingest_source(s, None if bits1[s] else encode_source(p, history))
         rp = relay.emit(s)
         payloads.append(rp.payload_symbols)
@@ -157,7 +158,7 @@ def run_episode(
         got = outcomes.get(t)
         if got is FAILED or got is None:
             failed.append(t)
-        elif got != history[t]:
+        elif got != rows[t]:
             violations.append(("wrong-value", t))
         elif decode_slots[t] > t + p.T:
             violations.append(("late", t, decode_slots[t]))

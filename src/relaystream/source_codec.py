@@ -82,20 +82,21 @@ def encode_source(p: SchemeParams, history: list[list[int]]) -> SourcePacket:
                 f"message {i} has {len(history[i])} symbols, expected {d.k_src}"
             )
 
-    def sym(time: int, layer: int, pos: int) -> int:
-        if time < 0:
-            return 0
-        return history[time][layer * d.k_prime + pos]
-
+    # per parity row m, (pos, MUL row of its coefficient, message) along the
+    # diagonal; messages before time 0 are zero and drop out
+    k = d.k_prime
+    diags = [
+        [(pos, col[pos], history[t - k - m + pos]) for pos in range(k) if t - k - m + pos >= 0]
+        for m, col in zip(range(p.N1), code.parity_mul)
+    ]
+    add = field.ADD
     rows = []
-    for c in range(d.l_prime):
-        row = [sym(t, c, pos) for pos in range(d.k_prime)]
-        for m in range(p.N1):
+    for lo in range(0, d.k_src, k):
+        row = list(history[t][lo : lo + k])
+        for diag in diags:
             acc = 0
-            for pos in range(d.k_prime):
-                v = sym(t - d.k_prime - m + pos, c, pos)
-                if v:
-                    acc = field.add(acc, field.mul(code.parity[pos][m], v))
+            for pos, mul, msg in diag:
+                acc = add[acc][mul[msg[lo + pos]]]
             row.append(acc)
         rows.append(tuple(row))
     return SourcePacket(t, tuple(rows))
@@ -244,13 +245,14 @@ def emission_coefficients(
     system = [[P[pos][m] for m in em.parity_rows] for pos in cols]
     rhs = [1] + [0] * len(em.late)
     lam = solve_linear(field, system, rhs)
+    mul, add = field.MUL, field.ADD
     mu: dict[int, int] = {}
     for pos in range(code.k):
         if pos in cols:
             continue
         acc = 0
         for l_coef, m in zip(lam, em.parity_rows):
-            acc = field.add(acc, field.mul(l_coef, P[pos][m]))
+            acc = add[acc][mul[l_coef][P[pos][m]]]
         if acc:
             mu[pos] = acc
     got = _COEFFICIENTS[key] = (tuple(lam), mu)
@@ -309,16 +311,23 @@ class EstimateLedger:
         d, field = self.dims, self.field
         lam, mu = emission_coefficients(field, self.code, em)
         kept = {q for _, q in em.interference}
-        u = em.t - em.pos
+        u, k = em.t - em.pos, d.k_prime
+        mul, add, sub = field.MUL, field.ADD, field.SUB
+        # (MUL row of lambda, packet rows, column) per parity row combined,
+        # and (MUL row of mu, position) per known term to subtract; a term
+        # before time 0 is an implicit zero
+        parities = [
+            (mul[l_coef], self.packets[u + k + m].rows, k + m)
+            for l_coef, m in zip(lam, em.parity_rows)
+        ]
+        known = [(mul[coeff], q) for q, coeff in mu.items() if u + q >= 0 and q not in kept]
         out = []
         for c in range(d.l_prime):
             value = 0
-            for l_coef, m in zip(lam, em.parity_rows):
-                pval = self.packets[u + d.k_prime + m].rows[c][d.k_prime + m]
-                value = field.add(value, field.mul(l_coef, pval))
-            for q, coeff in mu.items():
-                if u + q >= 0 and q not in kept:  # before time 0: an implicit zero
-                    value = field.sub(value, field.mul(coeff, self._known_symbol(u + q, c, q)))
+            for row, rows, col in parities:
+                value = add[value][row[rows[c][col]]]
+            for row, q in known:
+                value = sub[value][row[self._known_symbol(u + q, c, q)]]
             out.append(value)
         return tuple(out)
 

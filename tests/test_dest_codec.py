@@ -138,6 +138,28 @@ def test_malformed_packet_lengths():
         dest.ingest(horizon - 1, wire + [0])  # trailing symbols
 
 
+def test_payload_symbol_outside_the_field_is_malformed():
+    """Symbols index the field tables, so a payload symbol outside [0, q)
+    makes its slot malformed before any symbol of it is filed."""
+    p = P523
+    horizon = 8
+    messages = episode_messages(p, horizon, seed=43)
+    q = make_codes(p)[0].q
+    relay = RelayState(p)
+    dest = DecoderState(p, e1_erased=lambda s: False)
+    for s in range(horizon):
+        relay.ingest_source(s, encode_source(p, messages[: s + 1]))
+        wire = relay.emit(s).wire_symbols()
+        filed = {t: (dict(st.got_tx), dict(st.got_par)) for t, st in dest.msgs.items()}
+        for bad in (q, -1):
+            with pytest.raises(MalformedPacket):
+                dest.ingest(s, wire[:-1] + [bad])
+            assert {t: (st.got_tx, st.got_par) for t, st in dest.msgs.items()} == filed
+        dest.ingest(s, wire)
+    for t in range(horizon - p.T):
+        assert dest.try_decode(t) == messages[t]
+
+
 def test_corrupted_header_is_one_malformed_slot():
     """A header symbol outside the field makes its own slot malformed and
     nothing else: the slot writes no pattern bit, the clean packets after it

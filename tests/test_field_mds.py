@@ -75,6 +75,38 @@ def test_field_axioms(q):
         f.inv(0)
 
 
+@pytest.mark.parametrize("q", SMALL_FIELDS + [25, 27, 32, 49, 64])
+def test_tables_match_the_raw_arithmetic(q):
+    """Every MUL/ADD/SUB entry against the polynomial product and against
+    digit-wise addition and subtraction mod p of the base-p encodings."""
+    f = make_field(q)
+    p, m = f.p, f.m
+
+    def digits(x):
+        return [(x // p**i) % p for i in range(m)]
+
+    for a in range(q):
+        for b in range(q):
+            assert f.MUL[a][b] == f._raw_mul(a, b), (a, b)
+            assert f.ADD[a][b] == f._raw_add(a, b), (a, b)
+            assert f.SUB[a][b] == f._raw_add(a, f._raw_neg(b)), (a, b)
+            da, db = digits(a), digits(b)
+            assert digits(f.ADD[a][b]) == [(x + y) % p for x, y in zip(da, db)], (a, b)
+            assert digits(f.SUB[a][b]) == [(x - y) % p for x, y in zip(da, db)], (a, b)
+
+
+def test_fields_stop_at_the_table_cap():
+    """GF(256) builds its tables (spot-checked); larger fields are refused."""
+    f = make_field(256)
+    for a, b in [(1, 255), (2, 128), (255, 255), (17, 200), (254, 3)]:
+        assert f.MUL[a][b] == f._raw_mul(a, b)
+        assert f.ADD[a][b] == a ^ b == f.SUB[a][b]
+    for q in (257, 343, 65521):
+        assert is_prime_power(q)
+        with pytest.raises(NotPrimePower):
+            make_field(q)
+
+
 def test_gf7_known_values():
     f = make_field(7)
     assert f.mul(3, 5) == 1  # 15 mod 7

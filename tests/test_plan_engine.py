@@ -150,11 +150,12 @@ def layout_from_plans(p, view, s):
     rides = []
     for t in range(max(0, s - p.T), s - p.j + 1):
         plan, i = build_message_plan(p, view, t), s - t
-        if plan.alpha[i]:
+        alpha = plan.shape.schedule.alpha
+        if alpha[i]:
             if i <= p.T - p.N2:
-                rides.append((t, plan.shape, sum(plan.alpha[:i]), plan.alpha[i], None))
+                rides.append((t, plan.shape, sum(alpha[:i]), alpha[i], None))
             else:
-                rides.append((t, plan.shape, 0, plan.alpha[i], i - (p.T - p.N2 + 1)))
+                rides.append((t, plan.shape, 0, alpha[i], i - (p.T - p.N2 + 1)))
     return rides
 
 
@@ -206,7 +207,7 @@ def drive(p, bits1, header_mode, seed):
             i = s - t
             got_tx, got_par = sent.setdefault(t, ({}, {}))
             if i <= p.T - p.N2:
-                alpha = build_message_plan(p, oracle_view(bits1), t).alpha
+                alpha = build_message_plan(p, oracle_view(bits1), t).shape.schedule.alpha
                 got_tx[sum(alpha[:i])] = list(syms)
             else:
                 got_par[i - (p.T - p.N2 + 1)] = list(syms)

@@ -6,6 +6,9 @@ pins in ``test_regression_pins.py`` only see decode outcomes; these see the
 exact symbols, their order in each subpacket, the parities and the header.
 The first hops are i.i.d. and include estimates that carry interference, so
 the relay's estimate values and their queue order are both on the wire.
+(12,3,4,1) and (7,3,1,1) run over the prime fields GF(13) and GF(7); (7,2,3,0)
+and (8,2,3,0) run over GF(8) and GF(9), so characteristic-2 and odd
+extension-field arithmetic is pinned too.
 
 Regenerate (only when the wire format is meant to change) with
 ``PYTHONPATH=src:tests python3 tests/test_wire_pins.py``.
@@ -31,6 +34,8 @@ def wire_cases():
     for p, horizon, rate, tag in (
         (SchemeParams(12, 3, 4, 1), 96, 0.15, "1234"),
         (SchemeParams(7, 3, 1, 1), 64, 0.25, "731"),
+        (SchemeParams(7, 2, 3, 0), 64, 0.2, "gf8"),
+        (SchemeParams(8, 2, 3, 0), 64, 0.2, "gf9"),
     ):
         for seed in range(2):
             rng = np.random.default_rng([seed, 0x517E])
@@ -74,7 +79,7 @@ def test_relay_wire_output_is_pinned(name):
     assert wire_digests(p, bits, seed, header_mode) == pins[name]
 
 
-@pytest.mark.parametrize("tag", ["1234", "731"])
+@pytest.mark.parametrize("tag", ["1234", "731", "gf8", "gf9"])
 def test_wire_pins_cover_interference(tag):
     """Every pinned parameter set sends estimates that carry interference."""
     for name, (p, bits, _, _) in wire_cases().items():
