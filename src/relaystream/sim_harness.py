@@ -26,7 +26,12 @@ full codec is infeasible beyond toy sizes (the pair count grows like 4^T), so
 
 Loss estimation runs in two modes sharing identical pattern streams per
 seed: `analytic` classifies each message by the closed-form loss conditions
-(vectorized, no codec), `codec` runs the real pipeline.
+(vectorized, no codec), `codec` runs the real pipeline.  The analytic mode
+holds each hop's erasures of a chunk as one prefix sum, zero-padded before
+slot 0 and held flat after the last slot, so the erasure count of a window
+at every message is one subtraction of two slices of it; slots outside the
+chunk count as clean.  `tests/analytic_reference.py` is the per-message loop
+it must match exactly.
 """
 
 from __future__ import annotations
@@ -488,29 +493,47 @@ class LossEstimate:
 
 
 def _analytic_losses(p: SchemeParams, e1: np.ndarray, e2: np.ndarray, n_assess: int):
-    """(adaptive_lost, nonadaptive_lost) boolean arrays over messages [0, n_assess)."""
+    """(adaptive_lost, nonadaptive_lost) boolean arrays over messages [0, n_assess).
+
+    ``e1``/``e2`` are the per-slot erasure bits of the two hops over slots
+    [0, n), bool or integer; slots outside [0, n) count as clean.  Each hop
+    is held as one prefix sum ``c`` with ``pad = k'-1`` zeros before slot 0
+    (the diagonals reach back to t-(k'-1)) and held flat for T slots after
+    the last one (every window ends by t+T), so ``c[pad + s]`` is the number
+    of erasures before slot s for every s in [-pad, n+T].  The erasures in
+    [t+a, t+b] for every message t < n_assess are then one subtraction of
+    two slices, ``c[pad+b+1 : pad+b+1+n_assess] - c[pad+a : pad+a+n_assess]``:
+    no clipping and no gather, since the padding gives what clipping to
+    [0, n) would.
+    """
     d = derive_dims(p)
     T, N1, N2, j = p.T, p.N1, p.N2, p.j
     n = len(e1)
-    c1 = np.concatenate([[0], np.cumsum(e1, dtype=np.int64)])
-    c2 = np.concatenate([[0], np.cumsum(e2, dtype=np.int64)])
+    pad = d.k_prime - 1
+
+    def prefix(e):
+        c = np.zeros(pad + 1 + n + T, dtype=np.int64)
+        np.cumsum(e, dtype=np.int64, out=c[pad + 1:pad + 1 + n])
+        c[pad + 1 + n:] = c[pad + n]
+        return c
+
+    c1, c2 = prefix(e1), prefix(e2)
 
     def count(c, a, b):
-        """Erasures in the inclusive slot range [a, b]; outside slots are 0."""
-        return c[np.clip(b + 1, 0, n)] - c[np.clip(a, 0, n)]
+        """Erasures in [t+a, t+b] for every t < n_assess."""
+        return c[pad + b + 1:pad + b + 1 + n_assess] - c[pad + a:pad + a + n_assess]
 
-    t_idx = np.arange(n_assess)
     # first-hop recoverability: every diagonal window through the message
-    # keeps enough nonerased slots
-    diag_bad = np.zeros(n_assess, dtype=bool)
-    for pos in range(d.k_prime):
-        diag_bad |= count(c1, t_idx - pos, t_idx - pos + d.n_prime - 1) > N1
-    erased_msg = e1[:n_assess].astype(bool)
+    # keeps enough nonerased slots.  Window u covers [u, u+n'-1]; bad[i]
+    # tests u = i-pad, and message t reads u = t-pos for pos < k'
+    bad = c1[d.n_prime:d.n_prime + n_assess + pad] - c1[:n_assess + pad] > N1
+    diag_bad = bad[pad:pad + n_assess].copy()
+    for pos in range(1, d.k_prime):
+        diag_bad |= bad[pad - pos:pad - pos + n_assess]
 
-    count_by_j = count(c1, t_idx, t_idx + j)  # erasures in [t, t+j]
-    high_rate = (~erased_msg) | (count_by_j <= j)
-    lost_high = count(c2, t_idx + j, t_idx + T) > N2
-    lost_fallback = count(c2, t_idx + N1, t_idx + T) > N2
+    high_rate = np.logical_not(e1[:n_assess]) | (count(c1, 0, j) <= j)  # [t, t+j]
+    lost_high = count(c2, j, T) > N2
+    lost_fallback = count(c2, N1, T) > N2
     adaptive_lost = diag_bad | np.where(high_rate, lost_high, lost_fallback)
     nonadaptive_lost = diag_bad | lost_fallback
     return adaptive_lost, nonadaptive_lost
@@ -532,8 +555,8 @@ def _chunk_losses(p: SchemeParams, config: ChannelConfig, mode: str, scheme: str
                   chunk: int, n_assess: int) -> tuple[int, int]:
     """(adaptive, nonadaptive) loss counts for one seeded pattern chunk."""
     rng = np.random.default_rng([config.seed, chunk])
-    e1 = (rng.random(config.horizon) < config.alpha).astype(np.int64)
-    e2 = (rng.random(config.horizon) < config.beta).astype(np.int64)
+    e1 = rng.random(config.horizon) < config.alpha
+    e2 = rng.random(config.horizon) < config.beta
     a = na = 0
     if mode == "analytic" or scheme in ("nonadaptive", "both"):
         a_lost, na_lost = _analytic_losses(p, e1, e2, n_assess)
@@ -541,8 +564,9 @@ def _chunk_losses(p: SchemeParams, config: ChannelConfig, mode: str, scheme: str
         if mode == "analytic":
             a = int(a_lost.sum())
     if mode == "codec" and scheme in ("adaptive", "both"):
-        lost = _codec_losses(p, e1.tolist(), e2.tolist(), config.horizon,
-                             config.seed + chunk, n_assess)
+        # the codec reads the bits as lists of 0/1 ints
+        lost = _codec_losses(p, e1.astype(int).tolist(), e2.astype(int).tolist(),
+                             config.horizon, config.seed + chunk, n_assess)
         a = int(lost.sum())
     return a, na
 

@@ -1,0 +1,52 @@
+"""Byte pins for the seeded loss CSVs.
+
+``data/figure_pins.json`` holds the SHA-256 of the figure-4/5 datasets and
+of one CLI ``simulate`` CSV in analytic mode.  The determinism tests only
+compare two runs of the same code; these pins compare against the bytes
+recorded before the analytic model counted its windows on padded prefix
+sums, so a change that moves a single loss count in a seeded CSV fails here.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from relaystream.cli import main
+from relaystream.sim_harness import emit_figure_data
+
+PINS = json.loads((Path(__file__).parent / "data" / "figure_pins.json").read_text())
+
+FIGURE_CASES = {
+    "figure-4-defaults": (4, {}),
+    "figure-5-defaults": (5, {}),
+    "figure-4-trials2000-seed3-horizon128": (4, {"trials": 2000, "seed": 3, "horizon": 128}),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_every_pin_has_a_case():
+    assert set(PINS) == set(FIGURE_CASES) | {"cli-simulate-12341-analytic"}
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_CASES))
+def test_figure_csv_is_pinned(name, tmp_path):
+    figure, kw = FIGURE_CASES[name]
+    path = tmp_path / f"{name}.csv"
+    emit_figure_data(figure, str(path), **kw)
+    assert _sha256(path) == PINS[name]
+
+
+def test_cli_simulate_csv_is_pinned(tmp_path, monkeypatch, capsys):
+    # the CLI's default seed comes from the environment
+    monkeypatch.delenv("RELAYSTREAM_SEED", raising=False)
+    path = tmp_path / "loss.csv"
+    argv = ("simulate --T 12 --N1 3 --N2 4 --j 1 --alpha 0.05 --beta 0.05 "
+            "--trials 100000 --mode analytic --out").split() + [str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _sha256(path) == PINS["cli-simulate-12341-analytic"]

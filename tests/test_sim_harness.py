@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import relaystream.relay_codec as relay_codec
+from analytic_reference import analytic_losses_reference
 from relaystream.erasure_channel import ChannelConfig, HorizonTooLarge
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import (
+    _analytic_losses,
     all_valid_params,
     attainable_payload,
     emit_figure_data,
@@ -172,6 +174,31 @@ def test_loss_probability_deterministic_and_worker_invariant():
     assert a["adaptive"].trials == 20_000
     assert a["adaptive"].losses >= 0
     assert 0.0 <= a["adaptive"].probability <= 1.0
+
+
+def test_analytic_losses_match_the_per_message_reference():
+    """The vectorized analytic model classifies every message exactly as the
+    per-message loop does, windows clipped to the pattern, at every message
+    count a chunk can assess and on both bit dtypes it may be given."""
+    cases = 0
+    for p in all_valid_params(8):
+        for h in sorted({p.T + 1, 3 * (p.T + 1), 64, 512}):
+            for k, eps in enumerate((0.05, 0.3, 0.7)):
+                rng = np.random.default_rng([p.T, p.N1, p.N2, p.j, h, k])
+                e1 = rng.random(h) < eps
+                e2 = rng.random(h) < eps
+                if (h + k) % 2:
+                    e1, e2 = e1.astype(np.int64), e2.astype(np.int64)
+                # the reference classifies each message on its own, so one
+                # pass over all h messages serves every n_assess
+                want = analytic_losses_reference(p, e1, e2, h)
+                for n_assess in sorted({1, h - p.T, h}):
+                    got = _analytic_losses(p, e1, e2, n_assess)
+                    for g, w in zip(got, want):
+                        assert g.shape == (n_assess,), (p, h, eps, n_assess)
+                        assert np.array_equal(g, w[:n_assess]), (p, h, eps, n_assess)
+                    cases += 1
+    assert cases == 330 * 3 * (2 + 3 + 3 + 3)
 
 
 def test_loss_probability_modes_agree_roughly():
