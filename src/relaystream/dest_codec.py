@@ -89,6 +89,7 @@ class DecoderState:
         self.field, self.first_code = _codes_cached(p)
         self.header_mode = header_mode
         self._known_bits: dict[int, int] = {}
+        self._known_below = 0  # first slot no header has covered yet
         # first-hop lookup; it closes over the pattern, not the decoder, so
         # the plans the decoder keeps hold no reference back to it
         if header_mode:
@@ -110,9 +111,11 @@ class DecoderState:
         """All pattern bits a full plan for message t can depend on are known."""
         if not self.header_mode:
             return True
-        k = self.dims.k_prime
-        lo = max(0, t - 2 * (k - 1))
         hi = t + self.params.T - self.params.N2
+        if hi < self._known_below:
+            return True
+        # past a gap (a hop-2 burst longer than T+1 lost every header of it)
+        lo = max(0, t - 2 * (self.dims.k_prime - 1))
         return all(s in self._known_bits for s in range(lo, hi + 1))
 
     def plan(self, t: int) -> MessagePlan | None:
@@ -142,7 +145,7 @@ class DecoderState:
         only from as many symbols as it has tx items, so fewer symbols than
         ``len(plan.tx)`` can never decode.
         """
-        plan = self.plan(t)
+        plan = st.plan if st.plan is not None else self.plan(t)
         if plan is None:
             self._planless.add(t)
         elif st.received >= plan.n_tx:
@@ -184,10 +187,13 @@ class DecoderState:
                 bits = decode_header(p, symbols[:delta])
             except ValueError as exc:
                 raise MalformedPacket(f"slot {slot}: {exc}") from None
+            known = self._known_bits
             for off, b in enumerate(bits):
                 s = slot - p.T + off
                 if s >= 0:
-                    self._known_bits[s] = b
+                    known[s] = b
+            while self._known_below in known:
+                self._known_below += 1
             symbols = symbols[delta:]
             for t in [t for t in self._planless if self._plan_ready(t)]:
                 self._planless.discard(t)

@@ -37,8 +37,11 @@ offsets from t and memoized per parameter set on those bits, at most
 before t and is resolved per message.  One rule, ``slot_layout(p, bits,
 s)``, says what rides relay slot s from the T+1 header bits of [s-T, s]:
 the relay emits, the destination slices and the verifier bounds the payload
-by it.  The plan is the relay's only queue: an estimate's values are worked
-out by the ledger when the relay first sends it.
+by it.  Its rides are memoized too, in slot offsets on those T+1 bits and in
+the same per-parameter-set entry as the shapes, at most 2^(T+1) layouts: a
+slot costs one lookup on each side.  The plan is the relay's only queue: an
+estimate's values are worked out by the ledger when the relay first sends
+it.
 """
 
 from __future__ import annotations
@@ -56,10 +59,6 @@ from .source_codec import (
     emission_interference,
     emission_schedule,
 )
-
-
-class InadmissiblePattern(ValueError):
-    """Erasure prefix violates the first-hop window bound."""
 
 
 class ScheduleOverrun(ValueError):
@@ -122,25 +121,6 @@ def _schedule_core(p: SchemeParams, erased_msg: bool, erased_after, avail) -> Sc
     return Schedule(0, erased_msg, grouped, tuple(alpha), tuple(ell), tuple(gamma))
 
 
-def compute_schedule(p: SchemeParams, t: int, erased: bool, prefix) -> Schedule:
-    """Contract-level schedule from the erasure prefix over (t, t+T-N2].
-
-    prefix[i-1] is the erasure bit of slot t+i.  Raises InadmissiblePattern
-    if the visible window [t, t+T-N2] already exceeds N1 erasures.
-    """
-    bits = [int(b) for b in prefix]
-    if len(bits) != p.T - p.N2:
-        raise InadmissiblePattern(
-            f"prefix must cover (t, t+T-N2]: expected {p.T - p.N2} bits, got {len(bits)}"
-        )
-    if int(erased) + sum(bits) > p.N1:
-        raise InadmissiblePattern(
-            f"{int(erased) + sum(bits)} erasures in a {p.T - p.N2 + 1}-slot window exceed N1={p.N1}"
-        )
-    window = [bool(erased)] + [bool(b) for b in bits]
-    return build_message_plan(p, lambda s: 0 <= s - t < len(window) and window[s - t], t).schedule
-
-
 # ---------------------------------------------------------------------------
 # per-message transmission plan (structure only; values are filled by the
 # relay, and the destination rebuilds the same structure symbolically)
@@ -174,6 +154,13 @@ class _PlanShape:
     emissions: tuple[PosEmission, ...]  # at t = 0, without interference
     tx: tuple[tuple[int, int, int], ...]  # flat, offset, emission index (-1: systematic)
     codewords: tuple[tuple[int, int, tuple[int, ...]], ...]  # n, k, sys_items
+
+    def __hash__(self) -> int:  # interning slot rides hashes a shape often
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.schedule, self.emissions, self.tx, self.codewords))
 
 
 def _plan_shape(p: SchemeParams, bits: tuple[bool, ...], shared: dict) -> _PlanShape:
@@ -267,24 +254,27 @@ class MessagePlan:
         )
 
 
-# SchemeParams -> (rule, {window bits: _PlanShape}, shared tuples).  A memo
-# is bounded by 2^(T-N2+1) shapes and filled on first use.  It is valid only
-# for the rule that filled it: swapping _schedule_core at run time starts a
-# fresh memo.
-_PLAN_MEMO: dict[SchemeParams, tuple[object, dict, dict]] = {}
+# SchemeParams -> (rule, {window bits: _PlanShape}, {T+1 bits: rides},
+# shared tuples).  Shapes are bounded by 2^(T-N2+1) and slot layouts by
+# 2^(T+1), both filled on first use.  An entry is valid only for the rule
+# that filled it: swapping _schedule_core at run time starts a fresh one.
+_PLAN_MEMO: dict[SchemeParams, tuple[object, dict, dict, dict]] = {}
 
 
-def _memo_shapes(p: SchemeParams, keys):
-    """Yield the memoized shape of each key, the bits of a window [t, t+T-N2]."""
+def _memo_entry(p: SchemeParams) -> tuple[object, dict, dict, dict]:
     entry = _PLAN_MEMO.get(p)
     if entry is None or entry[0] is not _schedule_core:
-        entry = _PLAN_MEMO[p] = (_schedule_core, {}, {})
-    _, shapes, shared = entry
-    for key in keys:
-        shape = shapes.get(key)
-        if shape is None:
-            shape = shapes[key] = _plan_shape(p, key, shared)
-        yield shape
+        entry = _PLAN_MEMO[p] = (_schedule_core, {}, {}, {})
+    return entry
+
+
+def _memo_shape(p: SchemeParams, key: tuple[bool, ...]) -> _PlanShape:
+    """The memoized shape of ``key``, the bits of a window [t, t+T-N2]."""
+    _, shapes, _, shared = _memo_entry(p)
+    shape = shapes.get(key)
+    if shape is None:
+        shape = shapes[key] = _plan_shape(p, key, shared)
+    return shape
 
 
 def build_message_plan(p: SchemeParams, erased_fn, t: int) -> MessagePlan:
@@ -295,7 +285,26 @@ def build_message_plan(p: SchemeParams, erased_fn, t: int) -> MessagePlan:
     interference, when the plan's emissions are first asked for.
     """
     key = tuple(map(bool, map(erased_fn, range(t, t + p.T - p.N2 + 1))))
-    return MessagePlan(p, t, next(_memo_shapes(p, [key])), erased_fn)
+    return MessagePlan(p, t, _memo_shape(p, key), erased_fn)
+
+
+def _slot_rides(p: SchemeParams, window: tuple[bool, ...], shared: dict) -> tuple:
+    """The rides of the slot whose T+1 bits are ``window``, in offsets: the
+    message at window[lo] rides at offset i = T-lo.  Slots after the window
+    read as erased.  Each ride is stored once through ``shared``."""
+    width = p.T - p.N2 + 1  # message-phase offsets 0 .. T-N2
+    padded = window + (True,) * (width - 1)
+    rides = []
+    for lo in range(p.T - p.j + 1):
+        shape = _memo_shape(p, padded[lo : lo + width])
+        i, alpha = p.T - lo, shape.schedule.alpha
+        if alpha[i]:
+            if i < width:
+                ride = (i, shape, sum(alpha[:i]), alpha[i], None)
+            else:
+                ride = (i, shape, 0, alpha[i], i - width)
+            rides.append(shared.setdefault(ride, ride))
+    return tuple(rides)
 
 
 def slot_layout(p: SchemeParams, bits, s: int) -> list[tuple]:
@@ -307,22 +316,19 @@ def slot_layout(p: SchemeParams, bits, s: int) -> list[tuple]:
     s-t.  Each message t with a nonzero subpacket gives ``(t, shape, start,
     size, parity_row)``: queue items start .. start+size-1 with parity_row
     None, or one symbol per codeword of parity row parity_row with start 0.
+
+    The rides are memoized in slot offsets on the T+1 bits, next to the
+    shapes of the same parameter set (at most 2^(T+1) layouts); a call
+    places them at s and drops the messages before slot 0.
     """
     if len(bits) != p.T + 1:
         raise ValueError(f"slot layout reads T+1 = {p.T + 1} bits, got {len(bits)}")
-    width = p.T - p.N2 + 1  # message-phase offsets 0 .. T-N2
-    window = tuple(map(bool, bits)) + (True,) * (width - 1)
-    first = max(0, s - p.T)
-    keys = [window[lo : lo + width] for lo in range(first - s + p.T, p.T - p.j + 1)]
-    rides = []
-    for t, shape in enumerate(_memo_shapes(p, keys), first):
-        i, alpha = s - t, shape.schedule.alpha
-        if alpha[i]:
-            if i < width:
-                rides.append((t, shape, sum(alpha[:i]), alpha[i], None))
-            else:
-                rides.append((t, shape, 0, alpha[i], i - width))
-    return rides
+    _, _, layouts, shared = _memo_entry(p)
+    key = tuple(map(bool, bits))
+    rides = layouts.get(key)
+    if rides is None:
+        rides = layouts[key] = _slot_rides(p, key, shared)
+    return [(s - i, shape, start, size, row) for i, shape, start, size, row in rides if i <= s]
 
 
 @cache
@@ -440,7 +446,9 @@ class RelayState:
         """Relay packet for this slot; first-hop slots <= slot must have been
         ingested already."""
         p, erased = self.params, self.ledger.erased
-        bits = [int(erased(s)) for s in range(slot - p.T, slot + 1)]
+        # first-hop bits of [slot-T, slot], clean before slot 0
+        lo, seen = slot - p.T, self.ledger.erased_bits
+        bits = seen[lo : slot + 1] if lo >= 0 else [False] * -lo + seen[: slot + 1]
         subpackets = []
         for t, shape, start, size, row in slot_layout(p, bits, slot):
             if row is None:

@@ -144,9 +144,10 @@ def run_episode(
         history.append(rows[s])
         relay.ingest_source(s, None if bits1[s] else encode_source(p, history))
         rp = relay.emit(s)
-        payloads.append(rp.payload_symbols)
-        if rp.payload_symbols > d.n2_star:
-            violations.append(("payload-bound", s, rp.payload_symbols))
+        payload = rp.payload_symbols
+        payloads.append(payload)
+        if payload > d.n2_star:
+            violations.append(("payload-bound", s, payload))
         dest.ingest(s, None if bits2[s] else rp.wire_symbols())
         # only messages whose decode could have changed since their last try
         for t in dest.due(s):

@@ -1,14 +1,27 @@
 """Reference copy of the unmemoized plan rule, for differential tests.
 
-These are the bodies ``build_message_plan``, ``emission_schedule`` and
-``compute_schedule`` had before plans were memoized: every call rebuilds the
+These are the bodies ``build_message_plan``, ``emission_schedule`` and the
+contract schedule had before plans were memoized: every call rebuilds the
 whole plan from the erasure lookup, in absolute slots, and the contract
-schedule counts availability in closed form.  ``tests/test_plan_engine.py``
-checks the memoized engine against them.  Only the frozen record types and
-``relay_recovery_slot`` come from the library.
+schedule counts availability in closed form (``closed_form_schedule``).
+``slot_layout`` is the per-slot rule as it was before layouts were
+memoized: each call looks up the shape of every riding message and sums its
+subpacket sizes again.
+``tests/test_plan_engine.py`` checks the memoized engine against them.  Only
+the frozen record types, the shape memo and ``relay_recovery_slot`` come
+from the library.
+
+``compute_schedule`` is the contract-level schedule read through the
+library's engine, with the admissibility check; only tests call it.
 """
 
-from relaystream.relay_codec import CodewordSpec, Schedule, TxItem
+from relaystream.relay_codec import (
+    CodewordSpec,
+    Schedule,
+    TxItem,
+    _memo_shape,
+    build_message_plan as engine_plan,
+)
 from relaystream.scheme_params import derive_dims
 from relaystream.source_codec import PosEmission, relay_recovery_slot
 
@@ -141,7 +154,7 @@ def build_message_plan(p, erased_fn, t):
     return t, erased_msg, sched, tuple(tx), tuple(codewords)
 
 
-def compute_schedule(p, t, erased, prefix):
+def closed_form_schedule(p, t, erased, prefix):
     """The contract schedule with the closed-form availability count
     min(k_src, l' * received slots in (t, t+i])."""
     d = derive_dims(p)
@@ -158,3 +171,47 @@ def compute_schedule(p, t, erased, prefix):
 
     alpha, ell, gamma, grouped = schedule_core(p, erased, erased_after, avail)
     return Schedule(t, erased, grouped, alpha, ell, gamma)
+
+
+class InadmissiblePattern(ValueError):
+    """Erasure prefix violates the first-hop window bound."""
+
+
+def compute_schedule(p, t, erased, prefix):
+    """Contract-level schedule from the erasure prefix over (t, t+T-N2].
+
+    prefix[i-1] is the erasure bit of slot t+i.  Raises InadmissiblePattern
+    if the visible window [t, t+T-N2] already exceeds N1 erasures.
+    """
+    bits = [int(b) for b in prefix]
+    if len(bits) != p.T - p.N2:
+        raise InadmissiblePattern(
+            f"prefix must cover (t, t+T-N2]: expected {p.T - p.N2} bits, got {len(bits)}"
+        )
+    if int(erased) + sum(bits) > p.N1:
+        raise InadmissiblePattern(
+            f"{int(erased) + sum(bits)} erasures in a {p.T - p.N2 + 1}-slot window exceed N1={p.N1}"
+        )
+    window = [bool(erased)] + [bool(b) for b in bits]
+    return engine_plan(p, lambda s: 0 <= s - t < len(window) and window[s - t], t).schedule
+
+
+def slot_layout(p, bits, s):
+    """Who rides relay slot s, from the T+1 bits of [s-T, s]: (t, shape,
+    start, size, parity_row), oldest message first."""
+    if len(bits) != p.T + 1:
+        raise ValueError(f"slot layout reads T+1 = {p.T + 1} bits, got {len(bits)}")
+    width = p.T - p.N2 + 1  # message-phase offsets 0 .. T-N2
+    window = tuple(map(bool, bits)) + (True,) * (width - 1)
+    first = max(0, s - p.T)
+    keys = [window[lo : lo + width] for lo in range(first - s + p.T, p.T - p.j + 1)]
+    rides = []
+    for t, key in enumerate(keys, first):
+        shape = _memo_shape(p, key)
+        i, alpha = s - t, shape.schedule.alpha
+        if alpha[i]:
+            if i < width:
+                rides.append((t, shape, sum(alpha[:i]), alpha[i], None))
+            else:
+                rides.append((t, shape, 0, alpha[i], i - width))
+    return rides

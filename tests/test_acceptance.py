@@ -14,10 +14,11 @@ import math
 import time
 from fractions import Fraction
 
+from plan_reference import compute_schedule
 from relaystream.erasure_channel import ChannelConfig
 from relaystream.field_mds import MdsCode, make_field
 from relaystream.mac_region import MacParams, build_region
-from relaystream.relay_codec import build_message_plan, compute_schedule
+from relaystream.relay_codec import build_message_plan
 from relaystream.scheme_params import (
     SchemeParams,
     derive_dims,

@@ -5,7 +5,9 @@ compare the structured decoder against ``oracle_decode``, which solves one
 generic linear system per message and shares no code path with it.
 """
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from relaystream.dest_codec import (
 from relaystream.erasure_channel import enumerate_admissible
 from relaystream.relay_codec import RelayState
 from relaystream.scheme_params import SchemeParams, derive_dims
+from relaystream.sim_harness import run_episode
 from relaystream.source_codec import encode_source, make_codes
 
 P523 = SchemeParams(5, 2, 3, 0)
@@ -189,6 +192,64 @@ def test_corrupted_header_is_one_malformed_slot():
     for t in range(horizon - p.T):
         assert dest.try_decode(t) == erased.try_decode(t) == messages[t], t
 
+
+# the report of gap_episode() as the decoder gave it before the known-prefix
+# watermark: SHA-256 of the sorted-key JSON of decode slots, failures,
+# violations and payloads
+GAP_EPISODE_SHA256 = "a2199832d5841bbb449411c6b71acf62ef6e026fc138776b9a2038c24ca794df"
+
+
+def gap_episode():
+    """(6,2,3,1), header mode, i.i.d. hops and a 9-slot hop-2 burst over
+    slots 24-32: longer than T+1, so no header covers slots 24-26."""
+    p = P623
+    horizon = 72
+    rng = np.random.default_rng([61, 623])
+    bits1 = (rng.random(horizon) < 0.12).astype(int).tolist()
+    bits2 = (rng.random(horizon) < 0.1).astype(int).tolist()
+    for s in range(24, 24 + p.T + 3):
+        bits2[s] = 1
+    return p, bits1, bits2, horizon
+
+
+def test_plan_ready_watermark_matches_the_scan_across_a_header_gap():
+    """At every slot, for every pending message, ``_plan_ready`` equals the
+    plain scan of the bits a plan can read, before the gap (the watermark
+    answers) and after it (the scan answers), and the episode's report is
+    the one the decoder gave before the watermark."""
+    p, bits1, bits2, horizon = gap_episode()
+    k = derive_dims(p).k_prime
+    messages = episode_messages(p, horizon, seed=61)
+    relay = RelayState(p, header_mode=True)
+    dest = DecoderState(p, header_mode=True)
+    by_watermark = ready_past_gap = 0
+    for s in range(horizon):
+        relay.ingest_source(s, None if bits1[s] else encode_source(p, messages[: s + 1]))
+        wire = relay.emit(s).wire_symbols()
+        dest.ingest(s, None if bits2[s] else wire)
+        for t in range(s + 1):
+            if dest._state(t).outcome is not None:
+                continue
+            lo, hi = max(0, t - 2 * (k - 1)), t + p.T - p.N2
+            scan = all(x in dest._known_bits for x in range(lo, hi + 1))
+            assert dest._plan_ready(t) == scan, (s, t)
+            by_watermark += hi < dest._known_below
+            ready_past_gap += scan and hi >= dest._known_below
+        for t in dest.due(s):
+            dest.try_decode(t, now=s)
+    assert dest._known_below == 24  # the gap stops the watermark
+    assert by_watermark and ready_past_gap
+
+    rep = run_episode(p, bits1, bits2, horizon, seed=61, header_mode=True)
+    observed = {
+        "decode_slots": [[t, x] for t, x in rep.decode_slots.items()],
+        "failed": list(rep.failed),
+        "violations": [list(v) for v in rep.violations],
+        "payloads": list(rep.payloads),
+    }
+    assert list(rep.failed) == list(range(21, 30))
+    digest = hashlib.sha256(json.dumps(observed, sort_keys=True).encode()).hexdigest()
+    assert digest == GAP_EPISODE_SHA256
 
 def test_decoder_constructor_guards():
     with pytest.raises(ValueError):

