@@ -229,7 +229,7 @@ def build_parser() -> _Parser:
     pm.add_argument("--mode", choices=("analytic", "codec"), default="analytic")
     pm.add_argument("--scheme", choices=("adaptive", "nonadaptive", "both"), default="both")
     pm.add_argument("--workers", type=int, default=1,
-                    help="parallel chunk workers (result is worker-independent)")
+                    help="parallel workers over blocks of chunks (result is worker-independent)")
     pm.add_argument("--out", default=None, help="CSV path (default: print)")
     pm.set_defaults(fn=cmd_simulate)
 

@@ -30,8 +30,13 @@ seed: `analytic` classifies each message by the closed-form loss conditions
 holds each hop's erasures of a chunk as one prefix sum, zero-padded before
 slot 0 and held flat after the last slot, so the erasure count of a window
 at every message is one subtraction of two slices of it; slots outside the
-chunk count as clean.  `tests/analytic_reference.py` is the per-message loop
-it must match exactly.
+chunk count as clean.  Chunks are drawn and classified in blocks: each
+chunk keeps its own seeded generator, the block's chunks are the rows of
+one array, and one pass over the last axis classifies them all; the tail
+of a partial last chunk is cut off after the pass.  Codec mode draws the
+same blocks and runs one episode per chunk.  `tests/analytic_reference.py`
+holds the per-message loop the formula must match and the per-chunk loop
+the whole estimate must match, both exactly.
 """
 
 from __future__ import annotations
@@ -497,42 +502,46 @@ def _analytic_losses(p: SchemeParams, e1: np.ndarray, e2: np.ndarray, n_assess: 
     """(adaptive_lost, nonadaptive_lost) boolean arrays over messages [0, n_assess).
 
     ``e1``/``e2`` are the per-slot erasure bits of the two hops over slots
-    [0, n), bool or integer; slots outside [0, n) count as clean.  Each hop
-    is held as one prefix sum ``c`` with ``pad = k'-1`` zeros before slot 0
-    (the diagonals reach back to t-(k'-1)) and held flat for T slots after
-    the last one (every window ends by t+T), so ``c[pad + s]`` is the number
-    of erasures before slot s for every s in [-pad, n+T].  The erasures in
-    [t+a, t+b] for every message t < n_assess are then one subtraction of
-    two slices, ``c[pad+b+1 : pad+b+1+n_assess] - c[pad+a : pad+a+n_assess]``:
+    [0, n) on the last axis, bool or integer: one chunk of shape ``(n,)``
+    or a block of chunks of shape ``(chunks, n)``, each row a stream of its
+    own; the results have the same leading shape.  Slots outside [0, n)
+    count as clean.  Each hop is held as one prefix sum ``c`` per row with
+    ``pad = k'-1`` zeros before slot 0 (the diagonals reach back to
+    t-(k'-1)) and held flat for T slots after the last one (every window
+    ends by t+T), so ``c[..., pad + s]`` is the number of erasures before
+    slot s for every s in [-pad, n+T].  The erasures in [t+a, t+b] for
+    every message t < n_assess are then one subtraction of two slices,
+    ``c[..., pad+b+1 : pad+b+1+n_assess] - c[..., pad+a : pad+a+n_assess]``:
     no clipping and no gather, since the padding gives what clipping to
-    [0, n) would.
+    [0, n) would.  A message's result reads only its own windows, so it
+    does not depend on ``n_assess``.
     """
     d = derive_dims(p)
     T, N1, N2, j = p.T, p.N1, p.N2, p.j
-    n = len(e1)
+    *lead, n = e1.shape
     pad = d.k_prime - 1
 
     def prefix(e):
-        c = np.zeros(pad + 1 + n + T, dtype=np.int64)
-        np.cumsum(e, dtype=np.int64, out=c[pad + 1:pad + 1 + n])
-        c[pad + 1 + n:] = c[pad + n]
+        c = np.zeros((*lead, pad + 1 + n + T), dtype=np.int64)
+        np.cumsum(e, axis=-1, dtype=np.int64, out=c[..., pad + 1:pad + 1 + n])
+        c[..., pad + 1 + n:] = c[..., pad + n:pad + n + 1]
         return c
 
     c1, c2 = prefix(e1), prefix(e2)
 
     def count(c, a, b):
         """Erasures in [t+a, t+b] for every t < n_assess."""
-        return c[pad + b + 1:pad + b + 1 + n_assess] - c[pad + a:pad + a + n_assess]
+        return c[..., pad + b + 1:pad + b + 1 + n_assess] - c[..., pad + a:pad + a + n_assess]
 
     # first-hop recoverability: every diagonal window through the message
     # keeps enough nonerased slots.  Window u covers [u, u+n'-1]; bad[i]
     # tests u = i-pad, and message t reads u = t-pos for pos < k'
-    bad = c1[d.n_prime:d.n_prime + n_assess + pad] - c1[:n_assess + pad] > N1
-    diag_bad = bad[pad:pad + n_assess].copy()
+    bad = c1[..., d.n_prime:d.n_prime + n_assess + pad] - c1[..., :n_assess + pad] > N1
+    diag_bad = bad[..., pad:pad + n_assess].copy()
     for pos in range(1, d.k_prime):
-        diag_bad |= bad[pad - pos:pad - pos + n_assess]
+        diag_bad |= bad[..., pad - pos:pad - pos + n_assess]
 
-    high_rate = np.logical_not(e1[:n_assess]) | (count(c1, 0, j) <= j)  # [t, t+j]
+    high_rate = np.logical_not(e1[..., :n_assess]) | (count(c1, 0, j) <= j)  # [t, t+j]
     lost_high = count(c2, j, T) > N2
     lost_fallback = count(c2, N1, T) > N2
     adaptive_lost = diag_bad | np.where(high_rate, lost_high, lost_fallback)
@@ -552,23 +561,42 @@ def _codec_losses(p: SchemeParams, bits1, bits2, horizon: int, seed: int, n_asse
     return lost
 
 
-def _chunk_losses(p: SchemeParams, config: ChannelConfig, mode: str, scheme: str,
-                  chunk: int, n_assess: int) -> tuple[int, int]:
-    """(adaptive, nonadaptive) loss counts for one seeded pattern chunk."""
-    rng = np.random.default_rng([config.seed, chunk])
-    e1 = rng.random(config.horizon) < config.alpha
-    e2 = rng.random(config.horizon) < config.beta
+# Chunks per block of the loss estimate.  A block's draws and analytic
+# arrays at the default 512-slot chunk stay near 0.5 MB.
+_BLOCK_CHUNKS = 16
+
+
+def _block_losses(p: SchemeParams, config: ChannelConfig, mode: str, scheme: str,
+                  first: int, trials: int) -> tuple[int, int]:
+    """(adaptive, nonadaptive) loss counts of the ``trials`` messages assessed
+    from chunk ``first`` on, in one analytic pass over the block of chunks.
+
+    Chunk c draws both hops from ``default_rng([config.seed, c])``, hop 1
+    first, into one ``(2, horizon)`` row.  Every chunk is classified at its
+    full ``horizon - T`` messages; the block's assessed messages are the
+    first ``trials`` of its rows laid end to end, so the tail of a partial
+    last chunk is cut off.
+    """
+    per_chunk = config.horizon - p.T
+    chunks = range(first, first + -(-trials // per_chunk))
+    draws = np.empty((len(chunks), 2, config.horizon))
+    for row, chunk in zip(draws, chunks):
+        np.random.default_rng([config.seed, chunk]).random(out=row)
+    e1 = draws[:, 0] < config.alpha
+    e2 = draws[:, 1] < config.beta
     a = na = 0
     if mode == "analytic" or scheme in ("nonadaptive", "both"):
-        a_lost, na_lost = _analytic_losses(p, e1, e2, n_assess)
-        na = int(na_lost.sum())
+        a_lost, na_lost = _analytic_losses(p, e1, e2, per_chunk)
+        na = int(np.count_nonzero(na_lost.ravel()[:trials]))
         if mode == "analytic":
-            a = int(a_lost.sum())
+            a = int(np.count_nonzero(a_lost.ravel()[:trials]))
     if mode == "codec" and scheme in ("adaptive", "both"):
-        # the codec reads the bits as lists of 0/1 ints
-        lost = _codec_losses(p, e1.astype(int).tolist(), e2.astype(int).tolist(),
-                             config.horizon, config.seed + chunk, n_assess)
-        a = int(lost.sum())
+        for i, chunk in enumerate(chunks):
+            # the codec reads the bits as lists of 0/1 ints
+            lost = _codec_losses(p, e1[i].astype(int).tolist(), e2[i].astype(int).tolist(),
+                                 config.horizon, config.seed + chunk,
+                                 min(per_chunk, trials - i * per_chunk))
+            a += int(lost.sum())
     return a, na
 
 
@@ -583,8 +611,11 @@ def loss_probability(
     """Monte-Carlo message-loss probability under i.i.d. erasures.
 
     ``trials`` counts assessed messages.  Patterns are drawn in fixed-size
-    chunks (config.horizon slots each) with per-chunk seeds derived from
-    config.seed, so both modes and both schemes see identical streams and
+    chunks (config.horizon slots, horizon - T assessed messages each) with
+    per-chunk seeds derived from config.seed, so both modes and both
+    schemes see identical streams.  Chunks are evaluated in blocks of
+    ``_BLOCK_CHUNKS``, one analytic pass per block (codec mode still runs
+    one episode per chunk), and ``workers`` processes share the blocks, so
     the result is independent of ``workers``.  The nonadaptive baseline is
     defined by its analytic condition in either mode (it has no separate
     codec).  scheme="both" returns a dict.
@@ -595,33 +626,29 @@ def loss_probability(
         raise ValueError(f"unknown scheme {scheme!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     per_chunk = config.horizon - p.T
     if per_chunk < 1:
         raise ValueError("config.horizon must exceed T")
-    jobs = []
-    done = 0
-    while done < trials:
-        n_assess = min(per_chunk, trials - done)
-        jobs.append((len(jobs), n_assess))
-        done += n_assess
+    block = _BLOCK_CHUNKS * per_chunk
+    jobs = [(done // per_chunk, min(block, trials - done)) for done in range(0, trials, block)]
+    workers = min(workers, len(jobs))
     losses = {"adaptive": 0, "nonadaptive": 0}
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                _chunk_losses,
+            results = list(pool.map(
+                _block_losses,
                 *zip(*[(p, config, mode, scheme, c, n) for c, n in jobs]),
                 chunksize=max(1, len(jobs) // (4 * workers)),
-            )
-            for a, na in results:
-                losses["adaptive"] += a
-                losses["nonadaptive"] += na
+            ))
     else:
-        for c, n in jobs:
-            a, na = _chunk_losses(p, config, mode, scheme, c, n)
-            losses["adaptive"] += a
-            losses["nonadaptive"] += na
+        results = [_block_losses(p, config, mode, scheme, c, n) for c, n in jobs]
+    for a, na in results:
+        losses["adaptive"] += a
+        losses["nonadaptive"] += na
 
     def estimate(tag: str) -> LossEstimate:
         pr = losses[tag] / trials

@@ -142,6 +142,16 @@ def test_simulate_validates_probabilities(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_simulate_rejects_workers_below_one(capsys, workers):
+    code, _, err = run(
+        capsys, "simulate", "--T", "5", "--N1", "2", "--N2", "3", "--j", "0",
+        "--alpha", "0.1", "--beta", "0.1", "--trials", "100", "--workers", workers,
+    )
+    assert code == USAGE_ERROR
+    assert "workers must be >= 1" in err
+
+
 def test_mac_summary_and_csv(tmp_path, capsys):
     path = tmp_path / "region.csv"
     code, out, _ = run(

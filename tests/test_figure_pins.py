@@ -1,7 +1,7 @@
 """Byte pins for the seeded loss CSVs.
 
 ``data/figure_pins.json`` holds the SHA-256 of the figure-4/5 datasets and
-of one CLI ``simulate`` CSV in analytic mode.  The determinism tests only
+of two CLI ``simulate`` CSVs in analytic mode.  The determinism tests only
 compare two runs of the same code; these pins compare against the bytes
 recorded before the analytic model counted its windows on padded prefix
 sums, so a change that moves a single loss count in a seeded CSV fails here.
@@ -30,7 +30,10 @@ def _sha256(path) -> str:
 
 
 def test_every_pin_has_a_case():
-    assert set(PINS) == set(FIGURE_CASES) | {"cli-simulate-12341-analytic"}
+    assert set(PINS) == set(FIGURE_CASES) | {
+        "cli-simulate-12341-analytic",
+        "cli-simulate-5230-analytic-horizon128",
+    }
 
 
 @pytest.mark.parametrize("name", sorted(FIGURE_CASES))
@@ -50,3 +53,16 @@ def test_cli_simulate_csv_is_pinned(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert _sha256(path) == PINS["cli-simulate-12341-analytic"]
+
+
+def test_cli_simulate_csv_across_blocks_is_pinned(tmp_path, monkeypatch, capsys):
+    # 40000 messages of 123 per chunk: 326 chunks, more than one block of
+    # chunks, the last one partial.  Recorded before the estimate batched
+    # chunks into blocks.
+    monkeypatch.delenv("RELAYSTREAM_SEED", raising=False)
+    path = tmp_path / "loss.csv"
+    argv = ("simulate --T 5 --N1 2 --N2 3 --j 0 --alpha 0.1 --beta 0.1 "
+            "--horizon 128 --trials 40000 --mode analytic --out").split() + [str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _sha256(path) == PINS["cli-simulate-5230-analytic-horizon128"]

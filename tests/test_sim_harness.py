@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import relaystream.relay_codec as relay_codec
-from analytic_reference import analytic_losses_reference
+import relaystream.sim_harness as sim_harness
+from analytic_reference import analytic_losses_reference, chunk_losses_reference
 from relaystream.erasure_channel import ChannelConfig, HorizonTooLarge
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import (
@@ -201,6 +202,89 @@ def test_analytic_losses_match_the_per_message_reference():
     assert cases == 330 * 3 * (2 + 3 + 3 + 3)
 
 
+def test_analytic_losses_on_a_block_match_each_row():
+    """A (chunks, n) block classifies every row exactly as the 1-D call on
+    that row alone, on both bit dtypes."""
+    params = list(all_valid_params(6))
+    cases = 0
+    for p in params:
+        for h in sorted({p.T + 1, 64, 512}):
+            rng = np.random.default_rng([p.T, p.N1, p.N2, p.j, h])
+            e1 = rng.random((3, h)) < np.array([[0.05], [0.3], [0.7]])
+            e2 = rng.random((3, h)) < np.array([[0.3], [0.7], [0.05]])
+            for bits in ((e1, e2), (e1.astype(np.int64), e2.astype(np.int64))):
+                for n_assess in sorted({1, h - p.T, h}):
+                    got = _analytic_losses(p, *bits, n_assess)
+                    for g in got:
+                        assert g.shape == (3, n_assess), (p, h, n_assess)
+                    for row in range(3):
+                        want = _analytic_losses(p, bits[0][row], bits[1][row], n_assess)
+                        for g, w in zip(got, want):
+                            assert np.array_equal(g[row], w), (p, h, n_assess, row)
+                    cases += 1
+    assert cases == len(params) * 2 * (2 + 3 + 3)
+
+
+@pytest.mark.parametrize("mode", ["analytic", "codec"])
+def test_loss_probability_matches_the_per_chunk_reference(mode, monkeypatch):
+    """The block-batched estimate counts exactly the losses of the per-chunk
+    loop, for every scheme and worker count: below one chunk, ending in a
+    partial chunk, exactly one block, one block plus one chunk, and at the
+    shortest horizon T+1.  In codec mode it runs the same episodes, in the
+    same order and through the module's ``run_episode`` binding."""
+    block = sim_harness._BLOCK_CHUNKS
+    episodes = []
+    original = sim_harness.run_episode
+
+    def recording(p, e1, e2, horizon, seed=0, **kw):
+        episodes.append((horizon, seed, tuple(e1), tuple(e2)))
+        return original(p, e1, e2, horizon, seed=seed, **kw)
+
+    monkeypatch.setattr(sim_harness, "run_episode", recording)
+    cases = 0
+    for p in (P523, P623):
+        for per_chunk in (1, 7) if mode == "codec" else (1, 64):
+            trial_counts = sorted({
+                max(1, per_chunk - 1),
+                3 * per_chunk + max(1, per_chunk // 2),
+                block * per_chunk,
+                (block + 1) * per_chunk,
+            })
+            for k, eps in enumerate((0.0, 0.3, 1.0)):
+                cfg = ChannelConfig(eps, eps, seed=20 + k, horizon=p.T + per_chunk)
+                for trials in trial_counts:
+                    episodes.clear()
+                    want = chunk_losses_reference(p, cfg, mode, trials)
+                    want_episodes = episodes[:]
+                    episodes.clear()
+                    both = loss_probability(p, cfg, mode=mode, trials=trials, scheme="both")
+                    assert {t: e.losses for t, e in both.items()} == want, (p, cfg, trials)
+                    assert episodes == want_episodes, (p, cfg, trials)
+                    assert len(episodes) == (mode == "codec") * -(-trials // per_chunk)
+                    for scheme in ("adaptive", "nonadaptive"):
+                        one = loss_probability(p, cfg, mode=mode, trials=trials, scheme=scheme)
+                        assert one == both[scheme], (p, cfg, trials, scheme)
+                    if trials > block * per_chunk:  # two blocks: a pool of two
+                        two = loss_probability(p, cfg, mode=mode, trials=trials,
+                                               scheme="both", workers=2)
+                        assert two == both, (p, cfg, trials)
+                    cases += 1
+    assert cases == 2 * 2 * 3 * 4
+
+
+def test_loss_probability_starts_no_pool_for_one_block(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-block estimate started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    cfg = ChannelConfig(0.1, 0.1, seed=3, horizon=64)
+    trials = sim_harness._BLOCK_CHUNKS * (64 - P523.T)
+    one = loss_probability(P523, cfg, trials=trials, scheme="both")
+    assert loss_probability(P523, cfg, trials=trials, scheme="both", workers=2) == one
+
+
 def test_loss_probability_modes_agree_roughly():
     """Fast version of the cross-validation: compare codec-mode and
     analytic-mode counts on identical pattern streams."""
@@ -232,6 +316,9 @@ def test_loss_probability_argument_validation():
         loss_probability(P523, cfg, scheme="fastest")
     with pytest.raises(ValueError):
         loss_probability(P523, cfg, trials=0)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            loss_probability(P523, cfg, trials=100, workers=workers)
     with pytest.raises(ValueError):
         loss_probability(P523, ChannelConfig(0.1, 0.1, seed=1, horizon=4))
 
