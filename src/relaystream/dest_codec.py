@@ -5,13 +5,16 @@ pattern either out of band (oracle side information, the default) or from the
 delta-symbol header each relay packet carries, rebuilds every message's
 transmission plan with the exact code the relay used, slices each received
 relay packet by ``slot_layout`` -- the relay's own per-slot rule, applied to
-the packet's header or to the oracle window -- and then:
+the packet's header or to the oracle window -- and then, once a message holds
+as many symbols as it transmits:
 
-1. per second-hop codeword, erasure-decodes as soon as any k of its n symbols
-   are in hand (each codeword loses at most one symbol per erased slot);
-2. maps the recovered transmission queue back to flat message indices;
-3. cancels estimate interference using messages it already decoded, walking
-   forward in time so dependencies are always resolved first.
+1. files them in queue coordinates, None for a lost symbol, and decodes
+   each second-hop codeword missing a symbol from any k of its n symbols
+   (each codeword loses at most one symbol per erased slot);
+2. maps the queue back to flat message indices through the plan's tx order;
+3. cancels estimate interference, resolved once per emission, using messages
+   it already decoded, walking forward in time so dependencies are always
+   resolved first.
 
 A message still undecodable after its deadline t+T is FAILED -- a value, not
 an error; a later message whose interference references a FAILED one becomes
@@ -258,61 +261,61 @@ class DecoderState:
         if st.received < plan.n_tx:
             return None  # see _flag_if_enough
 
-        # received symbols in queue / codeword coordinates
-        queue_vals: dict[int, int] = {}
+        # received symbols in queue coordinates, None where lost
+        queue = [None] * plan.n_tx
         for start, got in st.got_tx.items():
-            queue_vals.update(enumerate(got, start))
-        par_vals: dict[tuple[int, int], int] = {}
-        for m, syms in st.got_par.items():
-            for ci, v in enumerate(syms):
-                par_vals[(ci, m)] = v
-
-        # decode every codeword that is still missing systematic symbols; the
+            queue[start : start + len(got)] = got
+        # decode only the codewords still missing a systematic symbol; the
         # plan's shape has the layout, so no absolute view is built
-        for ci, (n, k, items) in enumerate(plan.shape.codewords):
-            if all(item in queue_vals for item in items):
-                continue
-            received = [(r, queue_vals[item]) for r, item in enumerate(items) if item in queue_vals]
-            # positions beyond the scheduled queue were zero-padded at the relay
-            received += [(r, 0) for r in range(len(items), k)]
-            received += [(k + m, par_vals[(ci, m)]) for m in range(p.N2) if (ci, m) in par_vals]
-            if len(received) < k:
-                return None  # not yet decodable
-            word = second_code(p, n, k).erasure_decode(received)
-            for r, item in enumerate(items):
-                queue_vals[item] = word[r]
+        if None in queue:
+            for ci, (n, k, items) in enumerate(plan.shape.codewords):
+                held = [queue[item] for item in items]
+                if None not in held:
+                    continue
+                received = [(r, v) for r, v in enumerate(held) if v is not None]
+                # positions beyond the scheduled queue were zero-padded at the relay
+                received += [(r, 0) for r in range(len(items), k)]
+                received += [(k + m, syms[ci]) for m, syms in st.got_par.items()]
+                if len(received) < k:
+                    return None  # not yet decodable
+                word = second_code(p, n, k).erasure_decode(received)
+                for r, item in enumerate(items):
+                    queue[item] = word[r]
 
-        flats = [flat for flat, _, _ in plan.shape.tx]
-        if not plan.erased:
-            out = [0] * d.k_src
-            for idx, v in queue_vals.items():
-                out[flats[idx]] = v
-            return out
-        est = {flats[idx]: (idx, v) for idx, v in queue_vals.items()}
-        if len(est) < d.k_src:
-            return None  # relay never forwarded a full message (inadmissible hop)
-        return self._cancel(t, plan, est)
-
-    def _cancel(self, t: int, plan: MessagePlan, est: dict):
-        """Subtract interference using already-decoded messages."""
-        d = self.dims
-        mul, sub = self.field.MUL, self.field.SUB
+        if plan.erased:
+            if plan.n_tx < d.k_src:
+                return None  # relay never forwarded a full message (inadmissible hop)
+            return self._cancel(t, plan, queue)
         out = [0] * d.k_src
-        for flat, (idx, value) in est.items():
-            _, _, e = plan.shape.tx[idx]  # emission index, -1 if systematic
-            layer = flat // d.k_prime
-            terms = interference_terms(self.params, plan.emissions[e], layer) if e >= 0 else ()
-            for (t2, flat2, coeff) in terms:
-                dep = self.msgs.get(t2)
-                dep_val = dep.outcome if dep is not None else None
-                if dep_val is FAILED:
-                    raise MissingDependency(
-                        f"message {t} needs FAILED message {t2} for cancellation"
-                    )
-                if dep_val is None:
-                    # dependency still pending; its deadline is earlier
-                    self._waiters.setdefault(t2, set()).add(t)
-                    return None
-                value = sub[value][mul[coeff][dep_val[flat2]]]
+        for (flat, _, _), value in zip(plan.shape.tx, queue):
+            out[flat] = value
+        return out
+
+    def _cancel(self, t: int, plan: MessagePlan, queue: list[int]):
+        """Subtract interference using already-decoded messages, resolving
+        each emission's terms once for all its layers."""
+        k = self.dims.k_prime
+        mul, sub = self.field.MUL, self.field.SUB
+        out = [0] * self.dims.k_src
+        resolved: dict[int, list] = {}  # emission -> [(MUL row of coeff, message, position)]
+        for (flat, _, e), value in zip(plan.shape.tx, queue):
+            terms = resolved.get(e)
+            if terms is None:
+                terms = resolved[e] = []
+                for t2, pos, coeff in interference_terms(self.params, plan.emissions[e], 0):
+                    dep = self.msgs.get(t2)
+                    dep_val = dep.outcome if dep is not None else None
+                    if dep_val is FAILED:
+                        raise MissingDependency(
+                            f"message {t} needs FAILED message {t2} for cancellation"
+                        )
+                    if dep_val is None:
+                        # dependency still pending; its deadline is earlier
+                        self._waiters.setdefault(t2, set()).add(t)
+                        return None
+                    terms.append((mul[coeff], dep_val, pos))
+            layer = flat - flat % k
+            for row, dep_val, pos in terms:
+                value = sub[value][row[dep_val[layer + pos]]]
             out[flat] = value
         return out

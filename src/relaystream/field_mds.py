@@ -297,9 +297,10 @@ class MdsCode:
         # parity_mul[j][i] is the MUL row of parity[i][j]: parity symbol j of
         # a message is the sum of parity_mul[j][i][message[i]]
         self.parity_mul = [[field.MUL[row[j]] for row in self.parity] for j in range(n - k)]
-        # inverse of the k x k system per tuple of decoding positions, as MUL
-        # rows: at most C(n, k) entries per code
-        self._inverses: dict[tuple[int, ...], list[list[list[int]]]] = {}
+        # per tuple of decoding positions: the e systematic positions it
+        # lacks, its e parity positions and the inverse of their e x e
+        # system as MUL rows; at most C(n, k) entries per code
+        self._inverses: dict[tuple[int, ...], tuple] = {}
 
     def _inverse_rows(self, rows: list[list[int]]) -> list[list[list[int]]]:
         """Inverse of a square matrix, each entry held as its MUL row."""
@@ -321,7 +322,14 @@ class MdsCode:
         return list(message) + [self._dot(col, message) for col in self.parity_mul]
 
     def erasure_decode(self, received: list[tuple[int, int]]) -> list[int]:
-        """Recover the message from >= k (position, symbol) pairs."""
+        """Recover the message from >= k (position, symbol) pairs.
+
+        The first k distinct positions form the base.  With its e lost
+        systematic symbols set to zero, each of its e parity symbols less its
+        known part combines the lost ones only; that e x e system is
+        nonsingular (every square submatrix of the parity block is), and its
+        inverse is cached per base.  Every surplus symbol is then checked.
+        """
         seen: dict[int, int] = {}
         for pos, val in received:
             if not (0 <= pos < self.n):
@@ -329,20 +337,27 @@ class MdsCode:
             if pos in seen and seen[pos] != val:
                 raise InconsistentSymbols(f"conflicting symbols at position {pos}")
             seen[pos] = val
-        if len(seen) < self.k:
-            raise InsufficientSymbols(f"need {self.k} positions, got {len(seen)}")
+        k = self.k
+        if len(seen) < k:
+            raise InsufficientSymbols(f"need {k} positions, got {len(seen)}")
         positions = sorted(seen)
-        base = tuple(positions[: self.k])
-        inverse = self._inverses.get(base)
-        if inverse is None:
-            system = [[self.gen[i][j] for i in range(self.k)] for j in base]
-            inverse = self._inverses[base] = self._inverse_rows(system)
-        y = [seen[j] for j in base]
-        message = [self._dot(rows, y) for rows in inverse]
+        base = tuple(positions[:k])
+        cached = self._inverses.get(base)
+        if cached is None:
+            lost = [i for i in range(k) if i not in base]
+            checks = base[k - len(lost) :]  # base is sorted: its parity positions
+            system = [[self.parity[i][j - k] for i in lost] for j in checks]
+            cached = self._inverses[base] = (lost, checks, self._inverse_rows(system))
+        lost, checks, inverse = cached
+        message = [seen.get(i, 0) for i in range(k)]
+        sub = self.field.SUB
+        rest = [sub[seen[j]][self._dot(self.parity_mul[j - k], message)] for j in checks]
+        for i, rows in zip(lost, inverse):
+            message[i] = self._dot(rows, rest)
         # verify surplus symbols really lie on the decoded codeword
-        if len(positions) > self.k:
+        if len(positions) > k:
             word = self.encode(message)
-            for j in positions[self.k :]:
+            for j in positions[k:]:
                 if word[j] != seen[j]:
                     raise InconsistentSymbols(f"symbol at position {j} off the decoded codeword")
         return message

@@ -39,9 +39,10 @@ s)``, says what rides relay slot s from the T+1 header bits of [s-T, s]:
 the relay emits, the destination slices and the verifier bounds the payload
 by it.  Its rides are memoized too, in slot offsets on those T+1 bits and in
 the same per-parameter-set entry as the shapes, at most 2^(T+1) layouts: a
-slot costs one lookup on each side.  The plan is the relay's only queue: an
-estimate's values are worked out by the ledger when the relay first sends
-it.
+slot costs one lookup on each side.  The relay keeps each message's values
+in the plan's queue order: an estimate's values are worked out by the ledger
+when the relay first sends it, and the parities are encoded from the same
+values at the first parity slot, once the plan's window has closed.
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ from .source_codec import (
 
 class ScheduleOverrun(ValueError):
     """Schedule asks for a symbol the relay does not hold yet: an estimate
-    whose emission slot is not yet ingested, or a full plan whose data
-    window is still open."""
+    whose emission slot is not yet ingested."""
 
 
 class IncompleteEstimates(ValueError):
@@ -354,7 +354,8 @@ def build_parity_groups(p: SchemeParams, plan: MessagePlan, values: list[int]) -
 
     values[i] is the value of plan.tx[i].  A codeword position beyond the
     transmitted queue (a plan that fell short of k_src estimates) encodes as
-    zero.
+    zero.  Every codeword of a plan has the same (n, k), so one code serves
+    them all.
     """
     n_tx = plan.n_tx
     if len(values) != n_tx:
@@ -362,15 +363,15 @@ def build_parity_groups(p: SchemeParams, plan: MessagePlan, values: list[int]) -
     codewords = plan.shape.codewords  # (n, k, sys_items)
     if not codewords or p.N2 == 0:
         return ParityGroups(plan.t, plan.shape.schedule.grouped, tuple(() for _ in range(p.N2)))
-    rows: list[list[int]] = [[] for _ in range(p.N2)]
-    for n, k, sys_items in codewords:
-        msg = [0] * k
-        for r, item in enumerate(sys_items):
-            msg[r] = values[item]
-        word = second_code(p, n, k).encode(msg)
-        for m in range(p.N2):
-            rows[m].append(word[k + m])
-    return ParityGroups(plan.t, plan.shape.schedule.grouped, tuple(tuple(r) for r in rows))
+    n, k, _ = codewords[0]
+    code = second_code(p, n, k)
+    words = []
+    for _, _, sys_items in codewords:
+        msg = [values[item] for item in sys_items]
+        if len(msg) < k:
+            msg += [0] * (k - len(msg))
+        words.append(code.encode(msg))
+    return ParityGroups(plan.t, plan.shape.schedule.grouped, tuple(zip(*words))[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +399,13 @@ class RelayState:
     """Drives the relay across an episode: ingest first hop, emit second hop.
 
     Scheduling is strictly causal: what slot s sends is ``slot_layout`` of
-    the T+1 bits the relay has seen up to s.  The plan's queue fixes the
-    symbols; an estimate's values are asked of the ledger when the relay
-    first sends it and kept in ``estimates``.  A message's parities are
-    encoded from its full plan at its first parity slot.  Its parities and
-    estimates are dropped once slot t+T has been emitted.
+    the T+1 bits the relay has seen up to s.  ``queues`` holds each message's
+    values in queue order: filled once from the packet rows of a received
+    message, one estimate (l' values, from the ledger) at a time for an
+    erased one.  Message-phase rides slice it; the first parity ride, when
+    [t, t+T-N2] has closed, encodes the parities from it with the plan
+    ``build_message_plan`` gives.  Both are dropped once slot t+T has been
+    emitted.
     """
 
     def __init__(self, p: SchemeParams, header_mode: bool = False):
@@ -411,36 +414,32 @@ class RelayState:
         self.ledger = EstimateLedger(p)
         self.header_mode = header_mode
         self.parities: dict[int, ParityGroups] = {}
-        self.estimates: dict[int, dict[int, int]] = {}  # t -> flat -> value
+        self.queues: dict[int, list[int]] = {}  # t -> values in queue order
 
     def ingest_source(self, slot: int, packet: SourcePacket | None) -> None:
         self.ledger.ingest(slot, packet)
 
-    def full_plan(self, t: int) -> MessagePlan:
-        """Plan for message t; only valid once slot t+T-N2 was ingested."""
-        if self.ledger.next_slot <= t + self.params.T - self.params.N2:
-            raise ScheduleOverrun(f"plan for message {t} requested before its window closed")
-        return build_message_plan(self.params, self.ledger.erased, t)
-
     def _queue_values(self, plan: MessagePlan, start: int, size: int) -> tuple[int, ...]:
         """Symbols start .. start+size-1 of message plan.t's transmission
         queue, in the order the plan fixes."""
-        t, k = plan.t, self.dims.k_prime
-        items = plan.shape.tx[start : start + size]
-        if not plan.erased:
-            rows = self.ledger.packets[t].rows
-            return tuple(rows[f // k][f % k] for f, _, _ in items)
-        held = self.estimates.setdefault(t, {})
-        for flat, _, e in items:
-            if flat not in held:
-                em = plan.emission(e)
-                if em.slot >= self.ledger.next_slot:
-                    raise ScheduleOverrun(
-                        f"message {t}: estimate emitted at slot {em.slot}, not yet ingested"
-                    )
-                for c, value in enumerate(self.ledger.estimate(em)):
-                    held[c * k + em.pos] = value
-        return tuple(held[flat] for flat, _, _ in items)
+        t, end = plan.t, start + size
+        values = self.queues.get(t)
+        if values is None:
+            if plan.erased:
+                values = []
+            else:
+                rows, k = self.ledger.packets[t].rows, self.dims.k_prime
+                values = [rows[f // k][f % k] for f, _, _ in plan.shape.tx]
+            self.queues[t] = values
+        # emission e fills queue items e*l' .. e*l'+l'-1, one per layer
+        while len(values) < end:
+            em = plan.emission(len(values) // self.dims.l_prime)
+            if em.slot >= self.ledger.next_slot:
+                raise ScheduleOverrun(
+                    f"message {t}: estimate emitted at slot {em.slot}, not yet ingested"
+                )
+            values.extend(self.ledger.estimate(em))
+        return tuple(values[start:end])
 
     def emit(self, slot: int) -> RelayPacket:
         """Relay packet for this slot; first-hop slots <= slot must have been
@@ -456,15 +455,15 @@ class RelayState:
             else:
                 pg = self.parities.get(t)
                 if pg is None:
-                    plan = self.full_plan(t)
+                    plan = build_message_plan(p, erased, t)
                     pg = self.parities[t] = build_parity_groups(
-                        p, plan, list(self._queue_values(plan, 0, plan.n_tx))
+                        p, plan, self._queue_values(plan, 0, plan.n_tx)
                     )
                 syms = pg.rows[row]
             subpackets.append((t, syms))
         # message slot-T had its last slot
         self.parities.pop(slot - p.T, None)
-        self.estimates.pop(slot - p.T, None)
+        self.queues.pop(slot - p.T, None)
         header = encode_header(p, bits) if self.header_mode else ()
         return RelayPacket(slot, tuple(subpackets), header)
 

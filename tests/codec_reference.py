@@ -2,7 +2,8 @@
 
 ``oracle_decode`` decodes one message by generic linear algebra with its own
 rectangular elimination, so it shares no decoding path with ``DecoderState``
-or with ``field_mds``.  ``cancel_interference`` is the standalone form of the
+or with ``field_mds``.  ``erasure_decode_reference`` is the k x k decode of
+one MDS codeword, the reference ``MdsCode.erasure_decode`` must agree with.  ``cancel_interference`` is the standalone form of the
 decoder's cancellation step, ``dest_ingest`` feeds a relay packet with an
 optional side-information cross-check, and ``estimates_available`` is the
 closed-form count the plan engine's availability must match on admissible
@@ -12,6 +13,13 @@ patterns.
 from __future__ import annotations
 
 from relaystream.dest_codec import FAILED, DecoderState, MissingDependency, interference_terms
+from relaystream.field_mds import (
+    DimensionMismatch,
+    InconsistentSymbols,
+    InsufficientSymbols,
+    MdsCode,
+    solve_linear,
+)
 from relaystream.relay_codec import MessagePlan, second_code
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.source_codec import EstimateLedger
@@ -47,6 +55,36 @@ def cancel_interference(field, records, history: dict):
             value = field.sub(value, field.mul(coeff, dep[flat2]))
         out[flat] = value
     return out
+
+
+def erasure_decode_reference(code: MdsCode, received) -> list[int]:
+    """Decode one codeword of ``code`` by a fresh k x k solve.
+
+    The first k distinct positions form the system G_base^T x = y; every
+    surplus symbol is then compared with the codeword x G.  Validation and
+    exceptions are those ``MdsCode.erasure_decode`` promises.
+    """
+    field, k = code.field, code.k
+    seen: dict[int, int] = {}
+    for pos, val in received:
+        if not (0 <= pos < code.n):
+            raise DimensionMismatch(f"position {pos} outside codeword length {code.n}")
+        if pos in seen and seen[pos] != val:
+            raise InconsistentSymbols(f"conflicting symbols at position {pos}")
+        seen[pos] = val
+    if len(seen) < k:
+        raise InsufficientSymbols(f"need {k} positions, got {len(seen)}")
+    positions = sorted(seen)
+    base = positions[:k]
+    system = [[code.gen[i][j] for i in range(k)] for j in base]
+    message = solve_linear(field, system, [seen[j] for j in base])
+    for j in positions[k:]:
+        value = 0
+        for i in range(k):
+            value = field.add(value, field.mul(message[i], code.gen[i][j]))
+        if value != seen[j]:
+            raise InconsistentSymbols(f"symbol at position {j} off the decoded codeword")
+    return message
 
 
 def estimates_available(ledger: EstimateLedger, t: int, now: int) -> int:

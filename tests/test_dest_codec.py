@@ -20,7 +20,8 @@ from relaystream.dest_codec import (
     MissingDependency,
 )
 from relaystream.erasure_channel import enumerate_admissible
-from relaystream.relay_codec import RelayState
+from relaystream.field_mds import MdsCode
+from relaystream.relay_codec import RelayState, second_code
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import run_episode
 from relaystream.source_codec import encode_source, make_codes
@@ -106,6 +107,53 @@ def test_structured_decoder_agrees_with_linear_algebra_oracle(e2_bits):
             history[t] = got
             plan = dest.plan(t)
             assert oracle_decode(p, plan, dest, history) == messages[t], (bits1, t)
+
+
+def admissible(bits, T, N):
+    return all(sum(bits[lo : lo + T + 1]) <= N for lo in range(max(1, len(bits) - T)))
+
+
+@pytest.mark.parametrize(
+    "p", [SchemeParams(7, 2, 3, 0), SchemeParams(8, 2, 3, 0)], ids=["GF8", "GF9"]
+)
+def test_queue_decode_agrees_with_the_oracle_over_extension_fields(p, monkeypatch):
+    """test_structured_decoder_agrees_with_linear_algebra_oracle on GF(8)
+    and GF(9), where enumerating every first-hop pattern takes too long: a
+    seeded sample of admissible first-hop patterns, and second-hop bursts
+    of b = 1..N2 slots every T+1 slots, which cost a codeword up to b
+    systematic symbols.  The second-hop codes must solve for each count
+    1..N2 of lost systematic symbols."""
+    horizon = 2 * (p.T + 1)
+    rng = np.random.default_rng(p.T)
+    lost_counts = set()
+    decode = MdsCode.erasure_decode
+
+    def recording(code, received):
+        if code is second_code(p, code.n, code.k):  # not the first-hop code
+            base = sorted({pos for pos, _ in received})[: code.k]
+            lost_counts.add(sum(1 for pos in base if pos >= code.k))
+        return decode(code, received)
+
+    monkeypatch.setattr(MdsCode, "erasure_decode", recording)
+    samples = []
+    while len(samples) < 8:
+        bits1 = [int(b) for b in rng.random(horizon) < 0.2]
+        if admissible(bits1, p.T, p.N1) and sum(bits1):
+            samples.append(bits1)
+    for i, bits1 in enumerate(samples):
+        messages = episode_messages(p, horizon, seed=100 + i)
+        for b in range(1, p.N2 + 1):
+            for phase in range(p.T + 1 - b):
+                e2_bits = [int((s - phase) % (p.T + 1) < b) for s in range(horizon)]
+                dest = run_pipeline(p, bits1, e2_bits, messages)
+                history = {}
+                for t in range(horizon - p.T):
+                    got = dest.try_decode(t)
+                    assert got == messages[t], (bits1, e2_bits, t)
+                    history[t] = got
+                    want = oracle_decode(p, dest.plan(t), dest, history)
+                    assert want == messages[t], (bits1, e2_bits, t)
+    assert lost_counts >= set(range(1, p.N2 + 1)), lost_counts
 
 
 def test_header_mode_matches_oracle_mode():

@@ -8,10 +8,12 @@ tests are independent of the implementation under test.
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codec_reference import erasure_decode_reference
 from relaystream.field_mds import (
     DimensionMismatch,
     GaloisField,
@@ -256,6 +258,53 @@ def test_inverse_cache_matches_fresh_elimination():
         fresh = solve_linear(field, system, [cw[j] for j in keep])
         assert code.erasure_decode([(j, cw[j]) for j in keep]) == fresh == msg
     assert len(code._inverses) == math.comb(9, 4)
+
+
+def _outcome(decode, received):
+    """The decoded message, or the class of the decode error raised."""
+    try:
+        return decode(received)
+    except (InsufficientSymbols, InconsistentSymbols) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "q,n,k",
+    [(7, 6, 3), (8, 8, 5), (9, 9, 6), (13, 12, 8), (16, 12, 6)],
+)
+def test_decode_matches_the_k_by_k_reference(q, n, k):
+    """The e x e decode agrees with the k x k reference on every set of
+    received positions (including too few), with a corrupted symbol at
+    each surplus position, and with a conflicting duplicate.  (13, 12, 8)
+    is the second-hop code of (12,3,4,1); (8, 8, 5) and (9, 9, 6) are those
+    of (7,2,3,0) and (8,2,3,0)."""
+    code = MdsCode(make_field(q), n, k)
+
+    def reference(received):
+        return erasure_decode_reference(code, received)
+
+    rng = np.random.default_rng(q)
+    cases = 0
+    for size in range(k - 1, n + 1):
+        for keep in itertools.combinations(range(n), size):
+            msg = [int(v) for v in rng.integers(0, q, k)]
+            cw = code.encode(msg)
+            received = [(j, cw[j]) for j in keep]
+            want = _outcome(reference, received)
+            assert want == (msg if size >= k else InsufficientSymbols), keep
+            assert _outcome(code.erasure_decode, received) == want, keep
+            # corrupt each surplus position, with the pairs in reverse order
+            for j in keep[k:]:
+                bad = [(i, (v + 1) % q if i == j else v) for i, v in reversed(received)]
+                assert _outcome(reference, bad) is InconsistentSymbols, (keep, j)
+                assert _outcome(code.erasure_decode, bad) is InconsistentSymbols, (keep, j)
+                cases += 1
+            if keep:
+                clash = received + [(keep[0], (cw[keep[0]] + 1) % q)]
+                assert _outcome(code.erasure_decode, clash) is InconsistentSymbols
+                assert _outcome(reference, clash) is InconsistentSymbols
+    assert cases == sum((s - k) * math.comb(n, s) for s in range(k + 1, n + 1))
+    assert len(code._inverses) == math.comb(n, k)
 
 
 def test_prime_power_does_not_resieve(monkeypatch):

@@ -1,7 +1,7 @@
 """Byte pins for the seeded loss CSVs.
 
-``data/figure_pins.json`` holds the SHA-256 of the figure-4/5 datasets and
-of two CLI ``simulate`` CSVs in analytic mode.  The determinism tests only
+``data/figure_pins.json`` holds the SHA-256 of the figure-4/5 datasets, of
+two CLI ``simulate`` CSVs in analytic mode and of one in codec mode.  The determinism tests only
 compare two runs of the same code; these pins compare against the bytes
 recorded before the analytic model counted its windows on padded prefix
 sums, so a change that moves a single loss count in a seeded CSV fails here.
@@ -33,6 +33,7 @@ def test_every_pin_has_a_case():
     assert set(PINS) == set(FIGURE_CASES) | {
         "cli-simulate-12341-analytic",
         "cli-simulate-5230-analytic-horizon128",
+        "cli-simulate-12341-codec-horizon128",
     }
 
 
@@ -66,3 +67,16 @@ def test_cli_simulate_csv_across_blocks_is_pinned(tmp_path, monkeypatch, capsys)
     assert main(argv) == 0
     capsys.readouterr()
     assert _sha256(path) == PINS["cli-simulate-5230-analytic-horizon128"]
+
+
+def test_cli_simulate_codec_csv_is_pinned(tmp_path, monkeypatch, capsys):
+    # the figure-4 set in codec mode: 2000 messages of 116 per chunk, 18
+    # chunks.  Recorded before the relay and the destination kept each
+    # message's symbols in queue order.
+    monkeypatch.delenv("RELAYSTREAM_SEED", raising=False)
+    path = tmp_path / "loss.csv"
+    argv = ("simulate --T 12 --N1 3 --N2 4 --j 1 --alpha 0.1 --beta 0.1 "
+            "--horizon 128 --trials 2000 --mode codec --out").split() + [str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _sha256(path) == PINS["cli-simulate-12341-codec-horizon128"]

@@ -210,7 +210,7 @@ def test_relay_emits_plan_sizes_and_codewords():
     assert subpacket(6, 4) == (messages[4][5],)
     assert subpacket(7, 4) == (messages[4][0], messages[4][2], messages[4][4])
 
-    plan = relay.full_plan(4)
+    plan = build_message_plan(p, relay.ledger.erased, 4)
     code = second_code(p, 5, 2)
     sys_vals = {
         0: (messages[4][1], messages[4][0]),
@@ -237,7 +237,7 @@ def test_causal_emission_matches_retrospective_plan(p):
             for t, syms in pkt.subpackets:
                 sizes.setdefault(t, [0] * (p.T + 1))[s - t] = len(syms)
         for t in range(horizon - p.T):
-            plan = relay.full_plan(t)
+            plan = build_message_plan(p, relay.ledger.erased, t)
             got = tuple(sizes.get(t, [0] * (p.T + 1)))
             assert got == plan.schedule.alpha, (bits, t)
 
@@ -258,15 +258,6 @@ def test_emit_subpacket_interface():
         assert pkt.wire_symbols() == list(pkt.header) + [
             v for _, sy in pkt.subpackets for v in sy
         ]
-
-
-def test_full_plan_guard():
-    p = P523
-    relay = RelayState(p)
-    messages = episode_messages(p, 3, seed=19)
-    relay.ingest_source(0, encode_source(p, messages[:1]))
-    with pytest.raises(ScheduleOverrun):
-        relay.full_plan(0)  # window [0, T-N2] not yet closed
 
 
 def test_queue_guard_refuses_an_estimate_not_yet_ingested():
