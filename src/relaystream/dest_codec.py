@@ -58,11 +58,12 @@ def interference_terms(p: SchemeParams, em: PosEmission, layer: int):
     ]
 
 
-@dataclass
+@dataclass(slots=True)
 class _MessageState:
     plan: MessagePlan | None = None
-    got_tx: dict = dc_field(default_factory=dict)  # queue start -> symbol list
-    got_par: dict = dc_field(default_factory=dict)  # parity row -> symbol list
+    # None once retired: a message ``due`` finalized keeps only its outcome
+    got_tx: dict | None = dc_field(default_factory=dict)  # queue start -> symbol list
+    got_par: dict | None = dc_field(default_factory=dict)  # parity row -> symbol list
     received: int = 0  # symbols filed; no decode before this reaches len(plan.tx)
     outcome: object = None  # None (pending) | list[int] | FAILED
     decode_slot: int | None = None
@@ -80,6 +81,16 @@ class DecoderState:
     attempt could succeed (or must fail) since their last one, i.e. those
     that gained enough symbols, got their plan, saw a dependency finalize, or
     passed their deadline.  ``try_decode`` itself stays exact for any caller.
+
+    Driven by ``due``, the state stays bounded by the stream window: a
+    message ``due`` yielded and the caller finalized is retired.  It drops
+    its plan and filed symbols, keeps its outcome and decode slot, and
+    files nothing from later rides, such as its remaining parities.  So
+    plans and symbols are held only for messages not past their deadline.
+    What stays O(stream) is small and read by design: each message's outcome
+    (``try_decode`` answers for every t, and a later message's cancellation
+    reads its dependencies' values) and, in header mode, ``_known_bits``,
+    one bit per slot that any later plan may read.
     """
 
     def __init__(self, p: SchemeParams, e1_erased=None, header_mode: bool = False):
@@ -148,6 +159,8 @@ class DecoderState:
         only from as many symbols as it has tx items, so fewer symbols than
         ``len(plan.tx)`` can never decode.
         """
+        if st.outcome is not None:
+            return  # finalized: nothing left to attempt
         plan = st.plan if st.plan is not None else self.plan(t)
         if plan is None:
             self._planless.add(t)
@@ -158,16 +171,23 @@ class DecoderState:
         """Yield, in ascending t, every pending message worth attempting at
         slot ``now``.  Messages finalized while the caller iterates flag the
         later messages blocked on them, which are yielded in the same pass.
+        A yielded message the caller finalized is retired (see the class).
         """
+        msgs = self.msgs
         for t in range(self._expired_below, now - self.params.T):
-            self._flag(t)  # deadline t+T passed
+            st = msgs.get(t)
+            if st is None or st.outcome is None:
+                self._flag(t)  # deadline t+T passed
         self._expired_below = max(self._expired_below, now - self.params.T)
         while self._due:
             t = heapq.heappop(self._due)
             self._flagged.discard(t)
-            st = self.msgs.get(t)
+            st = msgs.get(t)
             if st is None or st.outcome is None:
                 yield t
+                st = msgs.get(t)
+                if st is not None and st.outcome is not None:
+                    st.plan = st.got_tx = st.got_par = None
 
     # -- ingest -----------------------------------------------------------------
 
@@ -210,12 +230,13 @@ class DecoderState:
                     f"slot {slot}: payload ends inside the subpacket of message {t}"
                 )
             st = self._state(t)
-            if row is None:
-                st.got_tx[start] = symbols[offset : offset + size]
-            else:
-                st.got_par[row] = symbols[offset : offset + size]
-            st.received += size
-            self._flag_if_enough(t, st)
+            if st.got_tx is not None:  # a retired message files nothing
+                if row is None:
+                    st.got_tx[start] = symbols[offset : offset + size]
+                else:
+                    st.got_par[row] = symbols[offset : offset + size]
+                st.received += size
+                self._flag_if_enough(t, st)
             offset += size
         if offset != len(symbols):
             raise MalformedPacket(

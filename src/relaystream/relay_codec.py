@@ -258,12 +258,17 @@ class MessagePlan:
 # shared tuples).  Shapes are bounded by 2^(T-N2+1) and slot layouts by
 # 2^(T+1), both filled on first use.  An entry is valid only for the rule
 # that filled it: swapping _schedule_core at run time starts a fresh one.
+# At most _PLAN_MEMO_SETS parameter sets are kept: a new set evicts the one
+# inserted first, so a lookup that hits costs no bookkeeping.
 _PLAN_MEMO: dict[SchemeParams, tuple[object, dict, dict, dict]] = {}
+_PLAN_MEMO_SETS = 32
 
 
 def _memo_entry(p: SchemeParams) -> tuple[object, dict, dict, dict]:
     entry = _PLAN_MEMO.get(p)
     if entry is None or entry[0] is not _schedule_core:
+        if entry is None and len(_PLAN_MEMO) >= _PLAN_MEMO_SETS:
+            del _PLAN_MEMO[next(iter(_PLAN_MEMO))]
         entry = _PLAN_MEMO[p] = (_schedule_core, {}, {}, {})
     return entry
 
@@ -402,10 +407,17 @@ class RelayState:
     the T+1 bits the relay has seen up to s.  ``queues`` holds each message's
     values in queue order: filled once from the packet rows of a received
     message, one estimate (l' values, from the ledger) at a time for an
-    erased one.  Message-phase rides slice it; the first parity ride, when
-    [t, t+T-N2] has closed, encodes the parities from it with the plan
+    erased one.  Message-phase rides slice it, and only a ride that needs an
+    estimate not yet valued places a ``MessagePlan``; the first parity ride,
+    when [t, t+T-N2] has closed, encodes the parities from it with the plan
     ``build_message_plan`` gives.  Both are dropped once slot t+T has been
     emitted.
+
+    The state stays bounded over a stream.  An estimate of a message t reads
+    packets back to slot t - 2(k'-1), through the erased messages its
+    leftover terms need recovered, so after slot s is emitted the ledger
+    forgets every slot before s+1-T-2(k'-1).  Its erasure bits stay, one
+    entry per slot.
     """
 
     def __init__(self, p: SchemeParams, header_mode: bool = False):
@@ -415,22 +427,30 @@ class RelayState:
         self.header_mode = header_mode
         self.parities: dict[int, ParityGroups] = {}
         self.queues: dict[int, list[int]] = {}  # t -> values in queue order
+        # once slot s is emitted, the oldest message in flight is s+1-T and
+        # its estimates read packets back to s+1-T-2(k'-1) = s - _ledger_lag
+        self._ledger_lag = p.T - 1 + 2 * (self.dims.k_prime - 1)
 
     def ingest_source(self, slot: int, packet: SourcePacket | None) -> None:
         self.ledger.ingest(slot, packet)
+
+    def _queue(self, t: int, shape: _PlanShape) -> list[int]:
+        """Message t's queue; a received message's is filled at its first ride."""
+        values = self.queues.get(t)
+        if values is None:
+            if shape.schedule.erased:
+                values = []
+            else:
+                rows, k = self.ledger.packets[t].rows, self.dims.k_prime
+                values = [rows[f // k][f % k] for f, _, _ in shape.tx]
+            self.queues[t] = values
+        return values
 
     def _queue_values(self, plan: MessagePlan, start: int, size: int) -> tuple[int, ...]:
         """Symbols start .. start+size-1 of message plan.t's transmission
         queue, in the order the plan fixes."""
         t, end = plan.t, start + size
-        values = self.queues.get(t)
-        if values is None:
-            if plan.erased:
-                values = []
-            else:
-                rows, k = self.ledger.packets[t].rows, self.dims.k_prime
-                values = [rows[f // k][f % k] for f, _, _ in plan.shape.tx]
-            self.queues[t] = values
+        values = self._queue(t, plan.shape)
         # emission e fills queue items e*l' .. e*l'+l'-1, one per layer
         while len(values) < end:
             em = plan.emission(len(values) // self.dims.l_prime)
@@ -451,7 +471,11 @@ class RelayState:
         subpackets = []
         for t, shape, start, size, row in slot_layout(p, bits, slot):
             if row is None:
-                syms = self._queue_values(MessagePlan(p, t, shape, erased), start, size)
+                values = self._queue(t, shape)
+                if len(values) >= start + size:  # nothing left to value
+                    syms = tuple(values[start : start + size])
+                else:
+                    syms = self._queue_values(MessagePlan(p, t, shape, erased), start, size)
             else:
                 pg = self.parities.get(t)
                 if pg is None:
@@ -464,6 +488,7 @@ class RelayState:
         # message slot-T had its last slot
         self.parities.pop(slot - p.T, None)
         self.queues.pop(slot - p.T, None)
+        self.ledger.forget_before(slot - self._ledger_lag)
         header = encode_header(p, bits) if self.header_mode else ()
         return RelayPacket(slot, tuple(subpackets), header)
 

@@ -117,9 +117,13 @@ def run_episode(
 ) -> EpisodeReport:
     """Drive the full pipeline over one pattern pair and audit the outcome.
 
-    Decoded messages are compared with ground truth; failures and invariant
-    violations are recorded in the report rather than raised, so inadmissible
-    patterns degrade into FAILED messages instead of crashes.
+    Decoded messages are compared with ground truth as they are finalized;
+    failures and invariant violations are recorded in the report rather than
+    raised, so inadmissible patterns degrade into FAILED messages instead of
+    crashes.  The relay and the decoder keep state for the messages in
+    flight only; what grows with the horizon is the report (decode slots,
+    failures and payloads, one entry per message or slot), the messages
+    themselves, and the decoder's outcomes and header bits.
     """
     if horizon is None:
         horizon = len(e1.bits) if isinstance(e1, ErasurePattern) else len(e1)
@@ -142,9 +146,10 @@ def run_episode(
     rows = msgs.tolist()
     history: list[list[int]] = []  # rows[: s + 1], the messages sent so far
     payloads = []
-    outcomes: dict[int, object] = {}
+    n_assess = max(0, horizon - p.T)
     decode_slots: dict[int, int] = {}
     violations: list[tuple] = []
+    audits: dict[int, tuple] = {}  # t -> wrong-value or late violation
     for s in range(horizon):
         history.append(rows[s])
         relay.ingest_source(s, None if bits1[s] else encode_source(p, history))
@@ -157,22 +162,18 @@ def run_episode(
         # only messages whose decode could have changed since their last try
         for t in dest.due(s):
             r = dest.try_decode(t, now=s)
-            if r is FAILED:
-                outcomes[t] = FAILED
-            elif r != "pending":
-                outcomes[t] = r
-                decode_slots[t] = s
+            if r is FAILED or r == "pending":
+                continue
+            decode_slots[t] = s
+            if t >= n_assess:
+                continue  # past the last assessable message
+            if r != rows[t]:
+                audits[t] = ("wrong-value", t)
+            elif s > t + p.T:
+                audits[t] = ("late", t, s)
 
-    failed = []
-    n_assess = max(0, horizon - p.T)
-    for t in range(n_assess):
-        got = outcomes.get(t)
-        if got is FAILED or got is None:
-            failed.append(t)
-        elif got != rows[t]:
-            violations.append(("wrong-value", t))
-        elif decode_slots[t] > t + p.T:
-            violations.append(("late", t, decode_slots[t]))
+    failed = [t for t in range(n_assess) if t not in decode_slots]
+    violations += [audits[t] for t in sorted(audits)]
     return EpisodeReport(
         p,
         horizon,

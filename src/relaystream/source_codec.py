@@ -270,6 +270,12 @@ class EstimateLedger:
     appear and in what order they are sent is the plan engine's business;
     ``estimate`` works out the values of one emission the plan placed, from
     the packets ingested so far.
+
+    On its own the ledger keeps every packet, so it can value any emission
+    of the stream.  A streaming owner calls ``forget_before`` once no later
+    estimate can read a slot; ``RelayState`` does, and then the packets and
+    recovered values span about T + 2(k'-1) slots.  ``erased_bits`` stays
+    whole (one entry per slot): plans read first-hop bits of any age.
     """
 
     def __init__(self, p: SchemeParams):
@@ -279,7 +285,8 @@ class EstimateLedger:
         self.next_slot = 0
         self.erased_bits: list[bool] = []
         self.packets: dict[int, SourcePacket] = {}
-        self._recovered: dict[tuple[int, int], int] = {}  # (t, flat) -> value
+        self._recovered: dict[int, dict[int, int]] = {}  # t -> {flat: value}
+        self._forgotten_below = 0  # no packet or recovered value kept below
 
     # -- pattern lookups ----------------------------------------------------
 
@@ -301,6 +308,15 @@ class EstimateLedger:
         self.next_slot += 1
         if packet is not None:
             self.packets[slot] = packet
+
+    def forget_before(self, slot: int) -> None:
+        """Drop the packets and recovered values of every slot before
+        ``slot``; the caller promises that no later estimate reads them."""
+        for t in range(self._forgotten_below, slot):
+            self.packets.pop(t, None)
+            self._recovered.pop(t, None)
+        if slot > self._forgotten_below:
+            self._forgotten_below = slot
 
     # -- values -----------------------------------------------------------------
 
@@ -335,16 +351,21 @@ class EstimateLedger:
         """Value of s_t[layer, pos] when the relay provably knows it."""
         if not self.erased(t):
             return self.packets[t].rows[layer][pos]
-        key = (t, layer * self.dims.k_prime + pos)
-        if key not in self._recovered:
+        flat = layer * self.dims.k_prime + pos
+        known = self._recovered.get(t)
+        if known is None or flat not in known:
             self._recover_message(t)
-        return self._recovered[key]
+            known = self._recovered[t]
+        return known[flat]
 
     def _recover_message(self, t: int) -> None:
         """MDS-decode every diagonal of fully-known erased message t."""
         d = self.dims
         for pos in range(d.k_prime):
             u = t - pos
+            known = [
+                (q, self._recovered.setdefault(u + q, {})) for q in range(d.k_prime) if u + q >= 0
+            ]
             for c in range(d.l_prime):
                 received: list[tuple[int, int]] = []
                 for q in range(d.k_prime):
@@ -357,7 +378,5 @@ class EstimateLedger:
                     if s_m >= 0 and not self.erased(s_m):
                         received.append((d.k_prime + m, self.packets[s_m].rows[c][d.k_prime + m]))
                 word = self.code.erasure_decode(received)
-                for q in range(d.k_prime):
-                    s_q = u + q
-                    if s_q >= 0:
-                        self._recovered[(s_q, c * d.k_prime + q)] = word[q]
+                for q, values in known:
+                    values[c * d.k_prime + q] = word[q]

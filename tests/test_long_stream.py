@@ -1,0 +1,156 @@
+"""Long streams: pinned reports and codec state bounded by the stream window.
+
+The relay prunes its ledger behind the oldest slot an in-flight message can
+still read, and the destination retires each message ``due`` finalized, so
+what the codec holds per message must not grow with the stream.  The two
+3000-slot reports are pinned from the codec that kept every packet, plan and
+filed symbol for the whole stream: pruning may not change one decode slot,
+failure, violation or payload.  The (12,3,4,1) stream is i.i.d. at eps=0.1,
+inadmissible in places, with k'=6 and chains of FAILED dependencies.
+"""
+
+import hashlib
+import json
+from functools import cache
+
+import numpy as np
+import pytest
+
+from relaystream import sim_harness
+from relaystream.dest_codec import MissingDependency
+from relaystream.scheme_params import SchemeParams, derive_dims
+from relaystream.sim_harness import run_episode
+from stream_state import GROWTH_BOUND, P523, growth_per_slot, stream_inputs
+
+P1234 = SchemeParams(12, 3, 4, 1)
+HORIZON = 3000
+
+# SHA-256 of the sorted-key JSON of decode slots, failures, violations and
+# payloads, as the codec without pruning reported them
+STREAM_PINS = {
+    "523-header-3000": "876ec4bc876396bbb10aeed65b54b0801ace460022cf7cba73bc39899fc5c9ac",
+    "1234-oracle-eps0.1-3000": "63e9c982cbcd9c8eaa5f1d589356b33c2fdb22d52532283172c2f1a2213106ca",
+}
+
+
+def stream_cases():
+    """name -> (params, e1, e2, horizon, seed, header_mode)."""
+    e1, e2 = stream_inputs(P523, HORIZON, 7)
+    rng = np.random.default_rng([11, 1234])
+    b1 = (rng.random(HORIZON) < 0.1).astype(int).tolist()
+    b2 = (rng.random(HORIZON) < 0.1).astype(int).tolist()
+    return {
+        "523-header-3000": (P523, e1, e2, HORIZON, 7, True),
+        "1234-oracle-eps0.1-3000": (P1234, b1, b2, HORIZON, 11, False),
+    }
+
+
+LEDGER_STORES = ("packets", "_recovered")
+
+
+@cache
+def run_stream(name):
+    """The report of one case, with the relay and the decoder that ran it.
+    The relay records, after every slot it emits, how many slots each
+    ledger store holds and how far back the oldest one lies."""
+    p, e1, e2, horizon, seed, header_mode = stream_cases()[name]
+    made = []
+
+    class TrackedRelay(sim_harness.RelayState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.held = dict.fromkeys(LEDGER_STORES, 0)
+            self.reach = dict.fromkeys(LEDGER_STORES, 0)
+            made.append(self)
+
+        def emit(self, slot):
+            packet = super().emit(slot)
+            for name in LEDGER_STORES:
+                store = getattr(self.ledger, name)
+                self.held[name] = max(self.held[name], len(store))
+                self.reach[name] = max(self.reach[name], slot - min(store, default=slot))
+            return packet
+
+    class TrackedDecoder(sim_harness.DecoderState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.dependency_losses = 0  # cancellations that met a FAILED message
+            made.append(self)
+
+        def _cancel(self, t, plan, queue):
+            try:
+                return super()._cancel(t, plan, queue)
+            except MissingDependency:
+                self.dependency_losses += 1
+                raise
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim_harness, "RelayState", TrackedRelay)
+        mp.setattr(sim_harness, "DecoderState", TrackedDecoder)
+        rep = run_episode(p, e1, e2, horizon, seed=seed, header_mode=header_mode)
+    relay, dest = made
+    return rep, relay, dest
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_PINS))
+def test_long_stream_report_is_pinned(name):
+    rep = run_stream(name)[0]
+    observed = {
+        "decode_slots": [[t, s] for t, s in rep.decode_slots.items()],
+        "failed": list(rep.failed),
+        "violations": [list(v) for v in rep.violations],
+        "payloads": list(rep.payloads),
+    }
+    digest = hashlib.sha256(json.dumps(observed, sort_keys=True).encode()).hexdigest()
+    assert digest == STREAM_PINS[name]
+
+
+def test_the_oracle_stream_loses_through_dependencies():
+    """The (12,3,4,1) pin is not vacuous: messages fail, and some fail
+    because their cancellation met a FAILED message, which had been
+    retired to its outcome by then."""
+    rep, _, dest = run_stream("1234-oracle-eps0.1-3000")
+    assert len(rep.failed) > 20
+    assert dest.dependency_losses > 5
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_PINS))
+def test_ledger_holds_only_the_slots_in_flight_messages_read(name):
+    """At every slot of the 3000, the relay's ledger holds packets and
+    recovered values of at most T+2k'+1 slots, none older than T+2k' slots;
+    the erasure bits stay whole.  (No estimate of these streams needed a
+    recovered value, so that store stays empty here.)"""
+    rep, relay, _ = run_stream(name)
+    p, k = rep.params, derive_dims(rep.params).k_prime
+    assert len(relay.ledger.erased_bits) == HORIZON
+    assert relay.held["packets"]  # filled, then pruned
+    for name in LEDGER_STORES:
+        assert relay.held[name] <= p.T + 2 * k + 1, (name, relay.held[name])
+        assert relay.reach[name] <= p.T + 2 * k, (name, relay.reach[name])
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_PINS))
+def test_decoder_holds_plans_and_symbols_only_near_the_last_slot(name):
+    """After 3000 slots the decoder holds plans and filed symbols only for
+    messages within T+1+2(k'-1) of the last slot; every older message kept
+    its outcome, and its decode slot if it decoded."""
+    rep, _, dest = run_stream(name)
+    p, k = rep.params, derive_dims(rep.params).k_prime
+    reach = p.T + 1 + 2 * (k - 1)
+    live = [t for t, st in dest.msgs.items() if st.plan is not None or st.got_tx or st.got_par]
+    assert live and min(live) >= dest.last_slot - reach, min(live)
+    assert len(live) <= reach + 1
+    for t in range(dest.last_slot - p.T):  # past their deadline
+        st = dest.msgs[t]
+        assert st.outcome is not None, t
+        assert st.decode_slot == rep.decode_slots.get(t), t
+    for store in (dest._waiters, dest._flagged, dest._planless):
+        assert all(t >= dest.last_slot - reach for t in store)
+
+
+def test_codec_state_grows_by_at_most_800_bytes_per_slot():
+    """The tracemalloc peak of a header-mode (5,2,3,0) episode grows by at
+    most 800 B per slot between 1000 and 8000 slots (about 1.9 KB before the
+    relay pruned its ledger and the decoder retired finished messages)."""
+    growth = growth_per_slot(1000, 8000)
+    assert growth <= GROWTH_BOUND, growth

@@ -319,3 +319,39 @@ def test_plan_reads_only_the_header_mode_window():
                     plans += 1
     assert plans > 10_000
     assert at_lower > 0
+
+
+def test_plan_memo_keeps_a_bounded_number_of_parameter_sets():
+    """Sweeping all 210 sets of all_valid_params(7) twice keeps at most
+    _PLAN_MEMO_SETS sets, the last ones inserted, and every shape and
+    layout equals the one a fresh memo gives.  Up to _PLAN_MEMO_SETS sets
+    never evict: looking them up again keeps their entries."""
+    sets = list(all_valid_params(7))
+    cap = relay_codec._PLAN_MEMO_SETS
+    assert cap >= 32 and len(sets) > cap
+
+    def lookups(p):
+        rng = np.random.default_rng([67, p.T, p.N1, p.N2, p.j])
+        windows = [tuple(int(b) for b in rng.random(p.T + 1) < 0.3) for _ in range(4)]
+        return [slot_layout(p, w, p.T) for w in windows] + [
+            build_message_plan(p, oracle_view(w), 0).shape for w in windows
+        ]
+
+    fresh = {}
+    for p in sets:
+        relay_codec._PLAN_MEMO.clear()
+        fresh[p] = lookups(p)
+    relay_codec._PLAN_MEMO.clear()
+    for _ in range(2):
+        for p in sets:
+            assert lookups(p) == fresh[p], p
+            assert len(relay_codec._PLAN_MEMO) <= cap
+    assert list(relay_codec._PLAN_MEMO) == sets[-cap:]
+
+    relay_codec._PLAN_MEMO.clear()
+    for p in sets[:cap]:
+        lookups(p)
+    entries = dict(relay_codec._PLAN_MEMO)
+    for p in sets[:cap]:
+        assert lookups(p) == fresh[p], p
+    assert all(relay_codec._PLAN_MEMO[p] is entry for p, entry in entries.items())
