@@ -1,12 +1,12 @@
 """Destination decoder: replays the relay's plan symbolically and decodes.
 
 The destination never sees the first hop.  It learns the first-hop erasure
-pattern either out of band (oracle side information, the default) or from the
-delta-symbol header each relay packet carries, rebuilds every message's
-transmission plan with the exact code the relay used, slices each received
-relay packet by ``slot_layout`` -- the relay's own per-slot rule, applied to
-the packet's header or to the oracle window -- and then, once a message holds
-as many symbols as it transmits:
+pattern either out of band (oracle side information ``e1_bits``, the
+default) or from the delta-symbol header each relay packet carries, rebuilds
+every message's transmission plan with the exact code the relay used, slices
+each received relay packet by ``slot_layout`` -- the relay's own per-slot
+rule, applied to the packet's header or to the oracle window -- and then,
+once a message holds as many symbols as it transmits:
 
 1. files them in queue coordinates, None for a lost symbol, and decodes
    each second-hop codeword missing a symbol from any k of its n symbols
@@ -20,6 +20,14 @@ A message still undecodable after its deadline t+T is FAILED -- a value, not
 an error; a later message whose interference references a FAILED one becomes
 FAILED itself (loss propagation), which the caller sees as MissingDependency
 handled internally.
+
+The pattern is held as one byte per slot behind T zero bytes for the clean
+slots before 0: the oracle's bits, or in header mode the bits each header
+delivered, with a marker for slots no header has covered yet.  A slot's T+1
+bits are then one ``bytes`` slice -- of the oracle pattern, or the decoded
+header itself -- which keys ``slot_layout``'s memo.  ``decode_header`` reads
+its own memo (symbols -> window), so a header costs one lookup; plans read
+the pattern through a slot -> bool lookup over the same bytes.
 """
 
 from __future__ import annotations
@@ -32,6 +40,8 @@ from .source_codec import PosEmission, _codes_cached, emission_coefficients
 from .relay_codec import MessagePlan, build_message_plan, decode_header, second_code, slot_layout
 
 FAILED = "FAILED"
+_UNSEEN = 2  # header mode: a slot no header has covered yet
+_UNSEEN_BYTE = bytes((_UNSEEN,))
 
 
 class MalformedPacket(ValueError):
@@ -72,10 +82,12 @@ class _MessageState:
 class DecoderState:
     """Destination state across an episode.
 
-    With oracle side information pass the first-hop pattern as ``e1_erased``
-    (slot -> bool).  In header mode pass None; the pattern is accumulated
-    from received packet headers, and anything that needs bits not yet
-    covered by a header simply waits.
+    With oracle side information pass the first-hop pattern as ``e1_bits``,
+    one 0/1 entry per slot from slot 0; slots outside it read clean.  In
+    header mode pass None; the pattern is accumulated from received packet
+    headers into ``_known_bits``, where a slot no header has covered yet
+    holds ``_UNSEEN``, and anything that needs bits not yet covered simply
+    waits.
 
     Decoding is event-driven: ``due(now)`` yields only the messages whose
     attempt could succeed (or must fail) since their last one, i.e. those
@@ -89,28 +101,41 @@ class DecoderState:
     plans and symbols are held only for messages not past their deadline.
     What stays O(stream) is small and read by design: each message's outcome
     (``try_decode`` answers for every t, and a later message's cancellation
-    reads its dependencies' values) and, in header mode, ``_known_bits``,
-    one bit per slot that any later plan may read.
+    reads its dependencies' values) and the first-hop pattern, one byte per
+    slot that any later plan may read.
     """
 
-    def __init__(self, p: SchemeParams, e1_erased=None, header_mode: bool = False):
-        if header_mode and e1_erased is not None:
+    def __init__(self, p: SchemeParams, e1_bits=None, header_mode: bool = False):
+        if header_mode and e1_bits is not None:
             raise ValueError("header mode reconstructs the pattern; do not pass one")
-        if not header_mode and e1_erased is None:
+        if not header_mode and e1_bits is None:
             raise ValueError("oracle mode needs the first-hop pattern")
         self.params = p
         self.dims = derive_dims(p)
         self.field, self.first_code = _codes_cached(p)
         self.header_mode = header_mode
-        self._known_bits: dict[int, int] = {}
-        self._known_below = 0  # first slot no header has covered yet
         # first-hop lookup; it closes over the pattern, not the decoder, so
         # the plans the decoder keeps hold no reference back to it
+        T = p.T
         if header_mode:
-            known = self._known_bits
-            self._erased1 = lambda s: s >= 0 and bool(known.get(s, 1))  # unseen: erased
+            self._delta = header_overhead(p)
+            # slots -T .. the last a header covered; unseen slots read erased
+            bits = self._known_bits = bytearray(T)
+            self._known_below = 0  # first slot no header has covered yet
+            beyond = True  # past the last header: not seen yet, so erased
         else:
-            self._erased1 = lambda s: s >= 0 and bool(e1_erased(s))
+            bits = self._e1 = bytes(T) + bytes(map(bool, e1_bits))
+            beyond = False  # past the end of the pattern: clean
+
+        def erased1(s: int) -> bool:
+            if s < 0:
+                return False
+            try:
+                return bits[s + T] != 0  # an unseen slot reads erased
+            except IndexError:
+                return beyond
+
+        self._erased1 = erased1
         self.msgs: dict[int, _MessageState] = {}
         self.last_slot = -1
         self._due: list[int] = []  # heap of messages to attempt
@@ -125,12 +150,14 @@ class DecoderState:
         """All pattern bits a full plan for message t can depend on are known."""
         if not self.header_mode:
             return True
-        hi = t + self.params.T - self.params.N2
+        T = self.params.T
+        hi = t + T - self.params.N2
         if hi < self._known_below:
             return True
         # past a gap (a hop-2 burst longer than T+1 lost every header of it)
         lo = max(0, t - 2 * (self.dims.k_prime - 1))
-        return all(s in self._known_bits for s in range(lo, hi + 1))
+        known = self._known_bits
+        return hi + T < len(known) and known.find(_UNSEEN, lo + T, hi + T + 1) < 0
 
     def plan(self, t: int) -> MessagePlan | None:
         st = self._state(t)
@@ -202,27 +229,32 @@ class DecoderState:
         # [0, q) files nothing
         if symbols and (min(symbols) < 0 or max(symbols) >= self.field.q):
             raise MalformedPacket(f"slot {slot}: symbol outside [0, {self.field.q})")
+        T = p.T
         if self.header_mode:
-            delta = header_overhead(p)
+            delta = self._delta
             if len(symbols) < delta:
                 raise MalformedPacket(f"slot {slot}: packet shorter than its header")
             try:
-                bits = decode_header(p, symbols[:delta])
+                bits = bytes(decode_header(p, symbols[:delta]))
             except ValueError as exc:
                 raise MalformedPacket(f"slot {slot}: {exc}") from None
-            known = self._known_bits
-            for off, b in enumerate(bits):
-                s = slot - p.T + off
-                if s >= 0:
-                    known[s] = b
-            while self._known_below in known:
-                self._known_below += 1
+            # the header covers [slot-T, slot], at indices slot .. slot+T;
+            # its bits before slot 0 stay the clean padding
+            known, end = self._known_bits, slot + T + 1
+            if len(known) < end:
+                known.extend(_UNSEEN_BYTE * (end - len(known)))
+            lo = slot if slot >= T else T
+            known[lo:end] = bits[lo - slot :]
+            below = known.find(_UNSEEN, self._known_below + T)
+            self._known_below = (len(known) if below < 0 else below) - T
             symbols = symbols[delta:]
             for t in [t for t in self._planless if self._plan_ready(t)]:
                 self._planless.discard(t)
                 self._flag_if_enough(t, self.msgs[t])
         else:
-            bits = [self._erased1(s) for s in range(slot - p.T, slot + 1)]
+            bits = self._e1[slot : slot + T + 1]  # [slot-T, slot]
+            if len(bits) <= T:  # past the end of the pattern: clean
+                bits += bytes(T + 1 - len(bits))
         offset = 0
         for t, _, start, size, row in slot_layout(p, bits, slot):
             if offset + size > len(symbols):

@@ -39,7 +39,13 @@ s)``, says what rides relay slot s from the T+1 header bits of [s-T, s]:
 the relay emits, the destination slices and the verifier bounds the payload
 by it.  Its rides are memoized too, in slot offsets on those T+1 bits and in
 the same per-parameter-set entry as the shapes, at most 2^(T+1) layouts: a
-slot costs one lookup on each side.  The relay keeps each message's values
+slot costs one lookup on each side.  Every memo is keyed by ``bytes``, one
+0/1 byte per slot.  The relay's ledger and the destination hold the first
+hop as one byte per slot behind T zero bytes for the clean slots before 0,
+so a slot's T+1 bits are one slice, and that slice is the key.  In header
+mode the same entry memoizes ``encode_header`` (window -> symbols) and
+``decode_header`` (symbols -> window), each at most 2^(T+1) valid headers; a
+malformed header is never stored.  The relay keeps each message's values
 in the plan's queue order: an estimate's values are worked out by the ledger
 when the relay first sends it, and the parities are encoded from the same
 values at the first parity slot, once the plan's window has closed.
@@ -163,7 +169,7 @@ class _PlanShape:
         return hash((self.schedule, self.emissions, self.tx, self.codewords))
 
 
-def _plan_shape(p: SchemeParams, bits: tuple[bool, ...], shared: dict) -> _PlanShape:
+def _plan_shape(p: SchemeParams, bits: bytes, shared: dict) -> _PlanShape:
     """Build the shape for window bits ``bits`` (bits[i] is slot t+i).  Equal
     tuples, which most shapes share, are stored once through ``shared``."""
     d = derive_dims(p)
@@ -172,9 +178,9 @@ def _plan_shape(p: SchemeParams, bits: tuple[bool, ...], shared: dict) -> _PlanS
         return shared.setdefault(x, x)
 
     def window(s: int) -> bool:  # the message at slot 0, with a clean past
-        return 0 <= s < len(bits) and bits[s]
+        return 0 <= s < len(bits) and bits[s] == 1
 
-    erased_msg = bits[0]
+    erased_msg = bits[0] == 1
     emissions = tuple(one(em) for em in emission_schedule(p, window, 0)) if erased_msg else ()
 
     def avail(i: int) -> int:  # estimates held once slot i arrived
@@ -255,27 +261,31 @@ class MessagePlan:
 
 
 # SchemeParams -> (rule, {window bits: _PlanShape}, {T+1 bits: rides},
-# shared tuples).  Shapes are bounded by 2^(T-N2+1) and slot layouts by
-# 2^(T+1), both filled on first use.  An entry is valid only for the rule
-# that filled it: swapping _schedule_core at run time starts a fresh one.
-# At most _PLAN_MEMO_SETS parameter sets are kept: a new set evicts the one
-# inserted first, so a lookup that hits costs no bookkeeping.
-_PLAN_MEMO: dict[SchemeParams, tuple[object, dict, dict, dict]] = {}
+# shared tuples, {T+1 bits: header symbols}, {header symbols: T+1 bits}).
+# Window bits are keyed as bytes, one 0/1 byte per slot.  Shapes are bounded
+# by 2^(T-N2+1), slot layouts and headers each by 2^(T+1), all filled on
+# first use; a header memo holds only valid headers.  An entry is valid only
+# for the rule that filled it: swapping _schedule_core at run time starts a
+# fresh one.  At most _PLAN_MEMO_SETS parameter sets are kept: a new set
+# evicts the one inserted first, so a lookup that hits costs no bookkeeping.
+_PLAN_MEMO: dict[SchemeParams, tuple[object, dict, dict, dict, dict, dict]] = {}
 _PLAN_MEMO_SETS = 32
 
 
-def _memo_entry(p: SchemeParams) -> tuple[object, dict, dict, dict]:
+def _memo_entry(p: SchemeParams) -> tuple[object, dict, dict, dict, dict, dict]:
     entry = _PLAN_MEMO.get(p)
     if entry is None or entry[0] is not _schedule_core:
         if entry is None and len(_PLAN_MEMO) >= _PLAN_MEMO_SETS:
             del _PLAN_MEMO[next(iter(_PLAN_MEMO))]
-        entry = _PLAN_MEMO[p] = (_schedule_core, {}, {}, {})
+        entry = _PLAN_MEMO[p] = (_schedule_core, {}, {}, {}, {}, {})
     return entry
 
 
-def _memo_shape(p: SchemeParams, key: tuple[bool, ...]) -> _PlanShape:
+def _memo_shape(p: SchemeParams, key) -> _PlanShape:
     """The memoized shape of ``key``, the bits of a window [t, t+T-N2]."""
-    _, shapes, _, shared = _memo_entry(p)
+    _, shapes, _, shared, _, _ = _memo_entry(p)
+    if type(key) is not bytes:  # memo keys are one 0/1 byte per slot
+        key = bytes(map(bool, key))
     shape = shapes.get(key)
     if shape is None:
         shape = shapes[key] = _plan_shape(p, key, shared)
@@ -289,16 +299,16 @@ def build_message_plan(p: SchemeParams, erased_fn, t: int) -> MessagePlan:
     on the bits of [t, t+T-N2]; bits before t are read only to resolve
     interference, when the plan's emissions are first asked for.
     """
-    key = tuple(map(bool, map(erased_fn, range(t, t + p.T - p.N2 + 1))))
+    key = bytes(map(bool, map(erased_fn, range(t, t + p.T - p.N2 + 1))))
     return MessagePlan(p, t, _memo_shape(p, key), erased_fn)
 
 
-def _slot_rides(p: SchemeParams, window: tuple[bool, ...], shared: dict) -> tuple:
+def _slot_rides(p: SchemeParams, window: bytes, shared: dict) -> tuple:
     """The rides of the slot whose T+1 bits are ``window``, in offsets: the
     message at window[lo] rides at offset i = T-lo.  Slots after the window
     read as erased.  Each ride is stored once through ``shared``."""
     width = p.T - p.N2 + 1  # message-phase offsets 0 .. T-N2
-    padded = window + (True,) * (width - 1)
+    padded = window + b"\x01" * (width - 1)
     rides = []
     for lo in range(p.T - p.j + 1):
         shape = _memo_shape(p, padded[lo : lo + width])
@@ -322,14 +332,16 @@ def slot_layout(p: SchemeParams, bits, s: int) -> list[tuple]:
     size, parity_row)``: queue items start .. start+size-1 with parity_row
     None, or one symbol per codeword of parity row parity_row with start 0.
 
-    The rides are memoized in slot offsets on the T+1 bits, next to the
-    shapes of the same parameter set (at most 2^(T+1) layouts); a call
-    places them at s and drops the messages before slot 0.
+    The rides are memoized in slot offsets on the T+1 bits as bytes, next to
+    the shapes of the same parameter set (at most 2^(T+1) layouts); a call
+    places them at s and drops the messages before slot 0.  The relay and
+    the destination pass ``bytes``, which is the key itself; any other
+    sequence of bits is converted once.
     """
     if len(bits) != p.T + 1:
         raise ValueError(f"slot layout reads T+1 = {p.T + 1} bits, got {len(bits)}")
-    _, _, layouts, shared = _memo_entry(p)
-    key = tuple(map(bool, bits))
+    _, _, layouts, shared, _, _ = _memo_entry(p)
+    key = bits if type(bits) is bytes else bytes(map(bool, bits))
     rides = layouts.get(key)
     if rides is None:
         rides = layouts[key] = _slot_rides(p, key, shared)
@@ -414,10 +426,9 @@ class RelayState:
     emitted.
 
     The state stays bounded over a stream.  An estimate of a message t reads
-    packets back to slot t - 2(k'-1), through the erased messages its
-    leftover terms need recovered, so after slot s is emitted the ledger
-    forgets every slot before s+1-T-2(k'-1).  Its erasure bits stay, one
-    entry per slot.
+    packets back to slot t - 2(k'-1), the reach of its leftover terms, so
+    after slot s is emitted the ledger forgets every slot before
+    s+1-T-2(k'-1).  Its erasure bits stay, one byte per slot.
     """
 
     def __init__(self, p: SchemeParams, header_mode: bool = False):
@@ -465,9 +476,7 @@ class RelayState:
         """Relay packet for this slot; first-hop slots <= slot must have been
         ingested already."""
         p, erased = self.params, self.ledger.erased
-        # first-hop bits of [slot-T, slot], clean before slot 0
-        lo, seen = slot - p.T, self.ledger.erased_bits
-        bits = seen[lo : slot + 1] if lo >= 0 else [False] * -lo + seen[: slot + 1]
+        bits = self.ledger.window(slot)  # [slot-T, slot] as bytes
         subpackets = []
         for t, shape, start, size, row in slot_layout(p, bits, slot):
             if row is None:
@@ -498,40 +507,51 @@ class RelayState:
 
 
 def encode_header(p: SchemeParams, window_bits) -> tuple[int, ...]:
-    """Pack T+1 erasure bits into delta base-q symbols (little-endian)."""
-    bits = [int(b) for b in window_bits]
-    if len(bits) != p.T + 1:
-        raise ValueError(f"header covers T+1 = {p.T + 1} bits, got {len(bits)}")
-    q = implemented_field_size(p)
-    delta = header_overhead(p)
-    x = 0
-    for b in reversed(bits):
-        x = (x << 1) | b
-    out = []
-    for _ in range(delta):
-        out.append(x % q)
-        x //= q
-    if x:
-        raise ValueError("window does not fit the header alphabet")  # pragma: no cover
-    return tuple(out)
+    """Pack T+1 erasure bits into delta base-q symbols (little-endian).
+
+    Memoized per parameter set on the bits as bytes, at most 2^(T+1)
+    headers: the relay passes the ``bytes`` window it lays the slot out by.
+    """
+    key = window_bits if type(window_bits) is bytes else bytes(map(bool, window_bits))
+    headers = _memo_entry(p)[4]
+    out = headers.get(key)
+    if out is None:
+        if len(key) != p.T + 1:
+            raise ValueError(f"header covers T+1 = {p.T + 1} bits, got {len(key)}")
+        q = implemented_field_size(p)
+        x = 0
+        for b in reversed(key):
+            x = (x << 1) | b
+        out = []
+        for _ in range(header_overhead(p)):
+            out.append(x % q)
+            x //= q
+        if x:
+            raise ValueError("window does not fit the header alphabet")  # pragma: no cover
+        out = headers[key] = tuple(out)
+    return out
 
 
 def decode_header(p: SchemeParams, symbols) -> tuple[int, ...]:
-    """Inverse of encode_header; ValueError on symbols no header holds."""
-    q = implemented_field_size(p)
-    delta = header_overhead(p)
-    syms = list(symbols)
-    if len(syms) != delta:
-        raise ValueError(f"expected {delta} header symbols, got {len(syms)}")
-    x = 0
-    for s in reversed(syms):
-        if not 0 <= s < q:
-            raise ValueError(f"header symbol {s} outside [0, {q})")
-        x = x * q + s
-    if x >> (p.T + 1):
-        raise ValueError(f"header value {x} exceeds T+1 = {p.T + 1} bits")
-    bits = []
-    for _ in range(p.T + 1):
-        bits.append(x & 1)
-        x >>= 1
-    return tuple(bits)
+    """Inverse of encode_header; ValueError on symbols no header holds.
+
+    Memoized per parameter set on the symbols, at most 2^(T+1) headers: a
+    malformed header is never stored, so it raises on every occurrence.
+    """
+    key = tuple(symbols)
+    windows = _memo_entry(p)[5]
+    bits = windows.get(key)
+    if bits is None:
+        q = implemented_field_size(p)
+        delta = header_overhead(p)
+        if len(key) != delta:
+            raise ValueError(f"expected {delta} header symbols, got {len(key)}")
+        x = 0
+        for s in reversed(key):
+            if not 0 <= s < q:
+                raise ValueError(f"header symbol {s} outside [0, {q})")
+            x = x * q + s
+        if x >> (p.T + 1):
+            raise ValueError(f"header value {x} exceeds T+1 = {p.T + 1} bits")
+        bits = windows[key] = tuple((x >> i) & 1 for i in range(p.T + 1))
+    return bits

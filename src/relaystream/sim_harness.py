@@ -123,7 +123,8 @@ def run_episode(
     crashes.  The relay and the decoder keep state for the messages in
     flight only; what grows with the horizon is the report (decode slots,
     failures and payloads, one entry per message or slot), the messages
-    themselves, and the decoder's outcomes and header bits.
+    themselves, the decoder's outcomes, and the first-hop bits the relay and
+    the decoder each hold as one byte per slot.
     """
     if horizon is None:
         horizon = len(e1.bits) if isinstance(e1, ErasurePattern) else len(e1)
@@ -134,14 +135,11 @@ def run_episode(
     rng = np.random.default_rng([seed, 0x5E_ED])
     msgs = rng.integers(0, field.q, size=(horizon, d.k_src))
 
-    def erased1(s: int) -> bool:
-        return 0 <= s < horizon and bool(bits1[s])
-
     relay = RelayState(p, header_mode=header_mode)
     dest = (
         DecoderState(p, header_mode=True)
         if header_mode
-        else DecoderState(p, e1_erased=erased1)
+        else DecoderState(p, e1_bits=bits1)
     )
     rows = msgs.tolist()
     history: list[list[int]] = []  # rows[: s + 1], the messages sent so far

@@ -16,8 +16,8 @@ coefficient 1 (every square submatrix of a systematic-MDS parity block is
 nonsingular, so the combination always exists).  Unknown earlier-position
 symbols remain embedded in the estimate; they belong to strictly older
 messages and are kept as interference so the destination can cancel them
-after decoding those messages.  Terms whose message the relay had fully
-recovered by the emission slot are cancelled.
+after decoding those messages.  Every other leftover term lies on a message
+the relay received, and is cancelled.
 
 Everything structural here (which positions are emitted when, what
 interference they carry) is a pure function of the erasure pattern, which is
@@ -263,6 +263,11 @@ def emission_coefficients(
 # value-level ledger (what the relay actually stores and forwards)
 
 
+class ErasedKnownTerm(RuntimeError):
+    """An estimate would subtract a known term of an erased message.  No
+    emission the plan engine places has one: see ``EstimateLedger``."""
+
+
 class EstimateLedger:
     """Relay-side ingest of the first hop: erasure bits and received packets.
 
@@ -271,11 +276,22 @@ class EstimateLedger:
     ``estimate`` works out the values of one emission the plan placed, from
     the packets ingested so far.
 
-    On its own the ledger keeps every packet, so it can value any emission
-    of the stream.  A streaming owner calls ``forget_before`` once no later
-    estimate can read a slot; ``RelayState`` does, and then the packets and
-    recovered values span about T + 2(k'-1) slots.  ``erased_bits`` stays
-    whole (one entry per slot): plans read first-hop bits of any age.
+    Every term an estimate subtracts lies on a received message.  An
+    estimate of (t, pos) is emitted at the first slot its diagonal holds
+    len(late)+1 parity rows, and an erased earlier position of that diagonal
+    needs at least len(late)+2 rows before the relay could recover it, so it
+    is kept as interference instead.  So the ledger never decodes a first-hop
+    codeword, and asking it for a symbol of an erased message raises
+    ``ErasedKnownTerm``.
+
+    The erasure bits are one byte per slot (1 erased, 0 received), held
+    behind T zero bytes for the clean slots before 0: ``window(s)``, the T+1
+    bits of [s-T, s], is one slice at every slot.  On its own the ledger
+    keeps every packet, so it can value any emission of the stream.  A
+    streaming owner calls ``forget_before`` once no later estimate can read
+    a slot; ``RelayState`` does, and then the packets span about
+    T + 2(k'-1) slots.  The bits stay whole: plans read first-hop bits of
+    any age.
     """
 
     def __init__(self, p: SchemeParams):
@@ -283,19 +299,30 @@ class EstimateLedger:
         self.dims = derive_dims(p)
         self.field, self.code = _codes_cached(p)
         self.next_slot = 0
-        self.erased_bits: list[bool] = []
+        self._pad = p.T
+        self._bits = bytearray(p.T)  # slots -T .. next_slot-1
         self.packets: dict[int, SourcePacket] = {}
-        self._recovered: dict[int, dict[int, int]] = {}  # t -> {flat: value}
-        self._forgotten_below = 0  # no packet or recovered value kept below
+        self._forgotten_below = 0  # no packet kept below
 
     # -- pattern lookups ----------------------------------------------------
 
+    @property
+    def erased_bits(self) -> bytearray:
+        """A copy of the bits of slots 0 .. next_slot-1, 1 where erased."""
+        return self._bits[self._pad :]
+
     def erased(self, slot: int) -> bool:
+        """First-hop bit of ``slot``: clean before 0, erased if not yet seen."""
         if slot < 0:
             return False
-        if slot >= len(self.erased_bits):
-            return True  # not yet seen
-        return self.erased_bits[slot]
+        try:
+            return self._bits[slot + self._pad] == 1
+        except IndexError:
+            return True
+
+    def window(self, slot: int) -> bytes:
+        """The bits of [slot-T, slot], clean before 0; ``slot`` ingested."""
+        return bytes(self._bits[slot : slot + self._pad + 1])
 
     # -- ingest ---------------------------------------------------------------
 
@@ -304,17 +331,16 @@ class EstimateLedger:
             raise OutOfOrder(f"expected slot {self.next_slot}, got {slot}")
         if packet is not None and packet.t != slot:
             raise OutOfOrder(f"packet is stamped t={packet.t}, ingested at slot {slot}")
-        self.erased_bits.append(packet is None)
+        self._bits.append(packet is None)
         self.next_slot += 1
         if packet is not None:
             self.packets[slot] = packet
 
     def forget_before(self, slot: int) -> None:
-        """Drop the packets and recovered values of every slot before
-        ``slot``; the caller promises that no later estimate reads them."""
+        """Drop the packets of every slot before ``slot``; the caller
+        promises that no later estimate reads them."""
         for t in range(self._forgotten_below, slot):
             self.packets.pop(t, None)
-            self._recovered.pop(t, None)
         if slot > self._forgotten_below:
             self._forgotten_below = slot
 
@@ -348,35 +374,7 @@ class EstimateLedger:
         return tuple(out)
 
     def _known_symbol(self, t: int, layer: int, pos: int) -> int:
-        """Value of s_t[layer, pos] when the relay provably knows it."""
-        if not self.erased(t):
-            return self.packets[t].rows[layer][pos]
-        flat = layer * self.dims.k_prime + pos
-        known = self._recovered.get(t)
-        if known is None or flat not in known:
-            self._recover_message(t)
-            known = self._recovered[t]
-        return known[flat]
-
-    def _recover_message(self, t: int) -> None:
-        """MDS-decode every diagonal of fully-known erased message t."""
-        d = self.dims
-        for pos in range(d.k_prime):
-            u = t - pos
-            known = [
-                (q, self._recovered.setdefault(u + q, {})) for q in range(d.k_prime) if u + q >= 0
-            ]
-            for c in range(d.l_prime):
-                received: list[tuple[int, int]] = []
-                for q in range(d.k_prime):
-                    s_q = u + q
-                    if s_q < 0:
-                        received.append((q, 0))
-                    elif not self.erased(s_q):
-                        received.append((q, self.packets[s_q].rows[c][q]))
-                for s_m, m in _diag_parity_slots(t, pos, d.k_prime, self.params.N1):
-                    if s_m >= 0 and not self.erased(s_m):
-                        received.append((d.k_prime + m, self.packets[s_m].rows[c][d.k_prime + m]))
-                word = self.code.erasure_decode(received)
-                for q, values in known:
-                    values[c * d.k_prime + q] = word[q]
+        """Value of s_t[layer, pos], from the packet of received message t."""
+        if self.erased(t):
+            raise ErasedKnownTerm(f"s_{t}[{layer}, {pos}] lies on an erased message")
+        return self.packets[t].rows[layer][pos]

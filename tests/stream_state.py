@@ -25,7 +25,7 @@ from relaystream.scheme_params import SchemeParams
 from relaystream.sim_harness import run_episode
 
 P523 = SchemeParams(5, 2, 3, 0)
-GROWTH_BOUND = 800  # bytes per slot
+GROWTH_BOUND = 600  # bytes per slot
 
 
 def bursty_admissible(rng, horizon: int, T: int, N: int) -> list[int]:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from codec_reference import cancel_interference, dest_ingest, oracle_decode
+from relaystream import dest_codec
 from relaystream.dest_codec import (
     FAILED,
     DecoderState,
@@ -44,8 +45,7 @@ def run_pipeline(p, bits1, bits2, messages, header_mode=False):
     if header_mode:
         dest = DecoderState(p, header_mode=True)
     else:
-        e1 = lambda s: 0 <= s < horizon and bits1[s] == 1
-        dest = DecoderState(p, e1_erased=e1)
+        dest = DecoderState(p, e1_bits=bits1)
     for s in range(horizon):
         pkt = encode_source(p, messages[: s + 1])
         relay.ingest_source(s, None if bits1[s] else pkt)
@@ -176,8 +176,7 @@ def test_malformed_packet_lengths():
     bits1 = [0] * horizon
     messages = episode_messages(p, horizon, seed=43)
     relay = RelayState(p)
-    e1 = lambda s: False
-    dest = DecoderState(p, e1_erased=e1)
+    dest = DecoderState(p, e1_bits=bits1)
     for s in range(horizon):
         relay.ingest_source(s, encode_source(p, messages[: s + 1]))
         wire = relay.emit(s).wire_symbols()
@@ -197,7 +196,7 @@ def test_payload_symbol_outside_the_field_is_malformed():
     messages = episode_messages(p, horizon, seed=43)
     q = make_codes(p)[0].q
     relay = RelayState(p)
-    dest = DecoderState(p, e1_erased=lambda s: False)
+    dest = DecoderState(p, e1_bits=[0] * horizon)
     for s in range(horizon):
         relay.ingest_source(s, encode_source(p, messages[: s + 1]))
         wire = relay.emit(s).wire_symbols()
@@ -228,7 +227,7 @@ def test_corrupted_header_is_one_malformed_slot():
         wire = relay.emit(s).wire_symbols()
         if s == bad:
             wire[0] = q + 7
-            known = dict(dest._known_bits)
+            known = bytes(dest._known_bits)
             with pytest.raises(MalformedPacket):
                 dest.ingest(s, wire)
             assert dest._known_bits == known
@@ -260,6 +259,13 @@ def gap_episode():
     return p, bits1, bits2, horizon
 
 
+def header_covered(dest, x):
+    """Whether a header has covered slot x: its byte, behind the T bytes of
+    slots before 0, is present and not the unseen marker."""
+    i = x + dest.params.T
+    return i < len(dest._known_bits) and dest._known_bits[i] != dest_codec._UNSEEN
+
+
 def test_plan_ready_watermark_matches_the_scan_across_a_header_gap():
     """At every slot, for every pending message, ``_plan_ready`` equals the
     plain scan of the bits a plan can read, before the gap (the watermark
@@ -279,7 +285,7 @@ def test_plan_ready_watermark_matches_the_scan_across_a_header_gap():
             if dest._state(t).outcome is not None:
                 continue
             lo, hi = max(0, t - 2 * (k - 1)), t + p.T - p.N2
-            scan = all(x in dest._known_bits for x in range(lo, hi + 1))
+            scan = all(header_covered(dest, x) for x in range(lo, hi + 1))
             assert dest._plan_ready(t) == scan, (s, t)
             by_watermark += hi < dest._known_below
             ready_past_gap += scan and hi >= dest._known_below
@@ -299,22 +305,47 @@ def test_plan_ready_watermark_matches_the_scan_across_a_header_gap():
     digest = hashlib.sha256(json.dumps(observed, sort_keys=True).encode()).hexdigest()
     assert digest == GAP_EPISODE_SHA256
 
+
+def test_oracle_pattern_shorter_than_the_horizon_reads_clean_beyond_it():
+    """An oracle ``e1_bits`` that stops before the horizon reads clean after
+    its end: fed the same packets, the decoder decodes every message as one
+    given the whole pattern, whose tail is clean."""
+    p = P623
+    horizon, known = 30, 12
+    bits1 = [0] * horizon
+    bits1[3] = bits1[9] = 1
+    messages = episode_messages(p, horizon, seed=53)
+    relay = RelayState(p)
+    short, full = DecoderState(p, e1_bits=bits1[:known]), DecoderState(p, e1_bits=bits1)
+    for s in range(horizon):
+        relay.ingest_source(s, None if bits1[s] else encode_source(p, messages[: s + 1]))
+        wire = relay.emit(s).wire_symbols()
+        short.ingest(s, wire)
+        full.ingest(s, wire)
+    assert not any(short._erased1(s) for s in range(known, horizon + p.T))
+    assert [short._erased1(s) for s in range(-p.T, known)] == [False] * p.T + [
+        b == 1 for b in bits1[:known]
+    ]
+    for t in range(horizon - p.T):
+        assert short.try_decode(t) == full.try_decode(t) == messages[t], t
+
+
 def test_decoder_constructor_guards():
     with pytest.raises(ValueError):
         DecoderState(P523)  # oracle mode without a pattern
     with pytest.raises(ValueError):
-        DecoderState(P523, e1_erased=lambda s: False, header_mode=True)
+        DecoderState(P523, e1_bits=[], header_mode=True)
 
 
 def test_side_info_cross_check():
-    dest = DecoderState(P523, e1_erased=lambda s: False)
+    dest = DecoderState(P523, e1_bits=[])
     with pytest.raises(ValueError):
         dest_ingest(dest, 0, None, side_info=True)
 
 
 def test_pending_then_failed_after_deadline():
     p = P523
-    dest = DecoderState(p, e1_erased=lambda s: False)
+    dest = DecoderState(p, e1_bits=[])
     for s in range(p.T + 1):
         dest.ingest(s, None)  # second hop fully erased
         assert dest.try_decode(0, now=s) in ("pending", FAILED)
@@ -371,7 +402,7 @@ def _decode_both_ways(p, bits1, bits2, messages, header_mode):
     def decoder():
         if header_mode:
             return DecoderState(p, header_mode=True)
-        return DecoderState(p, e1_erased=lambda s: 0 <= s < horizon and bits1[s] == 1)
+        return DecoderState(p, e1_bits=bits1)
 
     polled, driven = decoder(), decoder()
     seen = {"polled": {}, "driven": {}}

@@ -45,7 +45,7 @@ def stream_cases():
     }
 
 
-LEDGER_STORES = ("packets", "_recovered")
+LEDGER_STORES = ("packets",)
 
 
 @cache
@@ -116,10 +116,9 @@ def test_the_oracle_stream_loses_through_dependencies():
 
 @pytest.mark.parametrize("name", sorted(STREAM_PINS))
 def test_ledger_holds_only_the_slots_in_flight_messages_read(name):
-    """At every slot of the 3000, the relay's ledger holds packets and
-    recovered values of at most T+2k'+1 slots, none older than T+2k' slots;
-    the erasure bits stay whole.  (No estimate of these streams needed a
-    recovered value, so that store stays empty here.)"""
+    """At every slot of the 3000, the relay's ledger holds packets of at
+    most T+2k'+1 slots, none older than T+2k' slots; the erasure bits stay
+    whole."""
     rep, relay, _ = run_stream(name)
     p, k = rep.params, derive_dims(rep.params).k_prime
     assert len(relay.ledger.erased_bits) == HORIZON
@@ -148,9 +147,9 @@ def test_decoder_holds_plans_and_symbols_only_near_the_last_slot(name):
         assert all(t >= dest.last_slot - reach for t in store)
 
 
-def test_codec_state_grows_by_at_most_800_bytes_per_slot():
+def test_codec_state_grows_by_at_most_600_bytes_per_slot():
     """The tracemalloc peak of a header-mode (5,2,3,0) episode grows by at
-    most 800 B per slot between 1000 and 8000 slots (about 1.9 KB before the
+    most 600 B per slot between 1000 and 8000 slots (about 1.9 KB before the
     relay pruned its ledger and the decoder retired finished messages)."""
     growth = growth_per_slot(1000, 8000)
     assert growth <= GROWTH_BOUND, growth

@@ -202,6 +202,22 @@ def test_slot_layout_memo_matches_the_reference():
     assert checked > 100_000
 
 
+def test_slot_layout_keys_its_memo_by_bytes():
+    """Every (T+1)-bit window of every set of all_valid_params(5), at slot T:
+    a list, a tuple of bools and bytes give equal rides, and the memo ends
+    with one layout per window, keyed by bytes, as are the shapes."""
+    for p in all_valid_params(5):
+        relay_codec._PLAN_MEMO.pop(p, None)
+        for window in itertools.product((0, 1), repeat=p.T + 1):
+            want = slot_layout(p, bytes(window), p.T)
+            assert slot_layout(p, list(window), p.T) == want, (p, window)
+            assert slot_layout(p, tuple(map(bool, window)), p.T) == want, (p, window)
+        _, shapes, layouts, _, _, _ = relay_codec._PLAN_MEMO[p]
+        assert len(layouts) == 2 ** (p.T + 1)
+        assert all(type(key) is bytes for key in layouts)
+        assert all(type(key) is bytes for key in shapes)
+
+
 def test_slot_layout_callers_cannot_change_the_memo():
     """Each call returns a fresh list of immutable rides: mutating it leaves
     later lookups, at the same slot and at an early one, as they were."""
@@ -251,7 +267,7 @@ def drive(p, bits1, header_mode, seed):
     dest = (
         DecoderState(p, header_mode=True)
         if header_mode
-        else DecoderState(p, e1_erased=oracle_view(bits1))
+        else DecoderState(p, e1_bits=bits1)
     )
     history = []
     sent = {}

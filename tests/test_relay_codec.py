@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from plan_reference import InadmissiblePattern, compute_schedule
+from relaystream import relay_codec
 from relaystream.erasure_channel import enumerate_admissible
 from relaystream.relay_codec import (
     RelayState,
@@ -31,6 +32,7 @@ from relaystream.relay_codec import (
     second_code,
 )
 from relaystream.scheme_params import SchemeParams, derive_dims
+from relaystream.sim_harness import all_valid_params
 from relaystream.source_codec import encode_source, make_codes
 
 P523 = SchemeParams(5, 2, 3, 0)
@@ -301,6 +303,41 @@ def test_header_round_trip_sampled_large():
     for _ in range(300):
         bits = tuple(int(b) for b in rng.integers(0, 2, p.T + 1))
         assert decode_header(p, encode_header(p, bits)) == bits
+
+
+def test_header_memos_round_trip_every_window():
+    """For every (T+1)-bit window of every set of all_valid_params(5), given
+    as bytes or as a list: decoding the encoded header gives the window
+    back, and each header memo ends with one entry per window, the window
+    memo keyed by bytes."""
+    for p in all_valid_params(5):
+        relay_codec._PLAN_MEMO.pop(p, None)
+        for window in itertools.product((0, 1), repeat=p.T + 1):
+            syms = encode_header(p, bytes(window))
+            assert encode_header(p, list(window)) == syms
+            assert decode_header(p, syms) == window
+            assert decode_header(p, list(syms)) == window
+        headers, windows = relay_codec._PLAN_MEMO[p][4:]
+        assert len(headers) == len(windows) == 2 ** (p.T + 1)
+        assert all(type(key) is bytes for key in headers)
+
+
+def test_malformed_header_is_never_memoized():
+    """A header no window encodes to raises on every occurrence, and
+    neither header memo changes; nor does a window of the wrong length."""
+    p = P523
+    for window in itertools.product((0, 1), repeat=p.T + 1):
+        decode_header(p, encode_header(p, window))
+    _, _, _, _, headers, windows = relay_codec._memo_entry(p)
+    before = (dict(headers), dict(windows))
+    for bad in ((7, 0, 0), (0, -1, 0), (0, 0, 6), (1, 0), (1, 0, 0, 0)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                decode_header(p, bad)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            encode_header(p, bytes(p.T))
+    assert (headers, windows) == before
 
 
 def test_header_length_errors():

@@ -7,6 +7,7 @@ equal the target symbol plus its declared interference terms when evaluated
 against the ground-truth messages.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -18,10 +19,15 @@ from relaystream.erasure_channel import enumerate_admissible, pattern_from_bits
 from relaystream.field_mds import DimensionMismatch
 from relaystream.relay_codec import build_message_plan
 from relaystream.scheme_params import SchemeParams, derive_dims
+from relaystream.sim_harness import all_valid_params
 from relaystream.source_codec import (
+    ErasedKnownTerm,
     EstimateLedger,
     OutOfOrder,
     SourcePacket,
+    emission_coefficients,
+    emission_interference,
+    emission_schedule,
     encode_source,
     make_codes,
     relay_recovery_slot,
@@ -254,6 +260,49 @@ def test_interference_only_on_unresolved_messages():
                 for t2, _pos in em.interference:
                     ready = relay_recovery_slot(p, look, t2)
                     assert ready is None or ready > em.slot
+
+
+def test_no_estimate_subtracts_a_term_of_an_erased_message():
+    """Every leftover position of an emission's combination is either kept
+    as interference or lies on a message the first hop delivered, so the
+    relay never has to recover an erased message to value an estimate.
+    Seeded i.i.d. patterns at eps 0.2/0.4/0.6 (inadmissible ones included)
+    on every set of all_valid_params(6)."""
+    known = kept = 0
+    for p in all_valid_params(6):
+        field, code = make_codes(p)
+        horizon = 200
+        for eps in (0.2, 0.4, 0.6):
+            rng = np.random.default_rng([73, p.T, p.N1, p.N2, p.j, round(10 * eps)])
+            bits = [int(b) for b in rng.random(horizon) < eps]
+            look = lambda s: 0 <= s < horizon and bits[s] == 1
+            for t in range(horizon):
+                for em in emission_schedule(p, look, t):
+                    _, mu = emission_coefficients(field, code, em)
+                    inter = {q for _, q in emission_interference(p, look, t, em.pos, em.slot)}
+                    u = t - em.pos
+                    for q in mu:
+                        if u + q < 0 or q in inter:
+                            kept += q in inter
+                            continue
+                        assert not look(u + q), (p, bits, t, em)
+                        known += 1
+    assert known > 30_000 and kept > 10_000
+
+
+def test_a_known_term_of_an_erased_message_raises():
+    """The ledger values only received terms: an emission stripped of the
+    interference its plan keeps would need an erased message's symbol."""
+    p = P623
+    horizon = 12
+    history = random_history(p, horizon, seed=10)
+    bits = [0] * horizon
+    bits[3] = bits[4] = 1
+    ledger, _ = ingest_pattern(p, history, bits)
+    em = next(em for em in build_message_plan(p, ledger.erased, 4).emissions if em.interference)
+    ledger.estimate(em)
+    with pytest.raises(ErasedKnownTerm):
+        ledger.estimate(dataclasses.replace(em, interference=()))
 
 
 def test_ingest_order_is_enforced():
