@@ -5,13 +5,11 @@ verification, Monte-Carlo loss estimation, and the two-user rate region.
 
 from .erasure_channel import (
     ChannelConfig,
-    ErasurePattern,
     HorizonTooLarge,
     count_admissible,
     enumerate_admissible,
     is_admissible,
     pattern_from_bits,
-    sample_iid,
 )
 from .field_mds import GaloisField, MdsCode, is_prime_power, make_field
 from .scheme_params import (
@@ -69,7 +67,6 @@ __all__ = [
     "DecoderState",
     "DerivedDims",
     "EpisodeReport",
-    "ErasurePattern",
     "EstimateLedger",
     "FAILED",
     "GaloisField",
@@ -114,7 +111,6 @@ __all__ = [
     "rate_r2",
     "region_field_size",
     "run_episode",
-    "sample_iid",
     "scheme_rate",
     "slot_layout",
     "summarize",

@@ -2,8 +2,8 @@
 Monte-Carlo loss simulation, the two-user region, and figure-data export.
 
 Exit status: 0 success, 1 usage/validation error, 2 verification failure.
-The default RNG seed comes from $RELAYSTREAM_SEED (else 0); every subcommand
-is deterministic given its flags and seed.
+The default RNG seed comes from $RELAYSTREAM_SEED (else 0; a non-integer is a
+usage error); every subcommand is deterministic given its flags and seed.
 """
 
 import argparse
@@ -40,10 +40,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("RELAYSTREAM_SEED", "0")
     try:
-        return int(os.environ.get("RELAYSTREAM_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        print(f"relaystream: error: RELAYSTREAM_SEED must be an integer, got {raw!r}",
+              file=sys.stderr)
+        raise SystemExit(USAGE_ERROR) from None
 
 
 def _rate(fr: Fraction) -> str:
@@ -106,7 +109,7 @@ def cmd_sizes(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    p = SchemeParams(args.T, args.N1, args.N2, args.j if args.j is not None else 0)
+    p = _params_from(args)
     try:
         report = exhaustive_verify(
             p,

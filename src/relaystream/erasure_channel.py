@@ -1,62 +1,30 @@
-"""Erasure patterns for the two hops: admissibility, enumeration, sampling.
+"""Erasure patterns for the two hops: admissibility and enumeration.
 
-A pattern is a fixed-horizon bit vector (1 = packet erased at that slot).
-Admissibility for bound N with deadline parameter T means every window of
-T+1 consecutive slots contains at most N erasures; windows extending past the
-horizon are constrained through their in-range part (a partial window is a
-subset of a full one, so this is the natural closure).
+A pattern is a tuple or list of 0/1 ints, one per slot (1 = packet erased);
+`pattern_from_bits` checks one that comes from outside.  Admissibility for
+bound N with deadline parameter T means every window of T+1 consecutive
+slots holds at most N erasures; windows past the horizon are constrained
+through their in-range part (a partial window is a subset of a full one).
+`sim_harness.loss_probability` draws a `ChannelConfig`'s i.i.d. patterns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
-
-import numpy as np
 
 
 class HorizonTooLarge(ValueError):
     """Enumeration horizon beyond the supported 3*(T+1) bound."""
 
 
-@dataclass(frozen=True)
-class ErasurePattern:
-    """Immutable erasure bit vector for one link."""
-
-    bits: tuple[int, ...]
-    link: str = "link1"
-    _prefix: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("pattern bits must be 0 or 1")
-        object.__setattr__(self, "_prefix", (0,) + tuple(accumulate(self.bits)))
-
-    @property
-    def horizon(self) -> int:
-        return len(self.bits)
-
-    def erased(self, slot: int) -> bool:
-        """Slots outside the horizon count as not erased (quiet past/future)."""
-        return 0 <= slot < len(self.bits) and self.bits[slot] == 1
-
-    def count(self, lo: int, hi: int) -> int:
-        """Number of erasures in slots [lo, hi) clipped to the horizon."""
-        lo = max(lo, 0)
-        hi = min(hi, len(self.bits))
-        if hi <= lo:
-            return 0
-        return self._prefix[hi] - self._prefix[lo]
-
-    def to_array(self) -> np.ndarray:
-        return np.asarray(self.bits, dtype=np.uint8)
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
-def pattern_from_bits(bits, link: str = "link1") -> ErasurePattern:
-    return ErasurePattern(tuple(int(b) for b in bits), link)
+def pattern_from_bits(bits) -> tuple[int, ...]:
+    """The 0/1 int tuple of a bit sequence; any value other than 0 or 1
+    (True, 1.0 and the like count as 1) raises ValueError."""
+    bits = tuple(bits)
+    if not all(b in (0, 1) for b in bits):
+        raise ValueError("pattern bits must be 0 or 1")
+    return tuple(map(int, bits))
 
 
 @dataclass(frozen=True)
@@ -77,19 +45,18 @@ class ChannelConfig:
             raise ValueError("horizon must be >= 1")
 
 
-def is_admissible(pattern: ErasurePattern, T: int, N: int) -> bool:
-    """True iff every (T+1)-slot window holds at most N erasures."""
-    h = pattern.horizon
-    w = T + 1
-    if h <= w:
-        return pattern.count(0, h) <= N
-    return all(pattern.count(s, s + w) <= N for s in range(h - w + 1))
+def is_admissible(bits, T: int, N: int) -> bool:
+    """True iff every (T+1)-slot window of the 0/1 sequence ``bits`` holds
+    at most N erasures (all of them, when the horizon is shorter)."""
+    c = list(accumulate(bits, initial=0))
+    w = min(T + 1, len(c) - 1)
+    return all(c[s + w] - c[s] <= N for s in range(len(c) - w))
 
 
-def enumerate_admissible(T: int, N: int, horizon: int, link: str = "link1"):
-    """Yield every admissible pattern, ascending when read as an integer
-    whose bit i is slot i (so the all-clear pattern comes first, then the
-    single erasure at slot 0, at slot 1, ...).
+def enumerate_admissible(T: int, N: int, horizon: int):
+    """Yield every admissible pattern as a tuple of 0/1 ints, ascending when
+    read as an integer whose bit i is slot i (so the all-clear pattern comes
+    first, then the single erasure at slot 0, at slot 1, ...).
     """
     if horizon > 3 * (T + 1):
         raise HorizonTooLarge(f"horizon {horizon} > 3*(T+1) = {3 * (T + 1)}")
@@ -102,7 +69,7 @@ def enumerate_admissible(T: int, N: int, horizon: int, link: str = "link1"):
         # bits for slots > slot are already fixed; fill right to left so the
         # emitted order is ascending in the integer encoding above
         if slot < 0:
-            yield ErasurePattern(tuple(bits), link)
+            yield tuple(bits)
             return
         for b in (0, 1):
             bits[slot] = b
@@ -131,14 +98,3 @@ def count_admissible(T: int, N: int, horizon: int) -> int:
                 nxt[key] = nxt.get(key, 0) + cnt
         states = nxt
     return sum(states.values())
-
-
-def sample_iid(config: ChannelConfig) -> tuple[ErasurePattern, ErasurePattern]:
-    """One reproducible (link1, link2) pattern pair; NOT admissibility-filtered."""
-    rng = np.random.default_rng(config.seed)
-    e1 = rng.random(config.horizon) < config.alpha
-    e2 = rng.random(config.horizon) < config.beta
-    return (
-        ErasurePattern(tuple(int(b) for b in e1), "link1"),
-        ErasurePattern(tuple(int(b) for b in e2), "link2"),
-    )

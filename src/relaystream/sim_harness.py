@@ -62,7 +62,6 @@ from .scheme_params import (
 )
 from .erasure_channel import (
     ChannelConfig,
-    ErasurePattern,
     HorizonTooLarge,
     count_admissible,
     enumerate_admissible,
@@ -97,16 +96,6 @@ class EpisodeReport:
         return not self.failed and not self.violations
 
 
-def _as_bits(pattern, horizon: int):
-    if isinstance(pattern, ErasurePattern):
-        bits = list(pattern.bits)
-    else:
-        bits = [int(b) for b in pattern]
-    if len(bits) < horizon:
-        raise ValueError(f"pattern covers {len(bits)} slots, horizon is {horizon}")
-    return bits[:horizon]
-
-
 def run_episode(
     p: SchemeParams,
     e1,
@@ -117,23 +106,28 @@ def run_episode(
 ) -> EpisodeReport:
     """Drive the full pipeline over one pattern pair and audit the outcome.
 
-    Decoded messages are compared with ground truth as they are finalized;
-    failures and invariant violations are recorded in the report rather than
-    raised, so inadmissible patterns degrade into FAILED messages instead of
-    crashes.  The relay and the decoder keep state for the messages in
-    flight only; what grows with the horizon is the report (decode slots,
-    failures and payloads, one entry per message or slot), the messages
-    themselves, the decoder's outcomes, and the first-hop bits the relay and
-    the decoder each hold as one byte per slot.
+    ``e1``/``e2`` are 0/1 sequences of at least ``horizon`` (default
+    ``len(e1)``) slots.  Decoded messages are compared with ground truth as
+    they are finalized; failures and invariant violations are recorded in
+    the report rather than raised, so inadmissible patterns degrade into
+    FAILED messages instead of crashes.  The messages are one list ``rows``
+    (s_t is ``rows[t]``), which the source encodes from and the audit reads.
+    The relay and the decoder keep state for the messages in flight only;
+    what grows with the horizon is the report (decode slots, failures and
+    payloads, one entry per message or slot), ``rows``, the decoder's
+    outcomes, and the first-hop bits the relay and the decoder each hold as
+    one byte per slot.
     """
-    if horizon is None:
-        horizon = len(e1.bits) if isinstance(e1, ErasurePattern) else len(e1)
+    bits1, bits2 = pattern_from_bits(e1), pattern_from_bits(e2)
+    horizon = len(bits1) if horizon is None else horizon
+    if min(len(bits1), len(bits2)) < horizon:
+        raise ValueError(f"patterns cover {len(bits1)} and {len(bits2)} slots, "
+                         f"horizon is {horizon}")
+    bits1, bits2 = bits1[:horizon], bits2[:horizon]
     d = derive_dims(p)
     field, _ = _codes_cached(p)
-    bits1 = _as_bits(e1, horizon)
-    bits2 = _as_bits(e2, horizon)
     rng = np.random.default_rng([seed, 0x5E_ED])
-    msgs = rng.integers(0, field.q, size=(horizon, d.k_src))
+    rows = rng.integers(0, field.q, size=(horizon, d.k_src)).tolist()
 
     relay = RelayState(p, header_mode=header_mode)
     dest = (
@@ -141,16 +135,13 @@ def run_episode(
         if header_mode
         else DecoderState(p, e1_bits=bits1)
     )
-    rows = msgs.tolist()
-    history: list[list[int]] = []  # rows[: s + 1], the messages sent so far
     payloads = []
     n_assess = max(0, horizon - p.T)
     decode_slots: dict[int, int] = {}
     violations: list[tuple] = []
     audits: dict[int, tuple] = {}  # t -> wrong-value or late violation
     for s in range(horizon):
-        history.append(rows[s])
-        relay.ingest_source(s, None if bits1[s] else encode_source(p, history))
+        relay.ingest_source(s, None if bits1[s] else encode_source(p, rows, s))
         rp = relay.emit(s)
         payload = rp.payload_symbols
         payloads.append(payload)
@@ -313,7 +304,7 @@ def _sample_admissible(T: int, N: int, horizon: int, rng, attempts: int = 400):
     target = N / (T + 1)
     for _ in range(attempts):
         bits = (rng.random(horizon) < target).astype(int).tolist()
-        if is_admissible(pattern_from_bits(bits), T, N):
+        if is_admissible(bits, T, N):
             return bits
     return [0] * horizon
 
@@ -340,7 +331,7 @@ def _probe_e1_family(p: SchemeParams, horizon: int, rng, budget: int):
     T, N1 = p.T, p.N1
     total = count_admissible(T, N1, horizon)
     if total <= budget:
-        return [list(pat.bits) for pat in enumerate_admissible(T, N1, horizon)], True
+        return [list(pat) for pat in enumerate_admissible(T, N1, horizon)], True
     family = [[0] * horizon]
     for start in (0, 1, p.j + 1, T, T + 2):
         if start + N1 <= horizon:
@@ -350,7 +341,7 @@ def _probe_e1_family(p: SchemeParams, horizon: int, rng, budget: int):
             family.append(b)
     # alternating singles stress interference chains
     comb = [1 if i % 2 == 0 else 0 for i in range(horizon)]
-    if is_admissible(pattern_from_bits(comb), T, N1):
+    if is_admissible(comb, T, N1):
         family.append(comb)
     while len(family) < budget:
         family.append(_sample_admissible(T, N1, horizon, rng))
@@ -423,8 +414,8 @@ def exhaustive_verify(
     n1_count = count_admissible(p.T, p.N1, horizon)
     n2_count = count_admissible(p.T, p.N2, horizon)
     if not randomized and n1_count * n2_count <= cross_budget:
-        e1s = [list(x.bits) for x in enumerate_admissible(p.T, p.N1, horizon)]
-        e2s = [list(x.bits) for x in enumerate_admissible(p.T, p.N2, horizon)]
+        e1s = [list(x) for x in enumerate_admissible(p.T, p.N1, horizon)]
+        e2s = [list(x) for x in enumerate_admissible(p.T, p.N2, horizon)]
         pairs = [(a, b) for a in e1s for b in e2s]
         notes.append(f"full cross product {len(e1s)}x{len(e2s)}")
     else:
@@ -521,8 +512,10 @@ def _analytic_losses(p: SchemeParams, e1: np.ndarray, e2: np.ndarray, n_assess: 
     pad = d.k_prime - 1
 
     def prefix(e):
-        c = np.zeros((*lead, pad + 1 + n + T), dtype=np.int64)
-        np.cumsum(e, axis=-1, dtype=np.int64, out=c[..., pad + 1:pad + 1 + n])
+        # int32 counts are exact (at most n) and halve a block's temporaries,
+        # so the allocator keeps their pages between blocks (no re-faulting)
+        c = np.zeros((*lead, pad + 1 + n + T), dtype=np.int32)
+        np.cumsum(e, axis=-1, dtype=np.int32, out=c[..., pad + 1:pad + 1 + n])
         c[..., pad + 1 + n:] = c[..., pad + n:pad + n + 1]
         return c
 
@@ -566,19 +559,20 @@ _BLOCK_CHUNKS = 16
 
 
 def _block_losses(p: SchemeParams, config: ChannelConfig, mode: str, scheme: str,
-                  first: int, trials: int) -> tuple[int, int]:
+                  first: int, trials: int, buf: np.ndarray | None = None) -> tuple[int, int]:
     """(adaptive, nonadaptive) loss counts of the ``trials`` messages assessed
     from chunk ``first`` on, in one analytic pass over the block of chunks.
 
     Chunk c draws both hops from ``default_rng([config.seed, c])``, hop 1
-    first, into one ``(2, horizon)`` row.  Every chunk is classified at its
-    full ``horizon - T`` messages; the block's assessed messages are the
-    first ``trials`` of its rows laid end to end, so the tail of a partial
-    last chunk is cut off.
+    first, into one ``(2, horizon)`` row of ``buf`` (the caller's reused
+    ``(_BLOCK_CHUNKS, 2, horizon)`` array) or of a new array.  Every chunk
+    is classified at its full ``horizon - T`` messages; the block's assessed
+    messages are the first ``trials`` of its rows laid end to end, so the
+    tail of a partial last chunk is cut off.
     """
     per_chunk = config.horizon - p.T
     chunks = range(first, first + -(-trials // per_chunk))
-    draws = np.empty((len(chunks), 2, config.horizon))
+    draws = (np.empty((len(chunks), 2, config.horizon)) if buf is None else buf)[:len(chunks)]
     for row, chunk in zip(draws, chunks):
         np.random.default_rng([config.seed, chunk]).random(out=row)
     e1 = draws[:, 0] < config.alpha
@@ -591,8 +585,7 @@ def _block_losses(p: SchemeParams, config: ChannelConfig, mode: str, scheme: str
             a = int(np.count_nonzero(a_lost.ravel()[:trials]))
     if mode == "codec" and scheme in ("adaptive", "both"):
         for i, chunk in enumerate(chunks):
-            # the codec reads the bits as lists of 0/1 ints
-            lost = _codec_losses(p, e1[i].astype(int).tolist(), e2[i].astype(int).tolist(),
+            lost = _codec_losses(p, e1[i].tolist(), e2[i].tolist(),
                                  config.horizon, config.seed + chunk,
                                  min(per_chunk, trials - i * per_chunk))
             a += int(lost.sum())
@@ -644,7 +637,10 @@ def loss_probability(
                 chunksize=max(1, len(jobs) // (4 * workers)),
             ))
     else:
-        results = [_block_losses(p, config, mode, scheme, c, n) for c, n in jobs]
+        # one draw buffer for all blocks, so the allocator does not trim the
+        # heap top after each block and fault its pages in again
+        buf = np.empty((_BLOCK_CHUNKS, 2, config.horizon))
+        results = [_block_losses(p, config, mode, scheme, c, n, buf) for c, n in jobs]
     for a, na in results:
         losses["adaptive"] += a
         losses["nonadaptive"] += na

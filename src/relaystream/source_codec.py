@@ -65,34 +65,34 @@ class SourcePacket:
         return [s for row in self.rows for s in row]
 
 
-def encode_source(p: SchemeParams, history: list[list[int]]) -> SourcePacket:
-    """Packet for time t = len(history)-1; history[i] is message s_i.
+def encode_source(p: SchemeParams, messages, t: int) -> SourcePacket:
+    """Packet for time t; messages[i] is message s_i.
 
-    Messages before time 0 are implicitly all-zero.
+    The packet reads (and checks) only s_i for i in [t-k'-N1+1, t], so its
+    cost does not depend on how many messages ``messages`` holds; messages
+    before time 0 are implicitly all-zero.
     """
     d = derive_dims(p)
     field, code = _codes_cached(p)
-    if not history:
-        raise DimensionMismatch("history must contain at least the current message")
-    t = len(history) - 1
-    # the packet reads s_i for i in [t-k'-N1+1, t] only
+    if not 0 <= t < len(messages):
+        raise DimensionMismatch(f"no message s_{t} among {len(messages)} messages")
     for i in range(max(0, t - d.k_prime - p.N1 + 1), t + 1):
-        if len(history[i]) != d.k_src:
+        if len(messages[i]) != d.k_src:
             raise DimensionMismatch(
-                f"message {i} has {len(history[i])} symbols, expected {d.k_src}"
+                f"message {i} has {len(messages[i])} symbols, expected {d.k_src}"
             )
 
     # per parity row m, (pos, MUL row of its coefficient, message) along the
     # diagonal; messages before time 0 are zero and drop out
     k = d.k_prime
     diags = [
-        [(pos, col[pos], history[t - k - m + pos]) for pos in range(k) if t - k - m + pos >= 0]
+        [(pos, col[pos], messages[t - k - m + pos]) for pos in range(k) if t - k - m + pos >= 0]
         for m, col in zip(range(p.N1), code.parity_mul)
     ]
     add = field.ADD
     rows = []
     for lo in range(0, d.k_src, k):
-        row = list(history[t][lo : lo + k])
+        row = list(messages[t][lo : lo + k])
         for diag in diags:
             acc = 0
             for pos, mul, msg in diag:

@@ -71,6 +71,13 @@ def test_verify_pass(capsys):
     assert "worst payload     10 (target 10)" in out
 
 
+def test_verify_auto_j_is_the_rate_optimal_j(capsys):
+    code, out, _ = run(capsys, "verify", "--T", "5", "--N1", "2", "--N2", "3")
+    assert code == 0
+    assert "verify T=5 N1=2 N2=3 j=1 " in out  # optimal_j(5, 2, 3) is 1
+    assert out.strip().endswith("PASS")
+
+
 def test_verify_large_t_needs_randomized(capsys):
     code, _, err = run(capsys, "verify", "--T", "9", "--N1", "2", "--N2", "3", "--j", "0")
     assert code == USAGE_ERROR
@@ -203,3 +210,13 @@ def test_env_seed_matches_explicit_seed(capsys, monkeypatch):
     monkeypatch.delenv("RELAYSTREAM_SEED")
     _, out_flag, _ = run(capsys, *argv_tail, "--seed", "123")
     assert out_env == out_flag
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_malformed_env_seed_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("RELAYSTREAM_SEED", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--T", "5", "--N1", "2", "--N2", "3", "--alpha", "0.1",
+              "--beta", "0.1", "--trials", "100"])
+    assert exc.value.code == USAGE_ERROR
+    assert "RELAYSTREAM_SEED" in capsys.readouterr().err

@@ -47,7 +47,7 @@ def run_pipeline(p, bits1, bits2, messages, header_mode=False):
     else:
         dest = DecoderState(p, e1_bits=bits1)
     for s in range(horizon):
-        pkt = encode_source(p, messages[: s + 1])
+        pkt = encode_source(p, messages, s)
         relay.ingest_source(s, None if bits1[s] else pkt)
         rp = relay.emit(s)
         dest_ingest(dest, s, None if bits2[s] else rp.wire_symbols())
@@ -97,8 +97,7 @@ def test_structured_decoder_agrees_with_linear_algebra_oracle(e2_bits):
     p = P523
     horizon = 12
     messages = episode_messages(p, horizon, seed=37)
-    for pat in enumerate_admissible(p.T, p.N1, horizon):
-        bits1 = list(pat.bits)
+    for bits1 in enumerate_admissible(p.T, p.N1, horizon):
         dest = run_pipeline(p, bits1, e2_bits, messages)
         history = {}
         for t in range(horizon - p.T):
@@ -178,7 +177,7 @@ def test_malformed_packet_lengths():
     relay = RelayState(p)
     dest = DecoderState(p, e1_bits=bits1)
     for s in range(horizon):
-        relay.ingest_source(s, encode_source(p, messages[: s + 1]))
+        relay.ingest_source(s, encode_source(p, messages, s))
         wire = relay.emit(s).wire_symbols()
         if s < horizon - 1:
             dest.ingest(s, wire)
@@ -198,7 +197,7 @@ def test_payload_symbol_outside_the_field_is_malformed():
     relay = RelayState(p)
     dest = DecoderState(p, e1_bits=[0] * horizon)
     for s in range(horizon):
-        relay.ingest_source(s, encode_source(p, messages[: s + 1]))
+        relay.ingest_source(s, encode_source(p, messages, s))
         wire = relay.emit(s).wire_symbols()
         filed = {t: (dict(st.got_tx), dict(st.got_par)) for t, st in dest.msgs.items()}
         for bad in (q, -1):
@@ -223,7 +222,7 @@ def test_corrupted_header_is_one_malformed_slot():
     relay = RelayState(p, header_mode=True)
     dest = DecoderState(p, header_mode=True)
     for s in range(horizon):
-        relay.ingest_source(s, None if bits1[s] else encode_source(p, messages[: s + 1]))
+        relay.ingest_source(s, None if bits1[s] else encode_source(p, messages, s))
         wire = relay.emit(s).wire_symbols()
         if s == bad:
             wire[0] = q + 7
@@ -278,7 +277,7 @@ def test_plan_ready_watermark_matches_the_scan_across_a_header_gap():
     dest = DecoderState(p, header_mode=True)
     by_watermark = ready_past_gap = 0
     for s in range(horizon):
-        relay.ingest_source(s, None if bits1[s] else encode_source(p, messages[: s + 1]))
+        relay.ingest_source(s, None if bits1[s] else encode_source(p, messages, s))
         wire = relay.emit(s).wire_symbols()
         dest.ingest(s, None if bits2[s] else wire)
         for t in range(s + 1):
@@ -318,7 +317,7 @@ def test_oracle_pattern_shorter_than_the_horizon_reads_clean_beyond_it():
     relay = RelayState(p)
     short, full = DecoderState(p, e1_bits=bits1[:known]), DecoderState(p, e1_bits=bits1)
     for s in range(horizon):
-        relay.ingest_source(s, None if bits1[s] else encode_source(p, messages[: s + 1]))
+        relay.ingest_source(s, None if bits1[s] else encode_source(p, messages, s))
         wire = relay.emit(s).wire_symbols()
         short.ingest(s, wire)
         full.ingest(s, wire)
@@ -408,7 +407,7 @@ def _decode_both_ways(p, bits1, bits2, messages, header_mode):
     seen = {"polled": {}, "driven": {}}
     pending = []
     for s in range(horizon):
-        relay.ingest_source(s, None if bits1[s] else encode_source(p, messages[: s + 1]))
+        relay.ingest_source(s, None if bits1[s] else encode_source(p, messages, s))
         rp = relay.emit(s)
         wire = None if bits2[s] else rp.wire_symbols()
         polled.ingest(s, wire)

@@ -1,25 +1,22 @@
-"""Erasure-pattern model: sliding-window admissibility, enumeration, sampling.
+"""Erasure-pattern model: sliding-window admissibility and enumeration.
 
 Oracles: a brute-force filter over all 2^h bit vectors (small horizons) for
-the enumerator, and the same filter's count for the DP counter.
+the enumerator, the admissibility predicate, and the DP counter.
 """
 
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaystream.erasure_channel import (
     ChannelConfig,
-    ErasurePattern,
     HorizonTooLarge,
     count_admissible,
     enumerate_admissible,
     is_admissible,
     pattern_from_bits,
-    sample_iid,
 )
 
 
@@ -33,39 +30,32 @@ def brute_force(T, N, horizon):
     return out
 
 
-def test_pattern_basics():
-    p = pattern_from_bits([1, 0, 1, 1, 0])
-    assert p.horizon == 5
-    assert str(p) == "10110"
-    assert p.erased(0) and not p.erased(1)
-    assert not p.erased(-1) and not p.erased(99)  # quiet outside horizon
-    assert p.count(0, 5) == 3
-    assert p.count(2, 4) == 2
-    assert p.count(4, 2) == 0
-    assert p.count(-10, 100) == 3
-    assert p.to_array().dtype == np.uint8
-    assert p.to_array().tolist() == [1, 0, 1, 1, 0]
-
-
-def test_pattern_rejects_non_binary():
+def test_pattern_from_bits_checks_and_normalizes():
+    got = pattern_from_bits([True, 0, 1.0, False, 1])
+    assert got == (1, 0, 1, 0, 1)
+    assert all(type(b) is int for b in got)
+    assert pattern_from_bits([]) == ()
     with pytest.raises(ValueError):
-        ErasurePattern((0, 2, 1))
+        pattern_from_bits((0, 2, 1))
 
 
 @pytest.mark.parametrize(
     "T,N,h", [(2, 1, 5), (3, 2, 7), (4, 2, 8), (2, 0, 4), (1, 1, 6)]
 )
 def test_enumeration_matches_brute_force(T, N, h):
-    got = [p.bits for p in enumerate_admissible(T, N, h)]
+    got = list(enumerate_admissible(T, N, h))
     want = brute_force(T, N, h)
     assert sorted(got) == sorted(want)
     assert len(set(got)) == len(got)  # no duplicates
     assert count_admissible(T, N, h) == len(want)
+    # the predicate accepts exactly the brute-force set among all 2^h tuples
+    accepted = [b for b in itertools.product((0, 1), repeat=h) if is_admissible(b, T, N)]
+    assert accepted == want
 
 
 def test_enumeration_order_is_ascending_integers():
     vals = [
-        sum(b << i for i, b in enumerate(p.bits))
+        sum(b << i for i, b in enumerate(p))
         for p in enumerate_admissible(2, 1, 5)
     ]
     assert vals == sorted(vals)
@@ -111,27 +101,3 @@ def test_channel_config_validation():
         ChannelConfig(alpha=0.1, beta=0.5, seed=0, horizon=0)
     with pytest.raises(ValueError):
         ChannelConfig(alpha=0.1, beta=0.5, seed=-1, horizon=4)
-
-
-def test_sample_iid_deterministic():
-    cfg = ChannelConfig(alpha=0.3, beta=0.1, seed=42, horizon=64)
-    a1, a2 = sample_iid(cfg)
-    b1, b2 = sample_iid(cfg)
-    assert a1 == b1 and a2 == b2
-    assert a1.link == "link1" and a2.link == "link2"
-    c1, _ = sample_iid(ChannelConfig(alpha=0.3, beta=0.1, seed=43, horizon=64))
-    assert c1 != a1  # different seed, different draw
-
-
-def test_sample_iid_empirical_rates():
-    cfg = ChannelConfig(alpha=0.25, beta=0.05, seed=7, horizon=200_000)
-    e1, e2 = sample_iid(cfg)
-    assert np.mean(e1.to_array()) == pytest.approx(0.25, abs=0.01)
-    assert np.mean(e2.to_array()) == pytest.approx(0.05, abs=0.01)
-
-
-def test_sample_iid_not_filtered():
-    # the sampler models the true i.i.d. channel: inadmissible bursts happen
-    cfg = ChannelConfig(alpha=0.5, beta=0.5, seed=3, horizon=4000)
-    e1, _ = sample_iid(cfg)
-    assert not is_admissible(e1, 5, 2)

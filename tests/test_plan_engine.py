@@ -273,7 +273,7 @@ def drive(p, bits1, header_mode, seed):
     sent = {}
     for s, b in enumerate(bits1):
         history.append([int(x) for x in rng.integers(0, field.q, d.k_src)])
-        relay.ingest_source(s, None if b else encode_source(p, history))
+        relay.ingest_source(s, None if b else encode_source(p, history, s))
         pkt = relay.emit(s)
         dest.ingest(s, pkt.wire_symbols())
         for t, syms in pkt.subpackets:

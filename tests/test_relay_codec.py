@@ -160,8 +160,7 @@ def test_codeword_symbols_never_share_a_slot(p):
     """At most one symbol of any second-hop codeword rides a given slot, so
     w erased relay slots erase at most w symbols of each codeword."""
     horizon = 2 * (p.T + 1)
-    for pat in enumerate_admissible(p.T, p.N1, horizon):
-        bits = pat.bits
+    for bits in enumerate_admissible(p.T, p.N1, horizon):
         look = lambda s: 0 <= s < horizon and bits[s] == 1
         for t in range(horizon - p.T):
             plan = build_message_plan(p, look, t)
@@ -176,7 +175,7 @@ def drive_relay(p, bits, messages, header_mode=False):
     relay = RelayState(p, header_mode=header_mode)
     packets = []
     for s in range(len(bits)):
-        pkt = encode_source(p, messages[: s + 1])
+        pkt = encode_source(p, messages, s)
         relay.ingest_source(s, None if bits[s] else pkt)
         packets.append(relay.emit(s))
     return relay, packets
@@ -231,7 +230,7 @@ def test_causal_emission_matches_retrospective_plan(p):
     built after the fact from the full pattern."""
     horizon = 2 * (p.T + 1)
     for pat in enumerate_admissible(p.T, p.N1, horizon):
-        bits = list(pat.bits)
+        bits = list(pat)
         messages = episode_messages(p, horizon, seed=13)
         relay, packets = drive_relay(p, bits, messages)
         sizes: dict[int, list[int]] = {}

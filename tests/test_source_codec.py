@@ -46,7 +46,7 @@ def random_history(p, horizon, seed=0):
 
 
 def encode_stream(p, history):
-    return [encode_source(p, history[: t + 1]) for t in range(len(history))]
+    return [encode_source(p, history, t) for t in range(len(history))]
 
 
 @pytest.mark.parametrize("p", [P523, P623, P7313])
@@ -84,7 +84,7 @@ def test_every_diagonal_is_a_codeword(p):
 def test_early_packets_use_zero_history():
     p = P523
     history = random_history(p, 1, seed=3)
-    pkt = encode_source(p, history)
+    pkt = encode_source(p, history, 0)
     # parities at t=0 combine only negative-time (all-zero) messages
     for row in pkt.rows:
         assert all(v == 0 for v in row[1:])
@@ -92,9 +92,9 @@ def test_early_packets_use_zero_history():
 
 def test_encode_validates_message_length():
     with pytest.raises(DimensionMismatch):
-        encode_source(P523, [[1, 2]])
+        encode_source(P523, [[1, 2]], 0)
     with pytest.raises(DimensionMismatch):
-        encode_source(P523, [])
+        encode_source(P523, [], 0)
 
 
 def ingest_pattern(p, history, bits):
@@ -135,8 +135,7 @@ def recovery_oracle(p, bits, t):
 @pytest.mark.parametrize("p", [P523, P623, P7313])
 def test_relay_recovery_slot_matches_oracle(p):
     horizon = 2 * (p.T + 1)
-    for pat in enumerate_admissible(p.T, p.N1, horizon):
-        bits = pat.bits
+    for bits in enumerate_admissible(p.T, p.N1, horizon):
         look = lambda s: 0 <= s < horizon and bits[s] == 1
         for t in range(horizon - p.T):
             assert relay_recovery_slot(p, look, t) == recovery_oracle(p, bits, t), (
@@ -185,7 +184,7 @@ def test_estimates_sound_under_all_admissible_patterns(p):
     horizon = 2 * (p.T + 1)
     history = random_history(p, horizon, seed=5)
     for pat in enumerate_admissible(p.T, p.N1, horizon):
-        ledger, _ = ingest_pattern(p, history, pat.bits)
+        ledger, _ = ingest_pattern(p, history, pat)
         for t in range(horizon):
             plan = build_message_plan(p, ledger.erased, t)
             flats = [c * d.k_prime + em.pos for em in plan.emissions for c in range(d.l_prime)]
@@ -197,7 +196,7 @@ def test_estimates_sound_under_all_admissible_patterns(p):
                 values = ledger.estimate(em)
                 for c in range(d.l_prime):
                     assert values[c] == ground_truth_value(p, field, history, em, c), (
-                        pat.bits,
+                        pat,
                         t,
                         em,
                     )
@@ -218,12 +217,12 @@ def test_estimate_counts_match_closed_form():
     horizon = 2 * (p.T + 1)
     history = random_history(p, horizon, seed=6)
     for pat in enumerate_admissible(p.T, p.N1, horizon):
-        ledger, _ = ingest_pattern(p, history, pat.bits)
+        ledger, _ = ingest_pattern(p, history, pat)
         for t in range(horizon - p.T):
             for now in range(t, horizon):
                 assert engine_available(p, ledger.erased, t, now) == estimates_available(
                     ledger, t, now
-                ), (pat.bits, t, now)
+                ), (pat, t, now)
 
 
 def test_full_estimate_set_for_erased_message():
@@ -251,8 +250,7 @@ def test_interference_only_on_unresolved_messages():
     p = P623
     horizon = 2 * (p.T + 1)
     history = random_history(p, horizon, seed=8)
-    for pat in enumerate_admissible(p.T, p.N1, horizon):
-        bits = pat.bits
+    for bits in enumerate_admissible(p.T, p.N1, horizon):
         look = lambda s: 0 <= s < horizon and bits[s] == 1
         ledger, _ = ingest_pattern(p, history, bits)
         for t in range(horizon):
@@ -338,9 +336,9 @@ def test_encode_reads_a_bounded_window_of_history(p):
     reads = []
     for horizon in (20, 200, 2000):
         history = CountingHistory(random_history(p, horizon, seed=horizon))
-        pkt = encode_source(p, history)
+        pkt = encode_source(p, history, horizon - 1)
         reads.append(history.reads)
-        assert pkt == encode_source(p, list(history))
+        assert pkt == encode_source(p, list(history), horizon - 1)
     assert reads[0] == reads[1] == reads[2]
 
 
@@ -353,4 +351,4 @@ def test_encode_validates_messages_the_packet_reads():
         bad = [list(m) for m in history]
         bad[i] = bad[i][:-1]
         with pytest.raises(DimensionMismatch):
-            encode_source(p, bad)
+            encode_source(p, bad, len(bad) - 1)

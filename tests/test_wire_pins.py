@@ -55,7 +55,7 @@ def wire_digests(p, bits, seed, header_mode) -> list[str]:
     out = []
     for s, b in enumerate(bits):
         history.append([int(x) for x in rng.integers(0, field.q, d.k_src)])
-        relay.ingest_source(s, None if b else encode_source(p, history))
+        relay.ingest_source(s, None if b else encode_source(p, history, s))
         wire = relay.emit(s).wire_symbols()
         out.append(hashlib.sha256(",".join(map(str, wire)).encode()).hexdigest())
     return out
