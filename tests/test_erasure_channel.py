@@ -30,13 +30,22 @@ def brute_force(T, N, horizon):
     return out
 
 
-def test_pattern_from_bits_checks_and_normalizes():
+def test_pattern_basics():
+    p = pattern_from_bits([1, 0, 1, 1, 0])
+    assert p == (1, 0, 1, 1, 0)
+    assert len(p) == 5
+    assert sum(p[2:4]) == 2
     got = pattern_from_bits([True, 0, 1.0, False, 1])
     assert got == (1, 0, 1, 0, 1)
     assert all(type(b) is int for b in got)
     assert pattern_from_bits([]) == ()
+
+
+def test_pattern_rejects_non_binary():
     with pytest.raises(ValueError):
         pattern_from_bits((0, 2, 1))
+    with pytest.raises(ValueError):
+        pattern_from_bits([1, -1])
 
 
 @pytest.mark.parametrize(
