@@ -12,9 +12,11 @@ once a message holds as many symbols as it transmits:
    each second-hop codeword missing a symbol from any k of its n symbols
    (each codeword loses at most one symbol per erased slot);
 2. maps the queue back to flat message indices through the plan's tx order;
-3. cancels estimate interference, resolved once per emission, using messages
-   it already decoded, walking forward in time so dependencies are always
-   resolved first.
+3. cancels estimate interference using messages it already decoded, walking
+   forward in time so dependencies are always resolved first.  Which terms
+   an emission carries, in message offsets with the MUL row of each
+   coefficient, is memoized per parameter set on the emission's structure;
+   an attempt only looks up each dependency's outcome.
 
 A message still undecodable after its deadline t+T is FAILED -- a value, not
 an error; a later message whose interference references a FAILED one becomes
@@ -25,8 +27,10 @@ The pattern is held as one byte per slot behind T zero bytes for the clean
 slots before 0: the oracle's bits, or in header mode the bits each header
 delivered, with a marker for slots no header has covered yet.  A slot's T+1
 bits are then one ``bytes`` slice -- of the oracle pattern, or the decoded
-header itself -- which keys ``slot_layout``'s memo.  ``decode_header`` reads
-its own memo (symbols -> window), so a header costs one lookup; plans read
+header itself -- which keys the layout memo, read in offsets from the memo
+entry the decoder resolved at construction.  A plan's T-N2+1 bits are one
+slice too, and key ``build_message_plan``.  ``decode_header`` reads its own
+memo (symbols -> window), so a header costs one lookup; interference reads
 the pattern through a slot -> bool lookup over the same bytes.
 """
 
@@ -36,8 +40,15 @@ import heapq
 from dataclasses import dataclass, field as dc_field
 
 from .scheme_params import SchemeParams, derive_dims, header_overhead
-from .source_codec import PosEmission, _codes_cached, emission_coefficients
-from .relay_codec import MessagePlan, build_message_plan, decode_header, second_code, slot_layout
+from .source_codec import PosEmission, _codes_cached, _structure_key, emission_coefficients
+from .relay_codec import (
+    MessagePlan,
+    _memo_entry,
+    _slot_rides,
+    build_message_plan,
+    decode_header,
+    second_code,
+)
 
 FAILED = "FAILED"
 _UNSEEN = 2  # header mode: a slot no header has covered yet
@@ -68,6 +79,12 @@ def interference_terms(p: SchemeParams, em: PosEmission, layer: int):
     ]
 
 
+# SchemeParams -> {source_codec._structure_key: term list}, filled by
+# DecoderState._terms_of; each dict is bounded by the layer code's
+# combinatorics, not by stream length
+_TERM_LISTS: dict[SchemeParams, dict[tuple, tuple]] = {}
+
+
 @dataclass(slots=True)
 class _MessageState:
     plan: MessagePlan | None = None
@@ -88,6 +105,14 @@ class DecoderState:
     headers into ``_known_bits``, where a slot no header has covered yet
     holds ``_UNSEEN``, and anything that needs bits not yet covered simply
     waits.
+
+    Each slot's rides are read in offsets through ``_slot_rides``, from the
+    parameter set's memo entry resolved once at construction, and a plan is
+    built from the ``bytes`` of its window [t, t+T-N2]: a slice of the
+    oracle pattern, or of ``_known_bits`` once ``_plan_ready`` holds.  An
+    emission's interference terms are a (message offset, position, MUL row)
+    list, memoized per parameter set on (pos, parity_rows, late, kept
+    positions); ``interference_terms`` runs only on a miss.
 
     Decoding is event-driven: ``due(now)`` yields only the messages whose
     attempt could succeed (or must fail) since their last one, i.e. those
@@ -136,6 +161,8 @@ class DecoderState:
                 return beyond
 
         self._erased1 = erased1
+        self._memo = _memo_entry(p)
+        self._terms = _TERM_LISTS.setdefault(p, {})
         self.msgs: dict[int, _MessageState] = {}
         self.last_slot = -1
         self._due: list[int] = []  # heap of messages to attempt
@@ -162,7 +189,13 @@ class DecoderState:
     def plan(self, t: int) -> MessagePlan | None:
         st = self._state(t)
         if st.plan is None and self._plan_ready(t):
-            st.plan = build_message_plan(self.params, self._erased1, t)
+            p = self.params
+            # [t, t+T-N2]; past the end of an oracle pattern reads clean
+            width, lo = p.T - p.N2 + 1, t + p.T
+            bits = bytes((self._known_bits if self.header_mode else self._e1)[lo : lo + width])
+            if len(bits) < width:
+                bits += bytes(width - len(bits))
+            st.plan = build_message_plan(p, self._erased1, t, bits=bits)
         return st.plan
 
     def _state(self, t: int) -> _MessageState:
@@ -256,7 +289,10 @@ class DecoderState:
             if len(bits) <= T:  # past the end of the pattern: clean
                 bits += bytes(T + 1 - len(bits))
         offset = 0
-        for t, _, start, size, row in slot_layout(p, bits, slot):
+        for i, _, start, size, row in _slot_rides(p, self._memo, bits):
+            if i > slot:
+                continue  # a message before slot 0
+            t = slot - i
             if offset + size > len(symbols):
                 raise MalformedPacket(
                     f"slot {slot}: payload ends inside the subpacket of message {t}"
@@ -308,7 +344,7 @@ class DecoderState:
 
     def _attempt(self, t: int, st: _MessageState):
         p, d = self.params, self.dims
-        plan = self.plan(t)
+        plan = st.plan if st.plan is not None else self.plan(t)
         if plan is None:
             return None  # pattern bits still missing (header mode)
         if st.received < plan.n_tx:
@@ -348,27 +384,41 @@ class DecoderState:
         """Subtract interference using already-decoded messages, resolving
         each emission's terms once for all its layers."""
         k = self.dims.k_prime
-        mul, sub = self.field.MUL, self.field.SUB
+        sub = self.field.SUB
         out = [0] * self.dims.k_src
         resolved: dict[int, list] = {}  # emission -> [(MUL row of coeff, message, position)]
         for (flat, _, e), value in zip(plan.shape.tx, queue):
             terms = resolved.get(e)
             if terms is None:
                 terms = resolved[e] = []
-                for t2, pos, coeff in interference_terms(self.params, plan.emissions[e], 0):
-                    dep = self.msgs.get(t2)
+                for off, pos, row in self._terms_of(plan.emissions[e]):
+                    dep = self.msgs.get(t + off)
                     dep_val = dep.outcome if dep is not None else None
                     if dep_val is FAILED:
                         raise MissingDependency(
-                            f"message {t} needs FAILED message {t2} for cancellation"
+                            f"message {t} needs FAILED message {t + off} for cancellation"
                         )
                     if dep_val is None:
                         # dependency still pending; its deadline is earlier
-                        self._waiters.setdefault(t2, set()).add(t)
+                        self._waiters.setdefault(t + off, set()).add(t)
                         return None
-                    terms.append((mul[coeff], dep_val, pos))
+                    terms.append((row, dep_val, pos))
             layer = flat - flat % k
             for row, dep_val, pos in terms:
                 value = sub[value][row[dep_val[layer + pos]]]
             out[flat] = value
         return out
+
+    def _terms_of(self, em: PosEmission) -> tuple:
+        """``interference_terms(p, em, 0)`` as (message offset from em.t,
+        position, MUL row of the coefficient), memoized on the emission's
+        structure."""
+        key = _structure_key(em)
+        terms = self._terms.get(key)
+        if terms is None:
+            mul = self.field.MUL
+            terms = self._terms[key] = tuple(
+                (t2 - em.t, pos, mul[coeff])
+                for t2, pos, coeff in interference_terms(self.params, em, 0)
+            )
+        return terms

@@ -34,15 +34,21 @@ Everything in a plan except the interference an estimate carries depends
 only on the T-N2+1 bits of [t, t+T-N2].  So the plan's shape is kept in slot
 offsets from t and memoized per parameter set on those bits, at most
 2^(T-N2+1) shapes.  A hit costs one key lookup.  Interference reads bits
-before t and is resolved per message.  One rule, ``slot_layout(p, bits,
+before t and is resolved per message, when a plan's emissions are first
+placed; what the ledger and the destination then do with an emission's
+coefficients is memoized on its structure, in slot offsets (see
+``EstimateLedger`` and ``DecoderState``).  One rule, ``slot_layout(p, bits,
 s)``, says what rides relay slot s from the T+1 header bits of [s-T, s]:
 the relay emits, the destination slices and the verifier bounds the payload
 by it.  Its rides are memoized too, in slot offsets on those T+1 bits and in
-the same per-parameter-set entry as the shapes, at most 2^(T+1) layouts: a
-slot costs one lookup on each side.  Every memo is keyed by ``bytes``, one
-0/1 byte per slot.  The relay's ledger and the destination hold the first
-hop as one byte per slot behind T zero bytes for the clean slots before 0,
-so a slot's T+1 bits are one slice, and that slice is the key.  In header
+the same per-parameter-set entry as the shapes, at most 2^(T+1) layouts.
+Every memo is keyed by ``bytes``, one 0/1 byte per slot.  The relay's ledger
+and the destination hold the first hop as one byte per slot behind T zero
+bytes for the clean slots before 0, so a slot's T+1 bits and a plan's T-N2+1
+bits are each one slice, and that slice is the key: the relay and the
+destination pass it to ``build_message_plan`` as ``bits``, and read their
+slot's rides, in offsets, from the memo entry they resolved once at
+construction, so a slot costs one lookup on each side.  In header
 mode the same entry memoizes ``encode_header`` (window -> symbols) and
 ``decode_header`` (symbols -> window), each at most 2^(T+1) valid headers; a
 malformed header is never stored.  The relay keeps each message's values
@@ -268,6 +274,8 @@ class MessagePlan:
 # for the rule that filled it: swapping _schedule_core at run time starts a
 # fresh one.  At most _PLAN_MEMO_SETS parameter sets are kept: a new set
 # evicts the one inserted first, so a lookup that hits costs no bookkeeping.
+# RelayState and DecoderState resolve their entry once, at construction, and
+# keep using it for the episode even if it is evicted meanwhile.
 _PLAN_MEMO: dict[SchemeParams, tuple[object, dict, dict, dict, dict, dict]] = {}
 _PLAN_MEMO_SETS = 32
 
@@ -281,45 +289,60 @@ def _memo_entry(p: SchemeParams) -> tuple[object, dict, dict, dict, dict, dict]:
     return entry
 
 
-def _memo_shape(p: SchemeParams, key) -> _PlanShape:
-    """The memoized shape of ``key``, the bits of a window [t, t+T-N2]."""
-    _, shapes, _, shared, _, _ = _memo_entry(p)
-    if type(key) is not bytes:  # memo keys are one 0/1 byte per slot
-        key = bytes(map(bool, key))
+def _entry_shape(p: SchemeParams, entry: tuple, key: bytes) -> _PlanShape:
+    """The shape of window bits ``key`` in memo ``entry`` of ``p``."""
+    shapes = entry[1]
     shape = shapes.get(key)
     if shape is None:
-        shape = shapes[key] = _plan_shape(p, key, shared)
+        shape = shapes[key] = _plan_shape(p, key, entry[3])
     return shape
 
 
-def build_message_plan(p: SchemeParams, erased_fn, t: int) -> MessagePlan:
+def build_message_plan(
+    p: SchemeParams, erased_fn, t: int, *, bits: bytes | None = None
+) -> MessagePlan:
     """Everything about message t's relay treatment, from the pattern alone.
 
     ``erased_fn`` is a slot -> bool first-hop lookup.  The shape is memoized
-    on the bits of [t, t+T-N2]; bits before t are read only to resolve
-    interference, when the plan's emissions are first asked for.
+    on the bits of [t, t+T-N2]: ``bits``, one 0/1 byte per slot, when the
+    caller holds them as ``bytes`` (the relay and the destination do), or
+    else T-N2+1 calls of ``erased_fn``.  Bits before t are read through
+    ``erased_fn``, and only to resolve interference, when the plan's
+    emissions are first asked for.
     """
-    key = bytes(map(bool, map(erased_fn, range(t, t + p.T - p.N2 + 1))))
-    return MessagePlan(p, t, _memo_shape(p, key), erased_fn)
+    width = p.T - p.N2 + 1
+    if bits is None:
+        bits = bytes(map(bool, map(erased_fn, range(t, t + width))))
+    elif len(bits) != width:
+        raise ValueError(f"a plan reads T-N2+1 = {width} bits, got {len(bits)}")
+    elif type(bits) is not bytes:  # memo keys are one 0/1 byte per slot
+        bits = bytes(map(bool, bits))
+    return MessagePlan(p, t, _entry_shape(p, _memo_entry(p), bits), erased_fn)
 
 
-def _slot_rides(p: SchemeParams, window: bytes, shared: dict) -> tuple:
+def _slot_rides(p: SchemeParams, entry: tuple, window: bytes) -> tuple:
     """The rides of the slot whose T+1 bits are ``window``, in offsets: the
-    message at window[lo] rides at offset i = T-lo.  Slots after the window
-    read as erased.  Each ride is stored once through ``shared``."""
+    message at window[lo] rides at offset i = T-lo, oldest message first.
+    Memoized in ``entry``, the memo of ``p``; slots after the window read as
+    erased, and each ride is stored once through the entry's shared tuples."""
+    layouts = entry[2]
+    rides = layouts.get(window)
+    if rides is not None:
+        return rides
     width = p.T - p.N2 + 1  # message-phase offsets 0 .. T-N2
     padded = window + b"\x01" * (width - 1)
-    rides = []
+    shared, out = entry[3], []
     for lo in range(p.T - p.j + 1):
-        shape = _memo_shape(p, padded[lo : lo + width])
+        shape = _entry_shape(p, entry, padded[lo : lo + width])
         i, alpha = p.T - lo, shape.schedule.alpha
         if alpha[i]:
             if i < width:
                 ride = (i, shape, sum(alpha[:i]), alpha[i], None)
             else:
                 ride = (i, shape, 0, alpha[i], i - width)
-            rides.append(shared.setdefault(ride, ride))
-    return tuple(rides)
+            out.append(shared.setdefault(ride, ride))
+    rides = layouts[window] = tuple(out)
+    return rides
 
 
 def slot_layout(p: SchemeParams, bits, s: int) -> list[tuple]:
@@ -334,17 +357,14 @@ def slot_layout(p: SchemeParams, bits, s: int) -> list[tuple]:
 
     The rides are memoized in slot offsets on the T+1 bits as bytes, next to
     the shapes of the same parameter set (at most 2^(T+1) layouts); a call
-    places them at s and drops the messages before slot 0.  The relay and
-    the destination pass ``bytes``, which is the key itself; any other
-    sequence of bits is converted once.
+    places them at s and drops the messages before slot 0.  ``bytes`` bits
+    are the key itself; any other sequence of bits is converted once.  The
+    relay and the destination read the same memo in offsets (``_slot_rides``).
     """
     if len(bits) != p.T + 1:
         raise ValueError(f"slot layout reads T+1 = {p.T + 1} bits, got {len(bits)}")
-    _, _, layouts, shared, _, _ = _memo_entry(p)
     key = bits if type(bits) is bytes else bytes(map(bool, bits))
-    rides = layouts.get(key)
-    if rides is None:
-        rides = layouts[key] = _slot_rides(p, key, shared)
+    rides = _slot_rides(p, _memo_entry(p), key)
     return [(s - i, shape, start, size, row) for i, shape, start, size, row in rides if i <= s]
 
 
@@ -416,14 +436,17 @@ class RelayState:
     """Drives the relay across an episode: ingest first hop, emit second hop.
 
     Scheduling is strictly causal: what slot s sends is ``slot_layout`` of
-    the T+1 bits the relay has seen up to s.  ``queues`` holds each message's
-    values in queue order: filled once from the packet rows of a received
-    message, one estimate (l' values, from the ledger) at a time for an
-    erased one.  Message-phase rides slice it, and only a ride that needs an
-    estimate not yet valued places a ``MessagePlan``; the first parity ride,
-    when [t, t+T-N2] has closed, encodes the parities from it with the plan
-    ``build_message_plan`` gives.  Both are dropped once slot t+T has been
-    emitted.
+    the T+1 bits the relay has seen up to s.  The relay resolves its
+    parameter set's memo entry once, at construction, and reads each slot's
+    rides, in offsets, through ``_slot_rides`` keyed by the ledger's
+    ``window``.  ``queues`` holds each message's values in queue order:
+    filled once from the packet rows of a received message, one estimate
+    (l' values, from the ledger) at a time for an erased one.  Message-phase
+    rides slice it, and only a ride that needs an estimate not yet valued
+    places a ``MessagePlan``; the first parity ride, when [t, t+T-N2] has
+    closed, encodes the parities from it with the plan
+    ``build_message_plan`` gives for the ledger's ``plan_bits``.  Both are
+    dropped once slot t+T has been emitted.
 
     The state stays bounded over a stream.  An estimate of a message t reads
     packets back to slot t - 2(k'-1), the reach of its leftover terms, so
@@ -441,6 +464,7 @@ class RelayState:
         # once slot s is emitted, the oldest message in flight is s+1-T and
         # its estimates read packets back to s+1-T-2(k'-1) = s - _ledger_lag
         self._ledger_lag = p.T - 1 + 2 * (self.dims.k_prime - 1)
+        self._memo = _memo_entry(p)
 
     def ingest_source(self, slot: int, packet: SourcePacket | None) -> None:
         self.ledger.ingest(slot, packet)
@@ -475,10 +499,14 @@ class RelayState:
     def emit(self, slot: int) -> RelayPacket:
         """Relay packet for this slot; first-hop slots <= slot must have been
         ingested already."""
-        p, erased = self.params, self.ledger.erased
-        bits = self.ledger.window(slot)  # [slot-T, slot] as bytes
+        p, ledger = self.params, self.ledger
+        erased = ledger.erased
+        bits = ledger.window(slot)  # [slot-T, slot] as bytes
         subpackets = []
-        for t, shape, start, size, row in slot_layout(p, bits, slot):
+        for i, shape, start, size, row in _slot_rides(p, self._memo, bits):
+            if i > slot:
+                continue  # a message before slot 0
+            t = slot - i
             if row is None:
                 values = self._queue(t, shape)
                 if len(values) >= start + size:  # nothing left to value
@@ -488,7 +516,7 @@ class RelayState:
             else:
                 pg = self.parities.get(t)
                 if pg is None:
-                    plan = build_message_plan(p, erased, t)
+                    plan = build_message_plan(p, erased, t, bits=ledger.plan_bits(t))
                     pg = self.parities[t] = build_parity_groups(
                         p, plan, self._queue_values(plan, 0, plan.n_tx)
                     )
@@ -497,7 +525,7 @@ class RelayState:
         # message slot-T had its last slot
         self.parities.pop(slot - p.T, None)
         self.queues.pop(slot - p.T, None)
-        self.ledger.forget_before(slot - self._ledger_lag)
+        ledger.forget_before(slot - self._ledger_lag)
         header = encode_header(p, bits) if self.header_mode else ()
         return RelayPacket(slot, tuple(subpackets), header)
 

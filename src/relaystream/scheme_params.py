@@ -44,6 +44,12 @@ class SchemeParams:
             raise InvalidParams(f"need T+1-N1-N2 >= 1, got {T + 1 - N1 - N2}")
         if not (0 <= j <= N1 - 1):
             raise InvalidParams(f"need 0 <= j <= N1-1, got j={j}, N1={N1}")
+        # the dataclass hash, worked out once: the codec looks its memos up
+        # by parameter set at every slot and every message
+        object.__setattr__(self, "_hash", hash((T, N1, N2, j)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dims(self) -> "DerivedDims":

@@ -24,7 +24,10 @@ interference they carry) is a pure function of the erasure pattern, which is
 what lets the destination replay the relay's bookkeeping symbolically.  The
 plan engine in ``relay_codec`` owns that structure.  The ledger only stores
 what arrived and, when the relay first sends an estimate, works out its
-values from the packets ingested so far.
+values from the packets ingested so far.  How it combines them is itself
+structure: a valuation program in slot offsets from the message, memoized
+per parameter set on the emission's shape and the positions it keeps, so
+an estimate costs one lookup and the GF arithmetic.
 """
 
 from __future__ import annotations
@@ -268,6 +271,21 @@ class ErasedKnownTerm(RuntimeError):
     emission the plan engine places has one: see ``EstimateLedger``."""
 
 
+def _structure_key(em: PosEmission) -> tuple:
+    """(pos, parity_rows, late, kept positions): all of an emission, t aside,
+    that its valuation program and its interference term list depend on.  A
+    kept term (t', q) lies at t' = t - pos + q, so the kept positions are the
+    interference in offsets."""
+    return em.pos, em.parity_rows, em.late, tuple(q for _, q in em.interference)
+
+
+# SchemeParams -> {_structure_key: valuation program}, filled by
+# EstimateLedger.estimate; each dict is bounded by the layer code's
+# combinatorics, not by stream length, and there is one per parameter set
+# touched, as _codes_cached keeps one field per set
+_PROGRAMS: dict[SchemeParams, dict[tuple, tuple]] = {}
+
+
 class EstimateLedger:
     """Relay-side ingest of the first hop: erasure bits and received packets.
 
@@ -284,14 +302,22 @@ class EstimateLedger:
     codeword, and asking it for a symbol of an erased message raises
     ``ErasedKnownTerm``.
 
+    How an emission's values combine the packets depends only on its
+    position, parity rows, late positions and the positions it keeps as
+    interference.  So ``estimate`` runs a valuation program memoized per
+    parameter set on those four: a (MUL row of lambda, packet offset,
+    column) triple per parity row combined and a (MUL row of mu, message
+    offset, position) triple per known term, offsets counted from t.  A miss
+    asks ``emission_coefficients`` for lambda and mu.
+
     The erasure bits are one byte per slot (1 erased, 0 received), held
     behind T zero bytes for the clean slots before 0: ``window(s)``, the T+1
-    bits of [s-T, s], is one slice at every slot.  On its own the ledger
-    keeps every packet, so it can value any emission of the stream.  A
-    streaming owner calls ``forget_before`` once no later estimate can read
-    a slot; ``RelayState`` does, and then the packets span about
-    T + 2(k'-1) slots.  The bits stay whole: plans read first-hop bits of
-    any age.
+    bits of [s-T, s], and ``plan_bits(t)``, the T-N2+1 bits a plan of
+    message t is keyed by, are each one slice.  On its own the ledger keeps
+    every packet, so it can value any emission of the stream.  A streaming
+    owner calls ``forget_before`` once no later estimate can read a slot;
+    ``RelayState`` does, and then the packets span about T + 2(k'-1) slots.
+    The bits stay whole: plans read first-hop bits of any age.
     """
 
     def __init__(self, p: SchemeParams):
@@ -300,9 +326,11 @@ class EstimateLedger:
         self.field, self.code = _codes_cached(p)
         self.next_slot = 0
         self._pad = p.T
+        self._width = p.T - p.N2 + 1  # bits of a plan window
         self._bits = bytearray(p.T)  # slots -T .. next_slot-1
         self.packets: dict[int, SourcePacket] = {}
         self._forgotten_below = 0  # no packet kept below
+        self._programs = _PROGRAMS.setdefault(p, {})
 
     # -- pattern lookups ----------------------------------------------------
 
@@ -323,6 +351,13 @@ class EstimateLedger:
     def window(self, slot: int) -> bytes:
         """The bits of [slot-T, slot], clean before 0; ``slot`` ingested."""
         return bytes(self._bits[slot : slot + self._pad + 1])
+
+    def plan_bits(self, t: int) -> bytes:
+        """The bits of message t's plan window [t, t+T-N2], t >= 0, as
+        ``erased`` reads them: a slot not yet seen reads erased."""
+        lo = t + self._pad
+        got = bytes(self._bits[lo : lo + self._width])
+        return got if len(got) == self._width else got + b"\x01" * (self._width - len(got))
 
     # -- ingest ---------------------------------------------------------------
 
@@ -350,31 +385,38 @@ class EstimateLedger:
         """Per-layer values of emission ``em``: entry c estimates
         s_{em.t}[c*k' + em.pos].  Every leftover term is subtracted except
         those ``em.interference`` keeps; slot ``em.slot`` must be ingested."""
-        d, field = self.dims, self.field
-        lam, mu = emission_coefficients(field, self.code, em)
-        kept = {q for _, q in em.interference}
-        u, k = em.t - em.pos, d.k_prime
-        mul, add, sub = field.MUL, field.ADD, field.SUB
-        # (MUL row of lambda, packet rows, column) per parity row combined,
-        # and (MUL row of mu, position) per known term to subtract; a term
-        # before time 0 is an implicit zero
-        parities = [
-            (mul[l_coef], self.packets[u + k + m].rows, k + m)
-            for l_coef, m in zip(lam, em.parity_rows)
-        ]
-        known = [(mul[coeff], q) for q, coeff in mu.items() if u + q >= 0 and q not in kept]
+        key = _structure_key(em)
+        program = self._programs.get(key)
+        if program is None:
+            program = self._programs[key] = self._compile(em)
+        parities, known = program
+        t, packets = em.t, self.packets
+        sources = [(row, packets[t + off].rows, col) for row, off, col in parities]
+        terms = []
+        for row, off, pos in known:
+            if t + off < 0:
+                continue  # a term before time 0 is an implicit zero
+            if self.erased(t + off):
+                raise ErasedKnownTerm(f"s_{t + off}[., {pos}] lies on an erased message")
+            terms.append((row, packets[t + off].rows, pos))
+        add, sub = self.field.ADD, self.field.SUB
         out = []
-        for c in range(d.l_prime):
+        for c in range(self.dims.l_prime):
             value = 0
-            for row, rows, col in parities:
+            for row, rows, col in sources:
                 value = add[value][row[rows[c][col]]]
-            for row, q in known:
-                value = sub[value][row[self._known_symbol(u + q, c, q)]]
+            for row, rows, pos in terms:
+                value = sub[value][row[rows[c][pos]]]
             out.append(value)
         return tuple(out)
 
-    def _known_symbol(self, t: int, layer: int, pos: int) -> int:
-        """Value of s_t[layer, pos], from the packet of received message t."""
-        if self.erased(t):
-            raise ErasedKnownTerm(f"s_{t}[{layer}, {pos}] lies on an erased message")
-        return self.packets[t].rows[layer][pos]
+    def _compile(self, em: PosEmission) -> tuple[tuple, tuple]:
+        """The valuation program of ``em``'s key: (MUL row of lambda, packet
+        offset, column) per parity row and (MUL row of mu, message offset,
+        position) per known term, offsets from em.t."""
+        lam, mu = emission_coefficients(self.field, self.code, em)
+        mul, k, pos = self.field.MUL, self.dims.k_prime, em.pos
+        kept = {q for _, q in em.interference}
+        parities = tuple((mul[coeff], k + m - pos, k + m) for coeff, m in zip(lam, em.parity_rows))
+        known = tuple((mul[coeff], q - pos, q) for q, coeff in mu.items() if q not in kept)
+        return parities, known

@@ -3,11 +3,13 @@
 ``oracle_decode`` decodes one message by generic linear algebra with its own
 rectangular elimination, so it shares no decoding path with ``DecoderState``
 or with ``field_mds``.  ``erasure_decode_reference`` is the k x k decode of
-one MDS codeword, the reference ``MdsCode.erasure_decode`` must agree with.  ``cancel_interference`` is the standalone form of the
-decoder's cancellation step, ``dest_ingest`` feeds a relay packet with an
-optional side-information cross-check, and ``estimates_available`` is the
-closed-form count the plan engine's availability must match on admissible
-patterns.
+one MDS codeword, the reference ``MdsCode.erasure_decode`` must agree with.
+``estimate_reference`` values one emission from lambda and mu directly, the
+reference for the ledger's memoized valuation programs.
+``cancel_interference`` is the standalone form of the decoder's cancellation
+step, ``dest_ingest`` feeds a relay packet with an optional side-information
+cross-check, and ``estimates_available`` is the closed-form count the plan
+engine's availability must match on admissible patterns.
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ from relaystream.field_mds import (
 )
 from relaystream.relay_codec import MessagePlan, second_code
 from relaystream.scheme_params import SchemeParams, derive_dims
-from relaystream.source_codec import EstimateLedger
+from relaystream.source_codec import (
+    EstimateLedger,
+    ErasedKnownTerm,
+    PosEmission,
+    emission_coefficients,
+)
 
 
 def dest_ingest(state: DecoderState, slot: int, packet, side_info=None) -> DecoderState:
@@ -85,6 +92,32 @@ def erasure_decode_reference(code: MdsCode, received) -> list[int]:
         if value != seen[j]:
             raise InconsistentSymbols(f"symbol at position {j} off the decoded codeword")
     return message
+
+
+def estimate_reference(ledger: EstimateLedger, em: PosEmission) -> tuple[int, ...]:
+    """``ledger.estimate(em)`` without a program: lambda and mu looked up for
+    this emission, every known term read per layer from its packet."""
+    d, field = ledger.dims, ledger.field
+    lam, mu = emission_coefficients(field, ledger.code, em)
+    kept = {q for _, q in em.interference}
+    u, k = em.t - em.pos, d.k_prime
+    mul, add, sub = field.MUL, field.ADD, field.SUB
+    parities = [
+        (mul[l_coef], ledger.packets[u + k + m].rows, k + m)
+        for l_coef, m in zip(lam, em.parity_rows)
+    ]
+    known = [(mul[coeff], q) for q, coeff in mu.items() if u + q >= 0 and q not in kept]
+    out = []
+    for c in range(d.l_prime):
+        value = 0
+        for row, rows, col in parities:
+            value = add[value][row[rows[c][col]]]
+        for row, q in known:
+            if ledger.erased(u + q):
+                raise ErasedKnownTerm(f"s_{u + q}[{c}, {q}] lies on an erased message")
+            value = sub[value][row[ledger.packets[u + q].rows[c][q]]]
+        out.append(value)
+    return tuple(out)
 
 
 def estimates_available(ledger: EstimateLedger, t: int, now: int) -> int:

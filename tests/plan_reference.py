@@ -8,8 +8,8 @@ schedule counts availability in closed form (``closed_form_schedule``).
 memoized: each call looks up the shape of every riding message and sums its
 subpacket sizes again.
 ``tests/test_plan_engine.py`` checks the memoized engine against them.  Only
-the frozen record types, the shape memo and ``relay_recovery_slot`` come
-from the library.
+the frozen record types, the shape memo (read through ``build_message_plan``
+keyed by ``bits``) and ``relay_recovery_slot`` come from the library.
 
 ``compute_schedule`` is the contract-level schedule read through the
 library's engine, with the admissibility check; only tests call it.
@@ -19,7 +19,6 @@ from relaystream.relay_codec import (
     CodewordSpec,
     Schedule,
     TxItem,
-    _memo_shape,
     build_message_plan as engine_plan,
 )
 from relaystream.scheme_params import derive_dims
@@ -207,7 +206,7 @@ def slot_layout(p, bits, s):
     keys = [window[lo : lo + width] for lo in range(first - s + p.T, p.T - p.j + 1)]
     rides = []
     for t, key in enumerate(keys, first):
-        shape = _memo_shape(p, key)
+        shape = engine_plan(p, None, t, bits=key).shape  # a shape reads only ``bits``
         i, alpha = s - t, shape.schedule.alpha
         if alpha[i]:
             if i < width:

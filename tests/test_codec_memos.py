@@ -1,0 +1,185 @@
+"""The codec's compiled structure against the rules it is compiled from.
+
+The relay and the destination key ``build_message_plan`` by the ``bytes`` of
+[t, t+T-N2] they already hold; the ledger values an estimate by a program
+memoized on the emission's structure; the destination cancels interference
+through a term list memoized the same way.  Each is checked against the
+uncompiled rule: the callable-keyed plan, the lambda/mu valuation of
+``codec_reference.estimate_reference`` and ``interference_terms``.  The
+memos are bounded by the layer code, not by the stream.
+"""
+
+import itertools
+from math import comb
+
+import numpy as np
+import pytest
+
+from codec_reference import estimate_reference
+from relaystream import dest_codec, source_codec
+from relaystream.dest_codec import DecoderState, interference_terms
+from relaystream.relay_codec import RelayState, build_message_plan
+from relaystream.scheme_params import SchemeParams, derive_dims
+from relaystream.sim_harness import all_valid_params, run_episode
+from relaystream.source_codec import EstimateLedger, encode_source, make_codes
+
+P12 = SchemeParams(12, 3, 4, 1)
+P7220 = SchemeParams(7, 2, 2, 0)
+
+
+def random_bits(rng, n, p_erase):
+    return [int(b) for b in rng.random(n) < p_erase]
+
+
+def clear_memos(p):
+    source_codec._PROGRAMS.pop(p, None)
+    dest_codec._TERM_LISTS.pop(p, None)
+
+
+def test_programs_and_term_lists_match_the_reference(monkeypatch):
+    """Seeded i.i.d. streams at eps 0.2 and 0.4 on both hops over
+    all_valid_params(6), oracle and header mode, from memos cleared before
+    each set: every estimate the relay values equals the lambda/mu
+    valuation, and every term list the decoder reads equals
+    interference_terms for each layer, shifted by t.  The first stream of a
+    set compiles (cold), the later ones mostly reuse (warm)."""
+    real_estimate, real_terms = EstimateLedger.estimate, DecoderState._terms_of
+    counts = dict.fromkeys(("estimates", "programs", "term lists", "compiled"), 0)
+
+    def estimate(self, em):
+        cold = len(self._programs)
+        got = real_estimate(self, em)
+        assert got == estimate_reference(self, em), em
+        counts["estimates"] += 1
+        counts["programs"] += len(self._programs) > cold
+        return got
+
+    def terms_of(self, em):
+        cold = len(self._terms)
+        got = real_terms(self, em)
+        k, mul = self.dims.k_prime, self.field.MUL
+        for layer in range(self.dims.l_prime):
+            want = [
+                (t2 - em.t, flat - layer * k, mul[coeff])
+                for t2, flat, coeff in interference_terms(self.params, em, layer)
+            ]
+            assert list(got) == want, (em, layer)
+        counts["term lists"] += 1
+        counts["compiled"] += len(self._terms) > cold
+        return got
+
+    monkeypatch.setattr(EstimateLedger, "estimate", estimate)
+    monkeypatch.setattr(DecoderState, "_terms_of", terms_of)
+    for idx, p in enumerate(all_valid_params(6)):
+        clear_memos(p)
+        horizon = 6 * (p.T + 1)
+        rng = np.random.default_rng([61, idx])
+        for p_erase in (0.2, 0.4):
+            e1, e2 = random_bits(rng, horizon, p_erase), random_bits(rng, horizon, p_erase)
+            for header_mode in (False, True):
+                run_episode(p, e1, e2, horizon, seed=idx, header_mode=header_mode)
+    # cold lookups compile, warm ones reuse
+    assert 0 < counts["programs"] < counts["estimates"] // 4, counts
+    assert 0 < counts["compiled"] < counts["term lists"] // 4, counts
+
+
+def drive(p, bits1, known, seed):
+    """Relay (header mode) over ``bits1`` with a clean second hop into three
+    decoders: oracle, oracle given only the first ``known`` bits (the rest
+    of ``bits1`` must be clean) and header mode.  At every slot, the relay's
+    byte key of every message in flight, as its ledger masks it, gives the
+    shape the ledger's callable gives.  Returns the decoders, the messages
+    and how many masked keys were checked."""
+    d = derive_dims(p)
+    field, _ = make_codes(p)
+    rng = np.random.default_rng(seed)
+    relay = RelayState(p, header_mode=True)
+    ledger = relay.ledger
+    dests = [
+        DecoderState(p, e1_bits=bits1),
+        DecoderState(p, e1_bits=bits1[:known]),
+        DecoderState(p, header_mode=True),
+    ]
+    messages, masked = [], 0
+    for s, b in enumerate(bits1):
+        messages.append([int(x) for x in rng.integers(0, field.q, d.k_src)])
+        relay.ingest_source(s, None if b else encode_source(p, messages, s))
+        for t in range(max(0, s - p.T), s + 1):
+            keyed = build_message_plan(p, ledger.erased, t, bits=ledger.plan_bits(t))
+            assert keyed.shape is build_message_plan(p, ledger.erased, t).shape, (s, t)
+            masked += s < t + p.T - p.N2
+        packet = relay.emit(s)
+        wire = packet.wire_symbols()
+        for dest in dests:
+            dest.ingest(s, wire if dest.header_mode else wire[len(packet.header) :])
+            for t in dest.due(s):
+                dest.try_decode(t, s)
+    return dests, messages, masked
+
+
+@pytest.mark.parametrize("p", [P12, P7220])
+def test_byte_keys_give_the_shapes_of_the_callable(p):
+    """Seeded i.i.d. first hops: the relay's byte keys at every slot, and
+    every message's plan at the oracle, short-oracle and header-mode
+    decoders -- messages t < 2(k'-1) included, whose interference reads
+    slots before 0 -- are the very shape objects the callable form gives."""
+    horizon, known = 240, 150
+    masked = plans = 0
+    for seed, p_erase in ((71, 0.1), (72, 0.3)):
+        bits1 = random_bits(np.random.default_rng(seed), horizon, p_erase)
+        bits1[known:] = [0] * (horizon - known)
+        dests, messages, n = drive(p, bits1, known, seed)
+        masked += n
+        for dest in dests:
+            # a header-mode plan needs the bits of [t, t+T-N2] delivered
+            for t in range(horizon - (p.T - p.N2)):
+                plan = dest.plan(t)
+                assert plan.shape is build_message_plan(p, dest._erased1, t).shape, (t, dest)
+                plans += 1
+        full, short, header = dests
+        for t in range(horizon - p.T):
+            want = full.try_decode(t)
+            assert want == messages[t] or bits1[t], t  # a received message decodes
+            assert short.try_decode(t) == want == header.try_decode(t), t
+    assert masked > 1000 and plans > 1000
+
+
+def structural_keys(p):
+    """Every (pos, parity_rows, late, kept) an emission of ``p`` can have:
+    late a subset of the positions after pos, parity_rows len(late)+1 of
+    the N1 rows in arrival order, kept a subset of the positions before
+    pos."""
+    k = derive_dims(p).k_prime
+    for pos in range(k):
+        for n_late in range(min(k - 1 - pos, p.N1 - 1) + 1):
+            for late in itertools.combinations(range(pos + 1, k), n_late):
+                for rows in itertools.combinations(range(p.N1), n_late + 1):
+                    for n_kept in range(pos + 1):
+                        for kept in itertools.combinations(range(pos), n_kept):
+                            yield pos, rows, late, kept
+
+
+def test_program_and_term_memos_are_bounded_by_the_code():
+    """The two 5000-slot (12,3,4,1) i.i.d. streams at eps=0.15 of
+    test_plan_memo_is_bounded_by_the_window, run through the codec: the
+    program and term memos hold only structural keys, so they stay under
+    the count of (pos, parity_rows, late) combinations times the kept
+    subsets, after one stream and after both."""
+    p = P12
+    d = derive_dims(p)
+    keys = set(structural_keys(p))
+    cap = sum(
+        comb(d.k_prime - 1 - pos, a) * comb(p.N1, a + 1) * 2**pos
+        for pos in range(d.k_prime)
+        for a in range(p.N1)
+    )
+    assert len(keys) == cap
+    clear_memos(p)
+    sizes = []
+    for seed in (41, 42):
+        bits = random_bits(np.random.default_rng(seed), 5000, 0.15)
+        run_episode(p, bits, [0] * len(bits), len(bits), seed=seed)
+        programs, terms = source_codec._PROGRAMS[p], dest_codec._TERM_LISTS[p]
+        assert programs.keys() <= keys and terms.keys() <= keys
+        sizes.append((len(programs), len(terms)))
+    assert all(0 < n <= cap for pair in sizes for n in pair), (sizes, cap)
