@@ -15,8 +15,8 @@ once a message holds as many symbols as it transmits:
 3. cancels estimate interference using messages it already decoded, walking
    forward in time so dependencies are always resolved first.  Which terms
    an emission carries, in message offsets with the MUL row of each
-   coefficient, is memoized per parameter set on the emission's structure;
-   an attempt only looks up each dependency's outcome.
+   coefficient, is memoized on the emission's structure in the parameter
+   set's store entry; an attempt only looks up each dependency's outcome.
 
 A message still undecodable after its deadline t+T is FAILED -- a value, not
 an error; a later message whose interference references a FAILED one becomes
@@ -27,11 +27,11 @@ The pattern is held as one byte per slot behind T zero bytes for the clean
 slots before 0: the oracle's bits, or in header mode the bits each header
 delivered, with a marker for slots no header has covered yet.  A slot's T+1
 bits are then one ``bytes`` slice -- of the oracle pattern, or the decoded
-header itself -- which keys the layout memo, read in offsets from the memo
-entry the decoder resolved at construction.  A plan's T-N2+1 bits are one
-slice too, and key ``build_message_plan``.  ``decode_header`` reads its own
-memo (symbols -> window), so a header costs one lookup; interference reads
-the pattern through a slot -> bool lookup over the same bytes.
+header itself -- which keys the layout memo of the store entry the decoder
+resolved at construction.  A plan's T-N2+1 bits are one slice too, and key
+``build_message_plan``.  ``decode_header`` reads the same entry (symbols ->
+window), so a header costs one lookup; interference reads the pattern
+through a slot -> bool lookup over the same bytes.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import heapq
 from dataclasses import dataclass, field as dc_field
 
 from .scheme_params import SchemeParams, derive_dims, header_overhead
-from .source_codec import PosEmission, _codes_cached, _structure_key, emission_coefficients
+from .source_codec import PosEmission, _structure_key, emission_coefficients, make_codes
 from .relay_codec import (
     MessagePlan,
     _memo_entry,
@@ -71,18 +71,12 @@ def interference_terms(p: SchemeParams, em: PosEmission, layer: int):
     coefficients, exactly the positions the relay could not cancel eagerly
     (recorded in the emission) survive into the transmitted value.
     """
-    field, code = _codes_cached(p)
+    field, code = make_codes(p)
     _, mu = emission_coefficients(field, code, em)
     u = em.t - em.pos
     return [
         (u + q, layer * code.k + q, mu[q]) for (_, q) in em.interference if q in mu
     ]
-
-
-# SchemeParams -> {source_codec._structure_key: term list}, filled by
-# DecoderState._terms_of; each dict is bounded by the layer code's
-# combinatorics, not by stream length
-_TERM_LISTS: dict[SchemeParams, dict[tuple, tuple]] = {}
 
 
 @dataclass(slots=True)
@@ -107,12 +101,12 @@ class DecoderState:
     waits.
 
     Each slot's rides are read in offsets through ``_slot_rides``, from the
-    parameter set's memo entry resolved once at construction, and a plan is
+    parameter set's store entry resolved once at construction, and a plan is
     built from the ``bytes`` of its window [t, t+T-N2]: a slice of the
     oracle pattern, or of ``_known_bits`` once ``_plan_ready`` holds.  An
     emission's interference terms are a (message offset, position, MUL row)
-    list, memoized per parameter set on (pos, parity_rows, late, kept
-    positions); ``interference_terms`` runs only on a miss.
+    list, memoized in the ``terms`` of the same entry on (pos, parity_rows,
+    late, kept positions); ``interference_terms`` runs only on a miss.
 
     Decoding is event-driven: ``due(now)`` yields only the messages whose
     attempt could succeed (or must fail) since their last one, i.e. those
@@ -137,7 +131,8 @@ class DecoderState:
             raise ValueError("oracle mode needs the first-hop pattern")
         self.params = p
         self.dims = derive_dims(p)
-        self.field, self.first_code = _codes_cached(p)
+        self._entry = _memo_entry(p)
+        self.field = self._entry.field
         self.header_mode = header_mode
         # first-hop lookup; it closes over the pattern, not the decoder, so
         # the plans the decoder keeps hold no reference back to it
@@ -161,8 +156,6 @@ class DecoderState:
                 return beyond
 
         self._erased1 = erased1
-        self._memo = _memo_entry(p)
-        self._terms = _TERM_LISTS.setdefault(p, {})
         self.msgs: dict[int, _MessageState] = {}
         self.last_slot = -1
         self._due: list[int] = []  # heap of messages to attempt
@@ -289,7 +282,7 @@ class DecoderState:
             if len(bits) <= T:  # past the end of the pattern: clean
                 bits += bytes(T + 1 - len(bits))
         offset = 0
-        for i, _, start, size, row in _slot_rides(p, self._memo, bits):
+        for i, _, start, size, row in _slot_rides(p, self._entry, bits):
             if i > slot:
                 continue  # a message before slot 0
             t = slot - i
@@ -413,11 +406,11 @@ class DecoderState:
         """``interference_terms(p, em, 0)`` as (message offset from em.t,
         position, MUL row of the coefficient), memoized on the emission's
         structure."""
-        key = _structure_key(em)
-        terms = self._terms.get(key)
+        key, lists = _structure_key(em), self._entry.terms
+        terms = lists.get(key)
         if terms is None:
             mul = self.field.MUL
-            terms = self._terms[key] = tuple(
+            terms = lists[key] = tuple(
                 (t2 - em.t, pos, mul[coeff])
                 for t2, pos, coeff in interference_terms(self.params, em, 0)
             )

@@ -40,27 +40,27 @@ coefficients is memoized on its structure, in slot offsets (see
 ``EstimateLedger`` and ``DecoderState``).  One rule, ``slot_layout(p, bits,
 s)``, says what rides relay slot s from the T+1 header bits of [s-T, s]:
 the relay emits, the destination slices and the verifier bounds the payload
-by it.  Its rides are memoized too, in slot offsets on those T+1 bits and in
-the same per-parameter-set entry as the shapes, at most 2^(T+1) layouts.
+by it.  Its rides are memoized too, in slot offsets on those T+1 bits, at
+most 2^(T+1) layouts.  Shapes, layouts and headers live in the parameter
+set's entry of the codec's one store, read through ``_memo_entry``.
 Every memo is keyed by ``bytes``, one 0/1 byte per slot.  The relay's ledger
 and the destination hold the first hop as one byte per slot behind T zero
-bytes for the clean slots before 0, so a slot's T+1 bits and a plan's T-N2+1
-bits are each one slice, and that slice is the key: the relay and the
-destination pass it to ``build_message_plan`` as ``bits``, and read their
-slot's rides, in offsets, from the memo entry they resolved once at
-construction, so a slot costs one lookup on each side.  In header
-mode the same entry memoizes ``encode_header`` (window -> symbols) and
-``decode_header`` (symbols -> window), each at most 2^(T+1) valid headers; a
-malformed header is never stored.  The relay keeps each message's values
-in the plan's queue order: an estimate's values are worked out by the ledger
-when the relay first sends it, and the parities are encoded from the same
-values at the first parity slot, once the plan's window has closed.
+bytes for the clean slots before 0, so a slot's T+1 bits are one slice, and
+that slice is the key: the relay and the destination read their slot's
+rides, in offsets, from the entry they resolved once at construction, so a
+slot costs one lookup on each side.  In header mode the same entry memoizes
+``encode_header`` (window -> symbols) and ``decode_header`` (symbols ->
+window), each at most 2^(T+1) valid headers; a malformed header is never
+stored.  The relay keeps each message's values in the plan's queue order:
+an estimate's values are worked out by the ledger when the relay first
+sends it, and the parities are encoded from the same values at the first
+parity slot, once the plan's window has closed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 
 from .field_mds import MdsCode
 from .scheme_params import SchemeParams, derive_dims, header_overhead, implemented_field_size
@@ -68,7 +68,8 @@ from .source_codec import (
     EstimateLedger,
     PosEmission,
     SourcePacket,
-    _codes_cached,
+    _Entry,
+    _entry,
     emission_interference,
     emission_schedule,
 )
@@ -177,7 +178,8 @@ class _PlanShape:
 
 def _plan_shape(p: SchemeParams, bits: bytes, shared: dict) -> _PlanShape:
     """Build the shape for window bits ``bits`` (bits[i] is slot t+i).  Equal
-    tuples, which most shapes share, are stored once through ``shared``."""
+    tuples, which most shapes share, and equal shapes are stored once
+    through ``shared``, so a ride holds the very shape of its message."""
     d = derive_dims(p)
 
     def one(x):
@@ -216,7 +218,7 @@ def _plan_shape(p: SchemeParams, bits: bytes, shared: dict) -> _PlanShape:
     end = min(len(tx), k_code * step)
     codewords = tuple(one((n_code, k_code, tuple(range(c, end, step)))) for c in range(step))
 
-    return _PlanShape(one(sched), one(emissions), one(tx), one(codewords))
+    return one(_PlanShape(one(sched), one(emissions), one(tx), one(codewords)))
 
 
 class MessagePlan:
@@ -266,35 +268,21 @@ class MessagePlan:
         )
 
 
-# SchemeParams -> (rule, {window bits: _PlanShape}, {T+1 bits: rides},
-# shared tuples, {T+1 bits: header symbols}, {header symbols: T+1 bits}).
-# Window bits are keyed as bytes, one 0/1 byte per slot.  Shapes are bounded
-# by 2^(T-N2+1), slot layouts and headers each by 2^(T+1), all filled on
-# first use; a header memo holds only valid headers.  An entry is valid only
-# for the rule that filled it: swapping _schedule_core at run time starts a
-# fresh one.  At most _PLAN_MEMO_SETS parameter sets are kept: a new set
-# evicts the one inserted first, so a lookup that hits costs no bookkeeping.
-# RelayState and DecoderState resolve their entry once, at construction, and
-# keep using it for the episode even if it is evicted meanwhile.
-_PLAN_MEMO: dict[SchemeParams, tuple[object, dict, dict, dict, dict, dict]] = {}
-_PLAN_MEMO_SETS = 32
-
-
-def _memo_entry(p: SchemeParams) -> tuple[object, dict, dict, dict, dict, dict]:
-    entry = _PLAN_MEMO.get(p)
-    if entry is None or entry[0] is not _schedule_core:
-        if entry is None and len(_PLAN_MEMO) >= _PLAN_MEMO_SETS:
-            del _PLAN_MEMO[next(iter(_PLAN_MEMO))]
-        entry = _PLAN_MEMO[p] = (_schedule_core, {}, {}, {}, {}, {})
+def _memo_entry(p: SchemeParams) -> _Entry:
+    """``p``'s store entry, its shapes, layouts and shared tuples reset if
+    another schedule rule filled them.  At most 2^(T-N2+1) shapes, and
+    2^(T+1) slot layouts and valid headers of each kind."""
+    entry = _entry(p)
+    if entry.rule is not _schedule_core:
+        entry.rule, entry.shapes, entry.layouts, entry.shared = _schedule_core, {}, {}, {}
     return entry
 
 
-def _entry_shape(p: SchemeParams, entry: tuple, key: bytes) -> _PlanShape:
-    """The shape of window bits ``key`` in memo ``entry`` of ``p``."""
-    shapes = entry[1]
-    shape = shapes.get(key)
+def _entry_shape(p: SchemeParams, entry: _Entry, key: bytes) -> _PlanShape:
+    """The shape of window bits ``key`` in ``entry``, the entry of ``p``."""
+    shape = entry.shapes.get(key)
     if shape is None:
-        shape = shapes[key] = _plan_shape(p, key, entry[3])
+        shape = entry.shapes[key] = _plan_shape(p, key, entry.shared)
     return shape
 
 
@@ -305,10 +293,10 @@ def build_message_plan(
 
     ``erased_fn`` is a slot -> bool first-hop lookup.  The shape is memoized
     on the bits of [t, t+T-N2]: ``bits``, one 0/1 byte per slot, when the
-    caller holds them as ``bytes`` (the relay and the destination do), or
-    else T-N2+1 calls of ``erased_fn``.  Bits before t are read through
-    ``erased_fn``, and only to resolve interference, when the plan's
-    emissions are first asked for.
+    caller holds them as ``bytes`` (the destination does), or else T-N2+1
+    calls of ``erased_fn``.  Bits before t are read through ``erased_fn``,
+    and only to resolve interference, when the plan's emissions are first
+    asked for.
     """
     width = p.T - p.N2 + 1
     if bits is None:
@@ -320,18 +308,18 @@ def build_message_plan(
     return MessagePlan(p, t, _entry_shape(p, _memo_entry(p), bits), erased_fn)
 
 
-def _slot_rides(p: SchemeParams, entry: tuple, window: bytes) -> tuple:
+def _slot_rides(p: SchemeParams, entry: _Entry, window: bytes) -> tuple:
     """The rides of the slot whose T+1 bits are ``window``, in offsets: the
     message at window[lo] rides at offset i = T-lo, oldest message first.
-    Memoized in ``entry``, the memo of ``p``; slots after the window read as
-    erased, and each ride is stored once through the entry's shared tuples."""
-    layouts = entry[2]
-    rides = layouts.get(window)
+    Memoized in ``entry``, the entry of ``p``; slots after the window read
+    as erased, and each ride is stored once through the entry's shared
+    tuples."""
+    rides = entry.layouts.get(window)
     if rides is not None:
         return rides
     width = p.T - p.N2 + 1  # message-phase offsets 0 .. T-N2
     padded = window + b"\x01" * (width - 1)
-    shared, out = entry[3], []
+    shared, out = entry.shared, []
     for lo in range(p.T - p.j + 1):
         shape = _entry_shape(p, entry, padded[lo : lo + width])
         i, alpha = p.T - lo, shape.schedule.alpha
@@ -341,7 +329,7 @@ def _slot_rides(p: SchemeParams, entry: tuple, window: bytes) -> tuple:
             else:
                 ride = (i, shape, 0, alpha[i], i - width)
             out.append(shared.setdefault(ride, ride))
-    rides = layouts[window] = tuple(out)
+    rides = entry.layouts[window] = tuple(out)
     return rides
 
 
@@ -368,9 +356,13 @@ def slot_layout(p: SchemeParams, bits, s: int) -> list[tuple]:
     return [(s - i, shape, start, size, row) for i, shape, start, size, row in rides if i <= s]
 
 
-@cache
 def second_code(p: SchemeParams, n: int, k: int) -> MdsCode:
-    return MdsCode(_codes_cached(p)[0], n, k)
+    """The second-hop (n, k) code over ``p``'s field, kept in its entry."""
+    entry = _entry(p)
+    code = entry.second_codes.get((n, k))
+    if code is None:
+        code = entry.second_codes[n, k] = MdsCode(entry.field, n, k)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +429,15 @@ class RelayState:
 
     Scheduling is strictly causal: what slot s sends is ``slot_layout`` of
     the T+1 bits the relay has seen up to s.  The relay resolves its
-    parameter set's memo entry once, at construction, and reads each slot's
+    parameter set's store entry once, at construction, and reads each slot's
     rides, in offsets, through ``_slot_rides`` keyed by the ledger's
     ``window``.  ``queues`` holds each message's values in queue order:
     filled once from the packet rows of a received message, one estimate
     (l' values, from the ledger) at a time for an erased one.  Message-phase
     rides slice it, and only a ride that needs an estimate not yet valued
-    places a ``MessagePlan``; the first parity ride, when [t, t+T-N2] has
-    closed, encodes the parities from it with the plan
-    ``build_message_plan`` gives for the ledger's ``plan_bits``.  Both are
+    places a ``MessagePlan``.  The first parity ride encodes the parities
+    from it: by then [t, t+T-N2] lies inside the slot's window, so the
+    ride's shape is the full plan's, and the ride places it too.  Both are
     dropped once slot t+T has been emitted.
 
     The state stays bounded over a stream.  An estimate of a message t reads
@@ -464,7 +456,7 @@ class RelayState:
         # once slot s is emitted, the oldest message in flight is s+1-T and
         # its estimates read packets back to s+1-T-2(k'-1) = s - _ledger_lag
         self._ledger_lag = p.T - 1 + 2 * (self.dims.k_prime - 1)
-        self._memo = _memo_entry(p)
+        self._entry = _memo_entry(p)
 
     def ingest_source(self, slot: int, packet: SourcePacket | None) -> None:
         self.ledger.ingest(slot, packet)
@@ -503,7 +495,7 @@ class RelayState:
         erased = ledger.erased
         bits = ledger.window(slot)  # [slot-T, slot] as bytes
         subpackets = []
-        for i, shape, start, size, row in _slot_rides(p, self._memo, bits):
+        for i, shape, start, size, row in _slot_rides(p, self._entry, bits):
             if i > slot:
                 continue  # a message before slot 0
             t = slot - i
@@ -516,7 +508,7 @@ class RelayState:
             else:
                 pg = self.parities.get(t)
                 if pg is None:
-                    plan = build_message_plan(p, erased, t, bits=ledger.plan_bits(t))
+                    plan = MessagePlan(p, t, shape, erased)
                     pg = self.parities[t] = build_parity_groups(
                         p, plan, self._queue_values(plan, 0, plan.n_tx)
                     )
@@ -541,7 +533,7 @@ def encode_header(p: SchemeParams, window_bits) -> tuple[int, ...]:
     headers: the relay passes the ``bytes`` window it lays the slot out by.
     """
     key = window_bits if type(window_bits) is bytes else bytes(map(bool, window_bits))
-    headers = _memo_entry(p)[4]
+    headers = _entry(p).headers
     out = headers.get(key)
     if out is None:
         if len(key) != p.T + 1:
@@ -567,7 +559,7 @@ def decode_header(p: SchemeParams, symbols) -> tuple[int, ...]:
     malformed header is never stored, so it raises on every occurrence.
     """
     key = tuple(symbols)
-    windows = _memo_entry(p)[5]
+    windows = _entry(p).windows
     bits = windows.get(key)
     if bits is None:
         q = implemented_field_size(p)

@@ -54,6 +54,7 @@ from .scheme_params import (
     FULLY_ADAPTIVE_RATE,
     SchemeParams,
     derive_dims,
+    implemented_field_size,
     nonadaptive_rate,
     optimal_j,
     packet_size_bits,
@@ -68,7 +69,7 @@ from .erasure_channel import (
     is_admissible,
     pattern_from_bits,
 )
-from .source_codec import _codes_cached, encode_source
+from .source_codec import encode_source
 from .relay_codec import RelayState, build_message_plan, slot_layout
 from .dest_codec import FAILED, DecoderState
 
@@ -125,9 +126,8 @@ def run_episode(
                          f"horizon is {horizon}")
     bits1, bits2 = bits1[:horizon], bits2[:horizon]
     d = derive_dims(p)
-    field, _ = _codes_cached(p)
     rng = np.random.default_rng([seed, 0x5E_ED])
-    rows = rng.integers(0, field.q, size=(horizon, d.k_src)).tolist()
+    rows = rng.integers(0, implemented_field_size(p), size=(horizon, d.k_src)).tolist()
 
     relay = RelayState(p, header_mode=header_mode)
     dest = (

@@ -26,14 +26,17 @@ plan engine in ``relay_codec`` owns that structure.  The ledger only stores
 what arrived and, when the relay first sends an estimate, works out its
 values from the packets ingested so far.  How it combines them is itself
 structure: a valuation program in slot offsets from the message, memoized
-per parameter set on the emission's shape and the positions it keeps, so
-an estimate costs one lookup and the GF arithmetic.
+on the emission's shape and the positions it keeps, so an estimate costs
+one lookup and the GF arithmetic.
+
+This lowest codec layer also owns the codec's one store: per parameter set,
+one entry (``_entry``) with its field and codes and all that the three
+stages compile for it, each memo bounded by the set's window or layer code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .field_mds import GaloisField, MdsCode, DimensionMismatch, make_field, solve_linear
 from .scheme_params import SchemeParams, derive_dims, implemented_field_size, nominal_field_size
@@ -44,17 +47,53 @@ class OutOfOrder(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# code construction
+# the store: what the codec compiles, one entry per parameter set
+
+
+class _Entry:
+    """Everything the codec keeps for one parameter set.  ``rule`` is the
+    schedule rule that filled ``shapes``, ``layouts`` and ``shared``."""
+
+    __slots__ = ("field", "code", "second_codes", "rule", "shapes", "layouts", "shared",
+                 "headers", "windows", "programs", "terms")
+
+    def __init__(self, p: SchemeParams):
+        d = derive_dims(p)
+        # the construction promises a field at least as large as every code length
+        assert nominal_field_size(p) >= max(d.n_prime, d.n_dprime, p.T + 1 - p.N1)
+        self.field = make_field(implemented_field_size(p))
+        self.code = MdsCode(self.field, d.n_prime, d.k_prime)  # first hop, per layer
+        self.second_codes: dict[tuple[int, int], MdsCode] = {}  # second hop, by (n, k)
+        self.rule = None
+        self.shapes: dict[bytes, object] = {}  # plan window bits -> relay_codec._PlanShape
+        self.layouts: dict[bytes, tuple] = {}  # slot's T+1 bits -> rides, in offsets
+        self.shared: dict = {}  # one copy of each equal shape, ride and tuple in them
+        self.headers: dict[bytes, tuple] = {}  # slot's T+1 bits -> header symbols
+        self.windows: dict[tuple, tuple] = {}  # valid header symbols -> T+1 bits
+        self.programs: dict[tuple, tuple] = {}  # _structure_key -> valuation program
+        self.terms: dict[tuple, tuple] = {}  # _structure_key -> interference term list
+
+
+# At most _STORE_SETS entries: a new set evicts the one inserted first, so a
+# hit costs no bookkeeping.  The ledger, the relay and the decoder resolve
+# their entry at construction and keep it even if it is evicted meanwhile.
+_STORE: dict[SchemeParams, _Entry] = {}
+_STORE_SETS = 32
+
+
+def _entry(p: SchemeParams) -> _Entry:
+    entry = _STORE.get(p)
+    if entry is None:
+        if len(_STORE) >= _STORE_SETS:
+            del _STORE[next(iter(_STORE))]
+        entry = _STORE[p] = _Entry(p)
+    return entry
 
 
 def make_codes(p: SchemeParams) -> tuple[GaloisField, MdsCode]:
     """Field and first-hop (n', k') layer code for a parameter set."""
-    d = derive_dims(p)
-    q = implemented_field_size(p)
-    # the construction promises a field at least as large as every code length
-    assert nominal_field_size(p) >= max(d.n_prime, d.n_dprime, p.T + 1 - p.N1)
-    field = make_field(q)
-    return field, MdsCode(field, d.n_prime, d.k_prime)
+    entry = _entry(p)
+    return entry.field, entry.code
 
 
 @dataclass(frozen=True)
@@ -76,7 +115,7 @@ def encode_source(p: SchemeParams, messages, t: int) -> SourcePacket:
     before time 0 are implicitly all-zero.
     """
     d = derive_dims(p)
-    field, code = _codes_cached(p)
+    field, code = make_codes(p)
     if not 0 <= t < len(messages):
         raise DimensionMismatch(f"no message s_{t} among {len(messages)} messages")
     for i in range(max(0, t - d.k_prime - p.N1 + 1), t + 1):
@@ -103,9 +142,6 @@ def encode_source(p: SchemeParams, messages, t: int) -> SourcePacket:
             row.append(acc)
         rows.append(tuple(row))
     return SourcePacket(t, tuple(rows))
-
-
-_codes_cached = cache(make_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +259,6 @@ def emission_interference(p: SchemeParams, erased, t: int, pos: int, slot: int):
     return tuple(out)
 
 
-# (q, n, k, pos, parity_rows, late) -> (lambda, mu); bounded by the layer
-# code's combinatorics, not by stream length
-_COEFFICIENTS: dict[tuple, tuple[tuple[int, ...], dict[int, int]]] = {}
-
-
 def emission_coefficients(
     field: GaloisField, code: MdsCode, em: PosEmission
 ) -> tuple[tuple[int, ...], dict[int, int]]:
@@ -235,14 +266,10 @@ def emission_coefficients(
 
     mu maps every position outside {pos}+late to its leftover coefficient in
     the combination (zero entries dropped); interference terms keep exactly
-    these coefficients, known terms get subtracted with them.  Memoized: the
-    result depends only on the code and the emission's shape, and callers
-    must not mutate it.
+    these coefficients, known terms get subtracted with them.  Not memoized:
+    its callers run it only to compile a program or a term list, which their
+    store entry keeps.
     """
-    key = (field.q, code.n, code.k, em.pos, em.parity_rows, em.late)
-    got = _COEFFICIENTS.get(key)
-    if got is not None:
-        return got
     P = code.parity
     cols = (em.pos,) + em.late
     system = [[P[pos][m] for m in em.parity_rows] for pos in cols]
@@ -258,8 +285,7 @@ def emission_coefficients(
             acc = add[acc][mul[l_coef][P[pos][m]]]
         if acc:
             mu[pos] = acc
-    got = _COEFFICIENTS[key] = (tuple(lam), mu)
-    return got
+    return tuple(lam), mu
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +303,6 @@ def _structure_key(em: PosEmission) -> tuple:
     kept term (t', q) lies at t' = t - pos + q, so the kept positions are the
     interference in offsets."""
     return em.pos, em.parity_rows, em.late, tuple(q for _, q in em.interference)
-
-
-# SchemeParams -> {_structure_key: valuation program}, filled by
-# EstimateLedger.estimate; each dict is bounded by the layer code's
-# combinatorics, not by stream length, and there is one per parameter set
-# touched, as _codes_cached keeps one field per set
-_PROGRAMS: dict[SchemeParams, dict[tuple, tuple]] = {}
 
 
 class EstimateLedger:
@@ -304,16 +323,17 @@ class EstimateLedger:
 
     How an emission's values combine the packets depends only on its
     position, parity rows, late positions and the positions it keeps as
-    interference.  So ``estimate`` runs a valuation program memoized per
-    parameter set on those four: a (MUL row of lambda, packet offset,
-    column) triple per parity row combined and a (MUL row of mu, message
-    offset, position) triple per known term, offsets counted from t.  A miss
-    asks ``emission_coefficients`` for lambda and mu.
+    interference.  So ``estimate`` runs a valuation program memoized on
+    those four in the ``programs`` of the parameter set's store entry, which
+    the ledger resolves once, at construction: a (MUL row of lambda, packet
+    offset, column) triple per parity row combined and a (MUL row of mu,
+    message offset, position) triple per known term, offsets counted from
+    t.  A miss asks ``emission_coefficients`` for lambda and mu.  The bounds
+    of a program memo come from the layer code, not from the stream.
 
     The erasure bits are one byte per slot (1 erased, 0 received), held
-    behind T zero bytes for the clean slots before 0: ``window(s)``, the T+1
-    bits of [s-T, s], and ``plan_bits(t)``, the T-N2+1 bits a plan of
-    message t is keyed by, are each one slice.  On its own the ledger keeps
+    behind T zero bytes for the clean slots before 0, so ``window(s)``, the
+    T+1 bits of [s-T, s], is one slice.  On its own the ledger keeps
     every packet, so it can value any emission of the stream.  A streaming
     owner calls ``forget_before`` once no later estimate can read a slot;
     ``RelayState`` does, and then the packets span about T + 2(k'-1) slots.
@@ -323,14 +343,13 @@ class EstimateLedger:
     def __init__(self, p: SchemeParams):
         self.params = p
         self.dims = derive_dims(p)
-        self.field, self.code = _codes_cached(p)
+        self._entry = _entry(p)
+        self.field, self.code = self._entry.field, self._entry.code
         self.next_slot = 0
         self._pad = p.T
-        self._width = p.T - p.N2 + 1  # bits of a plan window
         self._bits = bytearray(p.T)  # slots -T .. next_slot-1
         self.packets: dict[int, SourcePacket] = {}
         self._forgotten_below = 0  # no packet kept below
-        self._programs = _PROGRAMS.setdefault(p, {})
 
     # -- pattern lookups ----------------------------------------------------
 
@@ -351,13 +370,6 @@ class EstimateLedger:
     def window(self, slot: int) -> bytes:
         """The bits of [slot-T, slot], clean before 0; ``slot`` ingested."""
         return bytes(self._bits[slot : slot + self._pad + 1])
-
-    def plan_bits(self, t: int) -> bytes:
-        """The bits of message t's plan window [t, t+T-N2], t >= 0, as
-        ``erased`` reads them: a slot not yet seen reads erased."""
-        lo = t + self._pad
-        got = bytes(self._bits[lo : lo + self._width])
-        return got if len(got) == self._width else got + b"\x01" * (self._width - len(got))
 
     # -- ingest ---------------------------------------------------------------
 
@@ -385,10 +397,10 @@ class EstimateLedger:
         """Per-layer values of emission ``em``: entry c estimates
         s_{em.t}[c*k' + em.pos].  Every leftover term is subtracted except
         those ``em.interference`` keeps; slot ``em.slot`` must be ingested."""
-        key = _structure_key(em)
-        program = self._programs.get(key)
+        key, programs = _structure_key(em), self._entry.programs
+        program = programs.get(key)
         if program is None:
-            program = self._programs[key] = self._compile(em)
+            program = programs[key] = self._compile(em)
         parities, known = program
         t, packets = em.t, self.packets
         sources = [(row, packets[t + off].rows, col) for row, off, col in parities]

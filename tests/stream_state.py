@@ -15,8 +15,8 @@ when the peak grows by more than the parameter set's bound in
     PYTHONPATH=src python3 tests/stream_state.py 2000 8000 --params 12,3,4,1
 
 At (5,2,3,0) k'=1, so no estimate keeps interference; (12,3,4,1) has
-k'=6, where the memos of estimate programs and interference term lists
-fill as the stream meets new windows.
+k'=6, where the codec's store entry for the set fills with estimate
+programs and interference term lists as the stream meets new windows.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """The codec's compiled structure against the rules it is compiled from.
 
-The relay and the destination key ``build_message_plan`` by the ``bytes`` of
-[t, t+T-N2] they already hold; the ledger values an estimate by a program
-memoized on the emission's structure; the destination cancels interference
-through a term list memoized the same way.  Each is checked against the
-uncompiled rule: the callable-keyed plan, the lambda/mu valuation of
+The destination keys ``build_message_plan`` by the ``bytes`` of [t, t+T-N2]
+it already holds, and the relay's first parity ride of a message carries
+the plan's shape; the ledger values an estimate by a program memoized on
+the emission's structure; the destination cancels interference through a
+term list memoized the same way.  Each is checked against the uncompiled
+rule: the callable-keyed plan, the lambda/mu valuation of
 ``codec_reference.estimate_reference`` and ``interference_terms``.  The
 memos are bounded by the layer code, not by the stream.
 """
@@ -16,9 +17,9 @@ import numpy as np
 import pytest
 
 from codec_reference import estimate_reference
-from relaystream import dest_codec, source_codec
+from relaystream import source_codec
 from relaystream.dest_codec import DecoderState, interference_terms
-from relaystream.relay_codec import RelayState, build_message_plan
+from relaystream.relay_codec import RelayState, build_message_plan, slot_layout
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import all_valid_params, run_episode
 from relaystream.source_codec import EstimateLedger, encode_source, make_codes
@@ -32,8 +33,9 @@ def random_bits(rng, n, p_erase):
 
 
 def clear_memos(p):
-    source_codec._PROGRAMS.pop(p, None)
-    dest_codec._TERM_LISTS.pop(p, None)
+    entry = source_codec._entry(p)
+    entry.programs.clear()
+    entry.terms.clear()
 
 
 def test_programs_and_term_lists_match_the_reference(monkeypatch):
@@ -47,15 +49,15 @@ def test_programs_and_term_lists_match_the_reference(monkeypatch):
     counts = dict.fromkeys(("estimates", "programs", "term lists", "compiled"), 0)
 
     def estimate(self, em):
-        cold = len(self._programs)
+        cold = len(self._entry.programs)
         got = real_estimate(self, em)
         assert got == estimate_reference(self, em), em
         counts["estimates"] += 1
-        counts["programs"] += len(self._programs) > cold
+        counts["programs"] += len(self._entry.programs) > cold
         return got
 
     def terms_of(self, em):
-        cold = len(self._terms)
+        cold = len(self._entry.terms)
         got = real_terms(self, em)
         k, mul = self.dims.k_prime, self.field.MUL
         for layer in range(self.dims.l_prime):
@@ -65,7 +67,7 @@ def test_programs_and_term_lists_match_the_reference(monkeypatch):
             ]
             assert list(got) == want, (em, layer)
         counts["term lists"] += 1
-        counts["compiled"] += len(self._terms) > cold
+        counts["compiled"] += len(self._entry.terms) > cold
         return got
 
     monkeypatch.setattr(EstimateLedger, "estimate", estimate)
@@ -86,10 +88,10 @@ def test_programs_and_term_lists_match_the_reference(monkeypatch):
 def drive(p, bits1, known, seed):
     """Relay (header mode) over ``bits1`` with a clean second hop into three
     decoders: oracle, oracle given only the first ``known`` bits (the rest
-    of ``bits1`` must be clean) and header mode.  At every slot, the relay's
-    byte key of every message in flight, as its ledger masks it, gives the
-    shape the ledger's callable gives.  Returns the decoders, the messages
-    and how many masked keys were checked."""
+    of ``bits1`` must be clean) and header mode.  At every slot, the shape
+    of each parity ride the relay's layout gives is the shape the ledger's
+    callable gives message t's full plan.  Returns the decoders, the
+    messages and how many parity rides were checked."""
     d = derive_dims(p)
     field, _ = make_codes(p)
     rng = np.random.default_rng(seed)
@@ -100,36 +102,36 @@ def drive(p, bits1, known, seed):
         DecoderState(p, e1_bits=bits1[:known]),
         DecoderState(p, header_mode=True),
     ]
-    messages, masked = [], 0
+    messages, parity_rides = [], 0
     for s, b in enumerate(bits1):
         messages.append([int(x) for x in rng.integers(0, field.q, d.k_src)])
         relay.ingest_source(s, None if b else encode_source(p, messages, s))
-        for t in range(max(0, s - p.T), s + 1):
-            keyed = build_message_plan(p, ledger.erased, t, bits=ledger.plan_bits(t))
-            assert keyed.shape is build_message_plan(p, ledger.erased, t).shape, (s, t)
-            masked += s < t + p.T - p.N2
+        for t, shape, _, _, row in slot_layout(p, ledger.window(s), s):
+            if row is not None:
+                assert shape is build_message_plan(p, ledger.erased, t).shape, (s, t)
+                parity_rides += 1
         packet = relay.emit(s)
         wire = packet.wire_symbols()
         for dest in dests:
             dest.ingest(s, wire if dest.header_mode else wire[len(packet.header) :])
             for t in dest.due(s):
                 dest.try_decode(t, s)
-    return dests, messages, masked
+    return dests, messages, parity_rides
 
 
 @pytest.mark.parametrize("p", [P12, P7220])
 def test_byte_keys_give_the_shapes_of_the_callable(p):
-    """Seeded i.i.d. first hops: the relay's byte keys at every slot, and
+    """Seeded i.i.d. first hops: the relay's parity rides at every slot, and
     every message's plan at the oracle, short-oracle and header-mode
     decoders -- messages t < 2(k'-1) included, whose interference reads
     slots before 0 -- are the very shape objects the callable form gives."""
     horizon, known = 240, 150
-    masked = plans = 0
+    parity_rides = plans = 0
     for seed, p_erase in ((71, 0.1), (72, 0.3)):
         bits1 = random_bits(np.random.default_rng(seed), horizon, p_erase)
         bits1[known:] = [0] * (horizon - known)
         dests, messages, n = drive(p, bits1, known, seed)
-        masked += n
+        parity_rides += n
         for dest in dests:
             # a header-mode plan needs the bits of [t, t+T-N2] delivered
             for t in range(horizon - (p.T - p.N2)):
@@ -141,7 +143,7 @@ def test_byte_keys_give_the_shapes_of_the_callable(p):
             want = full.try_decode(t)
             assert want == messages[t] or bits1[t], t  # a received message decodes
             assert short.try_decode(t) == want == header.try_decode(t), t
-    assert masked > 1000 and plans > 1000
+    assert parity_rides > 2 * horizon and plans > 1000  # over a ride per slot and stream
 
 
 def structural_keys(p):
@@ -179,7 +181,7 @@ def test_program_and_term_memos_are_bounded_by_the_code():
     for seed in (41, 42):
         bits = random_bits(np.random.default_rng(seed), 5000, 0.15)
         run_episode(p, bits, [0] * len(bits), len(bits), seed=seed)
-        programs, terms = source_codec._PROGRAMS[p], dest_codec._TERM_LISTS[p]
+        programs, terms = source_codec._STORE[p].programs, source_codec._STORE[p].terms
         assert programs.keys() <= keys and terms.keys() <= keys
         sizes.append((len(programs), len(terms)))
     assert all(0 < n <= cap for pair in sizes for n in pair), (sizes, cap)

@@ -18,18 +18,20 @@ verifier share, is checked against the per-message plans of the masked view,
 and end to end: what the destination files is what the relay sent.
 """
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 import plan_reference
 from plan_reference import compute_schedule
-from relaystream import relay_codec
+from relaystream import relay_codec, source_codec
 from relaystream.dest_codec import DecoderState
 from relaystream.relay_codec import RelayState, build_message_plan, slot_layout
 from relaystream.scheme_params import SchemeParams, derive_dims
-from relaystream.sim_harness import all_valid_params
+from relaystream.sim_harness import all_valid_params, run_episode
 from relaystream.source_codec import emission_schedule, encode_source, make_codes
 
 P12 = SchemeParams(12, 3, 4, 1)
@@ -134,7 +136,7 @@ def test_plan_memo_is_bounded_by_the_window():
             build_message_plan(p, oracle_view(bits), t)
             for now in range(t + p.j, t + width):
                 build_message_plan(p, masked_view(bits, now), t)
-        sizes.append(len(relay_codec._PLAN_MEMO[p][1]))
+        sizes.append(len(source_codec._STORE[p].shapes))
     assert sizes[0] <= 2**width
     assert sizes[1] <= 2**width
 
@@ -186,14 +188,14 @@ def test_slot_layout_memo_matches_the_reference():
     its shapes kept (rebuilding every shape for each lookup takes 40 s)."""
     checked = 0
     for p in all_valid_params(7):
-        relay_codec._PLAN_MEMO.pop(p, None)
+        source_codec._STORE.pop(p, None)
         wants = {}
         for window in itertools.product((0, 1), repeat=p.T + 1):
             if sum(window) > p.N1:
                 continue
             for s in range(p.T + 1):
                 want = wants[window, s] = plan_reference.slot_layout(p, window, s)
-                relay_codec._memo_entry(p)[2].clear()
+                relay_codec._memo_entry(p).layouts.clear()
                 assert slot_layout(p, window, s) == want, (p, window, s)
                 assert slot_layout(p, window, s) == want, (p, window, s)
                 checked += 1
@@ -207,12 +209,12 @@ def test_slot_layout_keys_its_memo_by_bytes():
     a list, a tuple of bools and bytes give equal rides, and the memo ends
     with one layout per window, keyed by bytes, as are the shapes."""
     for p in all_valid_params(5):
-        relay_codec._PLAN_MEMO.pop(p, None)
+        source_codec._STORE.pop(p, None)
         for window in itertools.product((0, 1), repeat=p.T + 1):
             want = slot_layout(p, bytes(window), p.T)
             assert slot_layout(p, list(window), p.T) == want, (p, window)
             assert slot_layout(p, tuple(map(bool, window)), p.T) == want, (p, window)
-        _, shapes, layouts, _, _, _ = relay_codec._PLAN_MEMO[p]
+        shapes, layouts = source_codec._STORE[p].shapes, source_codec._STORE[p].layouts
         assert len(layouts) == 2 ** (p.T + 1)
         assert all(type(key) is bytes for key in layouts)
         assert all(type(key) is bytes for key in shapes)
@@ -243,7 +245,7 @@ def test_slot_layout_memo_is_bounded_by_the_window():
     ints and as bools, leave one layout per distinct (T+1)-bit window:
     at most 2^(T+1)."""
     p = P12
-    relay_codec._PLAN_MEMO.pop(p, None)
+    source_codec._STORE.pop(p, None)
     windows = set()
     for seed, p_erase in ((53, 0.15), (54, 0.4)):
         bits = random_bits(np.random.default_rng(seed), 400, p_erase)
@@ -251,7 +253,7 @@ def test_slot_layout_memo_is_bounded_by_the_window():
             window = [bits[x] if x >= 0 else 0 for x in range(s - p.T, s + 1)]
             assert slot_layout(p, window, s) == slot_layout(p, [b == 1 for b in window], s)
             windows.add(tuple(window))
-    layouts = relay_codec._PLAN_MEMO[p][2]
+    layouts = source_codec._STORE[p].layouts
     assert len(layouts) == len(windows) <= 2 ** (p.T + 1)
 
 def drive(p, bits1, header_mode, seed):
@@ -339,35 +341,60 @@ def test_plan_reads_only_the_header_mode_window():
 
 def test_plan_memo_keeps_a_bounded_number_of_parameter_sets():
     """Sweeping all 210 sets of all_valid_params(7) twice keeps at most
-    _PLAN_MEMO_SETS sets, the last ones inserted, and every shape and
-    layout equals the one a fresh memo gives.  Up to _PLAN_MEMO_SETS sets
-    never evict: looking them up again keeps their entries."""
+    _STORE_SETS sets in the codec's store, the last ones inserted, and
+    every shape, layout and report of a short seeded episode with
+    first-hop erasures equals the one a fresh store gives.  Nothing of the
+    other sets remains: no entry, so none of their programs and term lists,
+    and none of their codes.  Up to _STORE_SETS sets never evict: looking
+    them up again keeps their entries."""
+    store = source_codec._STORE
     sets = list(all_valid_params(7))
-    cap = relay_codec._PLAN_MEMO_SETS
+    cap = source_codec._STORE_SETS
     assert cap >= 32 and len(sets) > cap
 
     def lookups(p):
         rng = np.random.default_rng([67, p.T, p.N1, p.N2, p.j])
         windows = [tuple(int(b) for b in rng.random(p.T + 1) < 0.3) for _ in range(4)]
+        horizon = 2 * (p.T + 1)
+        e1 = [1] + [int(b) for b in rng.random(horizon - 1) < 0.3]
         return [slot_layout(p, w, p.T) for w in windows] + [
             build_message_plan(p, oracle_view(w), 0).shape for w in windows
-        ]
+        ] + [run_episode(p, e1, [0] * horizon, horizon, seed=p.T)]
 
-    fresh = {}
+    fresh, codes = {}, []  # codes: (set, sweep, weak reference to one of its codes)
+    made = set()  # ids of the entries made here; states other tests keep hold theirs
+
+    def note_codes(p, sweep):
+        entry = store[p]
+        made.add(id(entry))
+        codes.extend((p, sweep, weakref.ref(c)) for c in (entry.code, *entry.second_codes.values()))
+
     for p in sets:
-        relay_codec._PLAN_MEMO.clear()
+        store.clear()
         fresh[p] = lookups(p)
-    relay_codec._PLAN_MEMO.clear()
-    for _ in range(2):
+        note_codes(p, 0)
+    store.clear()
+    for sweep in (1, 2):
         for p in sets:
             assert lookups(p) == fresh[p], p
-            assert len(relay_codec._PLAN_MEMO) <= cap
-    assert list(relay_codec._PLAN_MEMO) == sets[-cap:]
+            assert len(store) <= cap
+            note_codes(p, sweep)
+    assert list(store) == sets[-cap:]
+    assert sum(len(e.programs) for e in store.values()) > 0
+    assert sum(len(e.terms) for e in store.values()) > 0
+    gc.collect()
+    live = [o for o in gc.get_objects() if type(o) is source_codec._Entry and id(o) in made]
+    assert sorted(map(id, live)) == sorted(map(id, store.values()))
+    # only its entry holds a set's programs and term lists
+    memos = [m for e in store.values() for m in (e.programs, e.terms)]
+    assert all(type(h) is source_codec._Entry for h in gc.get_referrers(*memos) if h is not memos)
+    for p, sweep, ref in codes:
+        assert (ref() is not None) == (sweep == 2 and p in store), (p, sweep)
 
-    relay_codec._PLAN_MEMO.clear()
+    store.clear()
     for p in sets[:cap]:
         lookups(p)
-    entries = dict(relay_codec._PLAN_MEMO)
+    entries = dict(store)
     for p in sets[:cap]:
         assert lookups(p) == fresh[p], p
-    assert all(relay_codec._PLAN_MEMO[p] is entry for p, entry in entries.items())
+    assert all(store[p] is entry for p, entry in entries.items())

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from plan_reference import InadmissiblePattern, compute_schedule
-from relaystream import relay_codec
+from relaystream import relay_codec, source_codec
 from relaystream.erasure_channel import enumerate_admissible
 from relaystream.relay_codec import (
     RelayState,
@@ -310,13 +310,13 @@ def test_header_memos_round_trip_every_window():
     back, and each header memo ends with one entry per window, the window
     memo keyed by bytes."""
     for p in all_valid_params(5):
-        relay_codec._PLAN_MEMO.pop(p, None)
+        source_codec._STORE.pop(p, None)
         for window in itertools.product((0, 1), repeat=p.T + 1):
             syms = encode_header(p, bytes(window))
             assert encode_header(p, list(window)) == syms
             assert decode_header(p, syms) == window
             assert decode_header(p, list(syms)) == window
-        headers, windows = relay_codec._PLAN_MEMO[p][4:]
+        headers, windows = source_codec._STORE[p].headers, source_codec._STORE[p].windows
         assert len(headers) == len(windows) == 2 ** (p.T + 1)
         assert all(type(key) is bytes for key in headers)
 
@@ -327,7 +327,8 @@ def test_malformed_header_is_never_memoized():
     p = P523
     for window in itertools.product((0, 1), repeat=p.T + 1):
         decode_header(p, encode_header(p, window))
-    _, _, _, _, headers, windows = relay_codec._memo_entry(p)
+    entry = relay_codec._memo_entry(p)
+    headers, windows = entry.headers, entry.windows
     before = (dict(headers), dict(windows))
     for bad in ((7, 0, 0), (0, -1, 0), (0, 0, 6), (1, 0), (1, 0, 0, 0)):
         for _ in range(2):
