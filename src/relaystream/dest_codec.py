@@ -185,17 +185,15 @@ class DecoderState:
             p = self.params
             # [t, t+T-N2]; past the end of an oracle pattern reads clean
             width, lo = p.T - p.N2 + 1, t + p.T
-            bits = bytes((self._known_bits if self.header_mode else self._e1)[lo : lo + width])
-            if len(bits) < width:
-                bits += bytes(width - len(bits))
+            pattern = self._known_bits if self.header_mode else self._e1
+            bits = bytes(pattern[lo : lo + width]).ljust(width, b"\x00")
             st.plan = build_message_plan(p, self._erased1, t, bits=bits)
         return st.plan
 
     def _state(self, t: int) -> _MessageState:
         st = self.msgs.get(t)
         if st is None:
-            st = _MessageState()
-            self.msgs[t] = st
+            st = self.msgs[t] = _MessageState()
         return st
 
     # -- decode events --------------------------------------------------------
@@ -278,9 +276,8 @@ class DecoderState:
                 self._planless.discard(t)
                 self._flag_if_enough(t, self.msgs[t])
         else:
-            bits = self._e1[slot : slot + T + 1]  # [slot-T, slot]
-            if len(bits) <= T:  # past the end of the pattern: clean
-                bits += bytes(T + 1 - len(bits))
+            # [slot-T, slot]; past the end of the pattern reads clean
+            bits = self._e1[slot : slot + T + 1].ljust(T + 1, b"\x00")
         offset = 0
         for i, _, start, size, row in _slot_rides(p, self._entry, bits):
             if i > slot:

@@ -45,16 +45,17 @@ most 2^(T+1) layouts.  Shapes, layouts and headers live in the parameter
 set's entry of the codec's one store, read through ``_memo_entry``.
 Every memo is keyed by ``bytes``, one 0/1 byte per slot.  The relay's ledger
 and the destination hold the first hop as one byte per slot behind T zero
-bytes for the clean slots before 0, so a slot's T+1 bits are one slice, and
-that slice is the key: the relay and the destination read their slot's
-rides, in offsets, from the entry they resolved once at construction, so a
-slot costs one lookup on each side.  In header mode the same entry memoizes
-``encode_header`` (window -> symbols) and ``decode_header`` (symbols ->
-window), each at most 2^(T+1) valid headers; a malformed header is never
-stored.  The relay keeps each message's values in the plan's queue order:
-an estimate's values are worked out by the ledger when the relay first
-sends it, and the parities are encoded from the same values at the first
-parity slot, once the plan's window has closed.
+bytes for the clean slots before 0, so a slot's T+1 bits and a plan's T-N2+1
+bits are each one slice, and that slice is the key: the relay and the
+destination pass it to ``build_message_plan`` as ``bits``, and read their
+slot's rides, in offsets, from the entry they resolved once at construction,
+so a slot costs one lookup on each side.  In header mode the same entry
+memoizes ``encode_header`` (window -> symbols) and ``decode_header``
+(symbols -> window), each at most 2^(T+1) valid headers; a malformed header
+is never stored.  The relay keeps each message's values in the plan's queue
+order: an estimate's values are worked out by the ledger when the relay
+first sends it, and the parities are encoded from the same values at the
+first parity slot, once the plan's window has closed.
 """
 
 from __future__ import annotations
@@ -178,8 +179,7 @@ class _PlanShape:
 
 def _plan_shape(p: SchemeParams, bits: bytes, shared: dict) -> _PlanShape:
     """Build the shape for window bits ``bits`` (bits[i] is slot t+i).  Equal
-    tuples, which most shapes share, and equal shapes are stored once
-    through ``shared``, so a ride holds the very shape of its message."""
+    tuples, which most shapes share, are stored once through ``shared``."""
     d = derive_dims(p)
 
     def one(x):
@@ -218,7 +218,7 @@ def _plan_shape(p: SchemeParams, bits: bytes, shared: dict) -> _PlanShape:
     end = min(len(tx), k_code * step)
     codewords = tuple(one((n_code, k_code, tuple(range(c, end, step)))) for c in range(step))
 
-    return one(_PlanShape(one(sched), one(emissions), one(tx), one(codewords)))
+    return _PlanShape(one(sched), one(emissions), one(tx), one(codewords))
 
 
 class MessagePlan:
@@ -270,8 +270,7 @@ class MessagePlan:
 
 def _memo_entry(p: SchemeParams) -> _Entry:
     """``p``'s store entry, its shapes, layouts and shared tuples reset if
-    another schedule rule filled them.  At most 2^(T-N2+1) shapes, and
-    2^(T+1) slot layouts and valid headers of each kind."""
+    another schedule rule filled them."""
     entry = _entry(p)
     if entry.rule is not _schedule_core:
         entry.rule, entry.shapes, entry.layouts, entry.shared = _schedule_core, {}, {}, {}
@@ -293,10 +292,10 @@ def build_message_plan(
 
     ``erased_fn`` is a slot -> bool first-hop lookup.  The shape is memoized
     on the bits of [t, t+T-N2]: ``bits``, one 0/1 byte per slot, when the
-    caller holds them as ``bytes`` (the destination does), or else T-N2+1
-    calls of ``erased_fn``.  Bits before t are read through ``erased_fn``,
-    and only to resolve interference, when the plan's emissions are first
-    asked for.
+    caller holds them as ``bytes`` (the relay and the destination do), or
+    else T-N2+1 calls of ``erased_fn``.  Bits before t are read through
+    ``erased_fn``, and only to resolve interference, when the plan's
+    emissions are first asked for.
     """
     width = p.T - p.N2 + 1
     if bits is None:
@@ -359,10 +358,9 @@ def slot_layout(p: SchemeParams, bits, s: int) -> list[tuple]:
 def second_code(p: SchemeParams, n: int, k: int) -> MdsCode:
     """The second-hop (n, k) code over ``p``'s field, kept in its entry."""
     entry = _entry(p)
-    code = entry.second_codes.get((n, k))
-    if code is None:
-        code = entry.second_codes[n, k] = MdsCode(entry.field, n, k)
-    return code
+    if (n, k) not in entry.second_codes:
+        entry.second_codes[n, k] = MdsCode(entry.field, n, k)
+    return entry.second_codes[n, k]
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +433,9 @@ class RelayState:
     filled once from the packet rows of a received message, one estimate
     (l' values, from the ledger) at a time for an erased one.  Message-phase
     rides slice it, and only a ride that needs an estimate not yet valued
-    places a ``MessagePlan``.  The first parity ride encodes the parities
-    from it: by then [t, t+T-N2] lies inside the slot's window, so the
-    ride's shape is the full plan's, and the ride places it too.  Both are
+    places a ``MessagePlan``; the first parity ride, when [t, t+T-N2] has
+    closed, encodes the parities from it with the plan
+    ``build_message_plan`` gives for the ledger's ``plan_bits``.  Both are
     dropped once slot t+T has been emitted.
 
     The state stays bounded over a stream.  An estimate of a message t reads
@@ -508,7 +506,7 @@ class RelayState:
             else:
                 pg = self.parities.get(t)
                 if pg is None:
-                    plan = MessagePlan(p, t, shape, erased)
+                    plan = build_message_plan(p, erased, t, bits=ledger.plan_bits(t))
                     pg = self.parities[t] = build_parity_groups(
                         p, plan, self._queue_values(plan, 0, plan.n_tx)
                     )
@@ -539,9 +537,7 @@ def encode_header(p: SchemeParams, window_bits) -> tuple[int, ...]:
         if len(key) != p.T + 1:
             raise ValueError(f"header covers T+1 = {p.T + 1} bits, got {len(key)}")
         q = implemented_field_size(p)
-        x = 0
-        for b in reversed(key):
-            x = (x << 1) | b
+        x = sum(b << i for i, b in enumerate(key))
         out = []
         for _ in range(header_overhead(p)):
             out.append(x % q)

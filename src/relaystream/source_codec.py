@@ -332,8 +332,9 @@ class EstimateLedger:
     of a program memo come from the layer code, not from the stream.
 
     The erasure bits are one byte per slot (1 erased, 0 received), held
-    behind T zero bytes for the clean slots before 0, so ``window(s)``, the
-    T+1 bits of [s-T, s], is one slice.  On its own the ledger keeps
+    behind T zero bytes for the clean slots before 0: ``window(s)``, the T+1
+    bits of [s-T, s], and ``plan_bits(t)``, the T-N2+1 bits a plan of
+    message t is keyed by, are each one slice.  On its own the ledger keeps
     every packet, so it can value any emission of the stream.  A streaming
     owner calls ``forget_before`` once no later estimate can read a slot;
     ``RelayState`` does, and then the packets span about T + 2(k'-1) slots.
@@ -347,6 +348,7 @@ class EstimateLedger:
         self.field, self.code = self._entry.field, self._entry.code
         self.next_slot = 0
         self._pad = p.T
+        self._width = p.T - p.N2 + 1  # bits of a plan window
         self._bits = bytearray(p.T)  # slots -T .. next_slot-1
         self.packets: dict[int, SourcePacket] = {}
         self._forgotten_below = 0  # no packet kept below
@@ -370,6 +372,12 @@ class EstimateLedger:
     def window(self, slot: int) -> bytes:
         """The bits of [slot-T, slot], clean before 0; ``slot`` ingested."""
         return bytes(self._bits[slot : slot + self._pad + 1])
+
+    def plan_bits(self, t: int) -> bytes:
+        """The bits of message t's plan window [t, t+T-N2], t >= 0, as
+        ``erased`` reads them: a slot not yet seen reads erased."""
+        lo = t + self._pad
+        return bytes(self._bits[lo : lo + self._width]).ljust(self._width, b"\x01")
 
     # -- ingest ---------------------------------------------------------------
 
