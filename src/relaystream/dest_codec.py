@@ -40,10 +40,9 @@ import heapq
 from dataclasses import dataclass, field as dc_field
 
 from .scheme_params import SchemeParams, derive_dims, header_overhead
-from .source_codec import PosEmission, _structure_key, emission_coefficients, make_codes
+from .source_codec import PosEmission, _entry, _structure_key, emission_coefficients, make_codes
 from .relay_codec import (
     MessagePlan,
-    _memo_entry,
     _slot_rides,
     build_message_plan,
     decode_header,
@@ -131,7 +130,7 @@ class DecoderState:
             raise ValueError("oracle mode needs the first-hop pattern")
         self.params = p
         self.dims = derive_dims(p)
-        self._entry = _memo_entry(p)
+        self._entry = _entry(p)
         self.field = self._entry.field
         self.header_mode = header_mode
         # first-hop lookup; it closes over the pattern, not the decoder, so

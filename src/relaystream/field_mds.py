@@ -317,6 +317,9 @@ class MdsCode:
         return out
 
     def encode(self, message: list[int]) -> list[int]:
+        """The codeword of ``message``: the message, then its n-k parities.
+        The relay compiles its second-hop parity programs from it, as the
+        codewords of the k unit vectors."""
         if len(message) != self.k:
             raise DimensionMismatch(f"message length {len(message)} != k={self.k}")
         return list(message) + [self._dot(col, message) for col in self.parity_mul]

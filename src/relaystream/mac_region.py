@@ -8,11 +8,14 @@ serves them by concatenating its per-user payloads, so any mix of A user-1
 streams and B user-2 streams is achievable as long as every link keeps up
 with the widest packet it must carry.  Enumerating integer mixes (A, B)
 yields an inner bound on the achievable (R1, R2) region, which this module
-builds exactly (as Fractions) together with its Pareto frontier and the
-reference bounds it is compared against.
+builds exactly together with its Pareto frontier and the reference bounds
+it is compared against: each point is deduplicated, sorted and compared as
+a reduced integer triple, and becomes a pair of Fractions only when it is
+returned.
 """
 
 import itertools
+from math import gcd
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -100,21 +103,49 @@ class RateRegion:
         return over, len(self.points)
 
 
+def _maximal(ranked) -> list:
+    """The items of ``ranked``, (r2, item) pairs in decreasing (r1, r2)
+    order, that no earlier item dominates.  r1 never increases along the
+    sweep, so only r2 can disqualify; the strict test also drops
+    duplicates."""
+    best, top = [], None
+    for r2, item in ranked:
+        if top is None or r2 > top:
+            best.append(item)
+            top = r2
+    return best
+
+
 def pareto_frontier(points: Iterable[RatePair]) -> tuple[RatePair, ...]:
     """Maximal elements under componentwise >=, sorted by decreasing R1."""
-    best: list[RatePair] = []
-    for r1, r2 in sorted(points, reverse=True):
-        # r1 never increases along the sweep, so only r2 can disqualify; the
-        # strict test also drops duplicates
-        if not best or r2 > best[-1][1]:
-            best.append((r1, r2))
-    return tuple(best)
+    return tuple(_maximal((r2, (r1, r2)) for r1, r2 in sorted(points, reverse=True)))
 
 
 def _per_user_sizes(p: SchemeParams) -> tuple[int, int, int]:
     """(message symbols, first-link packet symbols, worst relay payload)."""
     d = derive_dims(p)
     return d.k_src, d.n1, d.n2_star
+
+
+def _mix_triples(mac: MacParams, mix_bound: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """(scale, triples): the rate pair of every mix as the reduced integer
+    triple (x, y, z) of (R1, R2) = (x, y)/z, deduplicated and sorted by
+    rate.  Two rates whose denominators are at most Z differ by at least
+    1/Z^2, so with scale = Z^2 the integer floor(scale * rate) orders them
+    exactly as the rates."""
+    k1, n1_1, nr_1 = _per_user_sizes(mac.user(1))
+    k2, n1_2, nr_2 = _per_user_sizes(mac.user(2))
+    triples = set()
+    for a in range(mix_bound + 1):
+        for b in range(mix_bound + 1):
+            if a + b == 0:
+                continue
+            x, y = a * k1, b * k2
+            z = max(a * n1_1, b * n1_2, a * nr_1 + b * nr_2)
+            g = gcd(x, y, z)
+            triples.add((x // g, y // g, z // g))
+    scale = max(z for _, _, z in triples) ** 2
+    return scale, sorted(triples, key=lambda t: (scale * t[0] // t[2], scale * t[1] // t[2]))
 
 
 def build_region(mac: MacParams, mix_bound: int = 64) -> RateRegion:
@@ -126,49 +157,45 @@ def build_region(mac: MacParams, mix_bound: int = 64) -> RateRegion:
     symbol per channel use:
 
         (R1, R2) = (A*k_1, B*k_2) / max(A*n1_1, B*n1_2, A*nr_1 + B*nr_2)
+
+    The points are sorted by exact integer keys and the bounds are checked
+    by cross-multiplication; the returned region is what sorting the
+    Fraction pairs would give.
     """
     if mix_bound < 1:
         raise InvalidParams(f"mix_bound must be >= 1, got {mix_bound}")
-    k1, n1_1, nr_1 = _per_user_sizes(mac.user(1))
-    k2, n1_2, nr_2 = _per_user_sizes(mac.user(2))
-
-    pts: set[RatePair] = set()
-    for a in range(mix_bound + 1):
-        for b in range(mix_bound + 1):
-            if a + b == 0:
-                continue
-            denom = max(a * n1_1, b * n1_2, a * nr_1 + b * nr_2)
-            pts.add((Fraction(a * k1, denom), Fraction(b * k2, denom)))
-
-    points = tuple(sorted(pts))
-    frontier = pareto_frontier(points)
+    scale, triples = _mix_triples(mac, mix_bound)
+    points = tuple((Fraction(x, z), Fraction(y, z)) for x, y, z in triples)
+    ranked = zip(reversed(triples), reversed(points))
+    frontier = _maximal((scale * xyz[1] // xyz[2], (xyz, point)) for xyz, point in ranked)
     bound1 = pp_capacity(mac.T - mac.N3, mac.N1)
     bound2 = pp_capacity(mac.T - mac.N3, mac.N2)
     sumrate = pp_capacity(mac.T - mac.N2, mac.N3)
 
-    notes = []
-    for r1, r2 in frontier:
-        if r1 > bound1 or r2 > bound2:
+    for (x, y, z), (r1, r2) in frontier:
+        # r1 > bound1 or r2 > bound2, cross-multiplied
+        if x * bound1.denominator > bound1.numerator * z or (
+            y * bound2.denominator > bound2.numerator * z
+        ):
             # should be impossible; keep it loud rather than silently wrong
             raise AssertionError(
                 f"frontier point ({r1}, {r2}) violates per-user bounds "
                 f"({bound1}, {bound2}) for {mac}"
             )
-    over, total = (
-        sum(1 for r1, r2 in pts if r1 + r2 > sumrate),
-        len(pts),
-    )
-    notes.append(f"{over}/{total} points exceed the sumrate reference {sumrate}")
+    # (x + y) / z > num / den, cross-multiplied
+    num, den = sumrate.numerator, sumrate.denominator
+    over = sum(1 for x, y, z in triples if (x + y) * den > num * z)
+    notes = (f"{over}/{len(triples)} points exceed the sumrate reference {sumrate}",)
 
     return RateRegion(
         mac=mac,
         mix_bound=mix_bound,
         points=points,
-        frontier=frontier,
+        frontier=tuple(point for _, point in frontier),
         bound1=bound1,
         bound2=bound2,
         sumrate_bound=sumrate,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 

@@ -41,8 +41,9 @@ coefficients is memoized on its structure, in slot offsets (see
 s)``, says what rides relay slot s from the T+1 header bits of [s-T, s]:
 the relay emits, the destination slices and the verifier bounds the payload
 by it.  Its rides are memoized too, in slot offsets on those T+1 bits, at
-most 2^(T+1) layouts.  Shapes, layouts and headers live in the parameter
-set's entry of the codec's one store, read through ``_memo_entry``.
+most 2^(T+1) layouts.  Shapes, layouts, headers and parity programs live
+in the parameter set's entry of the codec's one store, read through its one
+accessor, ``source_codec._entry``.
 Every memo is keyed by ``bytes``, one 0/1 byte per slot.  The relay's ledger
 and the destination hold the first hop as one byte per slot behind T zero
 bytes for the clean slots before 0, so a slot's T+1 bits and a plan's T-N2+1
@@ -55,7 +56,12 @@ memoizes ``encode_header`` (window -> symbols) and ``decode_header``
 is never stored.  The relay keeps each message's values in the plan's queue
 order: an estimate's values are worked out by the ledger when the relay
 first sends it, and the parities are encoded from the same values at the
-first parity slot, once the plan's window has closed.
+first parity slot, once the plan's window has closed.  They run a parity
+program memoized in the entry per codeword layout, at most 2(k_src+1)
+layouts: per parity row and codeword, a (queue item, MUL row) pair per
+systematic symbol, its coefficients the parities ``MdsCode.encode`` gives
+the unit vectors of the (n, k) code.  So a message's parities are N2 dot
+products per codeword straight over its queue values.
 """
 
 from __future__ import annotations
@@ -268,15 +274,6 @@ class MessagePlan:
         )
 
 
-def _memo_entry(p: SchemeParams) -> _Entry:
-    """``p``'s store entry, its shapes, layouts and shared tuples reset if
-    another schedule rule filled them."""
-    entry = _entry(p)
-    if entry.rule is not _schedule_core:
-        entry.rule, entry.shapes, entry.layouts, entry.shared = _schedule_core, {}, {}, {}
-    return entry
-
-
 def _entry_shape(p: SchemeParams, entry: _Entry, key: bytes) -> _PlanShape:
     """The shape of window bits ``key`` in ``entry``, the entry of ``p``."""
     shape = entry.shapes.get(key)
@@ -304,7 +301,7 @@ def build_message_plan(
         raise ValueError(f"a plan reads T-N2+1 = {width} bits, got {len(bits)}")
     elif type(bits) is not bytes:  # memo keys are one 0/1 byte per slot
         bits = bytes(map(bool, bits))
-    return MessagePlan(p, t, _entry_shape(p, _memo_entry(p), bits), erased_fn)
+    return MessagePlan(p, t, _entry_shape(p, _entry(p), bits), erased_fn)
 
 
 def _slot_rides(p: SchemeParams, entry: _Entry, window: bytes) -> tuple:
@@ -351,7 +348,7 @@ def slot_layout(p: SchemeParams, bits, s: int) -> list[tuple]:
     if len(bits) != p.T + 1:
         raise ValueError(f"slot layout reads T+1 = {p.T + 1} bits, got {len(bits)}")
     key = bits if type(bits) is bytes else bytes(map(bool, bits))
-    rides = _slot_rides(p, _memo_entry(p), key)
+    rides = _slot_rides(p, _entry(p), key)
     return [(s - i, shape, start, size, row) for i, shape, start, size, row in rides if i <= s]
 
 
@@ -376,29 +373,52 @@ class ParityGroups:
     rows: tuple[tuple[int, ...], ...]
 
 
+def _parity_program(p: SchemeParams, entry: _Entry, codewords: tuple) -> tuple:
+    """The parity program of codeword layout ``codewords`` in ``entry``, the
+    entry of ``p``: per parity row, per codeword, a (queue item, MUL row)
+    pair per systematic symbol.  A codeword position beyond the queue has
+    no pair: it encodes as zero.  The coefficients are the parities
+    ``MdsCode.encode`` gives the k unit vectors."""
+    program = entry.parity_programs.get(codewords)
+    if program is None:
+        if not codewords or p.N2 == 0:
+            program = ((),) * p.N2
+        else:
+            n, k, _ = codewords[0]  # every codeword of a plan has the same (n, k)
+            encode, mul = second_code(p, n, k).encode, entry.field.MUL
+            columns = [encode([int(i == x) for x in range(k)])[k:] for i in range(k)]
+            program = tuple(
+                tuple(tuple((item, mul[columns[i][m]]) for i, item in enumerate(items))
+                      for _, _, items in codewords)
+                for m in range(n - k)
+            )
+        entry.parity_programs[codewords] = program
+    return program
+
+
 def build_parity_groups(p: SchemeParams, plan: MessagePlan, values: list[int]) -> ParityGroups:
     """MDS parities over the transmitted symbol values of one message.
 
     values[i] is the value of plan.tx[i].  A codeword position beyond the
     transmitted queue (a plan that fell short of k_src estimates) encodes as
-    zero.  Every codeword of a plan has the same (n, k), so one code serves
-    them all.
+    zero.  Each parity is one dot product over the queue, run from the
+    parity program of the plan's codeword layout (``_parity_program``).
     """
     n_tx = plan.n_tx
     if len(values) != n_tx:
         raise IncompleteEstimates(f"{len(values)} values for {n_tx} transmitted symbols")
-    codewords = plan.shape.codewords  # (n, k, sys_items)
-    if not codewords or p.N2 == 0:
-        return ParityGroups(plan.t, plan.shape.schedule.grouped, tuple(() for _ in range(p.N2)))
-    n, k, _ = codewords[0]
-    code = second_code(p, n, k)
-    words = []
-    for _, _, sys_items in codewords:
-        msg = [values[item] for item in sys_items]
-        if len(msg) < k:
-            msg += [0] * (k - len(msg))
-        words.append(code.encode(msg))
-    return ParityGroups(plan.t, plan.shape.schedule.grouped, tuple(zip(*words))[k:])
+    entry = _entry(p)
+    add = entry.field.ADD
+    rows = []
+    for words in _parity_program(p, entry, plan.shape.codewords):
+        row = []
+        for pairs in words:
+            acc = 0
+            for item, mul in pairs:
+                acc = add[acc][mul[values[item]]]
+            row.append(acc)
+        rows.append(tuple(row))
+    return ParityGroups(plan.t, plan.shape.schedule.grouped, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +455,9 @@ class RelayState:
     rides slice it, and only a ride that needs an estimate not yet valued
     places a ``MessagePlan``; the first parity ride, when [t, t+T-N2] has
     closed, encodes the parities from it with the plan
-    ``build_message_plan`` gives for the ledger's ``plan_bits``.  Both are
-    dropped once slot t+T has been emitted.
+    ``build_message_plan`` gives for the ledger's ``plan_bits``, through
+    the parity program of that plan's codeword layout.  Both are dropped
+    once slot t+T has been emitted.
 
     The state stays bounded over a stream.  An estimate of a message t reads
     packets back to slot t - 2(k'-1), the reach of its leftover terms, so
@@ -454,7 +475,7 @@ class RelayState:
         # once slot s is emitted, the oldest message in flight is s+1-T and
         # its estimates read packets back to s+1-T-2(k'-1) = s - _ledger_lag
         self._ledger_lag = p.T - 1 + 2 * (self.dims.k_prime - 1)
-        self._entry = _memo_entry(p)
+        self._entry = _entry(p)
 
     def ingest_source(self, slot: int, packet: SourcePacket | None) -> None:
         self.ledger.ingest(slot, packet)

@@ -30,8 +30,11 @@ on the emission's shape and the positions it keeps, so an estimate costs
 one lookup and the GF arithmetic.
 
 This lowest codec layer also owns the codec's one store: per parameter set,
-one entry (``_entry``) with its field and codes and all that the three
-stages compile for it, each memo bounded by the set's window or layer code.
+one entry (``_entry``, the only accessor) with its field and codes and all
+that the three stages compile for it, each memo bounded by the set's window
+or layer code.  Both encoders run programs compiled into it: the first
+hop's diagonal program, built with the entry, and the second hop's parity
+programs, one per codeword layout (``relay_codec.build_parity_groups``).
 """
 
 from __future__ import annotations
@@ -51,23 +54,29 @@ class OutOfOrder(ValueError):
 
 
 class _Entry:
-    """Everything the codec keeps for one parameter set.  ``rule`` is the
-    schedule rule that filled ``shapes``, ``layouts`` and ``shared``."""
+    """Everything the codec keeps for one parameter set."""
 
-    __slots__ = ("field", "code", "second_codes", "rule", "shapes", "layouts", "shared",
-                 "headers", "windows", "programs", "terms")
+    __slots__ = ("dims", "field", "code", "diagonals", "second_codes", "shapes", "layouts",
+                 "shared", "parity_programs", "headers", "windows", "programs", "terms")
 
     def __init__(self, p: SchemeParams):
-        d = derive_dims(p)
+        d = self.dims = derive_dims(p)
         # the construction promises a field at least as large as every code length
         assert nominal_field_size(p) >= max(d.n_prime, d.n_dprime, p.T + 1 - p.N1)
         self.field = make_field(implemented_field_size(p))
         self.code = MdsCode(self.field, d.n_prime, d.k_prime)  # first hop, per layer
+        # per parity row m, (message offset, position, MUL row) along its
+        # diagonal: row m at t combines s_{t-k'-m+pos}[., pos]
+        k = d.k_prime
+        self.diagonals = tuple(
+            tuple((k + m - pos, pos, col[pos]) for pos in range(k))
+            for m, col in zip(range(p.N1), self.code.parity_mul)
+        )
         self.second_codes: dict[tuple[int, int], MdsCode] = {}  # second hop, by (n, k)
-        self.rule = None
         self.shapes: dict[bytes, object] = {}  # plan window bits -> relay_codec._PlanShape
         self.layouts: dict[bytes, tuple] = {}  # slot's T+1 bits -> rides, in offsets
         self.shared: dict = {}  # one copy of each equal shape, ride and tuple in them
+        self.parity_programs: dict[tuple, tuple] = {}  # codeword layout -> parity program
         self.headers: dict[bytes, tuple] = {}  # slot's T+1 bits -> header symbols
         self.windows: dict[tuple, tuple] = {}  # valid header symbols -> T+1 bits
         self.programs: dict[tuple, tuple] = {}  # _structure_key -> valuation program
@@ -112,33 +121,30 @@ def encode_source(p: SchemeParams, messages, t: int) -> SourcePacket:
 
     The packet reads (and checks) only s_i for i in [t-k'-N1+1, t], so its
     cost does not depend on how many messages ``messages`` holds; messages
-    before time 0 are implicitly all-zero.
+    before time 0 are implicitly all-zero.  The parity rows run the
+    diagonal program of ``p``'s store entry, compiled with the entry: a
+    term whose message offset exceeds t lies before time 0 and drops out.
     """
-    d = derive_dims(p)
-    field, code = make_codes(p)
+    entry = _entry(p)
+    k, k_src = entry.code.k, entry.dims.k_src
     if not 0 <= t < len(messages):
         raise DimensionMismatch(f"no message s_{t} among {len(messages)} messages")
-    for i in range(max(0, t - d.k_prime - p.N1 + 1), t + 1):
-        if len(messages[i]) != d.k_src:
+    for i in range(max(0, t - k - p.N1 + 1), t + 1):
+        if len(messages[i]) != k_src:
             raise DimensionMismatch(
-                f"message {i} has {len(messages[i])} symbols, expected {d.k_src}"
+                f"message {i} has {len(messages[i])} symbols, expected {k_src}"
             )
 
-    # per parity row m, (pos, MUL row of its coefficient, message) along the
-    # diagonal; messages before time 0 are zero and drop out
-    k = d.k_prime
-    diags = [
-        [(pos, col[pos], messages[t - k - m + pos]) for pos in range(k) if t - k - m + pos >= 0]
-        for m, col in zip(range(p.N1), code.parity_mul)
-    ]
-    add = field.ADD
+    add, diagonals, now = entry.field.ADD, entry.diagonals, messages[t]
+    if t < k + p.N1 - 1:  # the longest diagonals reach before time 0
+        diagonals = [[term for term in diag if term[0] <= t] for diag in diagonals]
     rows = []
-    for lo in range(0, d.k_src, k):
-        row = list(messages[t][lo : lo + k])
-        for diag in diags:
+    for lo in range(0, k_src, k):
+        row = list(now[lo : lo + k])
+        for diag in diagonals:
             acc = 0
-            for pos, mul, msg in diag:
-                acc = add[acc][mul[msg[lo + pos]]]
+            for off, pos, mul in diag:
+                acc = add[acc][mul[messages[t - off][lo + pos]]]
             row.append(acc)
         rows.append(tuple(row))
     return SourcePacket(t, tuple(rows))

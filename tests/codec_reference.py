@@ -6,6 +6,9 @@ or with ``field_mds``.  ``erasure_decode_reference`` is the k x k decode of
 one MDS codeword, the reference ``MdsCode.erasure_decode`` must agree with.
 ``estimate_reference`` values one emission from lambda and mu directly, the
 reference for the ledger's memoized valuation programs.
+``encode_source_reference`` and ``build_parity_groups_reference`` are the two
+encoders without their compiled programs: the diagonal list built per call,
+and one zero-padded ``MdsCode.encode`` per codeword.
 ``cancel_interference`` is the standalone form of the decoder's cancellation
 step, ``dest_ingest`` feeds a relay packet with an optional side-information
 cross-check, and ``estimates_available`` is the closed-form count the plan
@@ -22,13 +25,15 @@ from relaystream.field_mds import (
     MdsCode,
     solve_linear,
 )
-from relaystream.relay_codec import MessagePlan, second_code
+from relaystream.relay_codec import MessagePlan, ParityGroups, second_code
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.source_codec import (
     EstimateLedger,
     ErasedKnownTerm,
     PosEmission,
+    SourcePacket,
     emission_coefficients,
+    make_codes,
 )
 
 
@@ -118,6 +123,54 @@ def estimate_reference(ledger: EstimateLedger, em: PosEmission) -> tuple[int, ..
             value = sub[value][row[ledger.packets[u + q].rows[c][q]]]
         out.append(value)
     return tuple(out)
+
+
+def encode_source_reference(p: SchemeParams, messages, t: int) -> SourcePacket:
+    """``encode_source`` without the diagonal program: per parity row, the
+    (pos, MUL row, message) list of its diagonal built for this call."""
+    d = derive_dims(p)
+    field, code = make_codes(p)
+    if not 0 <= t < len(messages):
+        raise DimensionMismatch(f"no message s_{t} among {len(messages)} messages")
+    for i in range(max(0, t - d.k_prime - p.N1 + 1), t + 1):
+        if len(messages[i]) != d.k_src:
+            raise DimensionMismatch(
+                f"message {i} has {len(messages[i])} symbols, expected {d.k_src}"
+            )
+    k = d.k_prime
+    diags = [
+        [(pos, col[pos], messages[t - k - m + pos]) for pos in range(k) if t - k - m + pos >= 0]
+        for m, col in zip(range(p.N1), code.parity_mul)
+    ]
+    add = field.ADD
+    rows = []
+    for lo in range(0, d.k_src, k):
+        row = list(messages[t][lo : lo + k])
+        for diag in diags:
+            acc = 0
+            for pos, mul, msg in diag:
+                acc = add[acc][mul[msg[lo + pos]]]
+            row.append(acc)
+        rows.append(tuple(row))
+    return SourcePacket(t, tuple(rows))
+
+
+def build_parity_groups_reference(p: SchemeParams, plan: MessagePlan, values) -> ParityGroups:
+    """``build_parity_groups`` without the parity program: each codeword's
+    message list, zero-padded to k, through ``MdsCode.encode``, and the
+    codewords transposed into parity rows."""
+    codewords = plan.shape.codewords  # (n, k, sys_items)
+    if not codewords or p.N2 == 0:
+        return ParityGroups(plan.t, plan.shape.schedule.grouped, tuple(() for _ in range(p.N2)))
+    n, k, _ = codewords[0]
+    code = second_code(p, n, k)
+    words = []
+    for _, _, sys_items in codewords:
+        msg = [values[item] for item in sys_items]
+        if len(msg) < k:
+            msg += [0] * (k - len(msg))
+        words.append(code.encode(msg))
+    return ParityGroups(plan.t, plan.shape.schedule.grouped, tuple(zip(*words))[k:])
 
 
 def estimates_available(ledger: EstimateLedger, t: int, now: int) -> int:

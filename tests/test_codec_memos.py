@@ -6,7 +6,11 @@ memoized on the emission's structure; the destination cancels interference
 through a term list memoized the same way.  Each is checked against the
 uncompiled rule: the callable-keyed plan, the lambda/mu valuation of
 ``codec_reference.estimate_reference`` and ``interference_terms``.  The
-memos are bounded by the layer code, not by the stream.
+two encoders run programs compiled into the same store entry: the source's
+diagonal program and the relay's parity programs, checked against
+``encode_source_reference`` and ``build_parity_groups_reference``.  The
+memos are bounded by the layer code or the codeword layouts, not by the
+stream.
 """
 
 import itertools
@@ -15,11 +19,15 @@ from math import comb
 import numpy as np
 import pytest
 
-from codec_reference import estimate_reference
-from relaystream import source_codec
+from codec_reference import (
+    build_parity_groups_reference,
+    encode_source_reference,
+    estimate_reference,
+)
+from relaystream import relay_codec, sim_harness, source_codec
 from relaystream.dest_codec import DecoderState, interference_terms
 from relaystream.relay_codec import RelayState, build_message_plan
-from relaystream.scheme_params import SchemeParams, derive_dims
+from relaystream.scheme_params import SchemeParams, derive_dims, implemented_field_size
 from relaystream.sim_harness import all_valid_params, run_episode
 from relaystream.source_codec import EstimateLedger, encode_source, make_codes
 
@@ -184,3 +192,89 @@ def test_program_and_term_memos_are_bounded_by_the_code():
         assert programs.keys() <= keys and terms.keys() <= keys
         sizes.append((len(programs), len(terms)))
     assert all(0 < n <= cap for pair in sizes for n in pair), (sizes, cap)
+
+
+# extension fields: q = 4 (T = 3, in all_valid_params(6)), 8 (7,2,2,0), 9 (8,2,3,0)
+# and 27 (26,2,16,0)
+ENCODER_SETS = [*all_valid_params(6), P12, P7220, SchemeParams(8, 2, 3, 0), SchemeParams(26, 2, 16, 0)]
+
+
+def test_compiled_encoders_match_the_reference(monkeypatch):
+    """Seeded i.i.d. streams at eps 0.2 and 0.45 on both hops, oracle and
+    header mode, over all_valid_params(6), (12,3,4,1) and sets over GF(8),
+    GF(9) and GF(27): every source packet equals the per-call diagonal
+    list's, slots t < k'+N1-1 (whose diagonals reach before time 0)
+    included, and every message's parities equal the zero-padded
+    ``MdsCode.encode`` of each codeword, grouped plans whose last codeword
+    falls short of k included.  The store entry of each set is dropped
+    first: its first stream compiles the programs (cold), the later ones
+    reuse them (warm)."""
+    real_encode, real_parities = sim_harness.encode_source, relay_codec.build_parity_groups
+    counts = dict.fromkeys(("packets", "early", "messages", "padded", "compiled"), 0)
+
+    def encode(p, messages, t):
+        got = real_encode(p, messages, t)
+        assert got == encode_source_reference(p, messages, t), (p, t)
+        counts["packets"] += 1
+        counts["early"] += t < derive_dims(p).k_prime + p.N1 - 1
+        return got
+
+    def parities(p, plan, values):
+        programs = source_codec._entry(p).parity_programs
+        cold = len(programs)
+        got = real_parities(p, plan, values)
+        assert got == build_parity_groups_reference(p, plan, values), (p, plan.t)
+        codewords = plan.shape.codewords
+        counts["messages"] += 1
+        counts["padded"] += plan.shape.schedule.grouped and len(codewords[-1][2]) < codewords[-1][1]
+        counts["compiled"] += len(programs) > cold
+        return got
+
+    monkeypatch.setattr(sim_harness, "encode_source", encode)
+    monkeypatch.setattr(relay_codec, "build_parity_groups", parities)
+    fields = set()
+    for idx, p in enumerate(ENCODER_SETS):
+        source_codec._STORE.pop(p, None)
+        fields.add(implemented_field_size(p))
+        horizon = 4 * (p.T + 1)
+        rng = np.random.default_rng([67, idx])
+        for p_erase in (0.2, 0.45):
+            e1, e2 = random_bits(rng, horizon, p_erase), random_bits(rng, horizon, p_erase)
+            for header_mode in (False, True):
+                run_episode(p, e1, e2, horizon, seed=idx, header_mode=header_mode)
+    assert {4, 8, 9, 27} <= fields
+    assert counts["early"] > 0 and counts["padded"] > 0, counts
+    # cold lookups compile, warm ones reuse
+    assert 0 < counts["compiled"] < counts["messages"] // 4, counts
+
+
+def codeword_layouts(p):
+    """Every codeword layout a plan of ``p`` can have: adaptive or grouped,
+    over the first ``end`` queue items for each end in [0, k_src]."""
+    d = derive_dims(p)
+    out = set()
+    for n_code, k_code, step in ((d.n_dprime, d.k_dprime, d.l_dprime),
+                                 (p.T + 1 - p.N1, d.l_dprime, d.k_dprime)):
+        for end in range(k_code * step + 1):
+            out.add(tuple((n_code, k_code, tuple(range(c, end, step))) for c in range(step)))
+    return out
+
+
+@pytest.mark.parametrize("p", [P12, P7220])
+def test_parity_programs_are_bounded_by_the_layouts(p):
+    """Two 1500-slot i.i.d. streams at eps=0.3 on the first hop, from a
+    dropped store entry: the parity programs are keyed by codeword layouts
+    only, so after one stream and after both they stay under the
+    2(k_src+1) layouts a plan can have."""
+    layouts = codeword_layouts(p)
+    cap = 2 * (derive_dims(p).k_src + 1)
+    assert len(layouts) <= cap
+    source_codec._STORE.pop(p, None)
+    sizes = []
+    for seed in (43, 44):
+        bits = random_bits(np.random.default_rng(seed), 1500, 0.3)
+        run_episode(p, bits, [0] * len(bits), len(bits), seed=seed)
+        programs = source_codec._STORE[p].parity_programs
+        assert programs.keys() <= layouts
+        sizes.append(len(programs))
+    assert 1 < sizes[0] <= sizes[1] <= cap, (sizes, cap)

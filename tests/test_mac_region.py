@@ -6,6 +6,7 @@ by hand from (T+1-N)/(T+1) and the per-user size formulas.
 
 import csv
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from relaystream.mac_region import (
     MacParams,
+    RateRegion,
+    _per_user_sizes,
     build_region,
     emit_region_csv,
     interleaved_spot_check,
@@ -23,6 +26,8 @@ from relaystream.mac_region import (
 from relaystream.scheme_params import InvalidParams, SchemeParams
 
 MAC = MacParams(T=7, N1=3, N2=2, N3=4, j1=2, j2=1)
+OTHER_MAC = MacParams(T=10, N1=2, N2=4, N3=3, j1=1, j2=2)
+DATA = Path(__file__).parent / "data"
 
 
 def test_pp_capacity_values():
@@ -92,6 +97,61 @@ def test_region_grows_with_mix_bound():
     # frontier only improves when finer mixes appear
     for r1, r2 in small.frontier:
         assert any(b1 >= r1 and b2 >= r2 for b1, b2 in big.frontier)
+
+
+def region_reference(mac: MacParams, mix_bound: int) -> RateRegion:
+    """``build_region`` in Fractions throughout: every mix's rate pair
+    deduplicated in a set, sorted, and the sumrate excess counted by
+    Fraction sums."""
+    k1, n1_1, nr_1 = _per_user_sizes(mac.user(1))
+    k2, n1_2, nr_2 = _per_user_sizes(mac.user(2))
+    pts = set()
+    for a in range(mix_bound + 1):
+        for b in range(mix_bound + 1):
+            if a + b:
+                denom = max(a * n1_1, b * n1_2, a * nr_1 + b * nr_2)
+                pts.add((Fraction(a * k1, denom), Fraction(b * k2, denom)))
+    points = tuple(sorted(pts))
+    sumrate = pp_capacity(mac.T - mac.N2, mac.N3)
+    over = sum(1 for r1, r2 in pts if r1 + r2 > sumrate)
+    return RateRegion(
+        mac=mac,
+        mix_bound=mix_bound,
+        points=points,
+        frontier=pareto_frontier(points),
+        bound1=pp_capacity(mac.T - mac.N3, mac.N1),
+        bound2=pp_capacity(mac.T - mac.N3, mac.N2),
+        sumrate_bound=sumrate,
+        notes=(f"{over}/{len(pts)} points exceed the sumrate reference {sumrate}",),
+    )
+
+
+@pytest.mark.parametrize("mac", [MAC, OTHER_MAC, MacParams(T=4, N1=1, N2=2, N3=1, j1=0, j2=1)])
+def test_region_equals_the_fraction_reference(mac):
+    """The integer-keyed region equals the all-Fraction one field for
+    field, order included, at every mix bound up to 24 and at 64."""
+    for mix_bound in [*range(1, 25), 64]:
+        region = build_region(mac, mix_bound)
+        want = region_reference(mac, mix_bound)
+        assert region == want, (mac, mix_bound)
+        assert region.notes == want.notes
+        assert all(type(r) is Fraction for pt in region.points for r in pt)
+
+
+REGION_PINS = {
+    "region_T7_N1_3_N2_2_N3_4_j1_2_j2_1.csv": (MAC, 64),
+    "region_T10_N1_2_N2_4_N3_3_j1_1_j2_2_mix40.csv": (OTHER_MAC, 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGION_PINS))
+def test_region_csv_matches_the_golden_file(name, tmp_path):
+    """``emit_region_csv`` bytes against files written before the region
+    was built on integer keys: the CLI's ``mac`` example (mix bound 64) and
+    a set whose users differ in every size."""
+    mac, mix_bound = REGION_PINS[name]
+    emit_region_csv(mac, tmp_path / name, mix_bound)
+    assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
 
 
 def test_region_rejects_bad_mix_bound():

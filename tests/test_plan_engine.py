@@ -27,7 +27,7 @@ import pytest
 
 import plan_reference
 from plan_reference import compute_schedule
-from relaystream import relay_codec, source_codec
+from relaystream import source_codec
 from relaystream.dest_codec import DecoderState
 from relaystream.relay_codec import RelayState, build_message_plan, slot_layout
 from relaystream.scheme_params import SchemeParams, derive_dims
@@ -195,7 +195,7 @@ def test_slot_layout_memo_matches_the_reference():
                 continue
             for s in range(p.T + 1):
                 want = wants[window, s] = plan_reference.slot_layout(p, window, s)
-                relay_codec._memo_entry(p).layouts.clear()
+                source_codec._entry(p).layouts.clear()
                 assert slot_layout(p, window, s) == want, (p, window, s)
                 assert slot_layout(p, window, s) == want, (p, window, s)
                 checked += 1

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from plan_reference import InadmissiblePattern, compute_schedule
-from relaystream import relay_codec, source_codec
+from relaystream import source_codec
 from relaystream.erasure_channel import enumerate_admissible
 from relaystream.relay_codec import (
     RelayState,
@@ -327,7 +327,7 @@ def test_malformed_header_is_never_memoized():
     p = P523
     for window in itertools.product((0, 1), repeat=p.T + 1):
         decode_header(p, encode_header(p, window))
-    entry = relay_codec._memo_entry(p)
+    entry = source_codec._entry(p)
     headers, windows = entry.headers, entry.windows
     before = (dict(headers), dict(windows))
     for bad in ((7, 0, 0), (0, -1, 0), (0, 0, 6), (1, 0), (1, 0, 0, 0)):

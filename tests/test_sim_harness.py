@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import relaystream.relay_codec as relay_codec
+import relaystream.source_codec as source_codec
 import relaystream.sim_harness as sim_harness
 from analytic_reference import analytic_losses_reference, chunk_losses_reference
 from relaystream.erasure_channel import ChannelConfig, HorizonTooLarge
@@ -144,8 +145,16 @@ def test_verify_detects_truncated_schedule(monkeypatch):
             alpha[cut] -= 1
         return relay_codec.Schedule(s.t, s.erased, s.grouped, tuple(alpha), s.ell, s.gamma)
 
-    monkeypatch.setattr(relay_codec, "_schedule_core", lazy)
-    rep = exhaustive_verify(P523)
+    # the store entry memoizes shapes built by the rule in force: drop it
+    # when the rule is swapped and again when it is restored, so no entry
+    # built by the truncated rule outlives the test
+    source_codec._STORE.pop(P523, None)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(relay_codec, "_schedule_core", lazy)
+            rep = exhaustive_verify(P523)
+    finally:
+        source_codec._STORE.pop(P523, None)
     assert not rep.ok
     assert "k_src" in rep.counterexample["problem"]
 
