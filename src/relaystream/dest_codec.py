@@ -23,20 +23,23 @@ an error; a later message whose interference references a FAILED one becomes
 FAILED itself (loss propagation), which the caller sees as MissingDependency
 handled internally.
 
-The pattern is held as one byte per slot behind T zero bytes for the clean
-slots before 0: the oracle's bits, or in header mode the bits each header
-delivered, with a marker for slots no header has covered yet.  A slot's T+1
-bits are then one ``bytes`` slice -- of the oracle pattern, or the decoded
-header itself -- which keys the layout memo of the store entry the decoder
-resolved at construction.  A plan's T-N2+1 bits are one slice too, and key
-``build_message_plan``.  ``decode_header`` reads the same entry (symbols ->
-window), so a header costs one lookup; interference reads the pattern
-through a slot -> bool lookup over the same bytes.
+The pattern is held in one store in both modes: one byte per slot behind T
+zero bytes for the clean slots before 0.  In header mode it holds the bits
+each header delivered, with a marker for slots no header has covered yet;
+the oracle's bits (``e1_bits``) are a pattern every slot of which is
+covered, clean past its end.  A slot's T+1 bits are then one ``bytes``
+slice -- of the pattern, or the decoded header itself -- which keys the
+layout memo of the store entry the decoder resolved at construction.  A
+plan's T-N2+1 bits are one slice too, and key ``build_message_plan``.
+``decode_header`` reads the same entry (symbols -> window), so a header
+costs one lookup; interference reads the pattern through a slot -> bool
+lookup over the same bytes.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .scheme_params import SchemeParams, derive_dims, header_overhead
@@ -92,20 +95,25 @@ class _MessageState:
 class DecoderState:
     """Destination state across an episode.
 
-    With oracle side information pass the first-hop pattern as ``e1_bits``,
-    one 0/1 entry per slot from slot 0; slots outside it read clean.  In
-    header mode pass None; the pattern is accumulated from received packet
-    headers into ``_known_bits``, where a slot no header has covered yet
-    holds ``_UNSEEN``, and anything that needs bits not yet covered simply
-    waits.
+    The first-hop pattern lives in ``_known_bits`` in both modes.  With
+    oracle side information pass it as ``e1_bits``, one 0/1 entry per slot
+    from slot 0; every slot counts as covered (``_known_below`` is
+    infinite), and slots past its end read clean.  In header mode pass
+    None; the pattern is accumulated from received packet headers, a slot
+    no header has covered yet holds ``_UNSEEN``, and anything that needs
+    bits not yet covered simply waits.
+
+    ``ingest`` checks a slot whole, then files it: a malformed slot (a
+    symbol outside the field, a header no window has, a payload length the
+    slot's rides do not carry) raises ``MalformedPacket`` before any change.
 
     Each slot's rides are read in offsets through ``_slot_rides``, from the
     parameter set's store entry resolved once at construction, and a plan is
-    built from the ``bytes`` of its window [t, t+T-N2]: a slice of the
-    oracle pattern, or of ``_known_bits`` once ``_plan_ready`` holds.  An
-    emission's interference terms are a (message offset, position, MUL row)
-    list, memoized in the ``terms`` of the same entry on (pos, parity_rows,
-    late, kept positions); ``interference_terms`` runs only on a miss.
+    built from the ``bytes`` of its window [t, t+T-N2], a slice of
+    ``_known_bits`` once ``_plan_ready`` holds.  An emission's interference
+    terms are a (message offset, position, MUL row) list, memoized in the
+    ``terms`` of the same entry on (pos, parity_rows, late, kept
+    positions); ``interference_terms`` runs only on a miss.
 
     Decoding is event-driven: ``due(now)`` yields only the messages whose
     attempt could succeed (or must fail) since their last one, i.e. those
@@ -133,26 +141,26 @@ class DecoderState:
         self._entry = _entry(p)
         self.field = self._entry.field
         self.header_mode = header_mode
-        # first-hop lookup; it closes over the pattern, not the decoder, so
-        # the plans the decoder keeps hold no reference back to it
+        # slots -T .. the last one known: the clean padding, then the
+        # oracle's bits or those the headers delivered
         T = p.T
+        bits = self._known_bits = bytearray(T)
         if header_mode:
             self._delta = header_overhead(p)
-            # slots -T .. the last a header covered; unseen slots read erased
-            bits = self._known_bits = bytearray(T)
             self._known_below = 0  # first slot no header has covered yet
-            beyond = True  # past the last header: not seen yet, so erased
         else:
-            bits = self._e1 = bytes(T) + bytes(map(bool, e1_bits))
-            beyond = False  # past the end of the pattern: clean
+            bits.extend(map(bool, e1_bits))
+            self._known_below = math.inf  # the oracle covers every slot
 
+        # first-hop lookup; it closes over the pattern, not the decoder, so
+        # the plans the decoder keeps hold no reference back to it
         def erased1(s: int) -> bool:
             if s < 0:
                 return False
             try:
                 return bits[s + T] != 0  # an unseen slot reads erased
-            except IndexError:
-                return beyond
+            except IndexError:  # past the last header erased, past the oracle's end clean
+                return header_mode
 
         self._erased1 = erased1
         self.msgs: dict[int, _MessageState] = {}
@@ -167,13 +175,12 @@ class DecoderState:
 
     def _plan_ready(self, t: int) -> bool:
         """All pattern bits a full plan for message t can depend on are known."""
-        if not self.header_mode:
-            return True
         T = self.params.T
         hi = t + T - self.params.N2
         if hi < self._known_below:
             return True
-        # past a gap (a hop-2 burst longer than T+1 lost every header of it)
+        # header mode past a gap (a hop-2 burst longer than T+1 lost every
+        # header of it)
         lo = max(0, t - 2 * (self.dims.k_prime - 1))
         known = self._known_bits
         return hi + T < len(known) and known.find(_UNSEEN, lo + T, hi + T + 1) < 0
@@ -184,8 +191,7 @@ class DecoderState:
             p = self.params
             # [t, t+T-N2]; past the end of an oracle pattern reads clean
             width, lo = p.T - p.N2 + 1, t + p.T
-            pattern = self._known_bits if self.header_mode else self._e1
-            bits = bytes(pattern[lo : lo + width]).ljust(width, b"\x00")
+            bits = bytes(self._known_bits[lo : lo + width]).ljust(width, b"\x00")
             st.plan = build_message_plan(p, self._erased1, t, bits=bits)
         return st.plan
 
@@ -243,24 +249,38 @@ class DecoderState:
 
     def ingest(self, slot: int, wire) -> None:
         """Feed the relay-hop slot ``slot``: symbol list, or None if erased."""
-        p = self.params
-        self.last_slot = max(self.last_slot, slot)
+        p, T = self.params, self.params.T
         if wire is None:
+            self.last_slot = max(self.last_slot, slot)
             return
         symbols = list(wire)
         # symbols index the field's tables: a slot holding one outside
         # [0, q) files nothing
         if symbols and (min(symbols) < 0 or max(symbols) >= self.field.q):
             raise MalformedPacket(f"slot {slot}: symbol outside [0, {self.field.q})")
-        T = p.T
         if self.header_mode:
             delta = self._delta
-            if len(symbols) < delta:
-                raise MalformedPacket(f"slot {slot}: packet shorter than its header")
             try:
                 bits = bytes(decode_header(p, symbols[:delta]))
             except ValueError as exc:
                 raise MalformedPacket(f"slot {slot}: {exc}") from None
+            symbols = symbols[delta:]
+        else:
+            # [slot-T, slot]; past the end of the pattern reads clean
+            bits = bytes(self._known_bits[slot : slot + T + 1]).ljust(T + 1, b"\x00")
+        rides = _slot_rides(p, self._entry, bits)
+        if slot < T:
+            rides = [ride for ride in rides if ride[0] <= slot]  # none before slot 0
+        carried = 0
+        for _, _, _, size, _ in rides:
+            carried += size
+        if carried != len(symbols):
+            raise MalformedPacket(
+                f"slot {slot}: payload of {len(symbols)} symbols, the schedule carries {carried}"
+            )
+        # the slot is whole: record its header, then file its rides
+        self.last_slot = max(self.last_slot, slot)
+        if self.header_mode:
             # the header covers [slot-T, slot], at indices slot .. slot+T;
             # its bits before slot 0 stay the clean padding
             known, end = self._known_bits, slot + T + 1
@@ -270,22 +290,12 @@ class DecoderState:
             known[lo:end] = bits[lo - slot :]
             below = known.find(_UNSEEN, self._known_below + T)
             self._known_below = (len(known) if below < 0 else below) - T
-            symbols = symbols[delta:]
             for t in [t for t in self._planless if self._plan_ready(t)]:
                 self._planless.discard(t)
                 self._flag_if_enough(t, self.msgs[t])
-        else:
-            # [slot-T, slot]; past the end of the pattern reads clean
-            bits = self._e1[slot : slot + T + 1].ljust(T + 1, b"\x00")
         offset = 0
-        for i, _, start, size, row in _slot_rides(p, self._entry, bits):
-            if i > slot:
-                continue  # a message before slot 0
+        for i, _, start, size, row in rides:
             t = slot - i
-            if offset + size > len(symbols):
-                raise MalformedPacket(
-                    f"slot {slot}: payload ends inside the subpacket of message {t}"
-                )
             st = self._state(t)
             if st.got_tx is not None:  # a retired message files nothing
                 if row is None:
@@ -295,10 +305,6 @@ class DecoderState:
                 st.received += size
                 self._flag_if_enough(t, st)
             offset += size
-        if offset != len(symbols):
-            raise MalformedPacket(
-                f"slot {slot}: {len(symbols) - offset} trailing symbols beyond the schedule"
-            )
 
     # -- decoding -----------------------------------------------------------------
 

@@ -45,6 +45,17 @@ class ChannelConfig:
             raise ValueError("horizon must be >= 1")
 
 
+def _burst_family(horizon: int, n: int, starts) -> list[list[int]]:
+    """The clean pattern, then an n-slot burst at each start of ``starts``
+    that fits in [0, horizon), in that order (no bursts when n <= 0)."""
+    family = [[0] * horizon]
+    if n > 0:
+        for s in starts:
+            if 0 <= s and s + n <= horizon:
+                family.append([0] * s + [1] * n + [0] * (horizon - s - n))
+    return family
+
+
 def is_admissible(bits, T: int, N: int) -> bool:
     """True iff every (T+1)-slot window of the 0/1 sequence ``bits`` holds
     at most N erasures (all of them, when the horizon is shorter)."""

@@ -18,8 +18,9 @@ import itertools
 from math import gcd
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
+from .erasure_channel import _burst_family
 from .field_mds import is_prime_power
 from .scheme_params import InvalidParams, SchemeParams, derive_dims
 
@@ -98,9 +99,20 @@ class RateRegion:
     notes: tuple[str, ...] = field(default=())
 
     def exceeds_sumrate(self) -> tuple[int, int]:
-        """(#points with R1+R2 > sumrate_bound, #points total)."""
-        over = sum(1 for r1, r2 in self.points if r1 + r2 > self.sumrate_bound)
-        return over, len(self.points)
+        """(#points with R1+R2 > sumrate_bound, #points total), counted in
+        integers by ``_over_sumrate``."""
+        return _over_sumrate(self.points, self.sumrate_bound), len(self.points)
+
+
+def _over_sumrate(points: Iterable[RatePair], bound: Fraction) -> int:
+    """How many (R1, R2) = (a/b, c/d) of ``points`` have R1+R2 > bound =
+    n/m, cross-multiplied: (a*d + c*b)*m > n*b*d."""
+    n, m = bound.numerator, bound.denominator
+    over = 0
+    for r1, r2 in points:
+        b, d = r1.denominator, r2.denominator
+        over += (r1.numerator * d + r2.numerator * b) * m > n * b * d
+    return over
 
 
 def _maximal(ranked) -> list:
@@ -182,10 +194,8 @@ def build_region(mac: MacParams, mix_bound: int = 64) -> RateRegion:
                 f"frontier point ({r1}, {r2}) violates per-user bounds "
                 f"({bound1}, {bound2}) for {mac}"
             )
-    # (x + y) / z > num / den, cross-multiplied
-    num, den = sumrate.numerator, sumrate.denominator
-    over = sum(1 for x, y, z in triples if (x + y) * den > num * z)
-    notes = (f"{over}/{len(triples)} points exceed the sumrate reference {sumrate}",)
+    over = _over_sumrate(points, sumrate)
+    notes = (f"{over}/{len(points)} points exceed the sumrate reference {sumrate}",)
 
     return RateRegion(
         mac=mac,
@@ -255,19 +265,6 @@ class MacSpotReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def _burst_family(horizon: int, n: int, starts: Sequence[int]) -> list[list[int]]:
-    fam = [[0] * horizon]
-    if n <= 0:
-        return fam
-    for s in starts:
-        if 0 <= s and s + n <= horizon:
-            bits = [0] * horizon
-            for i in range(s, s + n):
-                bits[i] = 1
-            fam.append(bits)
-    return fam
 
 
 def interleaved_spot_check(

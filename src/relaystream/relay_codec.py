@@ -451,10 +451,11 @@ class RelayState:
     rides, in offsets, through ``_slot_rides`` keyed by the ledger's
     ``window``.  ``queues`` holds each message's values in queue order:
     filled once from the packet rows of a received message, one estimate
-    (l' values, from the ledger) at a time for an erased one.  Message-phase
-    rides slice it, and only a ride that needs an estimate not yet valued
-    places a ``MessagePlan``; the first parity ride, when [t, t+T-N2] has
-    closed, encodes the parities from it with the plan
+    (l' values, from the ledger) at a time for an erased one.  Every ride
+    reads it through one accessor, ``_queue_values``, which places a
+    ``MessagePlan`` only for an estimate not yet valued: message-phase
+    rides slice it, and the first parity ride, when [t, t+T-N2] has
+    closed, encodes the parities from all of it with the plan
     ``build_message_plan`` gives for the ledger's ``plan_bits``, through
     the parity program of that plan's codeword layout.  Both are dropped
     once slot t+T has been emitted.
@@ -480,8 +481,12 @@ class RelayState:
     def ingest_source(self, slot: int, packet: SourcePacket | None) -> None:
         self.ledger.ingest(slot, packet)
 
-    def _queue(self, t: int, shape: _PlanShape) -> list[int]:
-        """Message t's queue; a received message's is filled at its first ride."""
+    def _queue_values(self, t: int, shape: _PlanShape, start: int, size: int) -> tuple[int, ...]:
+        """Symbols start .. start+size-1 of message t's transmission queue,
+        in the order its plan's ``shape`` fixes.  A received message's queue
+        is filled at its first ride; a ``MessagePlan`` is placed only to
+        value an estimate the queue does not hold yet."""
+        end = start + size
         values = self.queues.get(t)
         if values is None:
             if shape.schedule.erased:
@@ -490,28 +495,22 @@ class RelayState:
                 rows, k = self.ledger.packets[t].rows, self.dims.k_prime
                 values = [rows[f // k][f % k] for f, _, _ in shape.tx]
             self.queues[t] = values
-        return values
-
-    def _queue_values(self, plan: MessagePlan, start: int, size: int) -> tuple[int, ...]:
-        """Symbols start .. start+size-1 of message plan.t's transmission
-        queue, in the order the plan fixes."""
-        t, end = plan.t, start + size
-        values = self._queue(t, plan.shape)
-        # emission e fills queue items e*l' .. e*l'+l'-1, one per layer
-        while len(values) < end:
-            em = plan.emission(len(values) // self.dims.l_prime)
-            if em.slot >= self.ledger.next_slot:
-                raise ScheduleOverrun(
-                    f"message {t}: estimate emitted at slot {em.slot}, not yet ingested"
-                )
-            values.extend(self.ledger.estimate(em))
+        if len(values) < end:
+            plan = MessagePlan(self.params, t, shape, self.ledger.erased)
+            # emission e fills queue items e*l' .. e*l'+l'-1, one per layer
+            while len(values) < end:
+                em = plan.emission(len(values) // self.dims.l_prime)
+                if em.slot >= self.ledger.next_slot:
+                    raise ScheduleOverrun(
+                        f"message {t}: estimate emitted at slot {em.slot}, not yet ingested"
+                    )
+                values.extend(self.ledger.estimate(em))
         return tuple(values[start:end])
 
     def emit(self, slot: int) -> RelayPacket:
         """Relay packet for this slot; first-hop slots <= slot must have been
         ingested already."""
         p, ledger = self.params, self.ledger
-        erased = ledger.erased
         bits = ledger.window(slot)  # [slot-T, slot] as bytes
         subpackets = []
         for i, shape, start, size, row in _slot_rides(p, self._entry, bits):
@@ -519,17 +518,13 @@ class RelayState:
                 continue  # a message before slot 0
             t = slot - i
             if row is None:
-                values = self._queue(t, shape)
-                if len(values) >= start + size:  # nothing left to value
-                    syms = tuple(values[start : start + size])
-                else:
-                    syms = self._queue_values(MessagePlan(p, t, shape, erased), start, size)
+                syms = self._queue_values(t, shape, start, size)
             else:
                 pg = self.parities.get(t)
                 if pg is None:
-                    plan = build_message_plan(p, erased, t, bits=ledger.plan_bits(t))
+                    plan = build_message_plan(p, ledger.erased, t, bits=ledger.plan_bits(t))
                     pg = self.parities[t] = build_parity_groups(
-                        p, plan, self._queue_values(plan, 0, plan.n_tx)
+                        p, plan, self._queue_values(t, plan.shape, 0, plan.n_tx)
                     )
                 syms = pg.rows[row]
             subpackets.append((t, syms))

@@ -64,6 +64,7 @@ from .scheme_params import (
 from .erasure_channel import (
     ChannelConfig,
     HorizonTooLarge,
+    _burst_family,
     count_admissible,
     enumerate_admissible,
     is_admissible,
@@ -74,6 +75,7 @@ from .relay_codec import RelayState, build_message_plan, slot_layout
 from .dest_codec import FAILED, DecoderState
 
 VERIFY_T_LIMIT = 7  # full mode; larger T must use randomized=True
+_VERIFY_CROSS_BUDGET = 1600  # full mode runs every pattern pair up to this many
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +314,9 @@ def _sample_admissible(T: int, N: int, horizon: int, rng, attempts: int = 400):
 def _probe_e2_family(p: SchemeParams, horizon: int, rng, extra: int):
     """Second-hop probes: clean, every N2-burst placement, stride, samples."""
     T, N2 = p.T, p.N2
-    family = [[0] * horizon]
+    family = _burst_family(horizon, N2, range(horizon - N2 + 1))
     if N2 > 0:
-        for start in range(horizon - N2 + 1):
-            b = [0] * horizon
-            for i in range(N2):
-                b[start + i] = 1
-            family.append(b)
-        stride = [1 if (i % (T + 1)) < N2 else 0 for i in range(horizon)]
-        family.append(stride)
+        family.append([1 if (i % (T + 1)) < N2 else 0 for i in range(horizon)])
     for _ in range(extra):
         family.append(_sample_admissible(T, N2, horizon, rng))
     return family
@@ -332,13 +328,7 @@ def _probe_e1_family(p: SchemeParams, horizon: int, rng, budget: int):
     total = count_admissible(T, N1, horizon)
     if total <= budget:
         return [list(pat) for pat in enumerate_admissible(T, N1, horizon)], True
-    family = [[0] * horizon]
-    for start in (0, 1, p.j + 1, T, T + 2):
-        if start + N1 <= horizon:
-            b = [0] * horizon
-            for i in range(N1):
-                b[start + i] = 1
-            family.append(b)
+    family = _burst_family(horizon, N1, (0, 1, p.j + 1, T, T + 2))
     # alternating singles stress interference chains
     comb = [1 if i % 2 == 0 else 0 for i in range(horizon)]
     if is_admissible(comb, T, N1):
@@ -355,16 +345,15 @@ def exhaustive_verify(
     seed: int = 0,
     randomized: bool = False,
     episode_budget: int = 48,
-    cross_budget: int = 1600,
     window_budget: int = 4096,
 ) -> VerifyReport:
     """Adversarial achievability check for one parameter set.
 
     Full mode (T <= 7): every admissible (T+1)-bit window is certified
     structurally, and value-level episodes cover probe families (or the full
-    pattern-pair cross product when it fits ``cross_budget``).  Randomized
-    mode samples windows and pattern pairs instead and is the only mode
-    allowed for T > 7.
+    pattern-pair cross product when it has at most ``_VERIFY_CROSS_BUDGET``
+    pairs).  Randomized mode samples windows and pattern pairs instead and
+    is the only mode allowed for T > 7.
     """
     if horizon is None:
         horizon = 2 * (p.T + 1)
@@ -413,7 +402,7 @@ def exhaustive_verify(
     pairs: list[tuple[list, list]] = []
     n1_count = count_admissible(p.T, p.N1, horizon)
     n2_count = count_admissible(p.T, p.N2, horizon)
-    if not randomized and n1_count * n2_count <= cross_budget:
+    if not randomized and n1_count * n2_count <= _VERIFY_CROSS_BUDGET:
         e1s = [list(x) for x in enumerate_admissible(p.T, p.N1, horizon)]
         e2s = [list(x) for x in enumerate_admissible(p.T, p.N2, horizon)]
         pairs = [(a, b) for a in e1s for b in e2s]

@@ -5,6 +5,7 @@ stdout/stderr are asserted directly.
 """
 
 import csv
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_quick_start_stdout_matches_golden_files(capsys, monkeypatch):
+    """The README quick start's exhaustive and randomized ``verify`` and its
+    ``mac`` command print, byte for byte, the golden files in tests/data."""
+    monkeypatch.delenv("RELAYSTREAM_SEED", raising=False)
+    golden = {
+        "verify_T5_N1_2_N2_3_j0.txt": "verify --T 5 --N1 2 --N2 3 --j 0",
+        "verify_T12_N1_3_N2_4_j1_randomized.txt":
+            "verify --T 12 --N1 3 --N2 4 --j 1 --randomized",
+        "mac_T7_N1_3_N2_2_N3_4_j1_2_j2_1.txt": "mac --T 7 --N1 3 --N2 2 --N3 4 --j1 2 --j2 1",
+    }
+    for name, argv in golden.items():
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0, argv
+        assert out.encode() == (DATA / name).read_bytes(), argv
 
 
 def test_rates_reference_small(capsys):

@@ -20,7 +20,7 @@ from relaystream.dest_codec import (
     MalformedPacket,
     MissingDependency,
 )
-from relaystream.erasure_channel import enumerate_admissible
+from relaystream.erasure_channel import enumerate_admissible, is_admissible
 from relaystream.field_mds import MdsCode
 from relaystream.relay_codec import RelayState, second_code
 from relaystream.scheme_params import SchemeParams, derive_dims
@@ -169,22 +169,51 @@ def test_header_mode_matches_oracle_mode():
         assert d_header.try_decode(t) == d_oracle.try_decode(t) == messages[t]
 
 
+def _filed_state(dest):
+    """What ingesting a slot may change: every message's filed symbols and
+    the decoder's pattern and decode-event stores."""
+    copy = lambda store: None if store is None else dict(store)
+    filed = {t: (copy(st.got_tx), copy(st.got_par), st.received) for t, st in dest.msgs.items()}
+    return filed, bytes(dest._known_bits), dest._known_below, set(dest._planless), list(dest._due)
+
+
 def test_malformed_packet_lengths():
-    p = P523
-    horizon = 8
-    bits1 = [0] * horizon
-    messages = episode_messages(p, horizon, seed=43)
-    relay = RelayState(p)
-    dest = DecoderState(p, e1_bits=bits1)
-    for s in range(horizon):
-        relay.ingest_source(s, encode_source(p, messages, s))
-        wire = relay.emit(s).wire_symbols()
-        if s < horizon - 1:
-            dest.ingest(s, wire)
-    with pytest.raises(MalformedPacket):
-        dest.ingest(horizon - 1, wire[:-1])  # truncated
-    with pytest.raises(MalformedPacket):
-        dest.ingest(horizon - 1, wire + [0])  # trailing symbols
+    """At every slot of seeded episodes, in oracle and header mode, a
+    payload one symbol short or one symbol long is one malformed slot: it
+    raises before filing a ride or recording a header bit, the real packet
+    then ingests, and every message decodes as in an unperturbed run."""
+    cases = [
+        (P523, 30, [3, 4, 15, 22], [10, 11, 25]),
+        (SchemeParams(12, 3, 4, 1), 40, [2, 5, 6, 20, 33], [9, 10, 28]),
+    ]
+    for p, horizon, lost1, lost2 in cases:
+        bits1 = [int(s in lost1) for s in range(horizon)]
+        bits2 = [int(s in lost2) for s in range(horizon)]
+        assert is_admissible(bits1, p.T, p.N1) and is_admissible(bits2, p.T, p.N2)
+        messages = episode_messages(p, horizon, seed=43)
+        for header_mode in (True, False):
+            relay = RelayState(p, header_mode=header_mode)
+            kw = {"header_mode": True} if header_mode else {"e1_bits": bits1}
+            dest, clean = DecoderState(p, **kw), DecoderState(p, **kw)
+            for s in range(horizon):
+                relay.ingest_source(s, None if bits1[s] else encode_source(p, messages, s))
+                packet = relay.emit(s)
+                wire = None if bits2[s] else packet.wire_symbols()
+                for bad in [] if wire is None else [wire[:-1], wire + [0]]:
+                    if bad == wire:
+                        continue  # an empty payload has no symbol to cut
+                    before = _filed_state(dest)
+                    with pytest.raises(MalformedPacket):
+                        dest.ingest(s, bad)
+                    assert _filed_state(dest) == before, (p, header_mode, s, len(bad))
+                for d in (dest, clean):
+                    d.ingest(s, wire)
+                    for t in d.due(s):
+                        d.try_decode(t, now=s)
+            for t in range(horizon - p.T):
+                got = (dest.try_decode(t), dest.msgs[t].decode_slot)
+                assert got == (clean.try_decode(t), clean.msgs[t].decode_slot), (p, t)
+                assert got[0] == messages[t], (p, header_mode, t)
 
 
 def test_payload_symbol_outside_the_field_is_malformed():

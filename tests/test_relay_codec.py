@@ -271,9 +271,9 @@ def test_queue_guard_refuses_an_estimate_not_yet_ingested():
     relay, _ = drive_relay(p, bits[:6], messages[:6])
     plan = build_message_plan(p, look, 4)  # estimates of message 4 at slots 5 and 7
     alpha = plan.shape.schedule.alpha
-    assert relay._queue_values(plan, 0, alpha[1] + alpha[2])
+    assert relay._queue_values(4, plan.shape, 0, alpha[1] + alpha[2])
     with pytest.raises(ScheduleOverrun):
-        relay._queue_values(plan, 0, plan.n_tx)
+        relay._queue_values(4, plan.shape, 0, plan.n_tx)
 
 
 def test_parity_groups_value_guard():
