@@ -5,12 +5,15 @@ pattern either out of band (oracle side information ``e1_bits``, the
 default) or from the delta-symbol header each relay packet carries, rebuilds
 every message's transmission plan with the exact code the relay used, slices
 each received relay packet by ``slot_layout`` -- the relay's own per-slot
-rule, applied to the packet's header or to the oracle window -- and then,
-once a message holds as many symbols as it transmits:
+rule, applied to the packet's header or to the oracle window -- and files
+every ride alike, by its start in the message's second-hop sequence (the
+queue, then the parity rows).  Once a message holds as many symbols as it
+transmits, it:
 
-1. files them in queue coordinates, None for a lost symbol, and decodes
-   each second-hop codeword missing a symbol from any k of its n symbols
-   (each codeword loses at most one symbol per erased slot);
+1. lays its sequence out, None for a lost symbol, and decodes each
+   second-hop codeword missing a symbol from any k of its n symbols, the
+   parities read from the same sequence (each codeword loses at most one
+   symbol per erased slot);
 2. maps the queue back to flat message indices through the plan's tx order;
 3. cancels estimate interference using messages it already decoded, walking
    forward in time so dependencies are always resolved first.  Which terms
@@ -83,10 +86,12 @@ def interference_terms(p: SchemeParams, em: PosEmission, layer: int):
 
 @dataclass(slots=True)
 class _MessageState:
+    """A message's plan once built, and every ride filed in ``got`` by its
+    start in the message's second-hop sequence (see ``slot_layout``)."""
+
     plan: MessagePlan | None = None
     # None once retired: a message ``due`` finalized keeps only its outcome
-    got_tx: dict | None = dc_field(default_factory=dict)  # queue start -> symbol list
-    got_par: dict | None = dc_field(default_factory=dict)  # parity row -> symbol list
+    got: dict | None = dc_field(default_factory=dict)  # sequence start -> symbol list
     received: int = 0  # symbols filed; no decode before this reaches len(plan.tx)
     outcome: object = None  # None (pending) | list[int] | FAILED
     decode_slot: int | None = None
@@ -243,7 +248,7 @@ class DecoderState:
                 yield t
                 st = msgs.get(t)
                 if st is not None and st.outcome is not None:
-                    st.plan = st.got_tx = st.got_par = None
+                    st.plan = st.got = None
 
     # -- ingest -----------------------------------------------------------------
 
@@ -272,7 +277,7 @@ class DecoderState:
         if slot < T:
             rides = [ride for ride in rides if ride[0] <= slot]  # none before slot 0
         carried = 0
-        for _, _, _, size, _ in rides:
+        for _, _, _, size in rides:
             carried += size
         if carried != len(symbols):
             raise MalformedPacket(
@@ -294,14 +299,11 @@ class DecoderState:
                 self._planless.discard(t)
                 self._flag_if_enough(t, self.msgs[t])
         offset = 0
-        for i, _, start, size, row in rides:
+        for i, _, start, size in rides:
             t = slot - i
             st = self._state(t)
-            if st.got_tx is not None:  # a retired message files nothing
-                if row is None:
-                    st.got_tx[start] = symbols[offset : offset + size]
-                else:
-                    st.got_par[row] = symbols[offset : offset + size]
+            if st.got is not None:  # a retired message files nothing
+                st.got[start] = symbols[offset : offset + size]
                 st.received += size
                 self._flag_if_enough(t, st)
             offset += size
@@ -345,21 +347,25 @@ class DecoderState:
         if st.received < plan.n_tx:
             return None  # see _flag_if_enough
 
-        # received symbols in queue coordinates, None where lost
-        queue = [None] * plan.n_tx
-        for start, got in st.got_tx.items():
-            queue[start : start + len(got)] = got
+        # the received second-hop sequence, None where lost: the queue, then
+        # parity row m's symbol of codeword c at n_tx + m*len(codewords) + c
+        n_tx, codewords = plan.n_tx, plan.shape.codewords
+        width = len(codewords)
+        seq = [None] * (n_tx + p.N2 * width)
+        for start, got in st.got.items():
+            seq[start : start + len(got)] = got
+        queue = seq[:n_tx]
         # decode only the codewords still missing a systematic symbol; the
         # plan's shape has the layout, so no absolute view is built
         if None in queue:
-            for ci, (n, k, items) in enumerate(plan.shape.codewords):
+            for ci, (n, k, items) in enumerate(codewords):
                 held = [queue[item] for item in items]
                 if None not in held:
                     continue
                 received = [(r, v) for r, v in enumerate(held) if v is not None]
                 # positions beyond the scheduled queue were zero-padded at the relay
                 received += [(r, 0) for r in range(len(items), k)]
-                received += [(k + m, syms[ci]) for m, syms in st.got_par.items()]
+                received += [(k + m, v) for m, v in enumerate(seq[n_tx + ci :: width]) if v is not None]
                 if len(received) < k:
                     return None  # not yet decodable
                 word = second_code(p, n, k).erasure_decode(received)

@@ -53,15 +53,17 @@ slot's rides, in offsets, from the entry they resolved once at construction,
 so a slot costs one lookup on each side.  In header mode the same entry
 memoizes ``encode_header`` (window -> symbols) and ``decode_header``
 (symbols -> window), each at most 2^(T+1) valid headers; a malformed header
-is never stored.  The relay keeps each message's values in the plan's queue
-order: an estimate's values are worked out by the ledger when the relay
-first sends it, and the parities are encoded from the same values at the
-first parity slot, once the plan's window has closed.  They run a parity
-program memoized in the entry per codeword layout, at most 2(k_src+1)
-layouts: per parity row and codeword, a (queue item, MUL row) pair per
-systematic symbol, its coefficients the parities ``MdsCode.encode`` gives
-the unit vectors of the (n, k) code.  So a message's parities are N2 dot
-products per codeword straight over its queue values.
+is never stored.  Each message goes out as one second-hop sequence, its
+queue then its N2 parity rows, which alpha cuts into subpackets (see
+``slot_layout``).  The relay keeps that sequence as one list: an estimate's
+values are worked out by the ledger when the relay first sends it, and the
+parity rows are appended at the first parity slot, once the plan's window
+has closed.  They run a parity program memoized in the entry per codeword
+layout, at most 2(k_src+1) layouts: per parity row and codeword, a (queue
+item, MUL row) pair per systematic symbol, its coefficients the parities
+``MdsCode.encode`` gives the unit vectors of the (n, k) code.  So a
+message's parities are N2 dot products per codeword straight over its
+queue values.
 """
 
 from __future__ import annotations
@@ -306,10 +308,10 @@ def build_message_plan(
 
 def _slot_rides(p: SchemeParams, entry: _Entry, window: bytes) -> tuple:
     """The rides of the slot whose T+1 bits are ``window``, in offsets: the
-    message at window[lo] rides at offset i = T-lo, oldest message first.
-    Memoized in ``entry``, the entry of ``p``; slots after the window read
-    as erased, and each ride is stored once through the entry's shared
-    tuples."""
+    message at window[lo] rides at offset i = T-lo as (i, shape,
+    sum(alpha[:i]), alpha[i]), oldest message first.  Memoized in
+    ``entry``, the entry of ``p``; slots after the window read as erased,
+    and each ride is stored once through the entry's shared tuples."""
     rides = entry.layouts.get(window)
     if rides is not None:
         return rides
@@ -320,10 +322,7 @@ def _slot_rides(p: SchemeParams, entry: _Entry, window: bytes) -> tuple:
         shape = _entry_shape(p, entry, padded[lo : lo + width])
         i, alpha = p.T - lo, shape.schedule.alpha
         if alpha[i]:
-            if i < width:
-                ride = (i, shape, sum(alpha[:i]), alpha[i], None)
-            else:
-                ride = (i, shape, 0, alpha[i], i - width)
+            ride = (i, shape, sum(alpha[:i]), alpha[i])
             out.append(shared.setdefault(ride, ride))
     rides = entry.layouts[window] = tuple(out)
     return rides
@@ -336,8 +335,9 @@ def slot_layout(p: SchemeParams, bits, s: int) -> list[tuple]:
     before 0 count as clean and slots after s as erased, as the relay sees
     them at slot s; a shape so masked agrees with the full plan up to offset
     s-t.  Each message t with a nonzero subpacket gives ``(t, shape, start,
-    size, parity_row)``: queue items start .. start+size-1 with parity_row
-    None, or one symbol per codeword of parity row parity_row with start 0.
+    size)``: symbols start .. start+size-1 of its second-hop sequence, its
+    queue then its N2 parity rows (symbol c of row m at n_tx +
+    m*len(shape.codewords) + c), start the sum of alpha before s-t.
 
     The rides are memoized in slot offsets on the T+1 bits as bytes, next to
     the shapes of the same parameter set (at most 2^(T+1) layouts); a call
@@ -349,7 +349,7 @@ def slot_layout(p: SchemeParams, bits, s: int) -> list[tuple]:
         raise ValueError(f"slot layout reads T+1 = {p.T + 1} bits, got {len(bits)}")
     key = bits if type(bits) is bytes else bytes(map(bool, bits))
     rides = _slot_rides(p, _entry(p), key)
-    return [(s - i, shape, start, size, row) for i, shape, start, size, row in rides if i <= s]
+    return [(s - i, shape, start, size) for i, shape, start, size in rides if i <= s]
 
 
 def second_code(p: SchemeParams, n: int, k: int) -> MdsCode:
@@ -381,18 +381,14 @@ def _parity_program(p: SchemeParams, entry: _Entry, codewords: tuple) -> tuple:
     ``MdsCode.encode`` gives the k unit vectors."""
     program = entry.parity_programs.get(codewords)
     if program is None:
-        if not codewords or p.N2 == 0:
-            program = ((),) * p.N2
-        else:
-            n, k, _ = codewords[0]  # every codeword of a plan has the same (n, k)
-            encode, mul = second_code(p, n, k).encode, entry.field.MUL
-            columns = [encode([int(i == x) for x in range(k)])[k:] for i in range(k)]
-            program = tuple(
-                tuple(tuple((item, mul[columns[i][m]]) for i, item in enumerate(items))
-                      for _, _, items in codewords)
-                for m in range(n - k)
-            )
-        entry.parity_programs[codewords] = program
+        n, k, _ = codewords[0]  # every codeword of a plan has the same (n, k)
+        encode, mul = second_code(p, n, k).encode, entry.field.MUL
+        columns = [encode([int(i == x) for x in range(k)])[k:] for i in range(k)]
+        program = entry.parity_programs[codewords] = tuple(
+            tuple(tuple((item, mul[columns[i][m]]) for i, item in enumerate(items))
+                  for _, _, items in codewords)
+            for m in range(n - k)
+        )
     return program
 
 
@@ -449,16 +445,16 @@ class RelayState:
     the T+1 bits the relay has seen up to s.  The relay resolves its
     parameter set's store entry once, at construction, and reads each slot's
     rides, in offsets, through ``_slot_rides`` keyed by the ledger's
-    ``window``.  ``queues`` holds each message's values in queue order:
-    filled once from the packet rows of a received message, one estimate
-    (l' values, from the ledger) at a time for an erased one.  Every ride
-    reads it through one accessor, ``_queue_values``, which places a
-    ``MessagePlan`` only for an estimate not yet valued: message-phase
-    rides slice it, and the first parity ride, when [t, t+T-N2] has
-    closed, encodes the parities from all of it with the plan
-    ``build_message_plan`` gives for the ledger's ``plan_bits``, through
-    the parity program of that plan's codeword layout.  Both are dropped
-    once slot t+T has been emitted.
+    ``window``.  ``queues`` holds each message's second-hop sequence: its
+    queue, filled once from the packet rows of a received message, one
+    estimate (l' values, from the ledger) at a time for an erased one, then
+    its parity rows.  Every ride is a slice of it, read through one
+    accessor, ``_queue_values``, which places a ``MessagePlan`` only for an
+    estimate not yet valued.  The first ride past the queue, when [t,
+    t+T-N2] has closed, appends the parity rows encoded from the queue with
+    the plan ``build_message_plan`` gives for the ledger's ``plan_bits``,
+    through the parity program of that plan's codeword layout.  The
+    sequence is dropped once slot t+T has been emitted.
 
     The state stays bounded over a stream.  An estimate of a message t reads
     packets back to slot t - 2(k'-1), the reach of its leftover terms, so
@@ -471,8 +467,7 @@ class RelayState:
         self.dims = derive_dims(p)
         self.ledger = EstimateLedger(p)
         self.header_mode = header_mode
-        self.parities: dict[int, ParityGroups] = {}
-        self.queues: dict[int, list[int]] = {}  # t -> values in queue order
+        self.queues: dict[int, list[int]] = {}  # t -> second-hop sequence so far
         # once slot s is emitted, the oldest message in flight is s+1-T and
         # its estimates read packets back to s+1-T-2(k'-1) = s - _ledger_lag
         self._ledger_lag = p.T - 1 + 2 * (self.dims.k_prime - 1)
@@ -482,10 +477,10 @@ class RelayState:
         self.ledger.ingest(slot, packet)
 
     def _queue_values(self, t: int, shape: _PlanShape, start: int, size: int) -> tuple[int, ...]:
-        """Symbols start .. start+size-1 of message t's transmission queue,
-        in the order its plan's ``shape`` fixes.  A received message's queue
-        is filled at its first ride; a ``MessagePlan`` is placed only to
-        value an estimate the queue does not hold yet."""
+        """Symbols start .. start+size-1 of message t's second-hop sequence:
+        its queue, in the order its plan's ``shape`` fixes, then its parity
+        rows.  A received message's queue is filled at its first ride; a
+        ``MessagePlan`` is placed only to value an estimate not held yet."""
         end = start + size
         values = self.queues.get(t)
         if values is None:
@@ -496,15 +491,22 @@ class RelayState:
                 values = [rows[f // k][f % k] for f, _, _ in shape.tx]
             self.queues[t] = values
         if len(values) < end:
-            plan = MessagePlan(self.params, t, shape, self.ledger.erased)
-            # emission e fills queue items e*l' .. e*l'+l'-1, one per layer
-            while len(values) < end:
-                em = plan.emission(len(values) // self.dims.l_prime)
-                if em.slot >= self.ledger.next_slot:
-                    raise ScheduleOverrun(
-                        f"message {t}: estimate emitted at slot {em.slot}, not yet ingested"
-                    )
-                values.extend(self.ledger.estimate(em))
+            fill = min(end, len(shape.tx))
+            if len(values) < fill:
+                plan = MessagePlan(self.params, t, shape, self.ledger.erased)
+                # emission e fills queue items e*l' .. e*l'+l'-1, one per layer
+                while len(values) < fill:
+                    em = plan.emission(len(values) // self.dims.l_prime)
+                    if em.slot >= self.ledger.next_slot:
+                        raise ScheduleOverrun(
+                            f"message {t}: estimate emitted at slot {em.slot}, not yet ingested"
+                        )
+                    values.extend(self.ledger.estimate(em))
+            if len(values) < end:  # the first parity ride: [t, t+T-N2] has closed
+                ledger = self.ledger
+                plan = build_message_plan(self.params, ledger.erased, t, bits=ledger.plan_bits(t))
+                for row in build_parity_groups(self.params, plan, values).rows:
+                    values.extend(row)
         return tuple(values[start:end])
 
     def emit(self, slot: int) -> RelayPacket:
@@ -513,23 +515,10 @@ class RelayState:
         p, ledger = self.params, self.ledger
         bits = ledger.window(slot)  # [slot-T, slot] as bytes
         subpackets = []
-        for i, shape, start, size, row in _slot_rides(p, self._entry, bits):
-            if i > slot:
-                continue  # a message before slot 0
-            t = slot - i
-            if row is None:
-                syms = self._queue_values(t, shape, start, size)
-            else:
-                pg = self.parities.get(t)
-                if pg is None:
-                    plan = build_message_plan(p, ledger.erased, t, bits=ledger.plan_bits(t))
-                    pg = self.parities[t] = build_parity_groups(
-                        p, plan, self._queue_values(t, plan.shape, 0, plan.n_tx)
-                    )
-                syms = pg.rows[row]
-            subpackets.append((t, syms))
+        for i, shape, start, size in _slot_rides(p, self._entry, bits):
+            if i <= slot:  # else a message before slot 0
+                subpackets.append((slot - i, self._queue_values(slot - i, shape, start, size)))
         # message slot-T had its last slot
-        self.parities.pop(slot - p.T, None)
         self.queues.pop(slot - p.T, None)
         ledger.forget_before(slot - self._ledger_lag)
         header = encode_header(p, bits) if self.header_mode else ()

@@ -76,6 +76,7 @@ from .dest_codec import FAILED, DecoderState
 
 VERIFY_T_LIMIT = 7  # full mode; larger T must use randomized=True
 _VERIFY_CROSS_BUDGET = 1600  # full mode runs every pattern pair up to this many
+_VERIFY_WINDOW_BUDGET = 4096  # randomized mode samples this many windows, at most
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +264,7 @@ def _structural_pass(p: SchemeParams, windows) -> tuple:
             if problem is not None:
                 return count, max_payload, {"window": window[lo:], "problem": problem}
         # payload at the slot that sees `window` as its trailing T+1 bits
-        payload = sum(size for _, _, _, size, _ in slot_layout(p, window, p.T))
+        payload = sum(size for _, _, _, size in slot_layout(p, window, p.T))
         max_payload = max(max_payload, payload)
         if payload > d.n2_star:
             return count, max_payload, {
@@ -345,7 +346,6 @@ def exhaustive_verify(
     seed: int = 0,
     randomized: bool = False,
     episode_budget: int = 48,
-    window_budget: int = 4096,
 ) -> VerifyReport:
     """Adversarial achievability check for one parameter set.
 
@@ -353,7 +353,8 @@ def exhaustive_verify(
     structurally, and value-level episodes cover probe families (or the full
     pattern-pair cross product when it has at most ``_VERIFY_CROSS_BUDGET``
     pairs).  Randomized mode samples windows and pattern pairs instead and
-    is the only mode allowed for T > 7.
+    is the only mode allowed for T > 7; it certifies every window when
+    there are at most ``_VERIFY_WINDOW_BUDGET`` of them.
     """
     if horizon is None:
         horizon = 2 * (p.T + 1)
@@ -371,10 +372,10 @@ def exhaustive_verify(
     # -- structural certificate over local windows
     if randomized:
         all_windows = list(_admissible_windows(p.T, p.N1))
-        if len(all_windows) > window_budget:
-            idx = rng.choice(len(all_windows), window_budget, replace=False)
+        if len(all_windows) > _VERIFY_WINDOW_BUDGET:
+            idx = rng.choice(len(all_windows), _VERIFY_WINDOW_BUDGET, replace=False)
             windows = [all_windows[i] for i in sorted(idx)]
-            notes.append(f"windows sampled {window_budget}/{len(all_windows)}")
+            notes.append(f"windows sampled {_VERIFY_WINDOW_BUDGET}/{len(all_windows)}")
         else:
             windows = all_windows
     else:

@@ -197,8 +197,9 @@ def estimates_available(ledger: EstimateLedger, t: int, now: int) -> int:
 def oracle_decode(p: SchemeParams, plan: MessagePlan, state: DecoderState, history: dict):
     """Decode message plan.t from raw received symbols by solving one linear
     system, ignoring the codeword structure.  Reads the symbols as the
-    decoder filed them: message symbols by queue start, parities by row.
-    Returns list | None."""
+    decoder filed them, by start in the message's second-hop sequence:
+    below n_tx a queue item, past it symbol c of parity row m at n_tx +
+    m*len(codewords) + c.  Returns list | None."""
     field = state.field
     d = derive_dims(p)
     t = plan.t
@@ -222,27 +223,31 @@ def oracle_decode(p: SchemeParams, plan: MessagePlan, state: DecoderState, histo
                 const = field.add(const, field.mul(coeff, dep[flat2]))
         return row, const
 
+    def parity_row(m: int, ci: int):
+        """Functional of codeword ci's parity m over the unknowns, plus constant."""
+        cw = plan.codewords[ci]
+        code = second_code(p, cw.n, cw.k)
+        row = [0] * d.k_src
+        const = 0
+        for r in range(len(cw.sys_items)):
+            g = code.parity[r][m]
+            if not g:
+                continue
+            srow, sconst = tx_row(cw.sys_items[r])
+            for f_i, c_i in enumerate(srow):
+                if c_i:
+                    row[f_i] = field.add(row[f_i], field.mul(g, c_i))
+            const = field.add(const, field.mul(g, sconst))
+        return row, const
+
+    n_tx = len(plan.tx)
     rows, rhs = [], []
-    for start, got in sorted(st.got_tx.items()):
+    for start, got in sorted(st.got.items()):
         for idx, v in enumerate(got, start):
-            row, const = tx_row(idx)
-            rows.append(row)
-            rhs.append(field.sub(v, const))
-    for m, syms in st.got_par.items():
-        for ci, v in enumerate(syms):
-            cw = plan.codewords[ci]
-            code = second_code(p, cw.n, cw.k)
-            row = [0] * d.k_src
-            const = 0
-            for r in range(len(cw.sys_items)):
-                g = code.parity[r][m]
-                if not g:
-                    continue
-                srow, sconst = tx_row(cw.sys_items[r])
-                for f_i, c_i in enumerate(srow):
-                    if c_i:
-                        row[f_i] = field.add(row[f_i], field.mul(g, c_i))
-                const = field.add(const, field.mul(g, sconst))
+            if idx < n_tx:
+                row, const = tx_row(idx)
+            else:
+                row, const = parity_row(*divmod(idx - n_tx, len(plan.codewords)))
             rows.append(row)
             rhs.append(field.sub(v, const))
 

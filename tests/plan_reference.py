@@ -197,7 +197,8 @@ def compute_schedule(p, t, erased, prefix):
 
 def slot_layout(p, bits, s):
     """Who rides relay slot s, from the T+1 bits of [s-T, s]: (t, shape,
-    start, size, parity_row), oldest message first."""
+    start, size), oldest message first, start the sum of alpha before the
+    slot's offset s-t in message t's second-hop sequence."""
     if len(bits) != p.T + 1:
         raise ValueError(f"slot layout reads T+1 = {p.T + 1} bits, got {len(bits)}")
     width = p.T - p.N2 + 1  # message-phase offsets 0 .. T-N2
@@ -209,8 +210,5 @@ def slot_layout(p, bits, s):
         shape = engine_plan(p, None, t, bits=key).shape  # a shape reads only ``bits``
         i, alpha = s - t, shape.schedule.alpha
         if alpha[i]:
-            if i < width:
-                rides.append((t, shape, sum(alpha[:i]), alpha[i], None))
-            else:
-                rides.append((t, shape, 0, alpha[i], i - width))
+            rides.append((t, shape, sum(alpha[:i]), alpha[i]))
     return rides

@@ -208,7 +208,9 @@ def test_compiled_encoders_match_the_reference(monkeypatch):
     ``MdsCode.encode`` of each codeword, grouped plans whose last codeword
     falls short of k included.  The store entry of each set is dropped
     first: its first stream compiles the programs (cold), the later ones
-    reuse them (warm)."""
+    reuse them (warm).  The relay makes no parity ride at N2 = 0, so a set
+    with N2 = 0 is checked by a direct call, on an erased (grouped) and a
+    received plan: it has no parity rows."""
     real_encode, real_parities = sim_harness.encode_source, relay_codec.build_parity_groups
     counts = dict.fromkeys(("packets", "early", "messages", "padded", "compiled"), 0)
 
@@ -246,6 +248,12 @@ def test_compiled_encoders_match_the_reference(monkeypatch):
     assert counts["early"] > 0 and counts["padded"] > 0, counts
     # cold lookups compile, warm ones reuse
     assert 0 < counts["compiled"] < counts["messages"] // 4, counts
+    p = SchemeParams(5, 2, 0, 0)
+    for erased in (True, False):
+        plan = build_message_plan(p, lambda s: erased and s == 0, 0)
+        values = [1] * plan.n_tx
+        got = real_parities(p, plan, values)
+        assert got.rows == () and got == build_parity_groups_reference(p, plan, values), erased
 
 
 def codeword_layouts(p):

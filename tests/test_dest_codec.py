@@ -173,7 +173,7 @@ def _filed_state(dest):
     """What ingesting a slot may change: every message's filed symbols and
     the decoder's pattern and decode-event stores."""
     copy = lambda store: None if store is None else dict(store)
-    filed = {t: (copy(st.got_tx), copy(st.got_par), st.received) for t, st in dest.msgs.items()}
+    filed = {t: (copy(st.got), st.received) for t, st in dest.msgs.items()}
     return filed, bytes(dest._known_bits), dest._known_below, set(dest._planless), list(dest._due)
 
 
@@ -228,11 +228,11 @@ def test_payload_symbol_outside_the_field_is_malformed():
     for s in range(horizon):
         relay.ingest_source(s, encode_source(p, messages, s))
         wire = relay.emit(s).wire_symbols()
-        filed = {t: (dict(st.got_tx), dict(st.got_par)) for t, st in dest.msgs.items()}
+        filed = {t: dict(st.got) for t, st in dest.msgs.items()}
         for bad in (q, -1):
             with pytest.raises(MalformedPacket):
                 dest.ingest(s, wire[:-1] + [bad])
-            assert {t: (st.got_tx, st.got_par) for t, st in dest.msgs.items()} == filed
+            assert {t: st.got for t, st in dest.msgs.items()} == filed
         dest.ingest(s, wire)
     for t in range(horizon - p.T):
         assert dest.try_decode(t) == messages[t]

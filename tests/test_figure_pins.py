@@ -45,6 +45,17 @@ def test_figure_csv_is_pinned(name, tmp_path):
     assert _sha256(path) == PINS[name]
 
 
+def test_cli_figure_data_passes_the_loss_flags(tmp_path, capsys):
+    # figures 4 and 5 take --trials, --seed and --horizon from the command
+    # line: the CLI's CSV is the pinned one of the same figure-4 call
+    path = tmp_path / "figure4.csv"
+    argv = ["figure-data", "--figure", "4", "--trials", "2000", "--seed", "3",
+            "--horizon", "128", "--out", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _sha256(path) == PINS["figure-4-trials2000-seed3-horizon128"]
+
+
 def test_cli_simulate_csv_is_pinned(tmp_path, monkeypatch, capsys):
     # the CLI's default seed comes from the environment
     monkeypatch.delenv("RELAYSTREAM_SEED", raising=False)

@@ -136,7 +136,7 @@ def test_decoder_holds_plans_and_symbols_only_near_the_last_slot(name):
     rep, _, dest = run_stream(name)
     p, k = rep.params, derive_dims(rep.params).k_prime
     reach = p.T + 1 + 2 * (k - 1)
-    live = [t for t, st in dest.msgs.items() if st.plan is not None or st.got_tx or st.got_par]
+    live = [t for t, st in dest.msgs.items() if st.plan is not None or st.got]
     assert live and min(live) >= dest.last_slot - reach, min(live)
     assert len(live) <= reach + 1
     for t in range(dest.last_slot - p.T):  # past their deadline

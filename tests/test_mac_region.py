@@ -5,6 +5,7 @@ by hand from (T+1-N)/(T+1) and the per-user size formulas.
 """
 
 import csv
+import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaystream import sim_harness
 from relaystream.mac_region import (
     MacParams,
     RateRegion,
@@ -227,3 +229,19 @@ def test_interleaved_spot_check_splits_budget_between_users():
     assert rep.episodes == 10
     odd = interleaved_spot_check(MAC, budget=3)
     assert odd.user_episodes == (2, 1)
+
+
+def test_interleaved_spot_check_reports_every_failed_episode(monkeypatch):
+    """With every episode reporting message 0 FAILED, the spot check fails
+    and records each of its episodes once, tagged with its user."""
+    real = sim_harness.run_episode
+
+    def failing(*args, **kw):
+        return dataclasses.replace(real(*args, **kw), failed=(0,))
+
+    monkeypatch.setattr(sim_harness, "run_episode", failing)
+    rep = interleaved_spot_check(MAC, budget=3)
+    assert not rep.ok
+    assert [f[0] for f in rep.failures] == [1, 1, 2]
+    assert all(f[3] == (0,) for f in rep.failures)
+    assert rep.user_episodes == (2, 1)

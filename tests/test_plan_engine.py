@@ -143,17 +143,13 @@ def test_plan_memo_is_bounded_by_the_window():
 
 def layout_from_plans(p, view, s):
     """slot_layout's rides at slot s, from each message's plan seen through
-    ``view``: size alpha[s-t]; start the sum of alpha before s-t, or parity
-    row s-t-(T-N2+1)."""
+    ``view``: size alpha[s-t], start the sum of alpha before s-t."""
     rides = []
     for t in range(max(0, s - p.T), s - p.j + 1):
         plan, i = build_message_plan(p, view, t), s - t
         alpha = plan.shape.schedule.alpha
         if alpha[i]:
-            if i <= p.T - p.N2:
-                rides.append((t, plan.shape, sum(alpha[:i]), alpha[i], None))
-            else:
-                rides.append((t, plan.shape, 0, alpha[i], i - (p.T - p.N2 + 1)))
+            rides.append((t, plan.shape, sum(alpha[:i]), alpha[i]))
     return rides
 
 
@@ -258,10 +254,10 @@ def test_slot_layout_memo_is_bounded_by_the_window():
 
 def drive(p, bits1, header_mode, seed):
     """Relay over ``bits1`` with a clean second hop.  Returns the relay's
-    subpackets and what the destination filed, both as {t: (message
-    symbols by queue start, parity symbols by row)}.  The relay's starts and
-    rows come from each message's full plan: the prefix sum of its alpha up
-    to the slot offset, and the offset past T-N2."""
+    subpackets and what the destination filed, both as {t: {start in the
+    second-hop sequence: symbols}}.  The relay's starts come from each
+    message's full plan: the prefix sum of its alpha up to the slot
+    offset."""
     d = derive_dims(p)
     field, _ = make_codes(p)
     rng = np.random.default_rng(seed)
@@ -279,14 +275,9 @@ def drive(p, bits1, header_mode, seed):
         pkt = relay.emit(s)
         dest.ingest(s, pkt.wire_symbols())
         for t, syms in pkt.subpackets:
-            i = s - t
-            got_tx, got_par = sent.setdefault(t, ({}, {}))
-            if i <= p.T - p.N2:
-                alpha = build_message_plan(p, oracle_view(bits1), t).shape.schedule.alpha
-                got_tx[sum(alpha[:i])] = list(syms)
-            else:
-                got_par[i - (p.T - p.N2 + 1)] = list(syms)
-    filed = {t: (st.got_tx, st.got_par) for t, st in dest.msgs.items() if st.received}
+            alpha = build_message_plan(p, oracle_view(bits1), t).shape.schedule.alpha
+            sent.setdefault(t, {})[sum(alpha[: s - t])] = list(syms)
+    filed = {t: st.got for t, st in dest.msgs.items() if st.received}
     return sent, filed
 
 
@@ -294,7 +285,7 @@ def drive(p, bits1, header_mode, seed):
 @pytest.mark.parametrize("p", [P12, P7311])
 def test_relay_and_destination_agree_on_every_subpacket(p, header_mode):
     """One causal rule: every subpacket the relay sends is filed by the
-    destination under the same message, queue start or parity row, with the
+    destination under the same message and sequence start, with the
     same symbols, and nothing else is filed.  The first hops are i.i.d. and
     include inadmissible stretches, where the ledger runs short of
     estimates."""

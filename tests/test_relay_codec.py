@@ -382,6 +382,6 @@ def test_relay_state_stays_bounded_over_a_long_episode():
     relay, packets = drive_relay(p, bits, episode_messages(p, horizon, seed=29))
     assert len(packets) == horizon
     stores = {name: v for name, v in vars(relay).items() if isinstance(v, dict)}
-    assert "parities" in stores
+    assert "queues" in stores
     for name, store in stores.items():
         assert len(store) <= p.T + 1, (name, len(store))

@@ -4,6 +4,7 @@ The verifier's own teeth get tested here by mutation: corrupting the relay's
 parity generation must flip exhaustive_verify to a counterexample.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -109,8 +110,21 @@ def test_verify_guards_large_t():
     big = SchemeParams(9, 2, 3, 0)
     with pytest.raises(HorizonTooLarge):
         exhaustive_verify(big)
-    rep = exhaustive_verify(big, randomized=True, episode_budget=6, window_budget=128)
+    rep = exhaustive_verify(big, randomized=True, episode_budget=6)
     assert rep.ok, rep.counterexample
+
+
+def test_randomized_verify_samples_windows_over_its_budget(monkeypatch):
+    """(9,2,3,0) has 56 admissible windows: with the window budget at 20,
+    a randomized verify certifies a seeded sample of 20, says so in its
+    notes, and gives the same report for the same seed."""
+    monkeypatch.setattr(sim_harness, "_VERIFY_WINDOW_BUDGET", 20)
+    big = SchemeParams(9, 2, 3, 0)
+    rep = exhaustive_verify(big, randomized=True, seed=5)
+    assert rep.ok, rep.counterexample
+    assert rep.windows_checked == 20
+    assert "windows sampled 20/56" in rep.notes
+    assert exhaustive_verify(big, randomized=True, seed=5) == rep
 
 
 def test_verify_detects_corrupted_parities(monkeypatch):
@@ -315,6 +329,26 @@ def test_loss_probability_nonadaptive_baseline_is_analytic_in_codec_mode():
     assert both["adaptive"].mode == "codec"
     na_only = loss_probability(P523, cfg, mode="analytic", trials=2_000, scheme="nonadaptive")
     assert na_only.losses == both["nonadaptive"].losses
+
+
+def test_codec_losses_count_wrong_values_once(monkeypatch):
+    """Codec mode counts a message lost when its episode reports it FAILED
+    or decoded to a wrong value, once if both, and only among the chunk's
+    assessed messages: every chunk here reports t=1 FAILED and wrong-value
+    and t=4 wrong-value, so the 7 messages of chunk 0 lose t=1 and t=4 and
+    the 2-message tail of chunk 1 loses t=1."""
+    real = sim_harness.run_episode
+
+    def wrong_values(*args, **kw):
+        rep = real(*args, **kw)
+        return dataclasses.replace(
+            rep, failed=(1,), violations=(("wrong-value", 1), ("wrong-value", 4))
+        )
+
+    monkeypatch.setattr(sim_harness, "run_episode", wrong_values)
+    cfg = ChannelConfig(0, 0, 5, 12)
+    est = loss_probability(P523, cfg, trials=9, mode="codec", scheme="adaptive")
+    assert est.losses == 3
 
 
 def test_loss_probability_argument_validation():
