@@ -219,7 +219,9 @@ def build_parser() -> _Parser:
     pv.add_argument("--seed", type=int, default=seed)
     pv.add_argument("--randomized", action="store_true",
                     help="sampled windows/episodes (required for T > 7)")
-    pv.add_argument("--episode-budget", type=int, default=48)
+    pv.add_argument("--episode-budget", type=int, default=48, metavar="B", help="sizes, not "
+                    "bounds, the probe episodes: max(8, B // 6) hop-1 patterns, each with a "
+                    "clean-hop-2 episode and max(1, B // patterns) probes")
     pv.set_defaults(fn=cmd_verify)
 
     pm = sub.add_parser("simulate", help="Monte-Carlo loss probability")

@@ -26,17 +26,18 @@ an error; a later message whose interference references a FAILED one becomes
 FAILED itself (loss propagation), which the caller sees as MissingDependency
 handled internally.
 
-The pattern is held in one store in both modes: one byte per slot behind T
-zero bytes for the clean slots before 0.  In header mode it holds the bits
-each header delivered, with a marker for slots no header has covered yet;
-the oracle's bits (``e1_bits``) are a pattern every slot of which is
-covered, clean past its end.  A slot's T+1 bits are then one ``bytes``
-slice -- of the pattern, or the decoded header itself -- which keys the
-layout memo of the store entry the decoder resolved at construction.  A
-plan's T-N2+1 bits are one slice too, and key ``build_message_plan``.
+The pattern is held in one store in both modes, ``pattern``, a
+``source_codec.FirstHop``: one byte per slot behind T zero bytes for the
+clean slots before 0.  In header mode it holds the bits each header
+delivered, with a marker for slots no header has covered yet, which every
+slot past its end reads too; the oracle's bits (``e1_bits``) are a pattern
+every slot of which is covered, clean past its end.  A slot's T+1 bits are
+then one ``bytes`` slice -- of the pattern, or the decoded header itself --
+which keys the layout memo of the store entry the decoder resolved at
+construction.  A plan is built from the pattern passed whole, which keys it
+by one slice and resolves interference through the pattern's lookup.
 ``decode_header`` reads the same entry (symbols -> window), so a header
-costs one lookup; interference reads the pattern through a slot -> bool
-lookup over the same bytes.
+costs one lookup.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .scheme_params import SchemeParams, derive_dims, header_overhead
-from .source_codec import PosEmission, _entry, _structure_key, emission_coefficients, make_codes
+from .source_codec import (FirstHop, PosEmission, _entry, _structure_key,
+                           emission_coefficients, make_codes)
 from .relay_codec import (
     MessagePlan,
     _slot_rides,
@@ -100,13 +102,13 @@ class _MessageState:
 class DecoderState:
     """Destination state across an episode.
 
-    The first-hop pattern lives in ``_known_bits`` in both modes.  With
-    oracle side information pass it as ``e1_bits``, one 0/1 entry per slot
-    from slot 0; every slot counts as covered (``_known_below`` is
-    infinite), and slots past its end read clean.  In header mode pass
-    None; the pattern is accumulated from received packet headers, a slot
-    no header has covered yet holds ``_UNSEEN``, and anything that needs
-    bits not yet covered simply waits.
+    The first-hop pattern lives in ``pattern`` in both modes.  With oracle
+    side information pass it as ``e1_bits``, one 0/1 entry per slot from
+    slot 0; every slot counts as covered (``_known_below`` is infinite), and
+    slots past its end read clean.  In header mode pass None; the pattern
+    is accumulated from received packet headers, a slot no header has
+    covered yet, past its end included, holds ``_UNSEEN`` and reads erased,
+    and anything that needs bits not yet covered simply waits.
 
     ``ingest`` checks a slot whole, then files it: a malformed slot (a
     symbol outside the field, a header no window has, a payload length the
@@ -114,8 +116,8 @@ class DecoderState:
 
     Each slot's rides are read in offsets through ``_slot_rides``, from the
     parameter set's store entry resolved once at construction, and a plan is
-    built from the ``bytes`` of its window [t, t+T-N2], a slice of
-    ``_known_bits`` once ``_plan_ready`` holds.  An emission's interference
+    built from the pattern passed whole once ``_plan_ready`` holds; it is
+    keyed by the slice of [t, t+T-N2].  An emission's interference
     terms are a (message offset, position, MUL row) list, memoized in the
     ``terms`` of the same entry on (pos, parity_rows, late, kept
     positions); ``interference_terms`` runs only on a miss.
@@ -146,28 +148,13 @@ class DecoderState:
         self._entry = _entry(p)
         self.field = self._entry.field
         self.header_mode = header_mode
-        # slots -T .. the last one known: the clean padding, then the
-        # oracle's bits or those the headers delivered
-        T = p.T
-        bits = self._known_bits = bytearray(T)
+        self.pattern = FirstHop(p.T, _UNSEEN if header_mode else 0)
         if header_mode:
             self._delta = header_overhead(p)
             self._known_below = 0  # first slot no header has covered yet
         else:
-            bits.extend(map(bool, e1_bits))
+            self.pattern.bits.extend(map(bool, e1_bits))
             self._known_below = math.inf  # the oracle covers every slot
-
-        # first-hop lookup; it closes over the pattern, not the decoder, so
-        # the plans the decoder keeps hold no reference back to it
-        def erased1(s: int) -> bool:
-            if s < 0:
-                return False
-            try:
-                return bits[s + T] != 0  # an unseen slot reads erased
-            except IndexError:  # past the last header erased, past the oracle's end clean
-                return header_mode
-
-        self._erased1 = erased1
         self.msgs: dict[int, _MessageState] = {}
         self.last_slot = -1
         self._due: list[int] = []  # heap of messages to attempt
@@ -187,17 +174,13 @@ class DecoderState:
         # header mode past a gap (a hop-2 burst longer than T+1 lost every
         # header of it)
         lo = max(0, t - 2 * (self.dims.k_prime - 1))
-        known = self._known_bits
+        known = self.pattern.bits
         return hi + T < len(known) and known.find(_UNSEEN, lo + T, hi + T + 1) < 0
 
     def plan(self, t: int) -> MessagePlan | None:
         st = self._state(t)
         if st.plan is None and self._plan_ready(t):
-            p = self.params
-            # [t, t+T-N2]; past the end of an oracle pattern reads clean
-            width, lo = p.T - p.N2 + 1, t + p.T
-            bits = bytes(self._known_bits[lo : lo + width]).ljust(width, b"\x00")
-            st.plan = build_message_plan(p, self._erased1, t, bits=bits)
+            st.plan = build_message_plan(self.params, self.pattern, t)
         return st.plan
 
     def _state(self, t: int) -> _MessageState:
@@ -271,8 +254,7 @@ class DecoderState:
                 raise MalformedPacket(f"slot {slot}: {exc}") from None
             symbols = symbols[delta:]
         else:
-            # [slot-T, slot]; past the end of the pattern reads clean
-            bits = bytes(self._known_bits[slot : slot + T + 1]).ljust(T + 1, b"\x00")
+            bits = self.pattern.slice(slot - T, T + 1)  # [slot-T, slot]
         rides = _slot_rides(p, self._entry, bits)
         if slot < T:
             rides = [ride for ride in rides if ride[0] <= slot]  # none before slot 0
@@ -288,7 +270,7 @@ class DecoderState:
         if self.header_mode:
             # the header covers [slot-T, slot], at indices slot .. slot+T;
             # its bits before slot 0 stay the clean padding
-            known, end = self._known_bits, slot + T + 1
+            known, end = self.pattern.bits, slot + T + 1
             if len(known) < end:
                 known.extend(_UNSEEN_BYTE * (end - len(known)))
             lo = slot if slot >= T else T

@@ -45,25 +45,25 @@ most 2^(T+1) layouts.  Shapes, layouts, headers and parity programs live
 in the parameter set's entry of the codec's one store, read through its one
 accessor, ``source_codec._entry``.
 Every memo is keyed by ``bytes``, one 0/1 byte per slot.  The relay's ledger
-and the destination hold the first hop as one byte per slot behind T zero
-bytes for the clean slots before 0, so a slot's T+1 bits and a plan's T-N2+1
-bits are each one slice, and that slice is the key: the relay and the
-destination pass it to ``build_message_plan`` as ``bits``, and read their
-slot's rides, in offsets, from the entry they resolved once at construction,
-so a slot costs one lookup on each side.  In header mode the same entry
+and the destination hold the first hop as a ``source_codec.FirstHop``, so a
+slot's T+1 bits and a plan's T-N2+1 bits are each one slice, and that slice
+is the key: the relay and the destination pass their pattern whole to
+``build_message_plan``, which slices it, and read their slot's rides, in
+offsets, from the entry they resolved once at construction, so a slot costs
+one lookup on each side.  In header mode the same entry
 memoizes ``encode_header`` (window -> symbols) and ``decode_header``
 (symbols -> window), each at most 2^(T+1) valid headers; a malformed header
 is never stored.  Each message goes out as one second-hop sequence, its
 queue then its N2 parity rows, which alpha cuts into subpackets (see
-``slot_layout``).  The relay keeps that sequence as one list: an estimate's
-values are worked out by the ledger when the relay first sends it, and the
-parity rows are appended at the first parity slot, once the plan's window
-has closed.  They run a parity program memoized in the entry per codeword
-layout, at most 2(k_src+1) layouts: per parity row and codeword, a (queue
-item, MUL row) pair per systematic symbol, its coefficients the parities
+``slot_layout``).  The relay builds that sequence as one list: an
+estimate's values are worked out by the ledger when the relay first sends
+it, and the parity rows are appended at the first parity slot, once the
+plan's window has closed; the sequence is then kept as a tuple.  The rows
+run a parity program memoized in the entry per codeword layout, at most
+2(k_src+1) layouts: per parity row and codeword, a (queue item, MUL row)
+pair per systematic symbol, its coefficients the parities
 ``MdsCode.encode`` gives the unit vectors of the (n, k) code.  So a
-message's parities are N2 dot products per codeword straight over its
-queue values.
+message's parities are N2 dot products per codeword over its queue values.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ from .field_mds import MdsCode
 from .scheme_params import SchemeParams, derive_dims, header_overhead, implemented_field_size
 from .source_codec import (
     EstimateLedger,
+    FirstHop,
     PosEmission,
     SourcePacket,
     _Entry,
@@ -284,26 +285,22 @@ def _entry_shape(p: SchemeParams, entry: _Entry, key: bytes) -> _PlanShape:
     return shape
 
 
-def build_message_plan(
-    p: SchemeParams, erased_fn, t: int, *, bits: bytes | None = None
-) -> MessagePlan:
+def build_message_plan(p: SchemeParams, erased_fn, t: int) -> MessagePlan:
     """Everything about message t's relay treatment, from the pattern alone.
 
-    ``erased_fn`` is a slot -> bool first-hop lookup.  The shape is memoized
-    on the bits of [t, t+T-N2]: ``bits``, one 0/1 byte per slot, when the
-    caller holds them as ``bytes`` (the relay and the destination do), or
-    else T-N2+1 calls of ``erased_fn``.  Bits before t are read through
-    ``erased_fn``, and only to resolve interference, when the plan's
-    emissions are first asked for.
+    ``erased_fn`` is the first hop: a ``FirstHop``, which the relay and the
+    destination pass whole, or any slot -> bool lookup.  The shape is
+    memoized on the bits of [t, t+T-N2], one 0/1 byte per slot: one slice of
+    a ``FirstHop``, else T-N2+1 calls of the lookup.  Bits before t are read
+    through the lookup (a ``FirstHop``'s ``erased``), and only to resolve
+    interference, when the plan's emissions are first asked for.
     """
     width = p.T - p.N2 + 1
-    if bits is None:
-        bits = bytes(map(bool, map(erased_fn, range(t, t + width))))
-    elif len(bits) != width:
-        raise ValueError(f"a plan reads T-N2+1 = {width} bits, got {len(bits)}")
-    elif type(bits) is not bytes:  # memo keys are one 0/1 byte per slot
-        bits = bytes(map(bool, bits))
-    return MessagePlan(p, t, _entry_shape(p, _entry(p), bits), erased_fn)
+    if type(erased_fn) is FirstHop:
+        key, erased_fn = erased_fn.slice(t, width), erased_fn.erased
+    else:
+        key = bytes(map(bool, map(erased_fn, range(t, t + width))))
+    return MessagePlan(p, t, _entry_shape(p, _entry(p), key), erased_fn)
 
 
 def _slot_rides(p: SchemeParams, entry: _Entry, window: bytes) -> tuple:
@@ -444,22 +441,23 @@ class RelayState:
     Scheduling is strictly causal: what slot s sends is ``slot_layout`` of
     the T+1 bits the relay has seen up to s.  The relay resolves its
     parameter set's store entry once, at construction, and reads each slot's
-    rides, in offsets, through ``_slot_rides`` keyed by the ledger's
-    ``window``.  ``queues`` holds each message's second-hop sequence: its
-    queue, filled once from the packet rows of a received message, one
-    estimate (l' values, from the ledger) at a time for an erased one, then
-    its parity rows.  Every ride is a slice of it, read through one
-    accessor, ``_queue_values``, which places a ``MessagePlan`` only for an
-    estimate not yet valued.  The first ride past the queue, when [t,
-    t+T-N2] has closed, appends the parity rows encoded from the queue with
-    the plan ``build_message_plan`` gives for the ledger's ``plan_bits``,
-    through the parity program of that plan's codeword layout.  The
-    sequence is dropped once slot t+T has been emitted.
+    rides, in offsets, through ``_slot_rides`` keyed by one slice of the
+    ledger's ``pattern``.  ``queues`` holds each message's second-hop
+    sequence: its queue, filled once from the packet rows of a received
+    message, one estimate (l' values, from the ledger) at a time for an
+    erased one, then its parity rows.  Every ride is a slice of it, read
+    through one accessor, ``_queue_values``, which places a ``MessagePlan``
+    only for an estimate not yet valued.  The first ride past the queue,
+    when [t, t+T-N2] has closed, appends the parity rows encoded from the
+    queue with the plan ``build_message_plan`` gives for the ledger's
+    pattern, through the parity program of that plan's codeword layout, and
+    keeps the whole sequence as a tuple, so every parity ride is one slice.
+    The sequence is dropped once slot t+T has been emitted.
 
     The state stays bounded over a stream.  An estimate of a message t reads
     packets back to slot t - 2(k'-1), the reach of its leftover terms, so
     after slot s is emitted the ledger forgets every slot before
-    s+1-T-2(k'-1).  Its erasure bits stay, one byte per slot.
+    s+1-T-2(k'-1).  Its pattern stays, one byte per slot.
     """
 
     def __init__(self, p: SchemeParams, header_mode: bool = False):
@@ -467,7 +465,7 @@ class RelayState:
         self.dims = derive_dims(p)
         self.ledger = EstimateLedger(p)
         self.header_mode = header_mode
-        self.queues: dict[int, list[int]] = {}  # t -> second-hop sequence so far
+        self.queues: dict[int, list | tuple] = {}  # t -> second-hop sequence so far
         # once slot s is emitted, the oldest message in flight is s+1-T and
         # its estimates read packets back to s+1-T-2(k'-1) = s - _ledger_lag
         self._ledger_lag = p.T - 1 + 2 * (self.dims.k_prime - 1)
@@ -480,7 +478,8 @@ class RelayState:
         """Symbols start .. start+size-1 of message t's second-hop sequence:
         its queue, in the order its plan's ``shape`` fixes, then its parity
         rows.  A received message's queue is filled at its first ride; a
-        ``MessagePlan`` is placed only to value an estimate not held yet."""
+        ``MessagePlan`` is placed only to value an estimate not held yet.
+        Once its parity rows are appended the sequence is kept as a tuple."""
         end = start + size
         values = self.queues.get(t)
         if values is None:
@@ -503,17 +502,17 @@ class RelayState:
                         )
                     values.extend(self.ledger.estimate(em))
             if len(values) < end:  # the first parity ride: [t, t+T-N2] has closed
-                ledger = self.ledger
-                plan = build_message_plan(self.params, ledger.erased, t, bits=ledger.plan_bits(t))
+                plan = build_message_plan(self.params, self.ledger.pattern, t)
                 for row in build_parity_groups(self.params, plan, values).rows:
                     values.extend(row)
-        return tuple(values[start:end])
+                values = self.queues[t] = tuple(values)
+        return tuple(values[start:end])  # a slice of a tuple is not copied again
 
     def emit(self, slot: int) -> RelayPacket:
         """Relay packet for this slot; first-hop slots <= slot must have been
         ingested already."""
         p, ledger = self.params, self.ledger
-        bits = ledger.window(slot)  # [slot-T, slot] as bytes
+        bits = ledger.pattern.slice(slot - p.T, p.T + 1)  # [slot-T, slot]
         subpackets = []
         for i, shape, start, size in _slot_rides(p, self._entry, bits):
             if i <= slot:  # else a message before slot 0

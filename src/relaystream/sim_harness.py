@@ -355,6 +355,11 @@ def exhaustive_verify(
     pairs).  Randomized mode samples windows and pattern pairs instead and
     is the only mode allowed for T > 7; it certifies every window when
     there are at most ``_VERIFY_WINDOW_BUDGET`` of them.
+
+    ``episode_budget`` b sizes the probe episodes but does not bound them:
+    ``max(8, b // 6)`` hop-1 patterns or more (all, if fewer exist), each a
+    clean-hop-2 episode and ``max(1, b // patterns)`` probes, after one
+    opening episode.  A randomized (9,2,3,0) runs 17 for b = 6, 57 for 48.
     """
     if horizon is None:
         horizon = 2 * (p.T + 1)
@@ -423,33 +428,23 @@ def exhaustive_verify(
             + (" (exhaustive)" if e1_exhaustive else " (sampled)")
         )
 
-    episodes = 0
-    max_payload = 0
+    episodes, max_payload = 0, max_structural_payload
     for i, (a, b) in enumerate(pairs):
         try:
             rep = run_episode(p, a, b, horizon, seed=seed + i)
         except Exception as exc:  # codec bug surfaced by this pair
-            return VerifyReport(
-                p, horizon, False, n_windows, episodes, max_payload, d.n2_star,
-                {"e1": a, "e2": b, "problem": f"{type(exc).__name__}: {exc}"},
-                tuple(notes),
-            )
-        episodes += 1
-        max_payload = max(max_payload, rep.max_payload)
-        if not rep.ok:
-            return VerifyReport(
-                p, horizon, False, n_windows, episodes, max_payload, d.n2_star,
-                {
-                    "e1": a,
-                    "e2": b,
-                    "failed": rep.failed,
-                    "violations": rep.violations,
-                },
-                tuple(notes),
-            )
+            counter = {"e1": a, "e2": b, "problem": f"{type(exc).__name__}: {exc}"}
+        else:
+            episodes += 1
+            max_payload = max(max_payload, rep.max_payload)
+            if rep.ok:
+                continue
+            counter = {"e1": a, "e2": b, "failed": rep.failed, "violations": rep.violations}
+        return VerifyReport(
+            p, horizon, False, n_windows, episodes, max_payload, target, counter, tuple(notes)
+        )
     return VerifyReport(
-        p, horizon, True, n_windows, episodes,
-        max(max_payload, max_structural_payload), target, None, tuple(notes),
+        p, horizon, True, n_windows, episodes, max_payload, target, None, tuple(notes)
     )
 
 

@@ -27,7 +27,10 @@ what arrived and, when the relay first sends an estimate, works out its
 values from the packets ingested so far.  How it combines them is itself
 structure: a valuation program in slot offsets from the message, memoized
 on the emission's shape and the positions it keeps, so an estimate costs
-one lookup and the GF arithmetic.
+one lookup and the GF arithmetic.  The pattern itself has one form,
+``FirstHop``, which the relay's ledger and the destination each hold,
+differing only in what a slot past its end reads, and pass whole to the
+plan engine, which keys a plan by one slice of it.
 
 This lowest codec layer also owns the codec's one store: per parameter set,
 one entry (``_entry``, the only accessor) with its field and codes and all
@@ -295,6 +298,52 @@ def emission_coefficients(
 
 
 # ---------------------------------------------------------------------------
+# the first-hop pattern, as the relay or the destination knows it
+
+_AS_ERASED = bytes([0] + [1] * 255)  # translate table: any nonzero byte -> 1
+
+
+class FirstHop:
+    """A first-hop erasure pattern.  ``bits`` holds T zero bytes for the
+    clean slots before 0, then one byte per slot, 0 where received; every
+    slot past its end reads ``past``, and any nonzero byte reads erased.
+    ``past`` is 1 at the relay (not yet seen), 0 for an oracle (clean) and,
+    in header mode, a marker above 1 (no header has covered the slot) that
+    slots before the end may hold too.  ``erased`` is the slot -> bool
+    lookup, a closure over the bytes that holds neither the pattern nor its
+    owner, and calling the pattern is the same lookup.  ``slice(lo, n)``
+    gives [lo, lo+n) as ``erased`` reads it, one 0/1 byte per slot, so a
+    slot's or a plan's bits are one memo key.
+    """
+
+    __slots__ = ("bits", "past", "erased", "_pad")
+
+    def __init__(self, T: int, past: int):
+        bits = self.bits = bytearray(T)
+        self.past, self._pad = past, T
+
+        def erased(s: int) -> bool:
+            if s < 0:
+                return False
+            try:
+                return bits[s + T] != 0
+            except IndexError:
+                return past != 0
+
+        self.erased = erased
+
+    def __call__(self, s: int) -> bool:
+        return self.erased(s)
+
+    def slice(self, lo: int, n: int) -> bytes:
+        """The bits of slots lo .. lo+n-1, for lo >= -T."""
+        out = bytes(self.bits[lo + self._pad : lo + self._pad + n])
+        if len(out) < n:
+            out += bytes((self.past,)) * (n - len(out))
+        return out.translate(_AS_ERASED) if self.past > 1 else out
+
+
+# ---------------------------------------------------------------------------
 # value-level ledger (what the relay actually stores and forwards)
 
 
@@ -337,14 +386,13 @@ class EstimateLedger:
     t.  A miss asks ``emission_coefficients`` for lambda and mu.  The bounds
     of a program memo come from the layer code, not from the stream.
 
-    The erasure bits are one byte per slot (1 erased, 0 received), held
-    behind T zero bytes for the clean slots before 0: ``window(s)``, the T+1
-    bits of [s-T, s], and ``plan_bits(t)``, the T-N2+1 bits a plan of
-    message t is keyed by, are each one slice.  On its own the ledger keeps
-    every packet, so it can value any emission of the stream.  A streaming
-    owner calls ``forget_before`` once no later estimate can read a slot;
-    ``RelayState`` does, and then the packets span about T + 2(k'-1) slots.
-    The bits stay whole: plans read first-hop bits of any age.
+    The erasure bits are ``pattern``, a ``FirstHop`` in which a slot not
+    yet ingested reads erased, and ``erased`` is its lookup.  On its own the
+    ledger keeps every packet, so it can value any emission of the stream.
+    A streaming owner calls ``forget_before`` once no later estimate can
+    read a slot; ``RelayState`` does, and then the packets span about T +
+    2(k'-1) slots.  The pattern stays whole: plans read first-hop bits of
+    any age.
     """
 
     def __init__(self, p: SchemeParams):
@@ -353,37 +401,10 @@ class EstimateLedger:
         self._entry = _entry(p)
         self.field, self.code = self._entry.field, self._entry.code
         self.next_slot = 0
-        self._pad = p.T
-        self._width = p.T - p.N2 + 1  # bits of a plan window
-        self._bits = bytearray(p.T)  # slots -T .. next_slot-1
+        self.pattern = FirstHop(p.T, 1)  # slots -T .. next_slot-1, then unseen
+        self.erased = self.pattern.erased
         self.packets: dict[int, SourcePacket] = {}
         self._forgotten_below = 0  # no packet kept below
-
-    # -- pattern lookups ----------------------------------------------------
-
-    @property
-    def erased_bits(self) -> bytearray:
-        """A copy of the bits of slots 0 .. next_slot-1, 1 where erased."""
-        return self._bits[self._pad :]
-
-    def erased(self, slot: int) -> bool:
-        """First-hop bit of ``slot``: clean before 0, erased if not yet seen."""
-        if slot < 0:
-            return False
-        try:
-            return self._bits[slot + self._pad] == 1
-        except IndexError:
-            return True
-
-    def window(self, slot: int) -> bytes:
-        """The bits of [slot-T, slot], clean before 0; ``slot`` ingested."""
-        return bytes(self._bits[slot : slot + self._pad + 1])
-
-    def plan_bits(self, t: int) -> bytes:
-        """The bits of message t's plan window [t, t+T-N2], t >= 0, as
-        ``erased`` reads them: a slot not yet seen reads erased."""
-        lo = t + self._pad
-        return bytes(self._bits[lo : lo + self._width]).ljust(self._width, b"\x01")
 
     # -- ingest ---------------------------------------------------------------
 
@@ -392,7 +413,7 @@ class EstimateLedger:
             raise OutOfOrder(f"expected slot {self.next_slot}, got {slot}")
         if packet is not None and packet.t != slot:
             raise OutOfOrder(f"packet is stamped t={packet.t}, ingested at slot {slot}")
-        self._bits.append(packet is None)
+        self.pattern.bits.append(packet is None)
         self.next_slot += 1
         if packet is not None:
             self.packets[slot] = packet

@@ -46,7 +46,7 @@ def dest_ingest(state: DecoderState, slot: int, packet, side_info=None) -> Decod
     """
     wire = packet.wire_symbols() if hasattr(packet, "wire_symbols") else packet
     if side_info is not None and not state.header_mode:
-        if bool(side_info) != state._erased1(slot):
+        if bool(side_info) != state.pattern.erased(slot):
             raise ValueError(f"side information for slot {slot} contradicts the oracle")
     state.ingest(slot, wire)
     return state

@@ -207,7 +207,7 @@ def slot_layout(p, bits, s):
     keys = [window[lo : lo + width] for lo in range(first - s + p.T, p.T - p.j + 1)]
     rides = []
     for t, key in enumerate(keys, first):
-        shape = engine_plan(p, None, t, bits=key).shape  # a shape reads only ``bits``
+        shape = engine_plan(p, dict(enumerate(key, t)).__getitem__, t).shape  # a shape reads only [t, t+T-N2]
         i, alpha = s - t, shape.schedule.alpha
         if alpha[i]:
             rides.append((t, shape, sum(alpha[:i]), alpha[i]))

@@ -1,16 +1,16 @@
 """The codec's compiled structure against the rules it is compiled from.
 
-The relay and the destination key ``build_message_plan`` by the ``bytes`` of
-[t, t+T-N2] they already hold; the ledger values an estimate by a program
-memoized on the emission's structure; the destination cancels interference
-through a term list memoized the same way.  Each is checked against the
-uncompiled rule: the callable-keyed plan, the lambda/mu valuation of
-``codec_reference.estimate_reference`` and ``interference_terms``.  The
-two encoders run programs compiled into the same store entry: the source's
-diagonal program and the relay's parity programs, checked against
-``encode_source_reference`` and ``build_parity_groups_reference``.  The
-memos are bounded by the layer code or the codeword layouts, not by the
-stream.
+The relay and the destination pass their first-hop pattern whole to
+``build_message_plan``, which keys the plan by one slice of it; the ledger
+values an estimate by a program memoized on the emission's structure; the
+destination cancels interference through a term list memoized the same way.
+Each is checked against the uncompiled rule: the callable-keyed plan, the
+lambda/mu valuation of ``codec_reference.estimate_reference`` and
+``interference_terms``.  The two encoders run programs compiled into the
+same store entry: the source's diagonal program and the relay's parity
+programs, checked against ``encode_source_reference`` and
+``build_parity_groups_reference``.  The memos are bounded by the layer code
+or the codeword layouts, not by the stream.
 """
 
 import itertools
@@ -114,7 +114,7 @@ def drive(p, bits1, known, seed):
         messages.append([int(x) for x in rng.integers(0, field.q, d.k_src)])
         relay.ingest_source(s, None if b else encode_source(p, messages, s))
         for t in range(max(0, s - p.T), s + 1):
-            keyed = build_message_plan(p, ledger.erased, t, bits=ledger.plan_bits(t))
+            keyed = build_message_plan(p, ledger.pattern, t)
             assert keyed.shape is build_message_plan(p, ledger.erased, t).shape, (s, t)
             masked += s < t + p.T - p.N2
         packet = relay.emit(s)
@@ -143,7 +143,7 @@ def test_byte_keys_give_the_shapes_of_the_callable(p):
             # a header-mode plan needs the bits of [t, t+T-N2] delivered
             for t in range(horizon - (p.T - p.N2)):
                 plan = dest.plan(t)
-                assert plan.shape is build_message_plan(p, dest._erased1, t).shape, (t, dest)
+                assert plan.shape is build_message_plan(p, dest.pattern.erased, t).shape, (t, dest)
                 plans += 1
         full, short, header = dests
         for t in range(horizon - p.T):
@@ -151,6 +151,78 @@ def test_byte_keys_give_the_shapes_of_the_callable(p):
             assert want == messages[t] or bits1[t], t  # a received message decodes
             assert short.try_decode(t) == want == header.try_decode(t), t
     assert masked > 1000 and plans > 1000
+
+
+def header_covered(p, bits2, x):
+    """Whether a header of slot x reached the destination: a relay slot in
+    [x, x+T] that hop 2 did not erase."""
+    return any(not bits2[s] for s in range(max(x, 0), min(x + p.T + 1, len(bits2))))
+
+
+def first_hop_owner(rule, p, bits1, bits2):
+    """The owner of the pattern ``rule`` names after slots 0 .. len(bits1)-1,
+    and the bit that pattern must give slot x >= 0.  The relay has ingested
+    hop 1 only and the oracle decoder is given it.  The header-mode decoder
+    has ingested a relay's packets over ``bits2``: a slot no header has
+    covered reads erased."""
+    end = len(bits1)
+    if rule == "oracle":
+        return DecoderState(p, e1_bits=bits1), lambda x: x < end and bits1[x] == 1
+    d = derive_dims(p)
+    field, _ = make_codes(p)
+    rng = np.random.default_rng(end)
+    relay = RelayState(p, header_mode=True)
+    dest = DecoderState(p, header_mode=True)
+    messages = []
+    for s, b in enumerate(bits1):
+        messages.append([int(x) for x in rng.integers(0, field.q, d.k_src)])
+        relay.ingest_source(s, None if b else encode_source(p, messages, s))
+        wire = relay.emit(s).wire_symbols()
+        dest.ingest(s, None if bits2[s] else wire)
+    if rule == "relay":
+        return relay.ledger, lambda x: x >= end or bits1[x] == 1
+    return dest, lambda x: not header_covered(p, bits2, x) or bits1[x] == 1
+
+
+@pytest.mark.parametrize("rule", ["relay", "oracle", "header"])
+def test_first_hop_reads_past_its_end_by_its_owners_rule(rule):
+    """Seeded (5,2,3,0) and (12,3,4,1) episodes, hop 2 with a burst longer
+    than T+1: at every slot in [-T, end+T] the pattern's ``erased``, the
+    pattern called and a one-slot ``slice`` agree with the owner's rule --
+    clean before 0; past the end erased at the relay, clean at the oracle
+    and unseen in header mode, where an uncovered slot reads erased and
+    blocks ``_plan_ready``.  Every window slice is the slots' bits, and the
+    pattern passed whole gives the very shape its lookup gives, cold (the
+    store entry dropped) and warm."""
+    for p, seed in ((SchemeParams(5, 2, 3, 0), 91), (P12, 92)):
+        rng = np.random.default_rng(seed)
+        horizon = 90
+        bits1 = random_bits(rng, horizon, 0.15)
+        bits2 = random_bits(rng, horizon, 0.1)
+        bits2[30 : 30 + p.T + 3] = [1] * (p.T + 3)
+        owner, want = first_hop_owner(rule, p, bits1, bits2)
+        pattern = owner.pattern
+        slots = range(-p.T, horizon + p.T + 1)
+        bit = {x: x >= 0 and want(x) for x in slots}
+        for x in slots:
+            assert pattern.erased(x) == pattern(x) == bit[x], (p, x)
+            assert pattern.slice(x, 1) == bytes((bit[x],)), (p, x)
+        for x in range(-p.T, horizon):
+            assert pattern.slice(x, p.T + 1) == bytes(bit[y] for y in range(x, x + p.T + 1))
+        if rule == "header":
+            lag = 2 * (derive_dims(p).k_prime - 1)
+            assert not header_covered(p, bits2, 32), p  # the burst left a gap
+            for t in range(horizon):
+                window = range(max(0, t - lag), t + p.T - p.N2 + 1)
+                ready = all(header_covered(p, bits2, x) for x in window)
+                assert owner._plan_ready(t) == ready, (p, t)
+        for pattern_first in (True, False):
+            source_codec._STORE.pop(p, None)
+            for _warm in range(2):
+                for t in range(horizon + p.T):
+                    pair = [pattern, pattern.erased][:: 1 if pattern_first else -1]
+                    a, b = (build_message_plan(p, fn, t).shape for fn in pair)
+                    assert a is b, (p, t, pattern_first)
 
 
 def structural_keys(p):

@@ -174,7 +174,7 @@ def _filed_state(dest):
     the decoder's pattern and decode-event stores."""
     copy = lambda store: None if store is None else dict(store)
     filed = {t: (copy(st.got), st.received) for t, st in dest.msgs.items()}
-    return filed, bytes(dest._known_bits), dest._known_below, set(dest._planless), list(dest._due)
+    return filed, bytes(dest.pattern.bits), dest._known_below, set(dest._planless), list(dest._due)
 
 
 def test_malformed_packet_lengths():
@@ -255,10 +255,10 @@ def test_corrupted_header_is_one_malformed_slot():
         wire = relay.emit(s).wire_symbols()
         if s == bad:
             wire[0] = q + 7
-            known = bytes(dest._known_bits)
+            known = bytes(dest.pattern.bits)
             with pytest.raises(MalformedPacket):
                 dest.ingest(s, wire)
-            assert dest._known_bits == known
+            assert dest.pattern.bits == known
         else:
             dest.ingest(s, wire)
     bits2 = [0] * horizon
@@ -291,7 +291,7 @@ def header_covered(dest, x):
     """Whether a header has covered slot x: its byte, behind the T bytes of
     slots before 0, is present and not the unseen marker."""
     i = x + dest.params.T
-    return i < len(dest._known_bits) and dest._known_bits[i] != dest_codec._UNSEEN
+    return i < len(dest.pattern.bits) and dest.pattern.bits[i] != dest_codec._UNSEEN
 
 
 def test_plan_ready_watermark_matches_the_scan_across_a_header_gap():
@@ -350,8 +350,8 @@ def test_oracle_pattern_shorter_than_the_horizon_reads_clean_beyond_it():
         wire = relay.emit(s).wire_symbols()
         short.ingest(s, wire)
         full.ingest(s, wire)
-    assert not any(short._erased1(s) for s in range(known, horizon + p.T))
-    assert [short._erased1(s) for s in range(-p.T, known)] == [False] * p.T + [
+    assert not any(short.pattern.erased(s) for s in range(known, horizon + p.T))
+    assert [short.pattern.erased(s) for s in range(-p.T, known)] == [False] * p.T + [
         b == 1 for b in bits1[:known]
     ]
     for t in range(horizon - p.T):

@@ -121,7 +121,7 @@ def test_ledger_holds_only_the_slots_in_flight_messages_read(name):
     whole."""
     rep, relay, _ = run_stream(name)
     p, k = rep.params, derive_dims(rep.params).k_prime
-    assert len(relay.ledger.erased_bits) == HORIZON
+    assert len(relay.ledger.pattern.bits) == p.T + HORIZON
     assert relay.held["packets"]  # filled, then pruned
     for name in LEDGER_STORES:
         assert relay.held[name] <= p.T + 2 * k + 1, (name, relay.held[name])

@@ -114,6 +114,38 @@ def test_verify_guards_large_t():
     assert rep.ok, rep.counterexample
 
 
+@pytest.mark.parametrize("budget, episodes", [(6, 17), (48, 57)])
+def test_episode_budget_sizes_the_probe_episodes_without_bounding_them(budget, episodes):
+    """(9,2,3,0) randomized: a budget b gives max(8, b // 6) = 8 hop-1
+    patterns, each with a clean-hop-2 episode and max(1, b // 8) probes,
+    after one opening episode: 17 episodes for b = 6 and 57 for b = 48."""
+    rep = exhaustive_verify(SchemeParams(9, 2, 3, 0), randomized=True, episode_budget=budget)
+    assert rep.ok, rep.counterexample
+    assert rep.episodes_run == episodes
+
+
+@pytest.mark.parametrize("how", ["report", "raise"])
+def test_failed_verify_reports_the_target_and_the_combined_maximum(how, monkeypatch):
+    """(5,4,1,0): attainable payload 14 and sizing bound n2* = 22.  An
+    episode that fails, by its report or by raising, gives a report whose
+    target is the attainable 14 and whose maximum includes the structural
+    pass's 14, as a passing report's would."""
+    p = SchemeParams(5, 4, 1, 0)
+    assert attainable_payload(p) == 14 and derive_dims(p).n2_star == 22
+    real = sim_harness.run_episode
+
+    def failing(*args, **kwargs):
+        if how == "raise":
+            raise RuntimeError("codec fault")
+        return dataclasses.replace(real(*args, **kwargs), failed=(0,))
+
+    monkeypatch.setattr(sim_harness, "run_episode", failing)
+    rep = exhaustive_verify(p)
+    assert not rep.ok and rep.counterexample is not None
+    assert (rep.payload_target, rep.max_payload) == (14, 14)
+    assert rep.episodes_run == (1 if how == "report" else 0)
+
+
 def test_randomized_verify_samples_windows_over_its_budget(monkeypatch):
     """(9,2,3,0) has 56 admissible windows: with the window budget at 20,
     a randomized verify certifies a seeded sample of 20, says so in its
