@@ -64,12 +64,17 @@ def is_admissible(bits, T: int, N: int) -> bool:
     return all(c[s + w] - c[s] <= N for s in range(len(c) - w))
 
 
+def _enumerable(T: int, horizon: int) -> bool:
+    """Whether ``enumerate_admissible`` takes ``horizon``: at most 3*(T+1)."""
+    return horizon <= 3 * (T + 1)
+
+
 def enumerate_admissible(T: int, N: int, horizon: int):
     """Yield every admissible pattern as a tuple of 0/1 ints, ascending when
     read as an integer whose bit i is slot i (so the all-clear pattern comes
     first, then the single erasure at slot 0, at slot 1, ...).
     """
-    if horizon > 3 * (T + 1):
+    if not _enumerable(T, horizon):
         raise HorizonTooLarge(f"horizon {horizon} > 3*(T+1) = {3 * (T + 1)}")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

@@ -65,6 +65,7 @@ from .erasure_channel import (
     ChannelConfig,
     HorizonTooLarge,
     _burst_family,
+    _enumerable,
     count_admissible,
     enumerate_admissible,
     is_admissible,
@@ -77,6 +78,7 @@ from .dest_codec import FAILED, DecoderState
 VERIFY_T_LIMIT = 7  # full mode; larger T must use randomized=True
 _VERIFY_CROSS_BUDGET = 1600  # full mode runs every pattern pair up to this many
 _VERIFY_WINDOW_BUDGET = 4096  # randomized mode samples this many windows, at most
+_SAMPLE_ATTEMPTS = 400  # draws per seeded admissible sample before it falls back to clean
 
 
 # ---------------------------------------------------------------------------
@@ -194,75 +196,65 @@ class VerifyReport:
     notes: tuple = ()
 
 
-def _window_plan_checks(p: SchemeParams, window: tuple, cache: dict):
-    """Schedule/codeword certificate for a message whose local pattern is
-    ``window`` (bit 0 = the message's own slot).  Returns the problem found,
-    or None."""
+def _plan_problems(p: SchemeParams, key: tuple):
+    """Yield, in check order, the problems of the schedule/codeword
+    certificate for a message whose first-hop bits from its own slot on are
+    ``key`` (bit 0 = the message's slot; later slots read clean)."""
     d = derive_dims(p)
-    key = window[: p.T - p.N2 + 1]
-    if key in cache:
-        return cache[key]
 
     def erased(s: int) -> bool:
-        return 0 <= s < len(window) and bool(window[s])
+        return 0 <= s < len(key) and bool(key[s])
 
     plan = build_message_plan(p, erased, 0)
     alpha = plan.schedule.alpha
-    problem = None
     msg_total = sum(alpha[: p.T - p.N2 + 1])
     if msg_total != d.k_src:
-        problem = f"scheduled {msg_total} != k_src {d.k_src}"
-    elif any(alpha[i] for i in range(min(p.j, len(alpha)))):
-        problem = "symbols scheduled before t+j"
-    elif sorted(item.flat for item in plan.tx) != list(range(d.k_src)):
-        problem = "transmission queue does not cover the message exactly once"
-    if problem is None and plan.erased:
-        # availability bookkeeping: each received slot unlocks one position
-        # across all layers at once, until the message is exhausted
+        yield f"scheduled {msg_total} != k_src {d.k_src}"
+    if any(alpha[i] for i in range(min(p.j, len(alpha)))):
+        yield "symbols scheduled before t+j"
+    if sorted(item.flat for item in plan.tx) != list(range(d.k_src)):
+        yield "transmission queue does not cover the message exactly once"
+    # availability bookkeeping: each received slot unlocks one position
+    # across all layers at once, until the message is exhausted
+    if plan.erased:
         for i in range(p.T - p.N2 + 1):
             got = d.l_prime * len(
                 {item.emission.pos for item in plan.tx if item.emission and item.emission.slot <= i}
             )
             want = min(d.k_src, d.l_prime * sum(1 for a in range(1, i + 1) if not erased(a)))
             if got != want:
-                problem = f"availability at offset {i}: {got} != {want}"
-                break
-    if problem is None:
-        expect_cw = d.k_dprime if plan.schedule.grouped else d.l_dprime
-        if len(plan.codewords) != expect_cw:
-            problem = f"{len(plan.codewords)} codewords, expected {expect_cw}"
-    if problem is None:
-        for cw in plan.codewords:
-            slots = [plan.tx[it].slot for it in cw.sys_items]
-            slots += [slot for slot, _ in cw.parity_slots]
-            if len(cw.sys_items) != cw.k or cw.n - cw.k != p.N2:
-                problem = f"codeword shape ({cw.n},{cw.k}) with {len(cw.sys_items)} systematic"
-                break
-            if len(set(slots)) != len(slots):
-                problem = "codeword rides one slot twice"
-                break
-            if min(slots) < 0 or max(slots) > p.T:
-                problem = f"codeword span [{min(slots)},{max(slots)}] leaves [t,t+T]"
-                break
-    cache[key] = problem
-    return problem
+                yield f"availability at offset {i}: {got} != {want}"
+    expect_cw = d.k_dprime if plan.schedule.grouped else d.l_dprime
+    if len(plan.codewords) != expect_cw:
+        yield f"{len(plan.codewords)} codewords, expected {expect_cw}"
+    for cw in plan.codewords:
+        slots = [plan.tx[it].slot for it in cw.sys_items]
+        slots += [slot for slot, _ in cw.parity_slots]
+        if len(cw.sys_items) != cw.k or cw.n - cw.k != p.N2:
+            yield f"codeword shape ({cw.n},{cw.k}) with {len(cw.sys_items)} systematic"
+        if len(set(slots)) != len(slots):
+            yield "codeword rides one slot twice"
+        if min(slots) < 0 or max(slots) > p.T:
+            yield f"codeword span [{min(slots)},{max(slots)}] leaves [t,t+T]"
 
 
 def _structural_pass(p: SchemeParams, windows) -> tuple:
-    """Run the window certificate; returns (count, max_payload, counterexample)."""
+    """Run the window certificate over ``windows`` up to its first
+    counterexample; returns (windows checked, max payload, counterexample)."""
     d = derive_dims(p)
-    cache: dict = {}
+    width = p.T - p.N2 + 1
+    problems: dict = {}  # plan key -> first problem, or None
     max_payload = 0
-    count = 0
-    for window in windows:
-        count += 1
+    for count, window in enumerate(windows, 1):
         # message-level checks on the window and on each suffix that a
         # message riding its last slot sees with a clean future; a full
         # sweep meets every suffix as a window too, a sampled one may not
         for lo in range(p.T - p.j + 1):
-            problem = _window_plan_checks(p, window[lo:], cache)
-            if problem is not None:
-                return count, max_payload, {"window": window[lo:], "problem": problem}
+            key = window[lo : lo + width]
+            if key not in problems:
+                problems[key] = next(_plan_problems(p, key), None)
+            if problems[key] is not None:
+                return count, max_payload, {"window": window[lo:], "problem": problems[key]}
         # payload at the slot that sees `window` as its trailing T+1 bits
         payload = sum(size for _, _, _, size in slot_layout(p, window, p.T))
         max_payload = max(max_payload, payload)
@@ -271,7 +263,7 @@ def _structural_pass(p: SchemeParams, windows) -> tuple:
                 "window": window,
                 "problem": f"payload {payload} exceeds n2* {d.n2_star}",
             }
-    return count, max_payload, None
+    return len(windows), max_payload, None
 
 
 def attainable_payload(p: SchemeParams) -> int:
@@ -302,10 +294,10 @@ def _admissible_windows(T: int, N1: int):
             yield tuple(w)
 
 
-def _sample_admissible(T: int, N: int, horizon: int, rng, attempts: int = 400):
+def _sample_admissible(T: int, N: int, horizon: int, rng):
     """One seeded admissible pattern, biased toward heavy loss."""
     target = N / (T + 1)
-    for _ in range(attempts):
+    for _ in range(_SAMPLE_ATTEMPTS):
         bits = (rng.random(horizon) < target).astype(int).tolist()
         if is_admissible(bits, T, N):
             return bits
@@ -324,10 +316,10 @@ def _probe_e2_family(p: SchemeParams, horizon: int, rng, extra: int):
 
 
 def _probe_e1_family(p: SchemeParams, horizon: int, rng, budget: int):
-    """First-hop patterns: exhaustive when small, else bursts + samples."""
+    """First-hop patterns: all of them when they are few and the horizon is
+    within the enumeration bound, else bursts + samples."""
     T, N1 = p.T, p.N1
-    total = count_admissible(T, N1, horizon)
-    if total <= budget:
+    if _enumerable(T, horizon) and count_admissible(T, N1, horizon) <= budget:
         return [list(pat) for pat in enumerate_admissible(T, N1, horizon)], True
     family = _burst_family(horizon, N1, (0, 1, p.j + 1, T, T + 2))
     # alternating singles stress interference chains
@@ -337,6 +329,26 @@ def _probe_e1_family(p: SchemeParams, horizon: int, rng, budget: int):
     while len(family) < budget:
         family.append(_sample_admissible(T, N1, horizon, rng))
     return family, False
+
+
+def _episode_pairs(p: SchemeParams, horizon: int, rng, randomized: bool, episode_budget: int):
+    """The value-level episodes' pattern pairs, and the note naming them."""
+    n_pairs = count_admissible(p.T, p.N1, horizon) * count_admissible(p.T, p.N2, horizon)
+    if not randomized and _enumerable(p.T, horizon) and n_pairs <= _VERIFY_CROSS_BUDGET:
+        e1s = [list(x) for x in enumerate_admissible(p.T, p.N1, horizon)]
+        e2s = [list(x) for x in enumerate_admissible(p.T, p.N2, horizon)]
+        return [(a, b) for a in e1s for b in e2s], f"full cross product {len(e1s)}x{len(e2s)}"
+    e1s, e1_exhaustive = _probe_e1_family(p, horizon, rng, budget=max(8, episode_budget // 6))
+    e2s = _probe_e2_family(p, horizon, rng, extra=2)
+    pairs = [(e1s[0], e2s[0])]
+    k = 1
+    for a in e1s:
+        pairs.append((a, [0] * horizon))
+        for _ in range(max(1, episode_budget // max(1, len(e1s)))):
+            pairs.append((a, e2s[k % len(e2s)]))
+            k += 1
+    kind = " (exhaustive)" if e1_exhaustive else " (sampled)"
+    return pairs, f"probe episodes over {len(e1s)} first-hop patterns{kind}"
 
 
 def exhaustive_verify(
@@ -349,12 +361,18 @@ def exhaustive_verify(
 ) -> VerifyReport:
     """Adversarial achievability check for one parameter set.
 
-    Full mode (T <= 7): every admissible (T+1)-bit window is certified
-    structurally, and value-level episodes cover probe families (or the full
-    pattern-pair cross product when it has at most ``_VERIFY_CROSS_BUDGET``
-    pairs).  Randomized mode samples windows and pattern pairs instead and
-    is the only mode allowed for T > 7; it certifies every window when
-    there are at most ``_VERIFY_WINDOW_BUDGET`` of them.
+    Every admissible (T+1)-bit window is certified structurally, then
+    value-level episodes run over pattern pairs; the first failure, of
+    either pass, is the report's counterexample.  Full mode (T <= 7) runs
+    the full pattern-pair cross product when it has at most
+    ``_VERIFY_CROSS_BUDGET`` pairs and the horizon is within
+    ``enumerate_admissible``'s bound of 3(T+1) slots, and probe families
+    otherwise; it also requires the worst structural payload to equal
+    ``attainable_payload``.  Randomized mode always runs probe families, is
+    the only mode allowed for T > 7, and samples ``_VERIFY_WINDOW_BUDGET``
+    windows when there are more.  The probe hop-1 family is every admissible
+    pattern when there are few enough and the horizon is within the same
+    bound, else bursts and seeded samples.
 
     ``episode_budget`` b sizes the probe episodes but does not bound them:
     ``max(8, b // 6)`` hop-1 patterns or more (all, if fewer exist), each a
@@ -375,76 +393,40 @@ def exhaustive_verify(
     notes = []
 
     # -- structural certificate over local windows
-    if randomized:
-        all_windows = list(_admissible_windows(p.T, p.N1))
-        if len(all_windows) > _VERIFY_WINDOW_BUDGET:
-            idx = rng.choice(len(all_windows), _VERIFY_WINDOW_BUDGET, replace=False)
-            windows = [all_windows[i] for i in sorted(idx)]
-            notes.append(f"windows sampled {_VERIFY_WINDOW_BUDGET}/{len(all_windows)}")
-        else:
-            windows = all_windows
-    else:
-        windows = list(_admissible_windows(p.T, p.N1))
+    windows = list(_admissible_windows(p.T, p.N1))
+    if randomized and len(windows) > _VERIFY_WINDOW_BUDGET:
+        idx = rng.choice(len(windows), _VERIFY_WINDOW_BUDGET, replace=False)
+        notes.append(f"windows sampled {_VERIFY_WINDOW_BUDGET}/{len(windows)}")
+        windows = [windows[i] for i in sorted(idx)]
     target = attainable_payload(p)
     if target < d.n2_star:
         notes.append(
             f"worst payload {target} < sizing bound {d.n2_star} "
             f"(at most {p.T + 1 - p.N1} fallback messages can overlap)"
         )
-    n_windows, max_structural_payload, counter = _structural_pass(p, windows)
-    if counter is not None:
-        return VerifyReport(
-            p, horizon, False, n_windows, 0, max_structural_payload, target,
-            counter, tuple(notes),
-        )
-    if not randomized and max_structural_payload != target:
-        return VerifyReport(
-            p, horizon, False, n_windows, 0, max_structural_payload, target,
-            {"problem": f"worst payload {max_structural_payload} != expected {target}"},
-            tuple(notes),
-        )
+    n_windows, max_payload, counter = _structural_pass(p, windows)
+    if counter is None and not randomized and max_payload != target:
+        counter = {"problem": f"worst payload {max_payload} != expected {target}"}
 
-    # -- value-level episodes
-    pairs: list[tuple[list, list]] = []
-    n1_count = count_admissible(p.T, p.N1, horizon)
-    n2_count = count_admissible(p.T, p.N2, horizon)
-    if not randomized and n1_count * n2_count <= _VERIFY_CROSS_BUDGET:
-        e1s = [list(x) for x in enumerate_admissible(p.T, p.N1, horizon)]
-        e2s = [list(x) for x in enumerate_admissible(p.T, p.N2, horizon)]
-        pairs = [(a, b) for a in e1s for b in e2s]
-        notes.append(f"full cross product {len(e1s)}x{len(e2s)}")
-    else:
-        e1s, e1_exhaustive = _probe_e1_family(p, horizon, rng, budget=max(8, episode_budget // 6))
-        e2s = _probe_e2_family(p, horizon, rng, extra=2)
-        pairs.append((e1s[0], e2s[0]))
-        k = 1
-        for a in e1s:
-            pairs.append((a, [0] * horizon))
-            for _ in range(max(1, episode_budget // max(1, len(e1s)))):
-                pairs.append((a, e2s[k % len(e2s)]))
-                k += 1
-        notes.append(
-            f"probe episodes over {len(e1s)} first-hop patterns"
-            + (" (exhaustive)" if e1_exhaustive else " (sampled)")
-        )
-
-    episodes, max_payload = 0, max_structural_payload
-    for i, (a, b) in enumerate(pairs):
-        try:
-            rep = run_episode(p, a, b, horizon, seed=seed + i)
-        except Exception as exc:  # codec bug surfaced by this pair
-            counter = {"e1": a, "e2": b, "problem": f"{type(exc).__name__}: {exc}"}
-        else:
+    # -- value-level episodes, up to the first counterexample
+    episodes = 0
+    if counter is None:
+        pairs, note = _episode_pairs(p, horizon, rng, randomized, episode_budget)
+        notes.append(note)
+        for i, (a, b) in enumerate(pairs):
+            try:
+                rep = run_episode(p, a, b, horizon, seed=seed + i)
+            except Exception as exc:  # codec bug surfaced by this pair
+                counter = {"e1": a, "e2": b, "problem": f"{type(exc).__name__}: {exc}"}
+                break
             episodes += 1
             max_payload = max(max_payload, rep.max_payload)
-            if rep.ok:
-                continue
-            counter = {"e1": a, "e2": b, "failed": rep.failed, "violations": rep.violations}
-        return VerifyReport(
-            p, horizon, False, n_windows, episodes, max_payload, target, counter, tuple(notes)
-        )
+            if not rep.ok:
+                counter = {"e1": a, "e2": b, "failed": rep.failed, "violations": rep.violations}
+                break
     return VerifyReport(
-        p, horizon, True, n_windows, episodes, max_payload, target, None, tuple(notes)
+        p, horizon, counter is None, n_windows, episodes, max_payload, target, counter,
+        tuple(notes),
     )
 
 

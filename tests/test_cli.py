@@ -110,6 +110,20 @@ def test_verify_large_t_needs_randomized(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("mode", [(), ("--randomized", "--episode-budget", "300")],
+                         ids=["full", "randomized"])
+def test_verify_past_the_enumeration_bound_runs_probe_families(capsys, mode):
+    """(1,1,0,0) at horizon 7 > 3(T+1): 34 hop-1 and one hop-2 pattern, a
+    cross product under the full-mode budget and a hop-1 count under the
+    probe budget of 50, but too long to enumerate.  Both modes run the probe
+    families instead, with sampled hop-1 patterns."""
+    code, out, err = run(capsys, "verify", "--T", "1", "--N1", "1", "--N2", "0", "--j", "0",
+                         "--horizon", "7", *mode)
+    assert code == 0, err
+    assert out.strip().endswith("PASS")
+    assert "first-hop patterns (sampled)" in out
+
+
 def test_verify_failure_exits_two(capsys, monkeypatch):
     real = relay_codec.build_parity_groups
 

@@ -7,6 +7,7 @@ parity generation must flip exhaustive_verify to a counterexample.
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -203,6 +204,110 @@ def test_verify_detects_truncated_schedule(monkeypatch):
         source_codec._STORE.pop(P523, None)
     assert not rep.ok
     assert "k_src" in rep.counterexample["problem"]
+
+
+P5221 = SchemeParams(5, 2, 2, 1)
+
+
+def _plan_view(mutate):
+    """A mutant of ``build_message_plan`` whose plans show the certificate
+    the views it reads (erased, schedule, tx, codewords) with
+    ``mutate(plan)``'s replacements."""
+
+    def mutant(real):
+        def patched(p, erased_fn, t):
+            plan = real(p, erased_fn, t)
+            view = {name: getattr(plan, name) for name in ("erased", "schedule", "tx", "codewords")}
+            view.update(mutate(plan))
+            return types.SimpleNamespace(**view)
+
+        return patched
+
+    return mutant
+
+
+def _symbol_at_offset_0(plan):
+    alpha = list(plan.schedule.alpha)
+    first = next(i for i, a in enumerate(alpha) if a)
+    alpha[first] -= 1
+    alpha[0] += 1
+    return {"schedule": dataclasses.replace(plan.schedule, alpha=tuple(alpha))}
+
+
+def _first_codeword(**changes):
+    def mutate(plan):
+        cw = plan.codewords[0]
+        new = {key: change(cw) for key, change in changes.items()}
+        return {"codewords": (dataclasses.replace(cw, **new),) + plan.codewords[1:]}
+
+    return mutate
+
+
+# (binding, mutant of the real binding, problem text) at (5,2,2,1)
+CERTIFICATE_MUTANTS = {
+    "before-t+j": (
+        "build_message_plan", _plan_view(_symbol_at_offset_0),
+        "symbols scheduled before t+j",
+    ),
+    "queue-coverage": (
+        "build_message_plan",
+        _plan_view(lambda plan: {"tx": (
+            dataclasses.replace(plan.tx[0], flat=plan.tx[-1].flat),) + plan.tx[1:]}),
+        "transmission queue does not cover the message exactly once",
+    ),
+    "availability": (
+        "build_message_plan",
+        _plan_view(lambda plan: {"tx": tuple(
+            dataclasses.replace(item, emission=None) for item in plan.tx)}),
+        "availability at offset 1: 0 != 3",
+    ),
+    "codeword-count": (
+        "build_message_plan",
+        _plan_view(lambda plan: {"codewords": plan.codewords[:-1]}),
+        "1 codewords, expected 2",
+    ),
+    "codeword-shape": (
+        "build_message_plan",
+        _plan_view(_first_codeword(sys_items=lambda cw: cw.sys_items[:-1])),
+        "codeword shape (5,3) with 2 systematic",
+    ),
+    "one-slot-twice": (
+        "build_message_plan",
+        _plan_view(_first_codeword(
+            parity_slots=lambda cw: (cw.parity_slots[0],) * 2)),
+        "codeword rides one slot twice",
+    ),
+    "codeword-span": (
+        "build_message_plan",
+        _plan_view(_first_codeword(
+            parity_slots=lambda cw: tuple((s + P5221.N2, c) for s, c in cw.parity_slots))),
+        "codeword span [1,7] leaves [t,t+T]",
+    ),
+    "payload-bound": (
+        "slot_layout",
+        lambda real: lambda p, bits, s: real(p, bits, s) + [(s, None, 0, 12)],
+        "payload 22 exceeds n2* 11",
+    ),
+    "payload-target": (
+        "attainable_payload", lambda real: lambda p: real(p) + 1,
+        "worst payload 11 != expected 12",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", list(CERTIFICATE_MUTANTS))
+def test_every_certificate_check_fires(check, monkeypatch):
+    """Mutation check of the structural certificate at (5,2,2,1): a plan view
+    that breaks one check (from the verifier's own ``build_message_plan``
+    binding), an extra 12-symbol ride in its ``slot_layout``, or a target one
+    above the attainable payload each fail the verify with that check's own
+    problem, before any episode runs."""
+    binding, mutant, problem = CERTIFICATE_MUTANTS[check]
+    monkeypatch.setattr(sim_harness, binding, mutant(getattr(sim_harness, binding)))
+    rep = exhaustive_verify(P5221)
+    assert not rep.ok
+    assert rep.counterexample["problem"] == problem
+    assert rep.episodes_run == 0 and rep.notes == ()
 
 
 def test_all_valid_params_sweep_size():
