@@ -13,7 +13,13 @@ transmits, it:
 1. lays its sequence out, None for a lost symbol, and decodes each
    second-hop codeword missing a symbol from any k of its n symbols, the
    parities read from the same sequence (each codeword loses at most one
-   symbol per erased slot);
+   symbol per erased slot).  A codeword decodes by a program memoized in
+   the parameter set's store entry on its layout and the symbols it holds:
+   per lost item a dot product over the base, the first k symbols held,
+   and per surplus parity the value it must have.  Its coefficients come
+   from ``MdsCode.erasure_decode`` of the base's unit vectors and
+   ``MdsCode.encode`` of the columns, so an attempt builds no position
+   list, dict or sort, and a surplus check runs no ``encode``;
 2. maps the queue back to flat message indices through the plan's tx order;
 3. cancels estimate interference using messages it already decoded, walking
    forward in time so dependencies are always resolved first.  Which terms
@@ -36,8 +42,9 @@ then one ``bytes`` slice -- of the pattern, or the decoded header itself --
 which keys the layout memo of the store entry the decoder resolved at
 construction.  A plan is built from the pattern passed whole, which keys it
 by one slice and resolves interference through the pattern's lookup.
-``decode_header`` reads the same entry (symbols -> window), so a header
-costs one lookup.
+``decode_header`` memoizes its window in the same entry (symbols -> window)
+as that ``bytes`` slice, which the decoder reads directly, so a header
+costs one lookup; ``decode_header`` runs only on a miss.
 """
 
 from __future__ import annotations
@@ -46,8 +53,9 @@ import heapq
 import math
 from dataclasses import dataclass, field as dc_field
 
+from .field_mds import InconsistentSymbols
 from .scheme_params import SchemeParams, derive_dims, header_overhead
-from .source_codec import (FirstHop, PosEmission, _entry, _structure_key,
+from .source_codec import (FirstHop, PosEmission, _Entry, _entry, _structure_key,
                            emission_coefficients, make_codes)
 from .relay_codec import (
     MessagePlan,
@@ -86,6 +94,44 @@ def interference_terms(p: SchemeParams, em: PosEmission, layer: int):
     ]
 
 
+def _decode_program(p: SchemeParams, entry: _Entry, key: tuple) -> tuple:
+    """The decode program of ``key`` in ``entry``, the entry of ``p``.
+
+    ``key`` is (n, k, m, held) for a codeword of the (n, k) second-hop code
+    over m queue items: ``held`` has a byte per symbol gathered, the m
+    items then the N2 parities, 1 where it was received.  The program is
+    (lost, checks): per lost item r, (r, terms) with one (gathered index,
+    MUL row) term per base symbol, and per surplus parity, (its gathered
+    index, terms) giving the value it must have.
+
+    The base is the first k codeword positions held, as in
+    ``MdsCode.erasure_decode``, which is the compile source: its decode of
+    each base unit vector is that symbol's column, and ``MdsCode.encode``
+    of the column gives the surplus rows.  Positions [m, k) were zero-padded
+    at the relay and contribute nothing.  Zero coefficients are dropped, and
+    each term is stored once through the entry's own ``shared``.
+    """
+    n, k, m, held = key
+    code, mul, shared = second_code(p, n, k), entry.field.MUL, entry.shared
+    # codeword positions held: item r at r, padding in [m, k), parity i at k+i
+    positions = [r for r in range(m) if held[r]] + list(range(m, k))
+    positions += [k + i for i in range(len(held) - m) if held[m + i]]
+    base, surplus = positions[:k], positions[k:]
+    columns = [
+        (b if b < m else b - k + m, code.erasure_decode([(x, int(x == b)) for x in base]))
+        for b in base
+        if not m <= b < k
+    ]
+    words = [(g, code.encode(column)) for g, column in columns]
+
+    def terms(coeffs):  # the tag keeps a term's key apart from the shape tuples
+        return tuple(shared.setdefault(("decode", g, c), (g, mul[c])) for g, c in coeffs if c)
+
+    lost = tuple((r, terms((g, col[r]) for g, col in columns)) for r in range(m) if not held[r])
+    checks = tuple((j - k + m, terms((g, word[j]) for g, word in words)) for j in surplus)
+    return lost, checks
+
+
 @dataclass(slots=True)
 class _MessageState:
     """A message's plan once built, and every ride filed in ``got`` by its
@@ -120,7 +166,17 @@ class DecoderState:
     keyed by the slice of [t, t+T-N2].  An emission's interference
     terms are a (message offset, position, MUL row) list, memoized in the
     ``terms`` of the same entry on (pos, parity_rows, late, kept
-    positions); ``interference_terms`` runs only on a miss.
+    positions); ``interference_terms`` runs only on a miss.  A codeword
+    missing a symbol decodes by a program in ``decode_programs`` of the
+    same entry, keyed by (n, k, queue items, held mask): at most the sum
+    over r >= k of C(n, r) masks per layout, the masks it can decode from.
+
+    A surplus parity off the decoded codeword raises
+    ``InconsistentSymbols`` rather than being taken for an erasure.  The
+    codec's channel model is erasures only: a symbol that arrives is the
+    one sent, so a mismatch means in-field corruption or a codec bug, not
+    a loss, and ``exhaustive_verify`` reports an episode that raises as a
+    counterexample.
 
     Decoding is event-driven: ``due(now)`` yields only the messages whose
     attempt could succeed (or must fail) since their last one, i.e. those
@@ -247,11 +303,14 @@ class DecoderState:
         if symbols and (min(symbols) < 0 or max(symbols) >= self.field.q):
             raise MalformedPacket(f"slot {slot}: symbol outside [0, {self.field.q})")
         if self.header_mode:
-            delta = self._delta
-            try:
-                bits = bytes(decode_header(p, symbols[:delta]))
-            except ValueError as exc:
-                raise MalformedPacket(f"slot {slot}: {exc}") from None
+            delta, windows = self._delta, self._entry.windows
+            header = tuple(symbols[:delta])
+            bits = windows.get(header)
+            if bits is None:  # decode_header fills the memo, or rejects the header
+                try:
+                    bits = windows.setdefault(header, bytes(decode_header(p, header)))
+                except ValueError as exc:
+                    raise MalformedPacket(f"slot {slot}: {exc}") from None
             symbols = symbols[delta:]
         else:
             bits = self.pattern.slice(slot - T, T + 1)  # [slot-T, slot]
@@ -322,37 +381,15 @@ class DecoderState:
         return result
 
     def _attempt(self, t: int, st: _MessageState):
-        p, d = self.params, self.dims
+        d = self.dims
         plan = st.plan if st.plan is not None else self.plan(t)
         if plan is None:
             return None  # pattern bits still missing (header mode)
         if st.received < plan.n_tx:
             return None  # see _flag_if_enough
-
-        # the received second-hop sequence, None where lost: the queue, then
-        # parity row m's symbol of codeword c at n_tx + m*len(codewords) + c
-        n_tx, codewords = plan.n_tx, plan.shape.codewords
-        width = len(codewords)
-        seq = [None] * (n_tx + p.N2 * width)
-        for start, got in st.got.items():
-            seq[start : start + len(got)] = got
-        queue = seq[:n_tx]
-        # decode only the codewords still missing a systematic symbol; the
-        # plan's shape has the layout, so no absolute view is built
-        if None in queue:
-            for ci, (n, k, items) in enumerate(codewords):
-                held = [queue[item] for item in items]
-                if None not in held:
-                    continue
-                received = [(r, v) for r, v in enumerate(held) if v is not None]
-                # positions beyond the scheduled queue were zero-padded at the relay
-                received += [(r, 0) for r in range(len(items), k)]
-                received += [(k + m, v) for m, v in enumerate(seq[n_tx + ci :: width]) if v is not None]
-                if len(received) < k:
-                    return None  # not yet decodable
-                word = second_code(p, n, k).erasure_decode(received)
-                for r, item in enumerate(items):
-                    queue[item] = word[r]
+        queue = self._queue(plan, st.got)
+        if queue is None:
+            return None  # a codeword still holds fewer than k symbols
 
         if plan.erased:
             if plan.n_tx < d.k_src:
@@ -362,6 +399,54 @@ class DecoderState:
         for (flat, _, _), value in zip(plan.shape.tx, queue):
             out[flat] = value
         return out
+
+    def _queue(self, plan: MessagePlan, got: dict):
+        """The message's queue from its filed rides ``got``, each lost
+        symbol decoded; None while a codeword that lost one holds fewer than
+        k of its n symbols.
+
+        The received second-hop sequence holds None where a symbol was lost:
+        the queue, then parity row m's symbol of codeword c at n_tx +
+        m*len(codewords) + c.  Only a codeword still missing a systematic
+        symbol is decoded, by the program of its layout and of the symbols
+        it holds (``_decode_program``); the plan's shape has the layout, so
+        no absolute view is built.
+        """
+        n_tx, codewords, n2 = plan.n_tx, plan.shape.codewords, self.params.N2
+        width = len(codewords)
+        seq = [None] * (n_tx + n2 * width)
+        for start, symbols in got.items():
+            seq[start : start + len(symbols)] = symbols
+        queue = seq[:n_tx]
+        if None not in queue:
+            return queue
+        programs, add = self._entry.decode_programs, self.field.ADD
+        for ci, (n, k, items) in enumerate(codewords):
+            held = [queue[item] for item in items]
+            if None not in held:
+                continue
+            held += seq[n_tx + ci :: width]  # its n2 parities
+            if held.count(None) > n2:
+                return None  # not yet decodable
+            key = (n, k, len(items), bytes([v is not None for v in held]))
+            program = programs.get(key)
+            if program is None:
+                program = programs[key] = _decode_program(self.params, self._entry, key)
+            lost, checks = program
+            for r, terms in lost:
+                value = 0
+                for g, row in terms:
+                    value = add[value][row[held[g]]]
+                queue[items[r]] = value
+            for g, terms in checks:
+                value = 0
+                for h, row in terms:
+                    value = add[value][row[held[h]]]
+                if value != held[g]:
+                    raise InconsistentSymbols(
+                        f"symbol at position {k + g - len(items)} off the decoded codeword"
+                    )
+        return queue
 
     def _cancel(self, t: int, plan: MessagePlan, queue: list[int]):
         """Subtract interference using already-decoded messages, resolving

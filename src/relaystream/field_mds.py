@@ -332,6 +332,11 @@ class MdsCode:
         known part combines the lost ones only; that e x e system is
         nonsingular (every square submatrix of the parity block is), and its
         inverse is cached per base.  Every surplus symbol is then checked.
+
+        It is the one decoding rule of the codec, and the destination's
+        compile source: ``dest_codec`` decodes the unit vectors of a base
+        with it, once per codeword layout and set of symbols held, and runs
+        the columns it gives as a program.
         """
         seen: dict[int, int] = {}
         for pos, val in received:

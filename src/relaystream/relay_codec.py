@@ -557,6 +557,8 @@ def decode_header(p: SchemeParams, symbols) -> tuple[int, ...]:
 
     Memoized per parameter set on the symbols, at most 2^(T+1) headers: a
     malformed header is never stored, so it raises on every occurrence.
+    The memo holds the window as ``bytes``, one 0/1 byte per slot, which
+    the destination reads directly; it calls this only on a miss.
     """
     key = tuple(symbols)
     windows = _entry(p).windows
@@ -573,5 +575,5 @@ def decode_header(p: SchemeParams, symbols) -> tuple[int, ...]:
             x = x * q + s
         if x >> (p.T + 1):
             raise ValueError(f"header value {x} exceeds T+1 = {p.T + 1} bits")
-        bits = windows[key] = tuple((x >> i) & 1 for i in range(p.T + 1))
-    return bits
+        bits = windows[key] = bytes((x >> i) & 1 for i in range(p.T + 1))
+    return tuple(bits)

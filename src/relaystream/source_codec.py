@@ -38,6 +38,8 @@ that the three stages compile for it, each memo bounded by the set's window
 or layer code.  Both encoders run programs compiled into it: the first
 hop's diagonal program, built with the entry, and the second hop's parity
 programs, one per codeword layout (``relay_codec.build_parity_groups``).
+The destination's second-hop decode runs one too, per codeword layout and
+set of symbols held (``dest_codec``).
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class _Entry:
     """Everything the codec keeps for one parameter set."""
 
     __slots__ = ("dims", "field", "code", "diagonals", "second_codes", "shapes", "layouts",
-                 "shared", "parity_programs", "headers", "windows", "programs", "terms")
+                 "shared", "parity_programs", "headers", "windows", "programs", "terms",
+                 "decode_programs")
 
     def __init__(self, p: SchemeParams):
         d = self.dims = derive_dims(p)
@@ -81,9 +84,11 @@ class _Entry:
         self.shared: dict = {}  # one copy of each equal shape, ride and tuple in them
         self.parity_programs: dict[tuple, tuple] = {}  # codeword layout -> parity program
         self.headers: dict[bytes, tuple] = {}  # slot's T+1 bits -> header symbols
-        self.windows: dict[tuple, tuple] = {}  # valid header symbols -> T+1 bits
+        self.windows: dict[tuple, bytes] = {}  # valid header symbols -> T+1 bits
         self.programs: dict[tuple, tuple] = {}  # _structure_key -> valuation program
         self.terms: dict[tuple, tuple] = {}  # _structure_key -> interference term list
+        # (n, k, codeword's queue items, held mask) -> second-hop decode program
+        self.decode_programs: dict[tuple, tuple] = {}
 
 
 # At most _STORE_SETS entries: a new set evicts the one inserted first, so a

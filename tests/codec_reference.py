@@ -8,7 +8,9 @@ one MDS codeword, the reference ``MdsCode.erasure_decode`` must agree with.
 reference for the ledger's memoized valuation programs.
 ``encode_source_reference`` and ``build_parity_groups_reference`` are the two
 encoders without their compiled programs: the diagonal list built per call,
-and one zero-padded ``MdsCode.encode`` per codeword.
+and one zero-padded ``MdsCode.encode`` per codeword.  ``queue_reference`` is
+the destination's second-hop decode without its programs: one
+``MdsCode.erasure_decode`` per codeword missing a systematic symbol.
 ``cancel_interference`` is the standalone form of the decoder's cancellation
 step, ``dest_ingest`` feeds a relay packet with an optional side-information
 cross-check, and ``estimates_available`` is the closed-form count the plan
@@ -171,6 +173,35 @@ def build_parity_groups_reference(p: SchemeParams, plan: MessagePlan, values) ->
             msg += [0] * (k - len(msg))
         words.append(code.encode(msg))
     return ParityGroups(plan.t, plan.shape.schedule.grouped, tuple(zip(*words))[k:])
+
+
+def queue_reference(p: SchemeParams, plan: MessagePlan, got: dict):
+    """``DecoderState._queue`` without its decode programs: the received
+    second-hop sequence laid out, None where lost, and each codeword still
+    missing a systematic symbol decoded by ``MdsCode.erasure_decode`` from
+    its items, its zero padding and its parities.  None while one holds
+    fewer than k symbols."""
+    n_tx, codewords = plan.n_tx, plan.shape.codewords
+    width = len(codewords)
+    seq = [None] * (n_tx + p.N2 * width)
+    for start, symbols in got.items():
+        seq[start : start + len(symbols)] = symbols
+    queue = seq[:n_tx]
+    if None in queue:
+        for ci, (n, k, items) in enumerate(codewords):
+            held = [queue[item] for item in items]
+            if None not in held:
+                continue
+            received = [(r, v) for r, v in enumerate(held) if v is not None]
+            # positions beyond the scheduled queue were zero-padded at the relay
+            received += [(r, 0) for r in range(len(items), k)]
+            received += [(k + m, v) for m, v in enumerate(seq[n_tx + ci :: width]) if v is not None]
+            if len(received) < k:
+                return None  # not yet decodable
+            word = second_code(p, n, k).erasure_decode(received)
+            for r, item in enumerate(items):
+                queue[item] = word[r]
+    return queue
 
 
 def estimates_available(ledger: EstimateLedger, t: int, now: int) -> int:

@@ -9,8 +9,10 @@ lambda/mu valuation of ``codec_reference.estimate_reference`` and
 ``interference_terms``.  The two encoders run programs compiled into the
 same store entry: the source's diagonal program and the relay's parity
 programs, checked against ``encode_source_reference`` and
-``build_parity_groups_reference``.  The memos are bounded by the layer code
-or the codeword layouts, not by the stream.
+``build_parity_groups_reference``.  The destination's second-hop decode
+runs programs compiled into the entry too, checked against
+``queue_reference``.  The memos are bounded by the layer code or the
+codeword layouts, not by the stream.
 """
 
 import itertools
@@ -24,6 +26,7 @@ from codec_reference import (
     encode_source_reference,
     estimate_reference,
 )
+from decode_programs import check_bound, check_sets
 from relaystream import relay_codec, sim_harness, source_codec
 from relaystream.dest_codec import DecoderState, interference_terms
 from relaystream.relay_codec import RelayState, build_message_plan
@@ -358,3 +361,44 @@ def test_parity_programs_are_bounded_by_the_layouts(p):
         assert programs.keys() <= layouts
         sizes.append(len(programs))
     assert 1 < sizes[0] <= sizes[1] <= cap, (sizes, cap)
+
+
+# extension fields as for the encoders; (7,2,3,0) is GF(8)'s set here
+DECODE_SETS = [*all_valid_params(6), P12, SchemeParams(7, 2, 3, 0), SchemeParams(8, 2, 3, 0),
+               SchemeParams(26, 2, 16, 0)]
+
+
+def test_decode_programs_match_the_reference():
+    """``decode_programs.check_sets`` over all_valid_params(6), (12,3,4,1)
+    and sets over GF(8), GF(9) and GF(27), in one process: every
+    ``DecoderState._queue`` call of seeded i.i.d. streams, oracle and header
+    mode, equals ``queue_reference``'s per-codeword ``erasure_decode``, as
+    filed and with one symbol of each parity ride changed in-field, from
+    each set's dropped store entry (cold) and then from its programs
+    (warm).  A term table shared across entries would hand one field's MUL
+    rows to another set and fail here."""
+    counts = check_sets(DECODE_SETS)
+    assert {4, 8, 9, 27} <= counts["fields"], counts
+    # a parity changed in-field raises where it is surplus, and only there
+    assert 0 < counts["raised"] < counts["corrupted"], counts
+    # cold lookups compile, warm ones reuse
+    assert 0 < counts["compiled"] < counts["calls"] // 2, counts
+
+
+@pytest.mark.parametrize("p", [P12, P7220])
+def test_decode_programs_are_bounded_by_the_masks(p):
+    """Two 1500-slot streams, i.i.d. at eps=0.3 on the first hop and 0.2 on
+    the second, from a dropped store entry: the decode programs are keyed
+    by codeword layout and held mask, N2 bytes longer than the layout's
+    queue items, and a codeword decodes from at least k of its n symbols.
+    So after one stream and after both, the programs per (n, k, queue
+    items) stay at most the sum over r >= k of C(n, r)."""
+    source_codec._STORE.pop(p, None)
+    sizes = []
+    for seed in (45, 46):
+        rng = np.random.default_rng(seed)
+        bits1, bits2 = random_bits(rng, 1500, 0.3), random_bits(rng, 1500, 0.2)
+        run_episode(p, bits1, bits2, len(bits1), seed=seed)
+        counts = check_bound(p)  # asserts the bound per layout
+        sizes.append(sum(counts.values()))
+    assert 1 < sizes[0] <= sizes[1], sizes

@@ -8,12 +8,14 @@ generic linear system per message and shares no code path with it.
 import hashlib
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
-from codec_reference import cancel_interference, dest_ingest, oracle_decode
-from relaystream import dest_codec
+from codec_reference import cancel_interference, dest_ingest, oracle_decode, queue_reference
+from decode_programs import outcome, same
+from relaystream import dest_codec, source_codec
 from relaystream.dest_codec import (
     FAILED,
     DecoderState,
@@ -21,8 +23,8 @@ from relaystream.dest_codec import (
     MissingDependency,
 )
 from relaystream.erasure_channel import enumerate_admissible, is_admissible
-from relaystream.field_mds import MdsCode
-from relaystream.relay_codec import RelayState, second_code
+from relaystream.field_mds import InconsistentSymbols, MdsCode
+from relaystream.relay_codec import RelayState, second_code, slot_layout
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import run_episode
 from relaystream.source_codec import encode_source, make_codes
@@ -121,9 +123,13 @@ def test_queue_decode_agrees_with_the_oracle_over_extension_fields(p, monkeypatc
     seeded sample of admissible first-hop patterns, and second-hop bursts
     of b = 1..N2 slots every T+1 slots, which cost a codeword up to b
     systematic symbols.  The second-hop codes must solve for each count
-    1..N2 of lost systematic symbols."""
+    1..N2 of lost systematic symbols.  The decoder runs programs compiled
+    from ``erasure_decode``, once per codeword layout and set of symbols
+    held, so the set's store entry is dropped first: every program the run
+    needs compiles under the recorder."""
     horizon = 2 * (p.T + 1)
     rng = np.random.default_rng(p.T)
+    source_codec._STORE.pop(p, None)
     lost_counts = set()
     decode = MdsCode.erasure_decode
 
@@ -153,6 +159,45 @@ def test_queue_decode_agrees_with_the_oracle_over_extension_fields(p, monkeypatc
                     want = oracle_decode(p, dest.plan(t), dest, history)
                     assert want == messages[t], (bits1, e2_bits, t)
     assert lost_counts >= set(range(1, p.N2 + 1)), lost_counts
+
+
+@pytest.mark.parametrize("p", [P523, SchemeParams(12, 3, 4, 1)])
+def test_surplus_parity_off_the_codeword_raises_as_the_reference_does(p):
+    """Oracle mode, seeded messages, a clean first hop and one erased relay
+    slot, t+j, which costs message t's codewords a queue item each.  With
+    every slot ingested before t is attempted, each such codeword decodes
+    from one parity and checks the other N2-1.  Changing the first symbol
+    of t's last parity ride in-field -- a surplus parity of codeword 0 --
+    makes the compiled check raise ``InconsistentSymbols`` with the
+    reference's text, and ``try_decode`` raises it too; unchanged, t
+    decodes.  In-field corruption lies outside the erasure model, so it is
+    not turned into an erasure (see ``DecoderState``)."""
+    assert p.N2 >= 2
+    t, horizon = 5, 3 * (p.T + 1)
+    bits1, bits2 = [0] * horizon, [0] * horizon
+    bits2[t + p.j] = 1
+    field, _ = make_codes(p)
+    messages = episode_messages(p, horizon, seed=53)
+    for corrupt in (False, True):
+        relay, dest = RelayState(p), DecoderState(p, e1_bits=bits1)
+        for s in range(horizon):
+            relay.ingest_source(s, encode_source(p, messages, s))
+            wire = list(relay.emit(s).wire_symbols())
+            if corrupt and s == t + p.T:
+                rides = slot_layout(p, bytes(p.T + 1), s)
+                x = sum(size for t2, _, _, size in rides if t2 < t)
+                wire[x] = (wire[x] + 1) % field.q
+            dest.ingest(s, None if bits2[s] else wire)
+        plan, got = dest.plan(t), dest.msgs[t].got
+        assert sum(len(v) for start, v in got.items() if start < plan.n_tx) < plan.n_tx
+        want = outcome(queue_reference, p, plan, got)
+        assert same(outcome(dest._queue, plan, got), want)
+        if corrupt:
+            assert type(want) is InconsistentSymbols, want
+            with pytest.raises(InconsistentSymbols, match=re.escape(str(want))):
+                dest.try_decode(t)
+        else:
+            assert want is not None and dest.try_decode(t) == messages[t]
 
 
 def test_header_mode_matches_oracle_mode():
