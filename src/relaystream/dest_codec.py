@@ -40,8 +40,9 @@ slot past its end reads too; the oracle's bits (``e1_bits``) are a pattern
 every slot of which is covered, clean past its end.  A slot's T+1 bits are
 then one ``bytes`` slice -- of the pattern, or the decoded header itself --
 which keys the layout memo of the store entry the decoder resolved at
-construction.  A plan is built from the pattern passed whole, which keys it
-by one slice and resolves interference through the pattern's lookup.
+construction.  A plan is built from the pattern passed whole: it takes its
+window, [t-2(k'-1), t+T-N2], as one slice, keys its shape by the last
+T-N2+1 bytes of it and places interference from it.
 ``decode_header`` memoizes its window in the same entry (symbols -> window)
 as that ``bytes`` slice, which the decoder reads directly, so a header
 costs one lookup; ``decode_header`` runs only on a miss.
@@ -162,8 +163,9 @@ class DecoderState:
 
     Each slot's rides are read in offsets through ``_slot_rides``, from the
     parameter set's store entry resolved once at construction, and a plan is
-    built from the pattern passed whole once ``_plan_ready`` holds; it is
-    keyed by the slice of [t, t+T-N2].  An emission's interference
+    built from the pattern passed whole once ``_plan_ready`` holds, so its
+    window of [t-2(k'-1), t+T-N2] is one slice of known bits, keyed by the
+    slice of [t, t+T-N2].  An emission's interference
     terms are a (message offset, position, MUL row) list, memoized in the
     ``terms`` of the same entry on (pos, parity_rows, late, kept
     positions); ``interference_terms`` runs only on a miss.  A codeword

@@ -33,9 +33,10 @@ One plan engine serves every stage: ``build_message_plan(p, erased, t)``.
 Everything in a plan except the interference an estimate carries depends
 only on the T-N2+1 bits of [t, t+T-N2].  So the plan's shape is kept in slot
 offsets from t and memoized per parameter set on those bits, at most
-2^(T-N2+1) shapes.  A hit costs one key lookup.  Interference reads bits
-before t and is resolved per message, when a plan's emissions are first
-placed; what the ledger and the destination then do with an emission's
+2^(T-N2+1) shapes.  A hit costs one key lookup.  Interference also reads
+the bits back to t-2(k'-1) and is resolved per message, when an emission
+is placed (``_place``), from the plan's window of [t-2(k'-1), t+T-N2] as
+``bytes``; what the ledger and the destination then do with an emission's
 coefficients is memoized on its structure, in slot offsets (see
 ``EstimateLedger`` and ``DecoderState``).  One rule, ``slot_layout(p, bits,
 s)``, says what rides relay slot s from the T+1 header bits of [s-T, s]:
@@ -46,11 +47,12 @@ in the parameter set's entry of the codec's one store, read through its one
 accessor, ``source_codec._entry``.
 Every memo is keyed by ``bytes``, one 0/1 byte per slot.  The relay's ledger
 and the destination hold the first hop as a ``source_codec.FirstHop``, so a
-slot's T+1 bits and a plan's T-N2+1 bits are each one slice, and that slice
-is the key: the relay and the destination pass their pattern whole to
-``build_message_plan``, which slices it, and read their slot's rides, in
-offsets, from the entry they resolved once at construction, so a slot costs
-one lookup on each side.  In header mode the same entry
+slot's T+1 bits and a plan's window are each one slice, the window's last
+T-N2+1 bytes the shape's key: the relay and the destination pass their
+pattern whole to ``build_message_plan``, which slices it, and read their
+slot's rides, in offsets, from the entry they resolved once at
+construction, so a slot costs one lookup on each side.  In header mode the
+same entry
 memoizes ``encode_header`` (window -> symbols) and ``decode_header``
 (symbols -> window), each at most 2^(T+1) valid headers; a malformed header
 is never stored.  Each message goes out as one second-hop sequence, its
@@ -106,11 +108,12 @@ class Schedule:
     gamma: tuple[int, ...]
 
 
-def _schedule_core(p: SchemeParams, erased_msg: bool, erased_after, avail) -> Schedule:
+def _schedule_core(p: SchemeParams, erased_msg: bool, bits: bytes, emissions) -> Schedule:
     """The per-slot schedule rule; the plan engine is its only caller.
 
-    erased_after(i): whether slot t+i was erased (queried for 1 <= i <= T-N2).
-    avail(i): estimates available once slot t+i arrived.
+    bits: the shape's key, bits[i] the first-hop bit of slot t+i.
+    emissions: an erased message's estimate emissions, in offsets from t;
+    each makes l' estimates available from its slot on.
     """
     d = derive_dims(p)
     T, N1, N2, j = p.T, p.N1, p.N2, p.j
@@ -118,7 +121,7 @@ def _schedule_core(p: SchemeParams, erased_msg: bool, erased_after, avail) -> Sc
     gamma, ell, alpha = [], [], []
     sent = 0
     for i in range(last_msg + 1):
-        g = sum(1 for a in range(1, i) if erased_after(a))
+        g = sum(bits[1:i])  # erasures strictly between t and t+i
         gamma.append(g)
         if i < j or (not erased_msg):
             # nothing rides before slot t+j; a received message then flows
@@ -131,7 +134,8 @@ def _schedule_core(p: SchemeParams, erased_msg: bool, erased_after, avail) -> Sc
         else:
             cap = 0
         ell.append(cap)
-        a = min(cap, avail(i) - sent)
+        avail = d.l_prime * sum(1 for em in emissions if em.slot <= i) if erased_msg else d.k_src
+        a = min(cap, avail - sent)
         if a < 0:
             raise ScheduleOverrun(f"negative availability at slot offset {i}")
         alpha.append(a)
@@ -194,16 +198,9 @@ def _plan_shape(p: SchemeParams, bits: bytes, shared: dict) -> _PlanShape:
     def one(x):
         return shared.setdefault(x, x)
 
-    def window(s: int) -> bool:  # the message at slot 0, with a clean past
-        return 0 <= s < len(bits) and bits[s] == 1
-
     erased_msg = bits[0] == 1
-    emissions = tuple(one(em) for em in emission_schedule(p, window, 0)) if erased_msg else ()
-
-    def avail(i: int) -> int:  # estimates held once slot i arrived
-        return d.l_prime * sum(1 for em in emissions if em.slot <= i) if erased_msg else d.k_src
-
-    sched = _schedule_core(p, erased_msg, window, avail)
+    emissions = tuple(one(em) for em in emission_schedule(p, bits)) if erased_msg else ()
+    sched = _schedule_core(p, erased_msg, bits, emissions)
 
     # transmission queue: estimates in emission order, layer by layer;
     # a received message column by column of its second-hop layers
@@ -230,38 +227,40 @@ def _plan_shape(p: SchemeParams, bits: bytes, shared: dict) -> _PlanShape:
     return _PlanShape(one(sched), one(emissions), one(tx), one(codewords))
 
 
+def _place(p: SchemeParams, t: int, window: bytes, em: PosEmission) -> PosEmission:
+    """Emission ``em`` of a shape placed at message t, with the interference
+    ``emission_interference`` reads from ``window``, the first-hop bits of
+    [t-2(k'-1), t+T-N2]: its last T-N2+1 bytes are the shape's key."""
+    lag = len(window) - p.T + p.N2 - 1  # window[lag] is slot t
+    inter = emission_interference(p, window, lag, em.pos, lag + em.slot)
+    if inter:
+        inter = tuple((t - lag + x, q) for x, q in inter)
+    return PosEmission(t, em.pos, t + em.slot, em.parity_rows, em.late, inter)
+
+
 class MessagePlan:
     """Message t's relay treatment: a memoized shape placed at slot t.
 
-    ``erased`` and ``n_tx`` read the shape; ``schedule``, ``emissions``,
-    ``tx`` and ``codewords`` are built on first use.  Only interference
-    reads bits before t, through the plan's lookup: that may since have
-    learned bits it masked as erased, but no slot up to the last emission
-    may have changed.
+    ``window`` is the plan's whole input, fixed when it was built: the
+    first-hop bits of [t-2(k'-1), t+T-N2] as ``bytes``, one 0/1 byte per
+    slot, slots before 0 clean; the shape is keyed by its last T-N2+1
+    bytes.  ``erased`` and ``n_tx`` read the shape; ``schedule``,
+    ``emissions``, ``tx`` and ``codewords`` are built on first use, each
+    emission placed with the interference the window gives it (``_place``).
     """
 
-    def __init__(self, p: SchemeParams, t: int, shape: _PlanShape, erased_fn):
-        self.params, self.t, self.shape = p, t, shape
+    def __init__(self, p: SchemeParams, t: int, shape: _PlanShape, window: bytes):
+        self.params, self.t, self.shape, self.window = p, t, shape, window
         self.erased = shape.schedule.erased
         self.n_tx = len(shape.tx)
-        self._erased_fn = erased_fn
 
     @property
     def schedule(self) -> Schedule:
         return replace(self.shape.schedule, t=self.t)
 
-    def _place(self, em: PosEmission) -> PosEmission:
-        t, slot = self.t, self.t + em.slot
-        inter = emission_interference(self.params, self._erased_fn, t, em.pos, slot)
-        return PosEmission(t, em.pos, slot, em.parity_rows, em.late, inter)
-
-    def emission(self, e: int) -> PosEmission:
-        """Emission ``e`` of the shape, placed at t with its interference."""
-        return self._place(self.shape.emissions[e])
-
     @cached_property
     def emissions(self) -> tuple[PosEmission, ...]:
-        return tuple(map(self._place, self.shape.emissions))
+        return tuple([_place(self.params, self.t, self.window, em) for em in self.shape.emissions])
 
     @cached_property
     def tx(self) -> tuple[TxItem, ...]:
@@ -289,18 +288,20 @@ def build_message_plan(p: SchemeParams, erased_fn, t: int) -> MessagePlan:
     """Everything about message t's relay treatment, from the pattern alone.
 
     ``erased_fn`` is the first hop: a ``FirstHop``, which the relay and the
-    destination pass whole, or any slot -> bool lookup.  The shape is
-    memoized on the bits of [t, t+T-N2], one 0/1 byte per slot: one slice of
-    a ``FirstHop``, else T-N2+1 calls of the lookup.  Bits before t are read
-    through the lookup (a ``FirstHop``'s ``erased``), and only to resolve
-    interference, when the plan's emissions are first asked for.
+    destination pass whole, or any slot -> bool lookup.  The plan reads the
+    bits of [t-2(k'-1), t+T-N2] once, as its window of ``bytes``: one slice
+    of a ``FirstHop``, else one call of the lookup per slot from 0 on, the
+    slots before 0 clean.  This is the one place the engine turns a lookup
+    into bytes.  The shape is memoized on the window's last T-N2+1 bytes,
+    [t, t+T-N2]; the bits before t only place interference.
     """
-    width = p.T - p.N2 + 1
+    entry = _entry(p)
+    lag = 2 * (entry.dims.k_prime - 1)
     if type(erased_fn) is FirstHop:
-        key, erased_fn = erased_fn.slice(t, width), erased_fn.erased
+        window = erased_fn.slice(t - lag, lag + p.T - p.N2 + 1)
     else:
-        key = bytes(map(bool, map(erased_fn, range(t, t + width))))
-    return MessagePlan(p, t, _entry_shape(p, _entry(p), key), erased_fn)
+        window = bytes(s >= 0 and bool(erased_fn(s)) for s in range(t - lag, t + p.T - p.N2 + 1))
+    return MessagePlan(p, t, _entry_shape(p, entry, window[lag:]), window)
 
 
 def _slot_rides(p: SchemeParams, entry: _Entry, window: bytes) -> tuple:
@@ -446,12 +447,14 @@ class RelayState:
     sequence: its queue, filled once from the packet rows of a received
     message, one estimate (l' values, from the ledger) at a time for an
     erased one, then its parity rows.  Every ride is a slice of it, read
-    through one accessor, ``_queue_values``, which places a ``MessagePlan``
-    only for an estimate not yet valued.  The first ride past the queue,
-    when [t, t+T-N2] has closed, appends the parity rows encoded from the
-    queue with the plan ``build_message_plan`` gives for the ledger's
-    pattern, through the parity program of that plan's codeword layout, and
-    keeps the whole sequence as a tuple, so every parity ride is one slice.
+    through one accessor, ``_queue_values``, which places an estimate not
+    yet valued from the ride's shape and one slice of the ledger's pattern,
+    the plan window [t-2(k'-1), t+T-N2] as the relay sees it, building no
+    ``MessagePlan``.  The first ride past the queue, when [t, t+T-N2] has
+    closed, appends the parity rows encoded from the queue with the plan
+    ``build_message_plan`` gives for the ledger's pattern, through the
+    parity program of that plan's codeword layout, and keeps the whole
+    sequence as a tuple, so every parity ride is one slice.
     The sequence is dropped once slot t+T has been emitted.
 
     The state stays bounded over a stream.  An estimate of a message t reads
@@ -466,9 +469,11 @@ class RelayState:
         self.ledger = EstimateLedger(p)
         self.header_mode = header_mode
         self.queues: dict[int, list | tuple] = {}  # t -> second-hop sequence so far
-        # once slot s is emitted, the oldest message in flight is s+1-T and
-        # its estimates read packets back to s+1-T-2(k'-1) = s - _ledger_lag
-        self._ledger_lag = p.T - 1 + 2 * (self.dims.k_prime - 1)
+        # a plan's window starts 2(k'-1) slots before its message; once slot
+        # s is emitted, the oldest message in flight is s+1-T and its
+        # estimates read packets back to s+1-T-2(k'-1) = s - _ledger_lag
+        self._lag = 2 * (self.dims.k_prime - 1)
+        self._ledger_lag = p.T - 1 + self._lag
         self._entry = _entry(p)
 
     def ingest_source(self, slot: int, packet: SourcePacket | None) -> None:
@@ -477,9 +482,11 @@ class RelayState:
     def _queue_values(self, t: int, shape: _PlanShape, start: int, size: int) -> tuple[int, ...]:
         """Symbols start .. start+size-1 of message t's second-hop sequence:
         its queue, in the order its plan's ``shape`` fixes, then its parity
-        rows.  A received message's queue is filled at its first ride; a
-        ``MessagePlan`` is placed only to value an estimate not held yet.
-        Once its parity rows are appended the sequence is kept as a tuple."""
+        rows.  A received message's queue is filled at its first ride; an
+        estimate not held yet is placed (``_place``) from the shape and the
+        plan window, whose slots not yet ingested read erased: interference
+        reads no slot past the estimate's own.  Once its parity rows are
+        appended the sequence is kept as a tuple."""
         end = start + size
         values = self.queues.get(t)
         if values is None:
@@ -492,10 +499,11 @@ class RelayState:
         if len(values) < end:
             fill = min(end, len(shape.tx))
             if len(values) < fill:
-                plan = MessagePlan(self.params, t, shape, self.ledger.erased)
+                p, lag = self.params, self._lag
+                window = self.ledger.pattern.slice(t - lag, lag + p.T - p.N2 + 1)
                 # emission e fills queue items e*l' .. e*l'+l'-1, one per layer
                 while len(values) < fill:
-                    em = plan.emission(len(values) // self.dims.l_prime)
+                    em = _place(p, t, window, shape.emissions[len(values) // self.dims.l_prime])
                     if em.slot >= self.ledger.next_slot:
                         raise ScheduleOverrun(
                             f"message {t}: estimate emitted at slot {em.slot}, not yet ingested"

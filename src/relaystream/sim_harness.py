@@ -332,9 +332,12 @@ def _probe_e1_family(p: SchemeParams, horizon: int, rng, budget: int):
 
 
 def _episode_pairs(p: SchemeParams, horizon: int, rng, randomized: bool, episode_budget: int):
-    """The value-level episodes' pattern pairs, and the note naming them."""
-    n_pairs = count_admissible(p.T, p.N1, horizon) * count_admissible(p.T, p.N2, horizon)
-    if not randomized and _enumerable(p.T, horizon) and n_pairs <= _VERIFY_CROSS_BUDGET:
+    """The value-level episodes' pattern pairs, and the note naming them.
+    Only full mode counts the pairs: randomized mode never runs them all."""
+    if not randomized and _enumerable(p.T, horizon) and (
+        count_admissible(p.T, p.N1, horizon) * count_admissible(p.T, p.N2, horizon)
+        <= _VERIFY_CROSS_BUDGET
+    ):
         e1s = [list(x) for x in enumerate_admissible(p.T, p.N1, horizon)]
         e2s = [list(x) for x in enumerate_admissible(p.T, p.N2, horizon)]
         return [(a, b) for a in e1s for b in e2s], f"full cross product {len(e1s)}x{len(e2s)}"

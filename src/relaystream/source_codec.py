@@ -30,7 +30,9 @@ on the emission's shape and the positions it keeps, so an estimate costs
 one lookup and the GF arithmetic.  The pattern itself has one form,
 ``FirstHop``, which the relay's ledger and the destination each hold,
 differing only in what a slot past its end reads, and pass whole to the
-plan engine, which keys a plan by one slice of it.
+plan engine, which takes a plan's window as one slice of it.  The rules
+below read bits as ``bytes``: the emission schedule a plan shape's key,
+the interference and recovery rules a plan's window.
 
 This lowest codec layer also owns the codec's one store: per parameter set,
 one entry (``_entry``, the only accessor) with its field and codes and all
@@ -184,34 +186,32 @@ def _diag_parity_slots(t: int, pos: int, k_prime: int, n1_rows: int):
     return [(u + k_prime + m, m) for m in range(n1_rows)]
 
 
-def relay_recovery_slot(p: SchemeParams, erased, t: int) -> int | None:
+def relay_recovery_slot(p: SchemeParams, window: bytes, t: int) -> int | None:
     """First slot by which the relay knows s_t exactly (None if never).
 
-    For a received packet that is slot t itself.  For an erased one it is the
-    slot where every diagonal through the message becomes solvable: received
-    parity rows must reach the number of unavailable systematic positions.  A
-    systematic symbol later than the candidate slot counts as unavailable --
-    the relay has not received it yet -- so this evaluates knowledge *at* each
-    slot and gives the same answer whether ``erased`` reports the full pattern
-    or masks unseen future slots as erased.
+    ``window`` holds first-hop bits, one 0/1 byte per slot: slot x reads
+    window[x], a slot before the window (x < 0) reads clean and one past its
+    end erased; t and the result are slots of the window.  For a received
+    packet that is slot t itself.  For an erased one it is the slot where
+    every diagonal through the message becomes solvable: received parity
+    rows must reach the number of erased systematic positions.  Every
+    systematic slot of a diagonal precedes its parity slots, so this
+    evaluates knowledge *at* each slot, and bits past the answer never
+    change it: a window that ends after it, or that masks later slots as
+    erased, gives the same answer.
     """
-    d = derive_dims(p)
-    if not erased(t):
+    if not window[t]:
         return t
+    k, end = derive_dims(p).k_prime, len(window)
     worst = t
-    for pos in range(d.k_prime):
+    for pos in range(k):
         u = t - pos
         got, ready = 0, None
-        for slot, _m in _diag_parity_slots(t, pos, d.k_prime, p.N1):
-            if erased(slot):
+        for slot, _m in _diag_parity_slots(t, pos, k, p.N1):
+            if slot >= end or window[slot]:
                 continue
             got += 1
-            unknown = sum(
-                1
-                for q in range(d.k_prime)
-                if u + q >= 0 and (u + q > slot or erased(u + q))
-            )
-            if got >= unknown:
+            if got >= sum(1 for q in range(k) if u + q >= 0 and window[u + q]):
                 ready = slot
                 break
         if ready is None:
@@ -220,54 +220,51 @@ def relay_recovery_slot(p: SchemeParams, erased, t: int) -> int | None:
     return worst
 
 
-def emission_schedule(p: SchemeParams, erased, t: int) -> list[PosEmission]:
-    """All estimate emissions for message t, in transmission order.
+def emission_schedule(p: SchemeParams, bits: bytes) -> list[PosEmission]:
+    """All estimate emissions of the erased message at slot 0, in
+    transmission order.
 
-    ``erased`` is a slot -> bool lookup for the first hop.  Emissions happen
-    at nonerased slots in [t+1, t+T-N2]; at each such slot every position
-    that just became constructible is emitted (higher positions first; on
-    admissible patterns exactly one position per slot becomes ready).
+    ``bits`` is a plan shape's key: the first-hop bits of [t, t+T-N2] in
+    offsets from the message, one 0/1 byte per slot.  Emissions happen at
+    nonerased slots in [1, T-N2]; at each such slot every position that just
+    became constructible is emitted (higher positions first; on admissible
+    patterns exactly one position per slot becomes ready).  Interference,
+    the one part that reads bits before t, is left empty: the plan engine
+    places it per message (``emission_interference``).
     """
-    if not erased(t):
-        return []
-    d = derive_dims(p)
-    k_prime = d.k_prime
+    k_prime = derive_dims(p).k_prime
     out: list[PosEmission] = []
     emitted = [False] * k_prime
-    for slot in range(t + 1, t + p.T - p.N2 + 1):
-        if erased(slot):
+    for slot in range(1, p.T - p.N2 + 1):
+        if bits[slot]:
             continue
         for pos in range(k_prime - 1, -1, -1):
             if emitted[pos]:
                 continue
-            u = t - pos
-            late = tuple(
-                q for q in range(pos + 1, k_prime) if u + q >= 0 and erased(u + q)
-            )
+            late = tuple(q for q in range(pos + 1, k_prime) if bits[q - pos])
             rows = tuple(
                 m
-                for s, m in _diag_parity_slots(t, pos, k_prime, p.N1)
-                if s <= slot and not erased(s)
+                for s, m in _diag_parity_slots(0, pos, k_prime, p.N1)
+                if s <= slot and not bits[s]
             )
             if len(rows) < len(late) + 1:
                 continue
-            rows = rows[: len(late) + 1]
-            inter = emission_interference(p, erased, t, pos, slot)
-            out.append(PosEmission(t, pos, slot, rows, late, inter))
+            out.append(PosEmission(0, pos, slot, rows[: len(late) + 1], late, ()))
             emitted[pos] = True
     return out
 
 
-def emission_interference(p: SchemeParams, erased, t: int, pos: int, slot: int):
+def emission_interference(p: SchemeParams, window: bytes, t: int, pos: int, slot: int):
     """(t', pos') terms an estimate of (t, pos) made at ``slot`` keeps: the
     earlier positions of its diagonal whose message was erased and not yet
-    recovered by the relay at ``slot``."""
+    recovered by the relay at ``slot``.  Slots are those of ``window``, read
+    as ``relay_recovery_slot`` reads it; only bits up to ``slot`` decide."""
     out = []
     for q in range(pos):
         s_q = t - pos + q
-        if s_q < 0 or not erased(s_q):
+        if s_q < 0 or not window[s_q]:
             continue
-        ready = relay_recovery_slot(p, erased, s_q)
+        ready = relay_recovery_slot(p, window, s_q)
         if ready is None or ready > slot:
             out.append((s_q, q))
     return tuple(out)
@@ -317,8 +314,8 @@ class FirstHop:
     slots before the end may hold too.  ``erased`` is the slot -> bool
     lookup, a closure over the bytes that holds neither the pattern nor its
     owner, and calling the pattern is the same lookup.  ``slice(lo, n)``
-    gives [lo, lo+n) as ``erased`` reads it, one 0/1 byte per slot, so a
-    slot's or a plan's bits are one memo key.
+    gives [lo, lo+n) as ``erased`` reads it, one 0/1 byte per slot and any
+    lo, so a slot's bits and a plan's window are each one slice.
     """
 
     __slots__ = ("bits", "past", "erased", "_pad")
@@ -341,8 +338,13 @@ class FirstHop:
         return self.erased(s)
 
     def slice(self, lo: int, n: int) -> bytes:
-        """The bits of slots lo .. lo+n-1, for lo >= -T."""
-        out = bytes(self.bits[lo + self._pad : lo + self._pad + n])
+        """The bits of slots lo .. lo+n-1 as ``erased`` reads them: every
+        slot before 0 is clean, however far back lo reaches."""
+        start = lo + self._pad
+        if start < 0:  # slots before -T: a negative index would wrap
+            head = min(-start, n)
+            return bytes(head) + self.slice(-self._pad, n - head) if head < n else bytes(n)
+        out = bytes(self.bits[start : start + n])
         if len(out) < n:
             out += bytes((self.past,)) * (n - len(out))
         return out.translate(_AS_ERASED) if self.past > 1 else out

@@ -7,9 +7,12 @@ schedule counts availability in closed form (``closed_form_schedule``).
 ``slot_layout`` is the per-slot rule as it was before layouts were
 memoized: each call looks up the shape of every riding message and sums its
 subpacket sizes again.
+``relay_recovery_slot`` and ``emission_interference`` are the recovery and
+interference rules as they were before the engine read a plan's window as
+``bytes``: they call the slot -> bool lookup for every bit.
 ``tests/test_plan_engine.py`` checks the memoized engine against them.  Only
-the frozen record types, the shape memo (read through ``build_message_plan``
-keyed by ``bits``) and ``relay_recovery_slot`` come from the library.
+the frozen record types and the shape memo (read through
+``build_message_plan``) come from the library.
 
 ``compute_schedule`` is the contract-level schedule read through the
 library's engine, with the admissibility check; only tests call it.
@@ -22,12 +25,53 @@ from relaystream.relay_codec import (
     build_message_plan as engine_plan,
 )
 from relaystream.scheme_params import derive_dims
-from relaystream.source_codec import PosEmission, relay_recovery_slot
+from relaystream.source_codec import PosEmission
 
 
 def _diag_parity_slots(t, pos, k_prime, n1_rows):
     u = t - pos
     return [(u + k_prime + m, m) for m in range(n1_rows)]
+
+
+def relay_recovery_slot(p, erased, t):
+    """First slot by which the relay knows s_t exactly (None if never), from
+    the lookup ``erased``: the slot where every diagonal through the message
+    holds as many received parity rows as unavailable systematic positions."""
+    d = derive_dims(p)
+    if not erased(t):
+        return t
+    worst = t
+    for pos in range(d.k_prime):
+        u = t - pos
+        got, ready = 0, None
+        for slot, _m in _diag_parity_slots(t, pos, d.k_prime, p.N1):
+            if erased(slot):
+                continue
+            got += 1
+            unknown = sum(
+                1 for q in range(d.k_prime) if u + q >= 0 and (u + q > slot or erased(u + q))
+            )
+            if got >= unknown:
+                ready = slot
+                break
+        if ready is None:
+            return None
+        worst = max(worst, ready)
+    return worst
+
+
+def emission_interference(p, erased, t, pos, slot):
+    """(t', pos') terms an estimate of (t, pos) made at ``slot`` keeps, from
+    the lookup ``erased``."""
+    out = []
+    for q in range(pos):
+        s_q = t - pos + q
+        if s_q < 0 or not erased(s_q):
+            continue
+        ready = relay_recovery_slot(p, erased, s_q)
+        if ready is None or ready > slot:
+            out.append((s_q, q))
+    return tuple(out)
 
 
 def emission_schedule(p, erased, t):
@@ -54,15 +98,8 @@ def emission_schedule(p, erased, t):
             if len(rows) < len(late) + 1:
                 continue
             rows = rows[: len(late) + 1]
-            interference = []
-            for q in range(pos):
-                s_q = u + q
-                if s_q < 0 or not erased(s_q):
-                    continue
-                ready = relay_recovery_slot(p, erased, s_q)
-                if ready is None or ready > slot:
-                    interference.append((s_q, q))
-            out.append(PosEmission(t, pos, slot, rows, late, tuple(interference)))
+            interference = emission_interference(p, erased, t, pos, slot)
+            out.append(PosEmission(t, pos, slot, rows, late, interference))
             emitted[pos] = True
     return out
 
@@ -207,7 +244,8 @@ def slot_layout(p, bits, s):
     keys = [window[lo : lo + width] for lo in range(first - s + p.T, p.T - p.j + 1)]
     rides = []
     for t, key in enumerate(keys, first):
-        shape = engine_plan(p, dict(enumerate(key, t)).__getitem__, t).shape  # a shape reads only [t, t+T-N2]
+        # a shape reads only [t, t+T-N2]; the bits before t read clean
+        shape = engine_plan(p, lambda x: 0 <= x - t < width and key[x - t], t).shape
         i, alpha = s - t, shape.schedule.alpha
         if alpha[i]:
             rides.append((t, shape, sum(alpha[:i]), alpha[i]))

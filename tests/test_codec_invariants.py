@@ -6,18 +6,27 @@ Properties of ``run_episode`` that no pinned report checks:
     symbol value;
 (b) with hop 1 fixed, one more hop-2 erasure never makes a message decode
     that did not, nor decode earlier;
-(c) header mode decodes a subset of what oracle mode decodes, never earlier.
+(c) header mode decodes a subset of what oracle mode decodes, never earlier;
+(d) decisions are local: on admissible hops, one bit flipped outside message
+    t's window, keeping its hop admissible, never changes t's outcome or
+    decode slot.  The window is hop 1 over [t-2(k'-1), t+T], the bits t's
+    plan reads up to its deadline, and hop 2 over [t+j, t+T], the slots t
+    rides, or in header mode [t-2(k'-1), t+T], the relay slots whose
+    headers deliver t's plan bits.
 
 Parameter sets are ``all_valid_params(7)`` plus (12,3,4,1), horizons run
 from T+1 to 3(T+1) slots, and each hop's erasures are an arbitrary set of
-slots.  The profile is derandomized, so the examples are the same on every
-run, and a failure shrinks to a small pattern pair.
+slots, or for (d) that set with each erasure dropped that would put more
+than N in a (T+1)-slot window.  The profile is derandomized, so the
+examples are the same on every run, and a failure shrinks to a small
+pattern pair.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from relaystream.scheme_params import SchemeParams
+from relaystream.erasure_channel import is_admissible
+from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import all_valid_params, run_episode
 
 # half the examples at (12,3,4,1), where k' = 6, half over the T <= 7 sweep
@@ -89,3 +98,60 @@ def test_header_mode_never_beats_oracle_mode(episode):
     header = run_episode(p, e1, e2, horizon, header_mode=True)
     oracle = run_episode(p, e1, e2, horizon)
     assert_no_better(header, oracle)
+
+
+def admissible(bits, T: int, N: int) -> list[int]:
+    """``bits`` with each erasure dropped that would put more than N in a
+    (T+1)-slot window, earliest kept first."""
+    out = []
+    for s, b in enumerate(bits):
+        out.append(int(b and sum(out[max(0, s - T) :]) < N))
+    return out
+
+
+@st.composite
+def local_flips(draw):
+    """(params, horizon, header_mode, t, (e1, e2), flips): admissible hops
+    over at least 2(T+1) slots, an assessed message t, erased on hop 1 half
+    the time, and the (hop, slot) flips to try.  On each hop those are the
+    slots outside t's window whose flip keeps the hop admissible: the
+    nearest below the window, the nearest above it and one drawn from all."""
+    p = draw(PARAMS)
+    horizon = draw(st.integers(2 * (p.T + 1), 3 * (p.T + 1)))
+    hops = []
+    for n in (p.N1, p.N2):
+        erased = draw(st.sets(st.integers(0, horizon - 1), max_size=horizon))
+        hops.append(admissible([s in erased for s in range(horizon)], p.T, n))
+    header_mode = draw(st.booleans())
+    last = horizon - p.T - 1  # the last message the episode assesses
+    lost = [t for t in range(last + 1) if hops[0][t]]
+    t = draw(st.one_of(st.integers(0, last), *([st.sampled_from(lost)] if lost else [])))
+    lag = 2 * (derive_dims(p).k_prime - 1)
+    flips = []
+    for hop, (bits, n) in enumerate(zip(hops, (p.N1, p.N2)), 1):
+        lo = t + p.j if hop == 2 and not header_mode else t - lag
+        outside = [
+            x for x in range(horizon)
+            if not lo <= x <= t + p.T and is_admissible(flipped(bits, x), p.T, n)
+        ]
+        below, above = [x for x in outside if x < lo], [x for x in outside if x > t + p.T]
+        if outside:
+            near = below[-1:] + above[:1] + [draw(st.sampled_from(outside))]
+            flips += [(hop, x) for x in sorted(set(near))]
+    assume(flips)
+    return p, horizon, header_mode, t, hops, flips
+
+
+def flipped(bits, x):
+    return [*bits[:x], 1 - bits[x], *bits[x + 1 :]]
+
+
+@PROFILE
+@given(local_flips())
+def test_a_flip_outside_the_window_never_moves_the_message(case):
+    p, horizon, header_mode, t, hops, flips = case
+    want = decoded(run_episode(p, *hops, horizon, header_mode=header_mode)).get(t)
+    for hop, x in flips:
+        moved = [flipped(bits, x) if i == hop else bits for i, bits in enumerate(hops, 1)]
+        got = decoded(run_episode(p, *moved, horizon, header_mode=header_mode)).get(t)
+        assert got == want, f"flipping slot {x} of hop {hop} moves message {t}"

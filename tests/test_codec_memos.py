@@ -190,13 +190,14 @@ def first_hop_owner(rule, p, bits1, bits2):
 @pytest.mark.parametrize("rule", ["relay", "oracle", "header"])
 def test_first_hop_reads_past_its_end_by_its_owners_rule(rule):
     """Seeded (5,2,3,0) and (12,3,4,1) episodes, hop 2 with a burst longer
-    than T+1: at every slot in [-T, end+T] the pattern's ``erased``, the
+    than T+1: at every slot in [-3T, end+T] the pattern's ``erased``, the
     pattern called and a one-slot ``slice`` agree with the owner's rule --
-    clean before 0; past the end erased at the relay, clean at the oracle
-    and unseen in header mode, where an uncovered slot reads erased and
-    blocks ``_plan_ready``.  Every window slice is the slots' bits, and the
-    pattern passed whole gives the very shape its lookup gives, cold (the
-    store entry dropped) and warm."""
+    clean before 0, however far back; past the end erased at the relay,
+    clean at the oracle and unseen in header mode, where an uncovered slot
+    reads erased and blocks ``_plan_ready``.  Every slice of T+1 slots or of
+    a plan window's 2(k'-1)+T-N2+1, from every lo in [-3T, end], is the
+    slots' bits, and the pattern passed whole gives the very shape its
+    lookup gives, cold (the store entry dropped) and warm."""
     for p, seed in ((SchemeParams(5, 2, 3, 0), 91), (P12, 92)):
         rng = np.random.default_rng(seed)
         horizon = 90
@@ -205,13 +206,15 @@ def test_first_hop_reads_past_its_end_by_its_owners_rule(rule):
         bits2[30 : 30 + p.T + 3] = [1] * (p.T + 3)
         owner, want = first_hop_owner(rule, p, bits1, bits2)
         pattern = owner.pattern
-        slots = range(-p.T, horizon + p.T + 1)
+        width = 2 * (derive_dims(p).k_prime - 1) + p.T - p.N2 + 1
+        slots = range(-3 * p.T, horizon + max(p.T + 1, width))
         bit = {x: x >= 0 and want(x) for x in slots}
         for x in slots:
             assert pattern.erased(x) == pattern(x) == bit[x], (p, x)
             assert pattern.slice(x, 1) == bytes((bit[x],)), (p, x)
-        for x in range(-p.T, horizon):
-            assert pattern.slice(x, p.T + 1) == bytes(bit[y] for y in range(x, x + p.T + 1))
+        for x in range(-3 * p.T, horizon + 1):
+            for n in (p.T + 1, width):
+                assert pattern.slice(x, n) == bytes(bit[y] for y in range(x, x + n)), (p, x, n)
         if rule == "header":
             lag = 2 * (derive_dims(p).k_prime - 1)
             assert not header_covered(p, bits2, 32), p  # the burst left a gap

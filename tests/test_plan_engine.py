@@ -32,7 +32,7 @@ from relaystream.dest_codec import DecoderState
 from relaystream.relay_codec import RelayState, build_message_plan, slot_layout
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import all_valid_params, run_episode
-from relaystream.source_codec import emission_schedule, encode_source, make_codes
+from relaystream.source_codec import encode_source, make_codes
 
 P12 = SchemeParams(12, 3, 4, 1)
 P7311 = SchemeParams(7, 3, 1, 1)
@@ -70,8 +70,8 @@ def test_engine_matches_reference_on_every_parameter_set():
                 for view in views:
                     got = fields(build_message_plan(p, view, t))
                     assert got == plan_reference.build_message_plan(p, view, t), (p, bits, t)
-                    assert emission_schedule(p, view, t) == plan_reference.emission_schedule(
-                        p, view, t
+                    assert build_message_plan(p, view, t).emissions == tuple(
+                        plan_reference.emission_schedule(p, view, t)
                     )
                     plans += 1
     assert plans > 10_000
@@ -86,6 +86,56 @@ def test_engine_matches_reference_on_clean_past_windows():
             view = oracle_view(window)
             got = fields(build_message_plan(p, view, 0))
             assert got == plan_reference.build_message_plan(p, view, 0), (p, window)
+
+
+def first_hop(p, bits, now=None):
+    """The ``FirstHop`` an oracle holds (``now`` None) or a relay that has
+    ingested slots 0 .. now: the patterns ``oracle_view`` and
+    ``masked_view`` look up."""
+    pattern = source_codec.FirstHop(p.T, 0 if now is None else 1)
+    pattern.bits.extend(bits if now is None else bits[: now + 1])
+    return pattern
+
+
+def test_plans_placed_from_the_window_match_the_lookup_reference():
+    """Every set of all_valid_params(6) and (12,3,4,1), oracle and masked
+    views, t from 0: a plan placed from its window of bytes -- built from
+    the lookup or from the ``FirstHop`` the lookup reads -- equals the
+    reference driven by the lookup in every field, its emissions placed
+    with their interference included, and holds no callable.  Cold (the
+    store entry dropped before each set, and its shapes before each t)
+    and warm.  Windows reach below -T."""
+    plans = below = 0
+    for idx, p in enumerate([*all_valid_params(6), P12]):
+        d = derive_dims(p)
+        lag = 2 * (d.k_prime - 1)
+        rng = np.random.default_rng([43, idx])
+        horizon = lag + p.T + 2
+        streams = [random_bits(rng, horizon, p_erase) for p_erase in (p.N1 / (p.T + 1), 0.5)]
+        source_codec._STORE.pop(p, None)
+        for warm in (False, True):
+            for bits in streams:
+                for t in range(horizon - p.T + p.N2):
+                    if not warm:
+                        source_codec._entry(p).shapes.clear()
+                    views = [(oracle_view(bits), first_hop(p, bits))] + [
+                        (masked_view(bits, now), first_hop(p, bits, now))
+                        for now in (t, t + p.j, t + p.T - p.N2 - 1)
+                    ]
+                    for look, pattern in views:
+                        want = plan_reference.build_message_plan(p, look, t)
+                        want_emissions = tuple(plan_reference.emission_schedule(p, look, t))
+                        for form in (look, pattern):
+                            plan = build_message_plan(p, form, t)
+                            assert fields(plan) == want, (p, bits, t, warm)
+                            assert plan.emissions == want_emissions, (p, bits, t, warm)
+                            assert plan.n_tx == len(want[3])
+                            assert type(plan.window) is bytes and not any(
+                                callable(v) for v in vars(plan).values()
+                            )
+                            plans += 1
+                    below += t - lag < -p.T
+    assert plans > 10_000 and below > 0
 
 
 def test_compute_schedule_matches_closed_form_availability():

@@ -13,6 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
+import plan_reference
 from codec_reference import estimates_available
 from relaystream.dest_codec import interference_terms
 from relaystream.erasure_channel import enumerate_admissible, pattern_from_bits
@@ -26,8 +27,6 @@ from relaystream.source_codec import (
     OutOfOrder,
     SourcePacket,
     emission_coefficients,
-    emission_interference,
-    emission_schedule,
     encode_source,
     make_codes,
     relay_recovery_slot,
@@ -134,30 +133,28 @@ def recovery_oracle(p, bits, t):
 
 @pytest.mark.parametrize("p", [P523, P623, P7313])
 def test_relay_recovery_slot_matches_oracle(p):
+    """The rule read from the pattern's bytes, and the reference copy read
+    through a lookup, both give the brute-force oracle's slot."""
     horizon = 2 * (p.T + 1)
     for bits in enumerate_admissible(p.T, p.N1, horizon):
         look = lambda s: 0 <= s < horizon and bits[s] == 1
         for t in range(horizon - p.T):
-            assert relay_recovery_slot(p, look, t) == recovery_oracle(p, bits, t), (
-                bits,
-                t,
-            )
+            want = recovery_oracle(p, bits, t)
+            assert relay_recovery_slot(p, bytes(bits), t) == want, (bits, t)
+            assert plan_reference.relay_recovery_slot(p, look, t) == want, (bits, t)
 
 
 def test_recovery_slot_burst_example():
     # back-to-back erasures at slots 1 and 2: both messages known by slot 3
-    bits = [0, 1, 1, 0, 0, 0, 0, 0]
-    look = lambda s: 0 <= s < len(bits) and bits[s] == 1
-    assert relay_recovery_slot(P523, look, 1) == 3
-    assert relay_recovery_slot(P523, look, 2) == 3
-    assert relay_recovery_slot(P523, look, 0) == 0  # received at its own slot
+    window = bytes([0, 1, 1, 0, 0, 0, 0, 0])
+    assert relay_recovery_slot(P523, window, 1) == 3
+    assert relay_recovery_slot(P523, window, 2) == 3
+    assert relay_recovery_slot(P523, window, 0) == 0  # received at its own slot
 
 
 def test_recovery_none_when_diagonal_starved():
     # every parity slot of the diagonal erased too -> unrecoverable
-    bits = [1, 1, 1, 0, 0]
-    look = lambda s: 0 <= s < len(bits) and bits[s] == 1
-    assert relay_recovery_slot(P523, look, 0) is None
+    assert relay_recovery_slot(P523, bytes([1, 1, 1, 0, 0]), 0) is None
 
 
 def ground_truth_value(p, field, history, em, layer):
@@ -251,12 +248,11 @@ def test_interference_only_on_unresolved_messages():
     horizon = 2 * (p.T + 1)
     history = random_history(p, horizon, seed=8)
     for bits in enumerate_admissible(p.T, p.N1, horizon):
-        look = lambda s: 0 <= s < horizon and bits[s] == 1
         ledger, _ = ingest_pattern(p, history, bits)
         for t in range(horizon):
             for em in build_message_plan(p, ledger.erased, t).emissions:
                 for t2, _pos in em.interference:
-                    ready = relay_recovery_slot(p, look, t2)
+                    ready = relay_recovery_slot(p, bytes(bits), t2)
                     assert ready is None or ready > em.slot
 
 
@@ -275,9 +271,9 @@ def test_no_estimate_subtracts_a_term_of_an_erased_message():
             bits = [int(b) for b in rng.random(horizon) < eps]
             look = lambda s: 0 <= s < horizon and bits[s] == 1
             for t in range(horizon):
-                for em in emission_schedule(p, look, t):
+                for em in build_message_plan(p, look, t).emissions:
                     _, mu = emission_coefficients(field, code, em)
-                    inter = {q for _, q in emission_interference(p, look, t, em.pos, em.slot)}
+                    inter = {q for _, q in em.interference}
                     u = t - em.pos
                     for q in mu:
                         if u + q < 0 or q in inter:
