@@ -33,16 +33,17 @@ FAILED itself (loss propagation), which the caller sees as MissingDependency
 handled internally.
 
 The pattern is held in one store in both modes, ``pattern``, a
-``source_codec.FirstHop``: one byte per slot behind T zero bytes for the
-clean slots before 0.  In header mode it holds the bits each header
-delivered, with a marker for slots no header has covered yet, which every
-slot past its end reads too; the oracle's bits (``e1_bits``) are a pattern
-every slot of which is covered, clean past its end.  A slot's T+1 bits are
-then one ``bytes`` slice -- of the pattern, or the decoded header itself --
-which keys the layout memo of the store entry the decoder resolved at
-construction.  A plan is built from the pattern passed whole: it takes its
-window, [t-2(k'-1), t+T-N2], as one slice, keys its shape by the last
-T-N2+1 bytes of it and places interference from it.
+``source_codec.FirstHop``, which alone knows its bytes.  In header mode the
+decoder writes each header's bits into it (``FirstHop.cover``), and a slot
+no header has covered yet, past its end included, reads erased and not
+known; the oracle's bits (``e1_bits``) are a pattern known everywhere,
+clean past its end.  A slot's T+1 bits are then one ``bytes`` slice -- of
+the pattern, or the decoded header itself -- which keys the layout memo of
+the store entry the decoder resolved at construction.  A plan is built
+from the pattern passed whole once ``FirstHop.known`` holds over its
+window, [t - plan_past, t+T-N2] with ``plan_past`` the entry's: it takes
+the window as one slice, keys its shape by the last T-N2+1 bytes of it and
+places interference from it.
 ``decode_header`` memoizes its window in the same entry (symbols -> window)
 as that ``bytes`` slice, which the decoder reads directly, so a header
 costs one lookup; ``decode_header`` runs only on a miss.
@@ -51,7 +52,6 @@ costs one lookup; ``decode_header`` runs only on a miss.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field as dc_field
 
 from .field_mds import InconsistentSymbols
@@ -67,8 +67,6 @@ from .relay_codec import (
 )
 
 FAILED = "FAILED"
-_UNSEEN = 2  # header mode: a slot no header has covered yet
-_UNSEEN_BYTE = bytes((_UNSEEN,))
 
 
 class MalformedPacket(ValueError):
@@ -151,11 +149,11 @@ class DecoderState:
 
     The first-hop pattern lives in ``pattern`` in both modes.  With oracle
     side information pass it as ``e1_bits``, one 0/1 entry per slot from
-    slot 0; every slot counts as covered (``_known_below`` is infinite), and
-    slots past its end read clean.  In header mode pass None; the pattern
-    is accumulated from received packet headers, a slot no header has
-    covered yet, past its end included, holds ``_UNSEEN`` and reads erased,
-    and anything that needs bits not yet covered simply waits.
+    slot 0; the pattern is known everywhere, and slots past its end read
+    clean.  In header mode pass None; each received header is written into
+    the pattern (``FirstHop.cover``), a slot no header has covered yet,
+    past its end included, reads erased and is not known, and anything
+    that needs bits not yet covered simply waits.
 
     ``ingest`` checks a slot whole, then files it: a malformed slot (a
     symbol outside the field, a header no window has, a payload length the
@@ -163,15 +161,16 @@ class DecoderState:
 
     Each slot's rides are read in offsets through ``_slot_rides``, from the
     parameter set's store entry resolved once at construction, and a plan is
-    built from the pattern passed whole once ``_plan_ready`` holds, so its
-    window of [t-2(k'-1), t+T-N2] is one slice of known bits, keyed by the
-    slice of [t, t+T-N2].  An emission's interference
-    terms are a (message offset, position, MUL row) list, memoized in the
-    ``terms`` of the same entry on (pos, parity_rows, late, kept
-    positions); ``interference_terms`` runs only on a miss.  A codeword
-    missing a symbol decodes by a program in ``decode_programs`` of the
-    same entry, keyed by (n, k, queue items, held mask): at most the sum
-    over r >= k of C(n, r) masks per layout, the masks it can decode from.
+    built from the pattern passed whole once ``_plan_ready`` holds, one
+    ``FirstHop.known`` over the plan's window [t - plan_past, t+T-N2], so
+    the window is one slice of known bits, keyed by the slice of
+    [t, t+T-N2].  An emission's interference terms are a (message offset,
+    position, MUL row) list, memoized in the ``terms`` of the same entry on
+    (pos, parity_rows, late, kept positions); ``interference_terms`` runs
+    only on a miss.  A codeword missing a symbol decodes by a program in
+    ``decode_programs`` of the same entry, keyed by (n, k, queue items, held
+    mask): at most the sum over r >= k of C(n, r) masks per layout, the
+    masks it can decode from.
 
     A surplus parity off the decoded codeword raises
     ``InconsistentSymbols`` rather than being taken for an erasure.  The
@@ -206,13 +205,11 @@ class DecoderState:
         self._entry = _entry(p)
         self.field = self._entry.field
         self.header_mode = header_mode
-        self.pattern = FirstHop(p.T, _UNSEEN if header_mode else 0)
+        self.pattern = FirstHop(p.T, None if header_mode else 0)
         if header_mode:
             self._delta = header_overhead(p)
-            self._known_below = 0  # first slot no header has covered yet
         else:
             self.pattern.bits.extend(map(bool, e1_bits))
-            self._known_below = math.inf  # the oracle covers every slot
         self.msgs: dict[int, _MessageState] = {}
         self.last_slot = -1
         self._due: list[int] = []  # heap of messages to attempt
@@ -225,15 +222,7 @@ class DecoderState:
 
     def _plan_ready(self, t: int) -> bool:
         """All pattern bits a full plan for message t can depend on are known."""
-        T = self.params.T
-        hi = t + T - self.params.N2
-        if hi < self._known_below:
-            return True
-        # header mode past a gap (a hop-2 burst longer than T+1 lost every
-        # header of it)
-        lo = max(0, t - 2 * (self.dims.k_prime - 1))
-        known = self.pattern.bits
-        return hi + T < len(known) and known.find(_UNSEEN, lo + T, hi + T + 1) < 0
+        return self.pattern.known(t - self._entry.plan_past, t + self.params.T - self.params.N2)
 
     def plan(self, t: int) -> MessagePlan | None:
         st = self._state(t)
@@ -329,18 +318,11 @@ class DecoderState:
         # the slot is whole: record its header, then file its rides
         self.last_slot = max(self.last_slot, slot)
         if self.header_mode:
-            # the header covers [slot-T, slot], at indices slot .. slot+T;
-            # its bits before slot 0 stay the clean padding
-            known, end = self.pattern.bits, slot + T + 1
-            if len(known) < end:
-                known.extend(_UNSEEN_BYTE * (end - len(known)))
-            lo = slot if slot >= T else T
-            known[lo:end] = bits[lo - slot :]
-            below = known.find(_UNSEEN, self._known_below + T)
-            self._known_below = (len(known) if below < 0 else below) - T
-            for t in [t for t in self._planless if self._plan_ready(t)]:
-                self._planless.discard(t)
-                self._flag_if_enough(t, self.msgs[t])
+            self.pattern.cover(slot, bits)
+            for t in list(self._planless):
+                if self.plan(t) is not None:
+                    self._planless.discard(t)
+                    self._flag_if_enough(t, self.msgs[t])
         offset = 0
         for i, _, start, size in rides:
             t = slot - i

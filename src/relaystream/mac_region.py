@@ -21,8 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .erasure_channel import _burst_family
-from .field_mds import is_prime_power
-from .scheme_params import InvalidParams, SchemeParams, derive_dims
+from .scheme_params import InvalidParams, SchemeParams, _prime_power_at_least, derive_dims
 
 __all__ = [
     "MacParams",
@@ -218,10 +217,7 @@ def region_field_size(mac: MacParams) -> tuple[int, int]:
     scheme_params.implemented_field_size).
     """
     nominal = max(mac.T + 1 - mac.j1, mac.T + 1 - mac.j2)
-    q = max(nominal, 2)
-    while not is_prime_power(q):
-        q += 1
-    return nominal, q
+    return nominal, _prime_power_at_least(nominal)
 
 
 def emit_region_csv(mac: MacParams, path, mix_bound: int = 64) -> None:

@@ -35,14 +35,15 @@ only on the T-N2+1 bits of [t, t+T-N2].  So the plan's shape is kept in slot
 offsets from t and memoized per parameter set on those bits, at most
 2^(T-N2+1) shapes.  A hit costs one key lookup.  Interference also reads
 the bits back to t-2(k'-1) and is resolved per message, when an emission
-is placed (``_place``), from the plan's window of [t-2(k'-1), t+T-N2] as
-``bytes``; what the ledger and the destination then do with an emission's
-coefficients is memoized on its structure, in slot offsets (see
-``EstimateLedger`` and ``DecoderState``).  One rule, ``slot_layout(p, bits,
-s)``, says what rides relay slot s from the T+1 header bits of [s-T, s]:
-the relay emits, the destination slices and the verifier bounds the payload
-by it.  Its rides are memoized too, in slot offsets on those T+1 bits, at
-most 2^(T+1) layouts.  Shapes, layouts, headers and parity programs live
+is placed (``_place``), from the plan's window of [t - plan_past, t+T-N2]
+as ``bytes``, ``plan_past`` = 2(k'-1) being the one field of the store
+entry that names the window's past reach; what the ledger and the
+destination then do with an emission's coefficients is memoized on its
+structure, in slot offsets (see ``EstimateLedger`` and ``DecoderState``).
+One rule, ``slot_layout(p, bits, s)``, says what rides relay slot s from
+the T+1 header bits of [s-T, s]: the relay emits, the destination slices
+and the verifier bounds the payload by it.  Its rides are memoized too, in
+slot offsets on those T+1 bits, at most 2^(T+1) layouts.  Shapes, layouts, headers and parity programs live
 in the parameter set's entry of the codec's one store, read through its one
 accessor, ``source_codec._entry``.
 Every memo is keyed by ``bytes``, one 0/1 byte per slot.  The relay's ledger
@@ -229,8 +230,9 @@ def _plan_shape(p: SchemeParams, bits: bytes, shared: dict) -> _PlanShape:
 
 def _place(p: SchemeParams, t: int, window: bytes, em: PosEmission) -> PosEmission:
     """Emission ``em`` of a shape placed at message t, with the interference
-    ``emission_interference`` reads from ``window``, the first-hop bits of
-    [t-2(k'-1), t+T-N2]: its last T-N2+1 bytes are the shape's key."""
+    ``emission_interference`` reads from ``window``, the plan's first-hop
+    bits of [t - plan_past, t+T-N2]: its last T-N2+1 bytes are the shape's
+    key, so its length gives the reach."""
     lag = len(window) - p.T + p.N2 - 1  # window[lag] is slot t
     inter = emission_interference(p, window, lag, em.pos, lag + em.slot)
     if inter:
@@ -242,11 +244,12 @@ class MessagePlan:
     """Message t's relay treatment: a memoized shape placed at slot t.
 
     ``window`` is the plan's whole input, fixed when it was built: the
-    first-hop bits of [t-2(k'-1), t+T-N2] as ``bytes``, one 0/1 byte per
-    slot, slots before 0 clean; the shape is keyed by its last T-N2+1
-    bytes.  ``erased`` and ``n_tx`` read the shape; ``schedule``,
-    ``emissions``, ``tx`` and ``codewords`` are built on first use, each
-    emission placed with the interference the window gives it (``_place``).
+    first-hop bits of [t - plan_past, t+T-N2] as ``bytes``, ``plan_past``
+    = 2(k'-1) the store entry's, one 0/1 byte per slot, slots before 0
+    clean; the shape is keyed by its last T-N2+1 bytes.  ``erased`` and
+    ``n_tx`` read the shape; ``schedule``, ``emissions``, ``tx`` and
+    ``codewords`` are built on first use, each emission placed with the
+    interference the window gives it (``_place``).
     """
 
     def __init__(self, p: SchemeParams, t: int, shape: _PlanShape, window: bytes):
@@ -289,14 +292,15 @@ def build_message_plan(p: SchemeParams, erased_fn, t: int) -> MessagePlan:
 
     ``erased_fn`` is the first hop: a ``FirstHop``, which the relay and the
     destination pass whole, or any slot -> bool lookup.  The plan reads the
-    bits of [t-2(k'-1), t+T-N2] once, as its window of ``bytes``: one slice
-    of a ``FirstHop``, else one call of the lookup per slot from 0 on, the
-    slots before 0 clean.  This is the one place the engine turns a lookup
-    into bytes.  The shape is memoized on the window's last T-N2+1 bytes,
-    [t, t+T-N2]; the bits before t only place interference.
+    bits of [t - plan_past, t+T-N2] once, ``plan_past`` = 2(k'-1) the store
+    entry's, as its window of ``bytes``: one slice of a ``FirstHop``, else
+    one call of the lookup per slot from 0 on, the slots before 0 clean.
+    This is the one place the engine turns a lookup into bytes.  The shape
+    is memoized on the window's last T-N2+1 bytes, [t, t+T-N2]; the bits
+    before t only place interference.
     """
     entry = _entry(p)
-    lag = 2 * (entry.dims.k_prime - 1)
+    lag = entry.plan_past
     if type(erased_fn) is FirstHop:
         window = erased_fn.slice(t - lag, lag + p.T - p.N2 + 1)
     else:
@@ -449,18 +453,29 @@ class RelayState:
     erased one, then its parity rows.  Every ride is a slice of it, read
     through one accessor, ``_queue_values``, which places an estimate not
     yet valued from the ride's shape and one slice of the ledger's pattern,
-    the plan window [t-2(k'-1), t+T-N2] as the relay sees it, building no
-    ``MessagePlan``.  The first ride past the queue, when [t, t+T-N2] has
-    closed, appends the parity rows encoded from the queue with the plan
-    ``build_message_plan`` gives for the ledger's pattern, through the
-    parity program of that plan's codeword layout, and keeps the whole
-    sequence as a tuple, so every parity ride is one slice.
+    the plan window as the relay sees it (its past reach is the store
+    entry's ``plan_past``), building no ``MessagePlan``.  The first ride
+    past the queue, when [t, t+T-N2] has closed, appends the parity rows
+    encoded from the queue with the plan ``build_message_plan`` gives for
+    the ledger's pattern, through the parity program of that plan's
+    codeword layout, and keeps the whole sequence as a tuple, so every
+    parity ride is one slice.
     The sequence is dropped once slot t+T has been emitted.
 
-    The state stays bounded over a stream.  An estimate of a message t reads
-    packets back to slot t - 2(k'-1), the reach of its leftover terms, so
-    after slot s is emitted the ledger forgets every slot before
-    s+1-T-2(k'-1).  Its pattern stays, one byte per slot.
+    The state stays bounded over a stream: after slot s is emitted the
+    ledger forgets every packet before s - ``_ledger_lag``.  Its pattern
+    stays, one byte per slot.  A later slot s' > s reads packets for three
+    things:
+
+    - an estimate of message t, valued at its first ride, a message-phase
+      slot, so t >= s'-(T-N2) >= s+1-(T-N2).  Its parity rows lie after t;
+    - that estimate's known terms, on its diagonal back to t-(k'-1), so
+      from s+1-(T-N2)-(k'-1) = s-(T-N2+k'-2) on.  At k'=1 there are none,
+      and the parity rows, from s+2-(T-N2) on, reach furthest;
+    - a received message's own packet, at its first ride t+j, from s+1-j
+      on, which is later: j <= N1-1 makes T-N2-2 >= j-1.
+
+    So the lag is T-N2+k'-2, or T-N2-2 at k'=1.
     """
 
     def __init__(self, p: SchemeParams, header_mode: bool = False):
@@ -469,11 +484,8 @@ class RelayState:
         self.ledger = EstimateLedger(p)
         self.header_mode = header_mode
         self.queues: dict[int, list | tuple] = {}  # t -> second-hop sequence so far
-        # a plan's window starts 2(k'-1) slots before its message; once slot
-        # s is emitted, the oldest message in flight is s+1-T and its
-        # estimates read packets back to s+1-T-2(k'-1) = s - _ledger_lag
-        self._lag = 2 * (self.dims.k_prime - 1)
-        self._ledger_lag = p.T - 1 + self._lag
+        k = self.dims.k_prime
+        self._ledger_lag = p.T - p.N2 + k - 2 if k > 1 else p.T - p.N2 - 2
         self._entry = _entry(p)
 
     def ingest_source(self, slot: int, packet: SourcePacket | None) -> None:
@@ -499,7 +511,7 @@ class RelayState:
         if len(values) < end:
             fill = min(end, len(shape.tx))
             if len(values) < fill:
-                p, lag = self.params, self._lag
+                p, lag = self.params, self._entry.plan_past
                 window = self.ledger.pattern.slice(t - lag, lag + p.T - p.N2 + 1)
                 # emission e fills queue items e*l' .. e*l'+l'-1, one per layer
                 while len(values) < fill:

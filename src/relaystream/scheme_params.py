@@ -116,11 +116,8 @@ def rate_r1(T: int, N1: int, N2: int) -> Fraction:
 
 def rate_r2(p: SchemeParams, include_header: bool = False) -> Fraction:
     """Second-hop rate k_src/n2_star (optionally counting the delta header)."""
-    k = (p.T + 1 - p.N1 - p.N2) * (p.T + 1 - p.N2 - p.j)
-    denom = worst_case_n2(p)
-    if include_header:
-        denom += header_overhead(p)
-    return Fraction(k, denom)
+    d = derive_dims(p)
+    return Fraction(d.k_src, d.n2_star + (d.delta if include_header else 0))
 
 
 def scheme_rate(p: SchemeParams, include_header: bool = False) -> Fraction:
@@ -189,7 +186,12 @@ def implemented_field_size(p: SchemeParams) -> int:
 
     Cached per parameter set: the header codec asks once per packet.
     """
-    q = nominal_field_size(p)
+    return _prime_power_at_least(nominal_field_size(p))
+
+
+def _prime_power_at_least(q: int) -> int:
+    """The smallest prime power >= q (2 for any q below it)."""
+    q = max(q, 2)
     while not is_prime_power(q):
         q += 1
     return q

@@ -30,16 +30,21 @@ on the emission's shape and the positions it keeps, so an estimate costs
 one lookup and the GF arithmetic.  The pattern itself has one form,
 ``FirstHop``, which the relay's ledger and the destination each hold,
 differing only in what a slot past its end reads, and pass whole to the
-plan engine, which takes a plan's window as one slice of it.  The rules
-below read bits as ``bytes``: the emission schedule a plan shape's key,
-the interference and recovery rules a plan's window.
+plan engine, which takes a plan's window as one slice of it.  It is the
+only code that knows its bytes: the header-mode destination writes each
+header through it and asks it whether a plan's window is known yet.  The
+rules below read bits as ``bytes``: the emission schedule a plan shape's
+key, the interference and recovery rules a plan's window.
 
 This lowest codec layer also owns the codec's one store: per parameter set,
 one entry (``_entry``, the only accessor) with its field and codes and all
 that the three stages compile for it, each memo bounded by the set's window
-or layer code.  Both encoders run programs compiled into it: the first
-hop's diagonal program, built with the entry, and the second hop's parity
-programs, one per codeword layout (``relay_codec.build_parity_groups``).
+or layer code.  The entry also names how far a plan's window reaches
+before its message, ``plan_past`` = 2(k'-1) slots, which the plan engine,
+the relay and the destination read.  Both encoders run programs compiled
+into it: the first hop's diagonal program, built with the entry, and the
+second hop's parity programs, one per codeword layout
+(``relay_codec.build_parity_groups``).
 The destination's second-hop decode runs one too, per codeword layout and
 set of symbols held (``dest_codec``).
 """
@@ -63,12 +68,16 @@ class OutOfOrder(ValueError):
 class _Entry:
     """Everything the codec keeps for one parameter set."""
 
-    __slots__ = ("dims", "field", "code", "diagonals", "second_codes", "shapes", "layouts",
-                 "shared", "parity_programs", "headers", "windows", "programs", "terms",
-                 "decode_programs")
+    __slots__ = ("dims", "plan_past", "field", "code", "diagonals", "second_codes", "shapes",
+                 "layouts", "shared", "parity_programs", "headers", "windows", "programs",
+                 "terms", "decode_programs")
 
     def __init__(self, p: SchemeParams):
         d = self.dims = derive_dims(p)
+        # a plan's window is [t - plan_past, t+T-N2]: the interference rule
+        # reads back to t-(k'-1), and the relay's recovery of those slots
+        # another k'-1 before them
+        self.plan_past = 2 * (d.k_prime - 1)
         # the construction promises a field at least as large as every code length
         assert nominal_field_size(p) >= max(d.n_prime, d.n_dprime, p.T + 1 - p.N1)
         self.field = make_field(implemented_field_size(p))
@@ -303,26 +312,33 @@ def emission_coefficients(
 # the first-hop pattern, as the relay or the destination knows it
 
 _AS_ERASED = bytes([0] + [1] * 255)  # translate table: any nonzero byte -> 1
+_UNSEEN = 2  # header mode: a slot no header has covered yet
 
 
 class FirstHop:
-    """A first-hop erasure pattern.  ``bits`` holds T zero bytes for the
-    clean slots before 0, then one byte per slot, 0 where received; every
-    slot past its end reads ``past``, and any nonzero byte reads erased.
-    ``past`` is 1 at the relay (not yet seen), 0 for an oracle (clean) and,
-    in header mode, a marker above 1 (no header has covered the slot) that
-    slots before the end may hold too.  ``erased`` is the slot -> bool
-    lookup, a closure over the bytes that holds neither the pattern nor its
-    owner, and calling the pattern is the same lookup.  ``slice(lo, n)``
-    gives [lo, lo+n) as ``erased`` reads it, one 0/1 byte per slot and any
-    lo, so a slot's bits and a plan's window are each one slice.
+    """A first-hop erasure pattern, and the only code that knows its bytes.
+
+    ``bits`` holds T zero bytes for the clean slots before 0, then one byte
+    per slot, 0 where received; every slot past its end reads ``past``, and
+    any nonzero byte reads erased.  ``past`` is 1 at the relay (not yet
+    seen) and 0 for an oracle (clean); None makes a header-mode pattern, in
+    which a slot no header has covered, past the end or in a gap before it,
+    holds the ``_UNSEEN`` marker.  ``cover`` writes one header's bits, and
+    ``known(lo, hi)`` says whether every slot of [lo, hi] holds a bit: only
+    a marker makes it false, so the relay's and an oracle's patterns are
+    known everywhere.  ``erased`` is the slot -> bool lookup, a closure over
+    the bytes that holds neither the pattern nor its owner, and calling the
+    pattern is the same lookup.  ``slice(lo, n)`` gives [lo, lo+n) as
+    ``erased`` reads it, one 0/1 byte per slot and any lo, so a slot's bits
+    and a plan's window are each one slice.
     """
 
     __slots__ = ("bits", "past", "erased", "_pad")
 
-    def __init__(self, T: int, past: int):
+    def __init__(self, T: int, past: int | None):
         bits = self.bits = bytearray(T)
-        self.past, self._pad = past, T
+        past = self.past = _UNSEEN if past is None else past
+        self._pad = T
 
         def erased(s: int) -> bool:
             if s < 0:
@@ -347,7 +363,24 @@ class FirstHop:
         out = bytes(self.bits[start : start + n])
         if len(out) < n:
             out += bytes((self.past,)) * (n - len(out))
-        return out.translate(_AS_ERASED) if self.past > 1 else out
+        return out.translate(_AS_ERASED) if self.past == _UNSEEN else out
+
+    def cover(self, s: int, bits: bytes) -> None:
+        """Write the header of slot s, the T+1 bits of [s-T, s]: slots
+        between the end and s-T keep the marker, slots before 0 the clean
+        padding."""
+        store, pad, end = self.bits, self._pad, s + self._pad + 1
+        if len(store) < end:
+            store.extend(bytes((self.past,)) * (end - len(store)))
+        lo = max(s, pad)  # the byte of slot max(s-T, 0)
+        store[lo:end] = bits[lo - s :]
+
+    def known(self, lo: int, hi: int) -> bool:
+        """Whether every slot of [lo, hi] holds a bit, not the marker."""
+        if self.past != _UNSEEN:
+            return True
+        bits, start, end = self.bits, lo + self._pad, hi + self._pad + 1
+        return end <= len(bits) and _UNSEEN not in bits[start if start > 0 else 0 : end]
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +430,9 @@ class EstimateLedger:
     yet ingested reads erased, and ``erased`` is its lookup.  On its own the
     ledger keeps every packet, so it can value any emission of the stream.
     A streaming owner calls ``forget_before`` once no later estimate can
-    read a slot; ``RelayState`` does, and then the packets span about T +
-    2(k'-1) slots.  The pattern stays whole: plans read first-hop bits of
-    any age.
+    read a slot; ``RelayState`` does, and then the packets span at most
+    T-N2+k'-1 slots (T-N2-1 at k'=1; see ``RelayState``).  The pattern
+    stays whole: plans read first-hop bits of any age.
     """
 
     def __init__(self, p: SchemeParams):

@@ -18,11 +18,11 @@ Parameter sets are ``all_valid_params(7)`` plus (12,3,4,1), horizons run
 from T+1 to 3(T+1) slots, and each hop's erasures are an arbitrary set of
 slots, or for (d) that set with each erasure dropped that would put more
 than N in a (T+1)-slot window.  The profile is derandomized, so the
-examples are the same on every run, and a failure shrinks to a small
-pattern pair.
+examples are the same on every run, and a failure of (a)-(c) shrinks to a
+small pattern pair; (d) reports its failing example unshrunk.
 """
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from relaystream.erasure_channel import is_admissible
@@ -31,11 +31,13 @@ from relaystream.sim_harness import all_valid_params, run_episode
 
 # half the examples at (12,3,4,1), where k' = 6, half over the T <= 7 sweep
 PARAMS = st.one_of(st.sampled_from(list(all_valid_params(7))), st.just(SchemeParams(12, 3, 4, 1)))
+# the loaded profile's example count: 100, unless a run loads the larger
+# profile of conftest.py
 PROFILE = settings(
     derandomize=True,
     database=None,
     deadline=None,
-    max_examples=100,
+    max_examples=settings.default.max_examples,
     suppress_health_check=[HealthCheck.too_slow],
 )
 
@@ -146,7 +148,9 @@ def flipped(bits, x):
     return [*bits[:x], 1 - bits[x], *bits[x + 1 :]]
 
 
-@PROFILE
+# No shrink phase: an example runs up to seven episodes, and shrinking a
+# failure took minutes where a passing run takes seconds.
+@settings(PROFILE, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(local_flips())
 def test_a_flip_outside_the_window_never_moves_the_message(case):
     p, horizon, header_mode, t, hops, flips = case

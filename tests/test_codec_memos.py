@@ -196,8 +196,11 @@ def test_first_hop_reads_past_its_end_by_its_owners_rule(rule):
     clean at the oracle and unseen in header mode, where an uncovered slot
     reads erased and blocks ``_plan_ready``.  Every slice of T+1 slots or of
     a plan window's 2(k'-1)+T-N2+1, from every lo in [-3T, end], is the
-    slots' bits, and the pattern passed whole gives the very shape its
-    lookup gives, cold (the store entry dropped) and warm."""
+    slots' bits.  ``known`` over every plan window, from t = -T on, says
+    whether each of its slots is covered: always at the relay and the
+    oracle, and in header mode unless the window meets the burst's gap or
+    a slot past the last header.  The pattern passed whole gives the very
+    shape its lookup gives, cold (the store entry dropped) and warm."""
     for p, seed in ((SchemeParams(5, 2, 3, 0), 91), (P12, 92)):
         rng = np.random.default_rng(seed)
         horizon = 90
@@ -215,12 +218,17 @@ def test_first_hop_reads_past_its_end_by_its_owners_rule(rule):
         for x in range(-3 * p.T, horizon + 1):
             for n in (p.T + 1, width):
                 assert pattern.slice(x, n) == bytes(bit[y] for y in range(x, x + n)), (p, x, n)
-        if rule == "header":
-            lag = 2 * (derive_dims(p).k_prime - 1)
-            assert not header_covered(p, bits2, 32), p  # the burst left a gap
-            for t in range(horizon):
-                window = range(max(0, t - lag), t + p.T - p.N2 + 1)
-                ready = all(header_covered(p, bits2, x) for x in window)
+        lag = 2 * (derive_dims(p).k_prime - 1)
+
+        def covered(x):
+            return rule != "header" or x < 0 or header_covered(p, bits2, x)
+
+        assert covered(32) == (rule != "header"), p  # the burst left a gap
+        for t in range(-p.T, horizon + 1):
+            window = range(t - lag, t + p.T - p.N2 + 1)
+            ready = all(covered(x) for x in window)
+            assert pattern.known(window[0], window[-1]) == ready, (p, t)
+            if rule != "relay" and t >= 0:
                 assert owner._plan_ready(t) == ready, (p, t)
         for pattern_first in (True, False):
             source_codec._STORE.pop(p, None)

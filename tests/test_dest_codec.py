@@ -15,7 +15,7 @@ import pytest
 
 from codec_reference import cancel_interference, dest_ingest, oracle_decode, queue_reference
 from decode_programs import outcome, same
-from relaystream import dest_codec, source_codec
+from relaystream import source_codec
 from relaystream.dest_codec import (
     FAILED,
     DecoderState,
@@ -219,7 +219,7 @@ def _filed_state(dest):
     the decoder's pattern and decode-event stores."""
     copy = lambda store: None if store is None else dict(store)
     filed = {t: (copy(st.got), st.received) for t, st in dest.msgs.items()}
-    return filed, bytes(dest.pattern.bits), dest._known_below, set(dest._planless), list(dest._due)
+    return filed, bytes(dest.pattern.bits), set(dest._planless), list(dest._due)
 
 
 def test_malformed_packet_lengths():
@@ -336,20 +336,20 @@ def header_covered(dest, x):
     """Whether a header has covered slot x: its byte, behind the T bytes of
     slots before 0, is present and not the unseen marker."""
     i = x + dest.params.T
-    return i < len(dest.pattern.bits) and dest.pattern.bits[i] != dest_codec._UNSEEN
+    return i < len(dest.pattern.bits) and dest.pattern.bits[i] != source_codec._UNSEEN
 
 
-def test_plan_ready_watermark_matches_the_scan_across_a_header_gap():
+def test_plan_ready_matches_the_scan_across_a_header_gap():
     """At every slot, for every pending message, ``_plan_ready`` equals the
-    plain scan of the bits a plan can read, before the gap (the watermark
-    answers) and after it (the scan answers), and the episode's report is
+    plain scan of the bits a plan can read, for messages whose window ends
+    before the gap and for messages past it, and the episode's report is
     the one the decoder gave before the watermark."""
     p, bits1, bits2, horizon = gap_episode()
     k = derive_dims(p).k_prime
     messages = episode_messages(p, horizon, seed=61)
     relay = RelayState(p, header_mode=True)
     dest = DecoderState(p, header_mode=True)
-    by_watermark = ready_past_gap = 0
+    ready_before_gap = ready_past_gap = 0
     for s in range(horizon):
         relay.ingest_source(s, None if bits1[s] else encode_source(p, messages, s))
         wire = relay.emit(s).wire_symbols()
@@ -360,12 +360,12 @@ def test_plan_ready_watermark_matches_the_scan_across_a_header_gap():
             lo, hi = max(0, t - 2 * (k - 1)), t + p.T - p.N2
             scan = all(header_covered(dest, x) for x in range(lo, hi + 1))
             assert dest._plan_ready(t) == scan, (s, t)
-            by_watermark += hi < dest._known_below
-            ready_past_gap += scan and hi >= dest._known_below
+            ready_before_gap += scan and hi < 24
+            ready_past_gap += scan and hi >= 24
         for t in dest.due(s):
             dest.try_decode(t, now=s)
-    assert dest._known_below == 24  # the gap stops the watermark
-    assert by_watermark and ready_past_gap
+    assert not header_covered(dest, 24)  # the gap
+    assert ready_before_gap and ready_past_gap
 
     rep = run_episode(p, bits1, bits2, horizon, seed=61, header_mode=True)
     observed = {

@@ -18,6 +18,7 @@ import pytest
 
 from relaystream import sim_harness
 from relaystream.dest_codec import MissingDependency
+from relaystream.relay_codec import RelayState
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import run_episode
 from stream_state import GROWTH_BOUND, P523, growth_per_slot, stream_inputs
@@ -114,18 +115,50 @@ def test_the_oracle_stream_loses_through_dependencies():
     assert dest.dependency_losses > 5
 
 
+def ledger_reach(p):
+    """How many slots before the one just emitted a later slot can read the
+    ledger: T-N2+k'-2, or T-N2-2 at k'=1 (see ``RelayState``)."""
+    k = derive_dims(p).k_prime
+    return p.T - p.N2 + k - 2 if k > 1 else p.T - p.N2 - 2
+
+
 @pytest.mark.parametrize("name", sorted(STREAM_PINS))
 def test_ledger_holds_only_the_slots_in_flight_messages_read(name):
     """At every slot of the 3000, the relay's ledger holds packets of at
-    most T+2k'+1 slots, none older than T+2k' slots; the erasure bits stay
-    whole."""
+    most ``ledger_reach`` + 1 slots, none older than ``ledger_reach``
+    slots; the erasure bits stay whole."""
     rep, relay, _ = run_stream(name)
-    p, k = rep.params, derive_dims(rep.params).k_prime
+    p, reach = rep.params, ledger_reach(rep.params)
     assert len(relay.ledger.pattern.bits) == p.T + HORIZON
     assert relay.held["packets"]  # filled, then pruned
     for name in LEDGER_STORES:
-        assert relay.held[name] <= p.T + 2 * k + 1, (name, relay.held[name])
-        assert relay.reach[name] <= p.T + 2 * k, (name, relay.reach[name])
+        assert relay.held[name] <= reach + 1, (name, relay.held[name])
+        assert relay.reach[name] <= reach, (name, relay.reach[name])
+
+
+@pytest.mark.parametrize("p", [P523, SchemeParams(4, 2, 2, 1), SchemeParams(7, 3, 4, 2)])
+def test_a_ledger_that_forgets_one_slot_more_raises(p):
+    """At k'=1 the relay's ledger reach is tight: seeded i.i.d. episodes,
+    hop 1 at eps 0.3 (inadmissible in places), run through in both modes,
+    and each raises ``KeyError`` once the relay forgets one slot more."""
+    horizon = 3 * (p.T + 1)
+
+    class Forgetful(sim_harness.RelayState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._ledger_lag -= 1
+
+    assert derive_dims(p).k_prime == 1 and RelayState(p)._ledger_lag == ledger_reach(p)
+    for seed in range(3):
+        rng = np.random.default_rng([seed, p.T])
+        e1 = (rng.random(horizon) < 0.3).astype(int).tolist()
+        e2 = (rng.random(horizon) < 0.1).astype(int).tolist()
+        for header_mode in (False, True):
+            run_episode(p, e1, e2, horizon, seed=seed, header_mode=header_mode)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sim_harness, "RelayState", Forgetful)
+                with pytest.raises(KeyError):
+                    run_episode(p, e1, e2, horizon, seed=seed, header_mode=header_mode)
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_PINS))
