@@ -23,9 +23,11 @@ transmits, it:
 2. maps the queue back to flat message indices through the plan's tx order;
 3. cancels estimate interference using messages it already decoded, walking
    forward in time so dependencies are always resolved first.  Which terms
-   an emission carries, in message offsets with the MUL row of each
-   coefficient, is memoized on the emission's structure in the parameter
-   set's store entry; an attempt only looks up each dependency's outcome.
+   an emission carries, each a (MUL row, message offset, position) triple,
+   is the ``kept`` part of the emission program the relay's ledger values
+   it by (``source_codec._emission_program``), memoized on the emission's
+   structure in the parameter set's store entry; an attempt only looks up
+   each dependency's outcome.
 
 A message still undecodable after its deadline t+T is FAILED -- a value, not
 an error; a later message whose interference references a FAILED one becomes
@@ -46,7 +48,8 @@ the window as one slice, keys its shape by the last T-N2+1 bytes of it and
 places interference from it.
 ``decode_header`` memoizes its window in the same entry (symbols -> window)
 as that ``bytes`` slice, which the decoder reads directly, so a header
-costs one lookup; ``decode_header`` runs only on a miss.
+costs one lookup; on a miss the decoder calls ``decode_header``, the
+memo's one writer, and reads the window it stored.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .field_mds import InconsistentSymbols
 from .scheme_params import SchemeParams, derive_dims, header_overhead
-from .source_codec import (FirstHop, PosEmission, _Entry, _entry, _structure_key,
-                           emission_coefficients, make_codes)
+from .source_codec import FirstHop, _Entry, _emission_program, _entry
+from .source_codec import interference_terms  # noqa: F401  (resolved here by perfbench and tests)
 from .relay_codec import (
     MessagePlan,
     _slot_rides,
@@ -78,23 +81,9 @@ class MissingDependency(ValueError):
     """Interference cancellation needs a message that was never decoded."""
 
 
-def interference_terms(p: SchemeParams, em: PosEmission, layer: int):
-    """(t', flat', coeff) interference an estimate of ``layer`` carries.
-
-    Mirrors the relay's bookkeeping: of the leftover combination
-    coefficients, exactly the positions the relay could not cancel eagerly
-    (recorded in the emission) survive into the transmitted value.
-    """
-    field, code = make_codes(p)
-    _, mu = emission_coefficients(field, code, em)
-    u = em.t - em.pos
-    return [
-        (u + q, layer * code.k + q, mu[q]) for (_, q) in em.interference if q in mu
-    ]
-
-
 def _decode_program(p: SchemeParams, entry: _Entry, key: tuple) -> tuple:
-    """The decode program of ``key`` in ``entry``, the entry of ``p``.
+    """The decode program of ``key`` in ``entry``, the entry of ``p``,
+    compiled on a miss of its ``decode_programs``.
 
     ``key`` is (n, k, m, held) for a codeword of the (n, k) second-hop code
     over m queue items: ``held`` has a byte per symbol gathered, the m
@@ -110,6 +99,9 @@ def _decode_program(p: SchemeParams, entry: _Entry, key: tuple) -> tuple:
     at the relay and contribute nothing.  Zero coefficients are dropped, and
     each term is stored once through the entry's own ``shared``.
     """
+    program = entry.decode_programs.get(key)
+    if program is not None:
+        return program
     n, k, m, held = key
     code, mul, shared = second_code(p, n, k), entry.field.MUL, entry.shared
     # codeword positions held: item r at r, padding in [m, k), parity i at k+i
@@ -128,7 +120,8 @@ def _decode_program(p: SchemeParams, entry: _Entry, key: tuple) -> tuple:
 
     lost = tuple((r, terms((g, col[r]) for g, col in columns)) for r in range(m) if not held[r])
     checks = tuple((j - k + m, terms((g, word[j]) for g, word in words)) for j in surplus)
-    return lost, checks
+    program = entry.decode_programs[key] = lost, checks
+    return program
 
 
 @dataclass(slots=True)
@@ -164,13 +157,16 @@ class DecoderState:
     built from the pattern passed whole once ``_plan_ready`` holds, one
     ``FirstHop.known`` over the plan's window [t - plan_past, t+T-N2], so
     the window is one slice of known bits, keyed by the slice of
-    [t, t+T-N2].  An emission's interference terms are a (message offset,
-    position, MUL row) list, memoized in the ``terms`` of the same entry on
-    (pos, parity_rows, late, kept positions); ``interference_terms`` runs
-    only on a miss.  A codeword missing a symbol decodes by a program in
-    ``decode_programs`` of the same entry, keyed by (n, k, queue items, held
-    mask): at most the sum over r >= k of C(n, r) masks per layout, the
-    masks it can decode from.
+    [t, t+T-N2].  An emission's interference terms are the ``kept`` terms
+    of its emission program, (MUL row, message offset, position) triples,
+    in the ``programs`` of the same entry on (pos, parity_rows, late, kept
+    positions), compiled on a miss by ``_emission_program`` from
+    ``interference_terms``; in an episode the relay's ledger, which values
+    every emission first, compiles it.  A codeword missing a symbol decodes
+    by a program in ``decode_programs`` of the same entry, keyed by (n, k,
+    queue items, held mask) and compiled on a miss by ``_decode_program``:
+    at most the sum over r >= k of C(n, r) masks per layout, the masks it
+    can decode from.
 
     A surplus parity off the decoded codeword raises
     ``InconsistentSymbols`` rather than being taken for an erasure.  The
@@ -299,9 +295,10 @@ class DecoderState:
             bits = windows.get(header)
             if bits is None:  # decode_header fills the memo, or rejects the header
                 try:
-                    bits = windows.setdefault(header, bytes(decode_header(p, header)))
+                    decode_header(p, header)
                 except ValueError as exc:
                     raise MalformedPacket(f"slot {slot}: {exc}") from None
+                bits = windows[header]
             symbols = symbols[delta:]
         else:
             bits = self.pattern.slice(slot - T, T + 1)  # [slot-T, slot]
@@ -404,7 +401,7 @@ class DecoderState:
         queue = seq[:n_tx]
         if None not in queue:
             return queue
-        programs, add = self._entry.decode_programs, self.field.ADD
+        add = self.field.ADD
         for ci, (n, k, items) in enumerate(codewords):
             held = [queue[item] for item in items]
             if None not in held:
@@ -413,10 +410,7 @@ class DecoderState:
             if held.count(None) > n2:
                 return None  # not yet decodable
             key = (n, k, len(items), bytes([v is not None for v in held]))
-            program = programs.get(key)
-            if program is None:
-                program = programs[key] = _decode_program(self.params, self._entry, key)
-            lost, checks = program
+            lost, checks = _decode_program(self.params, self._entry, key)
             for r, terms in lost:
                 value = 0
                 for g, row in terms:
@@ -435,7 +429,7 @@ class DecoderState:
     def _cancel(self, t: int, plan: MessagePlan, queue: list[int]):
         """Subtract interference using already-decoded messages, resolving
         each emission's terms once for all its layers."""
-        k = self.dims.k_prime
+        p, entry, k = self.params, self._entry, self.dims.k_prime
         sub = self.field.SUB
         out = [0] * self.dims.k_src
         resolved: dict[int, list] = {}  # emission -> [(MUL row of coeff, message, position)]
@@ -443,7 +437,8 @@ class DecoderState:
             terms = resolved.get(e)
             if terms is None:
                 terms = resolved[e] = []
-                for off, pos, row in self._terms_of(plan.emissions[e]):
+                _, _, kept = _emission_program(p, entry, plan.emissions[e])
+                for row, off, pos in kept:
                     dep = self.msgs.get(t + off)
                     dep_val = dep.outcome if dep is not None else None
                     if dep_val is FAILED:
@@ -460,17 +455,3 @@ class DecoderState:
                 value = sub[value][row[dep_val[layer + pos]]]
             out[flat] = value
         return out
-
-    def _terms_of(self, em: PosEmission) -> tuple:
-        """``interference_terms(p, em, 0)`` as (message offset from em.t,
-        position, MUL row of the coefficient), memoized on the emission's
-        structure."""
-        key, lists = _structure_key(em), self._entry.terms
-        terms = lists.get(key)
-        if terms is None:
-            mul = self.field.MUL
-            terms = lists[key] = tuple(
-                (t2 - em.t, pos, mul[coeff])
-                for t2, pos, coeff in interference_terms(self.params, em, 0)
-            )
-        return terms

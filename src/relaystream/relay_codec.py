@@ -38,8 +38,9 @@ the bits back to t-2(k'-1) and is resolved per message, when an emission
 is placed (``_place``), from the plan's window of [t - plan_past, t+T-N2]
 as ``bytes``, ``plan_past`` = 2(k'-1) being the one field of the store
 entry that names the window's past reach; what the ledger and the
-destination then do with an emission's coefficients is memoized on its
-structure, in slot offsets (see ``EstimateLedger`` and ``DecoderState``).
+destination then do with an emission's coefficients is one emission
+program memoized on its structure, in slot offsets
+(``source_codec._emission_program``).
 One rule, ``slot_layout(p, bits, s)``, says what rides relay slot s from
 the T+1 header bits of [s-T, s]: the relay emits, the destination slices
 and the verifier bounds the payload by it.  Its rides are memoized too, in
@@ -464,18 +465,43 @@ class RelayState:
 
     The state stays bounded over a stream: after slot s is emitted the
     ledger forgets every packet before s - ``_ledger_lag``.  Its pattern
-    stays, one byte per slot.  A later slot s' > s reads packets for three
+    stays, one byte per slot.  A later slot s' > s reads packets for two
     things:
 
-    - an estimate of message t, valued at its first ride, a message-phase
-      slot, so t >= s'-(T-N2) >= s+1-(T-N2).  Its parity rows lie after t;
-    - that estimate's known terms, on its diagonal back to t-(k'-1), so
-      from s+1-(T-N2)-(k'-1) = s-(T-N2+k'-2) on.  At k'=1 there are none,
-      and the parity rows, from s+2-(T-N2) on, reach furthest;
+    - an estimate of (t, pos), valued at its first ride r, a slot of
+      [t+j, t+T-N2]: its parity rows, all after t, and its known terms, on
+      its diagonal back to t-pos.  As r - t + pos <= T-N2 (below), it reads
+      no slot before s' - (T-N2), so none before s - (T-N2-1).  At k'=1
+      there is no known term before t, and the parity rows, from t+1 on,
+      reach furthest: s - (T-N2-2);
     - a received message's own packet, at its first ride t+j, from s+1-j
       on, which is later: j <= N1-1 makes T-N2-2 >= j-1.
 
-    So the lag is T-N2+k'-2, or T-N2-2 at k'=1.
+    So the lag is T-N2-1, or T-N2-2 at k'=1.
+
+    Why r - t + pos <= T-N2.  Count offsets from t, with R(i) and E(i) the
+    received and erased slots of [1, i].  The diagonal of (t, pos) holds
+    len(late)+1 parity rows by a received offset x exactly when R(x) >=
+    k'-pos, and its rows end at T-N2-pos.  So emission c (from 0) is of
+    position k'-1-c, at the (c+1)-th received offset x, and exists only if
+    x <= N1+c = T-N2-pos, that is E(x) <= N1-1.  It first rides once the
+    items sent pass c*l', and by offset n the schedule has sent the least,
+    over i0 in [-1, n], of A(i0) + S: A(i0) the items available by i0, l'
+    per emission (A(-1) = 0), and S the caps of (i0, n], 0 before j, k'
+    while E(i-1) <= j-1, then 0 before N1 and l' from N1 on.  At n = N1+c every term
+    passes c*l'.  From i0 >= x on, A alone holds (c+1)*l'.  Before x,
+    A(i0) = l'*R(i0) and E(i0) <= N1-1, so S must pass l'*w, w = c - R(i0)
+    <= c:
+
+    - every slot of (i0, n] at cap l': S = l'(N1+c-i0) > l'*w, as E(i0) < N1;
+    - the cap drops to 0 before N1, and i0 < N1-1: [N1, n] alone gives
+      l'(c+1);
+    - otherwise at most N1+c-j+1 slots of (i0, n] at cap k', the rest at
+      l', and E(i0) <= j-1 if i0 >= j-1, so S - l'*w >= l'(N1-j+1) -
+      (l'-k')(N1+c-j+1) = (N1-j+1)k' - (N1-j)c > 0, since l'-k' = N1-j and
+      c < k'.
+
+    No step assumes an admissible first hop.
     """
 
     def __init__(self, p: SchemeParams, header_mode: bool = False):
@@ -485,7 +511,7 @@ class RelayState:
         self.header_mode = header_mode
         self.queues: dict[int, list | tuple] = {}  # t -> second-hop sequence so far
         k = self.dims.k_prime
-        self._ledger_lag = p.T - p.N2 + k - 2 if k > 1 else p.T - p.N2 - 2
+        self._ledger_lag = p.T - p.N2 - 1 if k > 1 else p.T - p.N2 - 2
         self._entry = _entry(p)
 
     def ingest_source(self, slot: int, packet: SourcePacket | None) -> None:

@@ -25,10 +25,11 @@ what lets the destination replay the relay's bookkeeping symbolically.  The
 plan engine in ``relay_codec`` owns that structure.  The ledger only stores
 what arrived and, when the relay first sends an estimate, works out its
 values from the packets ingested so far.  How it combines them is itself
-structure: a valuation program in slot offsets from the message, memoized
+structure: an emission program in slot offsets from the message, memoized
 on the emission's shape and the positions it keeps, so an estimate costs
-one lookup and the GF arithmetic.  The pattern itself has one form,
-``FirstHop``, which the relay's ledger and the destination each hold,
+one lookup and the GF arithmetic.  The same program lists the terms the
+estimate keeps, which the destination cancels.  The pattern itself has one
+form, ``FirstHop``, which the relay's ledger and the destination each hold,
 differing only in what a slot past its end reads, and pass whole to the
 plan engine, which takes a plan's window as one slice of it.  It is the
 only code that knows its bytes: the header-mode destination writes each
@@ -46,7 +47,11 @@ into it: the first hop's diagonal program, built with the entry, and the
 second hop's parity programs, one per codeword layout
 (``relay_codec.build_parity_groups``).
 The destination's second-hop decode runs one too, per codeword layout and
-set of symbols held (``dest_codec``).
+set of symbols held (``dest_codec``).  Each estimate structure has one
+emission program (``_emission_program``): the split of its leftover
+coefficients into the known terms the relay subtracts and the kept terms
+the destination cancels is compiled once, for both.  Each memo of the entry
+has one function that stores into it.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ class _Entry:
 
     __slots__ = ("dims", "plan_past", "field", "code", "diagonals", "second_codes", "shapes",
                  "layouts", "shared", "parity_programs", "headers", "windows", "programs",
-                 "terms", "decode_programs")
+                 "decode_programs")
 
     def __init__(self, p: SchemeParams):
         d = self.dims = derive_dims(p)
@@ -96,8 +101,7 @@ class _Entry:
         self.parity_programs: dict[tuple, tuple] = {}  # codeword layout -> parity program
         self.headers: dict[bytes, tuple] = {}  # slot's T+1 bits -> header symbols
         self.windows: dict[tuple, bytes] = {}  # valid header symbols -> T+1 bits
-        self.programs: dict[tuple, tuple] = {}  # _structure_key -> valuation program
-        self.terms: dict[tuple, tuple] = {}  # _structure_key -> interference term list
+        self.programs: dict[tuple, tuple] = {}  # _structure_key -> emission program
         # (n, k, codeword's queue items, held mask) -> second-hop decode program
         self.decode_programs: dict[tuple, tuple] = {}
 
@@ -116,12 +120,6 @@ def _entry(p: SchemeParams) -> _Entry:
             del _STORE[next(iter(_STORE))]
         entry = _STORE[p] = _Entry(p)
     return entry
-
-
-def make_codes(p: SchemeParams) -> tuple[GaloisField, MdsCode]:
-    """Field and first-hop (n', k') layer code for a parameter set."""
-    entry = _entry(p)
-    return entry.field, entry.code
 
 
 @dataclass(frozen=True)
@@ -287,8 +285,8 @@ def emission_coefficients(
     mu maps every position outside {pos}+late to its leftover coefficient in
     the combination (zero entries dropped); interference terms keep exactly
     these coefficients, known terms get subtracted with them.  Not memoized:
-    its callers run it only to compile a program or a term list, which their
-    store entry keeps.
+    it runs only to compile an emission program (``_emission_program``),
+    which the store entry keeps.
     """
     P = code.parity
     cols = (em.pos,) + em.late
@@ -306,6 +304,22 @@ def emission_coefficients(
         if acc:
             mu[pos] = acc
     return tuple(lam), mu
+
+
+def interference_terms(p: SchemeParams, em: PosEmission, layer: int):
+    """(t', flat', coeff) interference an estimate of ``layer`` carries.
+
+    Mirrors the relay's bookkeeping: of the leftover combination
+    coefficients, exactly the positions the relay could not cancel eagerly
+    (recorded in the emission) survive into the transmitted value.  Every
+    other position of mu's support is a known term the relay subtracts.
+    """
+    entry = _entry(p)
+    _, mu = emission_coefficients(entry.field, entry.code, em)
+    u = em.t - em.pos
+    return [
+        (u + q, layer * entry.code.k + q, mu[q]) for (_, q) in em.interference if q in mu
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +408,32 @@ class ErasedKnownTerm(RuntimeError):
 
 def _structure_key(em: PosEmission) -> tuple:
     """(pos, parity_rows, late, kept positions): all of an emission, t aside,
-    that its valuation program and its interference term list depend on.  A
-    kept term (t', q) lies at t' = t - pos + q, so the kept positions are the
-    interference in offsets."""
+    that its emission program depends on.  A kept term (t', q) lies at
+    t' = t - pos + q, so the kept positions are the interference in
+    offsets."""
     return em.pos, em.parity_rows, em.late, tuple(q for _, q in em.interference)
+
+
+def _emission_program(p: SchemeParams, entry: _Entry, em: PosEmission) -> tuple:
+    """The emission program of ``em``'s structure in ``entry``, the entry
+    of ``p``: (parities, known, kept), each term a (MUL row, offset from
+    em.t, position) triple.  ``parities`` has one per parity row combined,
+    lambda's coefficient, the packet offset and the column of the row;
+    ``kept`` is ``interference_terms`` of layer 0, the terms the
+    destination cancels; ``known`` is the rest of mu's support, the terms
+    the relay subtracts.  The relay reads the first two, the destination
+    the third."""
+    key = _structure_key(em)
+    program = entry.programs.get(key)
+    if program is None:
+        lam, mu = emission_coefficients(entry.field, entry.code, em)
+        mul, k, pos = entry.field.MUL, entry.code.k, em.pos
+        parities = tuple((mul[coeff], k + m - pos, k + m) for coeff, m in zip(lam, em.parity_rows))
+        kept = tuple((mul[coeff], t2 - em.t, q) for t2, q, coeff in interference_terms(p, em, 0))
+        kept_at = {q for _, _, q in kept}
+        known = tuple((mul[coeff], q - pos, q) for q, coeff in mu.items() if q not in kept_at)
+        program = entry.programs[key] = (parities, known, kept)
+    return program
 
 
 class EstimateLedger:
@@ -418,20 +454,20 @@ class EstimateLedger:
 
     How an emission's values combine the packets depends only on its
     position, parity rows, late positions and the positions it keeps as
-    interference.  So ``estimate`` runs a valuation program memoized on
-    those four in the ``programs`` of the parameter set's store entry, which
-    the ledger resolves once, at construction: a (MUL row of lambda, packet
-    offset, column) triple per parity row combined and a (MUL row of mu,
-    message offset, position) triple per known term, offsets counted from
-    t.  A miss asks ``emission_coefficients`` for lambda and mu.  The bounds
-    of a program memo come from the layer code, not from the stream.
+    interference.  So ``estimate`` reads the ``parities`` and ``known``
+    terms of the emission program (``_emission_program``) in the
+    ``programs`` of the parameter set's store entry, which the ledger
+    resolves once, at construction; the destination reads the same
+    program's ``kept`` terms.  A miss asks ``emission_coefficients`` for
+    lambda and mu.  The bounds of the program memo come from the layer
+    code, not from the stream.
 
     The erasure bits are ``pattern``, a ``FirstHop`` in which a slot not
     yet ingested reads erased, and ``erased`` is its lookup.  On its own the
     ledger keeps every packet, so it can value any emission of the stream.
     A streaming owner calls ``forget_before`` once no later estimate can
     read a slot; ``RelayState`` does, and then the packets span at most
-    T-N2+k'-1 slots (T-N2-1 at k'=1; see ``RelayState``).  The pattern
+    T-N2 slots (T-N2-1 at k'=1; see ``RelayState``).  The pattern
     stays whole: plans read first-hop bits of any age.
     """
 
@@ -472,11 +508,7 @@ class EstimateLedger:
         """Per-layer values of emission ``em``: entry c estimates
         s_{em.t}[c*k' + em.pos].  Every leftover term is subtracted except
         those ``em.interference`` keeps; slot ``em.slot`` must be ingested."""
-        key, programs = _structure_key(em), self._entry.programs
-        program = programs.get(key)
-        if program is None:
-            program = programs[key] = self._compile(em)
-        parities, known = program
+        parities, known, _ = _emission_program(self.params, self._entry, em)
         t, packets = em.t, self.packets
         sources = [(row, packets[t + off].rows, col) for row, off, col in parities]
         terms = []
@@ -496,14 +528,3 @@ class EstimateLedger:
                 value = sub[value][row[rows[c][pos]]]
             out.append(value)
         return tuple(out)
-
-    def _compile(self, em: PosEmission) -> tuple[tuple, tuple]:
-        """The valuation program of ``em``'s key: (MUL row of lambda, packet
-        offset, column) per parity row and (MUL row of mu, message offset,
-        position) per known term, offsets from em.t."""
-        lam, mu = emission_coefficients(self.field, self.code, em)
-        mul, k, pos = self.field.MUL, self.dims.k_prime, em.pos
-        kept = {q for _, q in em.interference}
-        parities = tuple((mul[coeff], k + m - pos, k + m) for coeff, m in zip(lam, em.parity_rows))
-        known = tuple((mul[coeff], q - pos, q) for q, coeff in mu.items() if q not in kept)
-        return parities, known

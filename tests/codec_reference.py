@@ -14,14 +14,17 @@ the destination's second-hop decode without its programs: one
 ``cancel_interference`` is the standalone form of the decoder's cancellation
 step, ``dest_ingest`` feeds a relay packet with an optional side-information
 cross-check, and ``estimates_available`` is the closed-form count the plan
-engine's availability must match on admissible patterns.
+engine's availability must match on admissible patterns.  ``make_codes``
+gives a parameter set's field and first-hop layer code.
 """
 
 from __future__ import annotations
 
+from relaystream import source_codec
 from relaystream.dest_codec import FAILED, DecoderState, MissingDependency, interference_terms
 from relaystream.field_mds import (
     DimensionMismatch,
+    GaloisField,
     InconsistentSymbols,
     InsufficientSymbols,
     MdsCode,
@@ -35,8 +38,13 @@ from relaystream.source_codec import (
     PosEmission,
     SourcePacket,
     emission_coefficients,
-    make_codes,
 )
+
+
+def make_codes(p: SchemeParams) -> tuple[GaloisField, MdsCode]:
+    """Field and first-hop (n', k') layer code for a parameter set."""
+    entry = source_codec._entry(p)
+    return entry.field, entry.code
 
 
 def dest_ingest(state: DecoderState, slot: int, packet, side_info=None) -> DecoderState:

@@ -2,11 +2,13 @@
 
 The relay and the destination pass their first-hop pattern whole to
 ``build_message_plan``, which keys the plan by one slice of it; the ledger
-values an estimate by a program memoized on the emission's structure; the
-destination cancels interference through a term list memoized the same way.
-Each is checked against the uncompiled rule: the callable-keyed plan, the
-lambda/mu valuation of ``codec_reference.estimate_reference`` and
-``interference_terms``.  The two encoders run programs compiled into the
+values an estimate by an emission program memoized on the emission's
+structure, and the destination cancels interference through the kept terms
+of the same program.  Each is checked against the uncompiled rule: the
+callable-keyed plan, the lambda/mu valuation of
+``codec_reference.estimate_reference`` and ``interference_terms``; the
+program of every structural key is checked against ``emission_coefficients``
+and ``interference_terms``.  The two encoders run programs compiled into the
 same store entry: the source's diagonal program and the relay's parity
 programs, checked against ``encode_source_reference`` and
 ``build_parity_groups_reference``.  The destination's second-hop decode
@@ -25,14 +27,20 @@ from codec_reference import (
     build_parity_groups_reference,
     encode_source_reference,
     estimate_reference,
+    make_codes,
 )
 from decode_programs import check_bound, check_sets
-from relaystream import relay_codec, sim_harness, source_codec
+from relaystream import dest_codec, relay_codec, sim_harness, source_codec
 from relaystream.dest_codec import DecoderState, interference_terms
 from relaystream.relay_codec import RelayState, build_message_plan
 from relaystream.scheme_params import SchemeParams, derive_dims, implemented_field_size
 from relaystream.sim_harness import all_valid_params, run_episode
-from relaystream.source_codec import EstimateLedger, encode_source, make_codes
+from relaystream.source_codec import (
+    EstimateLedger,
+    PosEmission,
+    emission_coefficients,
+    encode_source,
+)
 
 P12 = SchemeParams(12, 3, 4, 1)
 P7220 = SchemeParams(7, 2, 2, 0)
@@ -43,20 +51,21 @@ def random_bits(rng, n, p_erase):
 
 
 def clear_memos(p):
-    entry = source_codec._entry(p)
-    entry.programs.clear()
-    entry.terms.clear()
+    source_codec._entry(p).programs.clear()
 
 
 def test_programs_and_term_lists_match_the_reference(monkeypatch):
     """Seeded i.i.d. streams at eps 0.2 and 0.4 on both hops over
     all_valid_params(6), oracle and header mode, from memos cleared before
     each set: every estimate the relay values equals the lambda/mu
-    valuation, and every term list the decoder reads equals
-    interference_terms for each layer, shifted by t.  The first stream of a
-    set compiles (cold), the later ones mostly reuse (warm)."""
-    real_estimate, real_terms = EstimateLedger.estimate, DecoderState._terms_of
-    counts = dict.fromkeys(("estimates", "programs", "term lists", "compiled"), 0)
+    valuation, and the kept terms of every program the decoder's
+    cancellation reads equal interference_terms for each layer, shifted by
+    t.  The relay values an emission before the decoder cancels it, so the
+    decoder's reads all hit.  The first stream of a set compiles (cold),
+    the later ones mostly reuse (warm)."""
+    real_estimate, real_program = EstimateLedger.estimate, dest_codec._emission_program
+    counts = dict.fromkeys(("estimates", "programs", "kept reads", "first reads"), 0)
+    seen = set()
 
     def estimate(self, em):
         cold = len(self._entry.programs)
@@ -66,22 +75,25 @@ def test_programs_and_term_lists_match_the_reference(monkeypatch):
         counts["programs"] += len(self._entry.programs) > cold
         return got
 
-    def terms_of(self, em):
-        cold = len(self._entry.terms)
-        got = real_terms(self, em)
-        k, mul = self.dims.k_prime, self.field.MUL
-        for layer in range(self.dims.l_prime):
+    def program(p, entry, em):
+        cold = len(entry.programs)
+        got = real_program(p, entry, em)
+        assert len(entry.programs) == cold, em  # the relay compiled it first
+        d, mul = derive_dims(p), entry.field.MUL
+        for layer in range(d.l_prime):
             want = [
-                (t2 - em.t, flat - layer * k, mul[coeff])
-                for t2, flat, coeff in interference_terms(self.params, em, layer)
+                (mul[coeff], t2 - em.t, flat - layer * d.k_prime)
+                for t2, flat, coeff in interference_terms(p, em, layer)
             ]
-            assert list(got) == want, (em, layer)
-        counts["term lists"] += 1
-        counts["compiled"] += len(self._entry.terms) > cold
+            assert list(got[2]) == want, (em, layer)
+        key = (p, source_codec._structure_key(em))
+        counts["kept reads"] += 1
+        counts["first reads"] += key not in seen
+        seen.add(key)
         return got
 
     monkeypatch.setattr(EstimateLedger, "estimate", estimate)
-    monkeypatch.setattr(DecoderState, "_terms_of", terms_of)
+    monkeypatch.setattr(dest_codec, "_emission_program", program)
     for idx, p in enumerate(all_valid_params(6)):
         clear_memos(p)
         horizon = 6 * (p.T + 1)
@@ -92,7 +104,7 @@ def test_programs_and_term_lists_match_the_reference(monkeypatch):
                 run_episode(p, e1, e2, horizon, seed=idx, header_mode=header_mode)
     # cold lookups compile, warm ones reuse
     assert 0 < counts["programs"] < counts["estimates"] // 4, counts
-    assert 0 < counts["compiled"] < counts["term lists"] // 4, counts
+    assert 0 < counts["first reads"] < counts["kept reads"] // 4, counts
 
 
 def drive(p, bits1, known, seed):
@@ -257,9 +269,10 @@ def structural_keys(p):
 def test_program_and_term_memos_are_bounded_by_the_code():
     """The two 5000-slot (12,3,4,1) i.i.d. streams at eps=0.15 of
     test_plan_memo_is_bounded_by_the_window, run through the codec: the
-    program and term memos hold only structural keys, so they stay under
-    the count of (pos, parity_rows, late) combinations times the kept
-    subsets, after one stream and after both."""
+    program memo, which the relay's estimates and the decoder's
+    cancellation share, holds only structural keys, so it stays under the
+    count of (pos, parity_rows, late) combinations times the kept subsets,
+    after one stream and after both."""
     p = P12
     d = derive_dims(p)
     keys = set(structural_keys(p))
@@ -274,15 +287,42 @@ def test_program_and_term_memos_are_bounded_by_the_code():
     for seed in (41, 42):
         bits = random_bits(np.random.default_rng(seed), 5000, 0.15)
         run_episode(p, bits, [0] * len(bits), len(bits), seed=seed)
-        programs, terms = source_codec._STORE[p].programs, source_codec._STORE[p].terms
-        assert programs.keys() <= keys and terms.keys() <= keys
-        sizes.append((len(programs), len(terms)))
-    assert all(0 < n <= cap for pair in sizes for n in pair), (sizes, cap)
+        programs = source_codec._STORE[p].programs
+        assert programs.keys() <= keys
+        sizes.append(len(programs))
+    assert all(0 < n <= cap for n in sizes), (sizes, cap)
 
 
 # extension fields: q = 4 (T = 3, in all_valid_params(6)), 8 (7,2,2,0), 9 (8,2,3,0)
 # and 27 (26,2,16,0)
 ENCODER_SETS = [*all_valid_params(6), P12, P7220, SchemeParams(8, 2, 3, 0), SchemeParams(26, 2, 16, 0)]
+
+
+def test_every_structural_key_compiles_to_its_rules():
+    """Every key of ``structural_keys`` over all_valid_params(6),
+    (12,3,4,1) and sets over GF(8), GF(9) and GF(27), each compiled from a
+    cleared memo: the program's parities are lambda of
+    ``emission_coefficients`` (MUL row, packet offset, column), its kept
+    terms are ``interference_terms`` of layer 0 in offsets from t, and its
+    known and kept terms are disjoint and together are mu's support, with
+    mu's coefficients.  Unlike the seeded streams, this sees keys no
+    stream reaches."""
+    for p in ENCODER_SETS:
+        clear_memos(p)
+        entry, k = source_codec._entry(p), derive_dims(p).k_prime
+        mul, t = entry.field.MUL, k - 1
+        for n, (pos, rows, late, kept) in enumerate(structural_keys(p), 1):
+            em = PosEmission(t, pos, t + 1, rows, late, tuple((t - pos + q, q) for q in kept))
+            parities, known, kept_terms = source_codec._emission_program(p, entry, em)
+            assert len(entry.programs) == n, (p, em)  # a miss compiled it
+            lam, mu = emission_coefficients(entry.field, entry.code, em)
+            assert parities == tuple((mul[c], k + m - pos, k + m) for c, m in zip(lam, rows))
+            assert list(kept_terms) == [
+                (mul[coeff], t2 - t, flat) for t2, flat, coeff in interference_terms(p, em, 0)
+            ], (p, em)
+            terms = {q: (row[1], off) for row, off, q in known + kept_terms}
+            assert len(terms) == len(known) + len(kept_terms), (p, em)
+            assert terms == {q: (coeff, q - pos) for q, coeff in mu.items()}, (p, em)
 
 
 def test_compiled_encoders_match_the_reference(monkeypatch):

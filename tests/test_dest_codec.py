@@ -13,7 +13,13 @@ import re
 import numpy as np
 import pytest
 
-from codec_reference import cancel_interference, dest_ingest, oracle_decode, queue_reference
+from codec_reference import (
+    cancel_interference,
+    dest_ingest,
+    make_codes,
+    oracle_decode,
+    queue_reference,
+)
 from decode_programs import outcome, same
 from relaystream import source_codec
 from relaystream.dest_codec import (
@@ -27,7 +33,7 @@ from relaystream.field_mds import InconsistentSymbols, MdsCode
 from relaystream.relay_codec import RelayState, second_code, slot_layout
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import run_episode
-from relaystream.source_codec import encode_source, make_codes
+from relaystream.source_codec import encode_source
 
 P523 = SchemeParams(5, 2, 3, 0)
 P623 = SchemeParams(6, 2, 3, 1)

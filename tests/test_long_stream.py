@@ -10,17 +10,18 @@ inadmissible in places, with k'=6 and chains of FAILED dependencies.
 """
 
 import hashlib
+import itertools
 import json
 from functools import cache
 
 import numpy as np
 import pytest
 
-from relaystream import sim_harness
+from relaystream import sim_harness, source_codec
 from relaystream.dest_codec import MissingDependency
-from relaystream.relay_codec import RelayState
+from relaystream.relay_codec import RelayState, _entry_shape
 from relaystream.scheme_params import SchemeParams, derive_dims
-from relaystream.sim_harness import run_episode
+from relaystream.sim_harness import all_valid_params, run_episode
 from stream_state import GROWTH_BOUND, P523, growth_per_slot, stream_inputs
 
 P1234 = SchemeParams(12, 3, 4, 1)
@@ -117,9 +118,8 @@ def test_the_oracle_stream_loses_through_dependencies():
 
 def ledger_reach(p):
     """How many slots before the one just emitted a later slot can read the
-    ledger: T-N2+k'-2, or T-N2-2 at k'=1 (see ``RelayState``)."""
-    k = derive_dims(p).k_prime
-    return p.T - p.N2 + k - 2 if k > 1 else p.T - p.N2 - 2
+    ledger: T-N2-1, or T-N2-2 at k'=1 (see ``RelayState``)."""
+    return p.T - p.N2 - 1 if derive_dims(p).k_prime > 1 else p.T - p.N2 - 2
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_PINS))
@@ -136,9 +136,32 @@ def test_ledger_holds_only_the_slots_in_flight_messages_read(name):
         assert relay.reach[name] <= reach, (name, relay.reach[name])
 
 
-@pytest.mark.parametrize("p", [P523, SchemeParams(4, 2, 2, 1), SchemeParams(7, 3, 4, 2)])
+def test_every_estimate_first_rides_within_the_ledger_reach():
+    """The bound ``RelayState``'s lag rests on, over every window [t,
+    t+T-N2] of an erased message, admissible or not, at every set of
+    all_valid_params(7), (12,3,4,1) and (15,4,6,0): emission c is of
+    position k'-1-c, and its first item rides by offset T-N2-pos.  The
+    bound is reached at every set with k'>1."""
+    for p in [*all_valid_params(7), P1234, SchemeParams(15, 4, 6, 0)]:
+        d, last = derive_dims(p), p.T - p.N2
+        entry, reached = source_codec._entry(p), 0
+        for tail in itertools.product((0, 1), repeat=last):
+            shape = _entry_shape(p, entry, bytes((1, *tail)))
+            sent = list(itertools.accumulate(shape.schedule.alpha[: last + 1]))
+            for c, em in enumerate(shape.emissions):
+                assert em.pos == d.k_prime - 1 - c, (p, tail, c)
+                first_ride = next(i for i, n in enumerate(sent) if n > c * d.l_prime)
+                assert first_ride + em.pos <= last, (p, tail, c)
+                reached = max(reached, first_ride + em.pos)
+        assert reached == last or d.k_prime == 1, p
+
+
+@pytest.mark.parametrize(
+    "p", [P523, SchemeParams(4, 2, 2, 1), SchemeParams(7, 3, 4, 2), SchemeParams(6, 3, 2, 1)]
+)
 def test_a_ledger_that_forgets_one_slot_more_raises(p):
-    """At k'=1 the relay's ledger reach is tight: seeded i.i.d. episodes,
+    """The relay's ledger reach is tight at k'=1 and at k'=2, where the
+    furthest read is a known term of an estimate: seeded i.i.d. episodes,
     hop 1 at eps 0.3 (inadmissible in places), run through in both modes,
     and each raises ``KeyError`` once the relay forgets one slot more."""
     horizon = 3 * (p.T + 1)
@@ -148,7 +171,7 @@ def test_a_ledger_that_forgets_one_slot_more_raises(p):
             super().__init__(*args, **kwargs)
             self._ledger_lag -= 1
 
-    assert derive_dims(p).k_prime == 1 and RelayState(p)._ledger_lag == ledger_reach(p)
+    assert derive_dims(p).k_prime <= 2 and RelayState(p)._ledger_lag == ledger_reach(p)
     for seed in range(3):
         rng = np.random.default_rng([seed, p.T])
         e1 = (rng.random(horizon) < 0.3).astype(int).tolist()

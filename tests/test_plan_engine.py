@@ -26,13 +26,14 @@ import numpy as np
 import pytest
 
 import plan_reference
+from codec_reference import make_codes
 from plan_reference import compute_schedule
 from relaystream import source_codec
 from relaystream.dest_codec import DecoderState
 from relaystream.relay_codec import RelayState, build_message_plan, slot_layout
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import all_valid_params, run_episode
-from relaystream.source_codec import encode_source, make_codes
+from relaystream.source_codec import encode_source
 
 P12 = SchemeParams(12, 3, 4, 1)
 P7311 = SchemeParams(7, 3, 1, 1)
@@ -422,12 +423,11 @@ def test_plan_memo_keeps_a_bounded_number_of_parameter_sets():
             note_codes(p, sweep)
     assert list(store) == sets[-cap:]
     assert sum(len(e.programs) for e in store.values()) > 0
-    assert sum(len(e.terms) for e in store.values()) > 0
     gc.collect()
     live = [o for o in gc.get_objects() if type(o) is source_codec._Entry and id(o) in made]
     assert sorted(map(id, live)) == sorted(map(id, store.values()))
-    # only its entry holds a set's programs and term lists
-    memos = [m for e in store.values() for m in (e.programs, e.terms)]
+    # only its entry holds a set's emission programs
+    memos = [e.programs for e in store.values()]
     assert all(type(h) is source_codec._Entry for h in gc.get_referrers(*memos) if h is not memos)
     for p, sweep, ref in codes:
         assert (ref() is not None) == (sweep == 2 and p in store), (p, sweep)

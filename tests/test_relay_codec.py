@@ -19,6 +19,7 @@ import itertools
 import numpy as np
 import pytest
 
+from codec_reference import make_codes
 from plan_reference import InadmissiblePattern, compute_schedule
 from relaystream import source_codec
 from relaystream.erasure_channel import enumerate_admissible
@@ -33,7 +34,7 @@ from relaystream.relay_codec import (
 )
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import all_valid_params
-from relaystream.source_codec import encode_source, make_codes
+from relaystream.source_codec import encode_source
 
 P523 = SchemeParams(5, 2, 3, 0)
 P623 = SchemeParams(6, 2, 3, 1)

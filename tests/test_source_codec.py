@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import plan_reference
-from codec_reference import estimates_available
+from codec_reference import estimates_available, make_codes
 from relaystream.dest_codec import interference_terms
 from relaystream.erasure_channel import enumerate_admissible, pattern_from_bits
 from relaystream.field_mds import DimensionMismatch
@@ -28,7 +28,6 @@ from relaystream.source_codec import (
     SourcePacket,
     emission_coefficients,
     encode_source,
-    make_codes,
     relay_recovery_slot,
 )
 

@@ -21,9 +21,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from codec_reference import make_codes
 from relaystream.relay_codec import RelayState, build_message_plan
 from relaystream.scheme_params import SchemeParams, derive_dims
-from relaystream.source_codec import encode_source, make_codes
+from relaystream.source_codec import encode_source
 
 PIN_FILE = Path(__file__).parent / "data" / "relay_wire_pins.json"
 
