@@ -13,12 +13,7 @@ from fractions import Fraction
 
 from .erasure_channel import ChannelConfig
 from .mac_region import MacParams, build_region, emit_region_csv, region_field_size
-from .scheme_params import (
-    InvalidParams,
-    SchemeParams,
-    optimal_j,
-    summarize,
-)
+from .scheme_params import SchemeParams, optimal_j, summarize
 from .sim_harness import (
     HorizonTooLarge,
     emit_figure_data,
@@ -267,10 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InvalidParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

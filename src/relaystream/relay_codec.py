@@ -480,16 +480,15 @@ class RelayState:
     So the lag is T-N2-1, or T-N2-2 at k'=1.
 
     Why r - t + pos <= T-N2.  Count offsets from t, with R(i) and E(i) the
-    received and erased slots of [1, i].  The diagonal of (t, pos) holds
-    len(late)+1 parity rows by a received offset x exactly when R(x) >=
-    k'-pos, and its rows end at T-N2-pos.  So emission c (from 0) is of
-    position k'-1-c, at the (c+1)-th received offset x, and exists only if
-    x <= N1+c = T-N2-pos, that is E(x) <= N1-1.  It first rides once the
-    items sent pass c*l', and by offset n the schedule has sent the least,
-    over i0 in [-1, n], of A(i0) + S: A(i0) the items available by i0, l'
-    per emission (A(-1) = 0), and S the caps of (i0, n], 0 before j, k'
-    while E(i-1) <= j-1, then 0 before N1 and l' from N1 on.  At n = N1+c every term
-    passes c*l'.  From i0 >= x on, A alone holds (c+1)*l'.  Before x,
+    received and erased slots of [1, i].  By the emission rule
+    (``emission_schedule``), emission c (from 0) is of position k'-1-c, at
+    the (c+1)-th received offset x, and exists only if x <= N1+c =
+    T-N2-pos, that is E(x) <= N1-1.  It first rides once the items sent
+    pass c*l', and by offset n the schedule has sent the least, over i0 in
+    [-1, n], of A(i0) + S: A(i0) the items available by i0, l' per emission
+    (A(-1) = 0), and S the caps of (i0, n], 0 before j, k' while E(i-1) <=
+    j-1, then 0 before N1 and l' from N1 on.  At n = N1+c every term passes
+    c*l'.  From i0 >= x on, A alone holds (c+1)*l'.  Before x,
     A(i0) = l'*R(i0) and E(i0) <= N1-1, so S must pass l'*w, w = c - R(i0)
     <= c:
 

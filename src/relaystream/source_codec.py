@@ -9,15 +9,13 @@ of s_t verbatim followed by N1 parity rows, where parity row m at time t
 combines s_{t-k'-m}[c, 0], ..., s_{t-m-1}[c, k'-1].
 
 Estimates.  When x_t is erased on the first hop, the relay rebuilds s_t one
-position per layer at a time: the v-th nonerased slot after t lets it isolate
-position p = k'-v (0-based) of every layer, by combining the received parity
-rows of p's diagonal so that all later-position unknowns cancel and p keeps
-coefficient 1 (every square submatrix of a systematic-MDS parity block is
-nonsingular, so the combination always exists).  Unknown earlier-position
-symbols remain embedded in the estimate; they belong to strictly older
-messages and are kept as interference so the destination can cancel them
-after decoding those messages.  Every other leftover term lies on a message
-the relay received, and is cancelled.
+position per layer at a time, by the emission rule stated and derived in
+``emission_schedule``: the v-th received slot after t yields position k'-v
+of every layer.  Unknown earlier-position symbols remain embedded in the
+estimate; they belong to strictly older messages and are kept as
+interference so the destination can cancel them after decoding those
+messages.  Every other leftover term lies on a message the relay received,
+and is cancelled.
 
 Everything structural here (which positions are emitted when, what
 interference they carry) is a pure function of the erasure pattern, which is
@@ -129,9 +127,6 @@ class SourcePacket:
     t: int
     rows: tuple[tuple[int, ...], ...]
 
-    def symbols(self) -> list[int]:
-        return [s for row in self.rows for s in row]
-
 
 def encode_source(p: SchemeParams, messages, t: int) -> SourcePacket:
     """Packet for time t; messages[i] is message s_i.
@@ -182,7 +177,8 @@ class PosEmission:
     t: int
     pos: int
     slot: int
-    parity_rows: tuple[int, ...]  # parity row indices m used, in arrival order
+    # every received parity row m of the diagonal up to the emission slot, in arrival order
+    parity_rows: tuple[int, ...]
     late: tuple[int, ...]  # later positions eliminated by the combination
     interference: tuple[tuple[int, int], ...]  # (older message t', pos') kept
 
@@ -229,35 +225,47 @@ def relay_recovery_slot(p: SchemeParams, window: bytes, t: int) -> int | None:
 
 def emission_schedule(p: SchemeParams, bits: bytes) -> list[PosEmission]:
     """All estimate emissions of the erased message at slot 0, in
-    transmission order.
+    transmission order: the one statement of the emission rule.
 
     ``bits`` is a plan shape's key: the first-hop bits of [t, t+T-N2] in
-    offsets from the message, one 0/1 byte per slot.  Emissions happen at
-    nonerased slots in [1, T-N2]; at each such slot every position that just
-    became constructible is emitted (higher positions first; on admissible
-    patterns exactly one position per slot becomes ready).  Interference,
-    the one part that reads bits before t, is left empty: the plan engine
-    places it per message (``emission_interference``).
+    offsets from the message, one 0/1 byte per slot.  The rule: emission c
+    (from 0) is of position k'-1-c, at the (c+1)-th received offset x of
+    [1, T-N2], and exists only if x <= N1+c, the offset of the last parity
+    row of its diagonal.  It combines every received parity row of the diagonal by x
+    and eliminates the late positions, the erased ones after pos.
+
+    Why.  Count offsets from t, with R(x) and E(x) the received and erased
+    offsets of [1, x], and c = k'-1-pos.  The diagonal of (t, pos) holds
+    its positions at offsets -pos .. c and its parity rows at c+1 .. N1+c
+    = T-N2-pos (row m at c+1+m).  Its late positions are the erased offsets
+    of [1, c], E(c) of them.  To cancel them and keep coefficient 1 on pos
+    takes len(late)+1 parity rows, and that many always suffice: every
+    square submatrix of a systematic-MDS parity block is nonsingular.  By
+    an offset x <= N1+c the diagonal holds R(x) - R(c) received rows, and
+    past N1+c it gains none.  As R(c) = c - E(c), the diagonal holds
+    len(late)+1 parity rows by a received offset x exactly when R(x) >=
+    k'-pos = c+1: pos is ready at the (c+1)-th received offset x, and only
+    if x <= N1+c, that is E(x) <= N1-1.  Each received offset raises R by
+    one, so it readies one position, from k'-1 down; once the (c+1)-th
+    received offset passes N1+c, the (c'+1)-th passes N1+c' for every c' >
+    c.  At x the rows number exactly len(late)+1, so the estimate combines
+    all of them.  No step assumes an admissible first hop.
+
+    Interference, the one part that reads bits before t, is left empty: the
+    plan engine places it per message (``emission_interference``).
     """
     k_prime = derive_dims(p).k_prime
     out: list[PosEmission] = []
-    emitted = [False] * k_prime
-    for slot in range(1, p.T - p.N2 + 1):
-        if bits[slot]:
+    for x in range(1, p.T - p.N2 + 1):
+        c = len(out)
+        if c == k_prime or x > p.N1 + c:
+            break
+        if bits[x]:
             continue
-        for pos in range(k_prime - 1, -1, -1):
-            if emitted[pos]:
-                continue
-            late = tuple(q for q in range(pos + 1, k_prime) if bits[q - pos])
-            rows = tuple(
-                m
-                for s, m in _diag_parity_slots(0, pos, k_prime, p.N1)
-                if s <= slot and not bits[s]
-            )
-            if len(rows) < len(late) + 1:
-                continue
-            out.append(PosEmission(0, pos, slot, rows[: len(late) + 1], late, ()))
-            emitted[pos] = True
+        pos = k_prime - 1 - c
+        rows = tuple(s - c - 1 for s in range(c + 1, x + 1) if not bits[s])
+        late = tuple(q for q in range(pos + 1, k_prime) if bits[q - pos])
+        out.append(PosEmission(0, pos, x, rows, late, ()))
     return out
 
 
@@ -444,13 +452,13 @@ class EstimateLedger:
     ``estimate`` works out the values of one emission the plan placed, from
     the packets ingested so far.
 
-    Every term an estimate subtracts lies on a received message.  An
-    estimate of (t, pos) is emitted at the first slot its diagonal holds
-    len(late)+1 parity rows, and an erased earlier position of that diagonal
-    needs at least len(late)+2 rows before the relay could recover it, so it
-    is kept as interference instead.  So the ledger never decodes a first-hop
-    codeword, and asking it for a symbol of an erased message raises
-    ``ErasedKnownTerm``.
+    Every term an estimate subtracts lies on a received message.  By the
+    emission rule (``emission_schedule``) an estimate of (t, pos) is emitted
+    at the first slot its diagonal holds len(late)+1 parity rows, and an
+    erased earlier position of that diagonal needs at least len(late)+2
+    rows before the relay could recover it, so it is kept as interference
+    instead.  So the ledger never decodes a first-hop codeword, and asking
+    it for a symbol of an erased message raises ``ErasedKnownTerm``.
 
     How an emission's values combine the packets depends only on its
     position, parity rows, late positions and the positions it keeps as

@@ -10,6 +10,8 @@ subpacket sizes again.
 ``relay_recovery_slot`` and ``emission_interference`` are the recovery and
 interference rules as they were before the engine read a plan's window as
 ``bytes``: they call the slot -> bool lookup for every bit.
+``emission_schedule`` is also the per-slot scan over positions that the
+library's one-emission-per-received-slot rule replaced.
 ``tests/test_plan_engine.py`` checks the memoized engine against them.  Only
 the frozen record types and the shape memo (read through
 ``build_message_plan``) come from the library.

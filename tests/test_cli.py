@@ -234,6 +234,25 @@ def test_figure_data_rejects_unknown_figure(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--T", "5", "--N1", "2", "--N2", "3", "--j", "0", "--alpha", "0.1",
+         "--beta", "0.1", "--trials", "100", "--horizon", "32"),
+        ("mac", "--T", "7", "--N1", "3", "--N2", "2", "--N3", "4", "--j1", "2", "--j2", "1",
+         "--mix-bound", "4"),
+        ("figure-data", "--figure", "2"),
+    ],
+    ids=["simulate", "mac", "figure-data"],
+)
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "x.csv"
+    code, _, err = run(capsys, *argv, "--out", str(path))
+    assert code == USAGE_ERROR
+    assert err.startswith("error:") and str(path) in err
+    assert not path.exists()
+
+
 def test_env_seed_matches_explicit_seed(capsys, monkeypatch):
     argv_tail = (
         "simulate", "--T", "5", "--N1", "2", "--N2", "3", "--j", "0",

@@ -25,6 +25,7 @@ import weakref
 import numpy as np
 import pytest
 
+import emission_rules
 import plan_reference
 from codec_reference import make_codes
 from plan_reference import compute_schedule
@@ -137,6 +138,24 @@ def test_plans_placed_from_the_window_match_the_lookup_reference():
                             plans += 1
                     below += t - lag < -p.T
     assert plans > 10_000 and below > 0
+
+
+def test_emission_rule_matches_the_position_scan_on_every_shape_key():
+    """``emission_schedule`` states the rule, one emission per received
+    slot; the scan it replaced stays as the reference.  Every shape key of
+    all_valid_params(7), (12,3,4,1), (15,4,6,0), (15,4,6,2) and
+    (26,2,16,0), inadmissible windows included: only those tell the rule
+    from one without its cutoff past the last parity row."""
+    sets = [*all_valid_params(7), P12, SchemeParams(15, 4, 6, 0), SchemeParams(15, 4, 6, 2),
+            SchemeParams(26, 2, 16, 0)]
+    assert emission_rules.schedule_sweep(sets) == 10_982
+
+
+def test_interference_is_the_erased_mask_at_every_emission():
+    """Every emission of every plan window of all_valid_params(5) keeps
+    every erased earlier position of its diagonal: ``emission_interference``
+    is the erased mask of [t-pos, t-1]."""
+    assert emission_rules.interference_sweep(all_valid_params(5)) == (24_279, 25_648)
 
 
 def test_compute_schedule_matches_closed_form_availability():

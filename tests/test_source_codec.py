@@ -54,7 +54,7 @@ def test_packet_shape(p):
     pkt = encode_stream(p, history)[-1]
     assert len(pkt.rows) == d.l_prime
     assert all(len(row) == d.n_prime for row in pkt.rows)
-    assert len(pkt.symbols()) == d.n1
+    assert sum(map(len, pkt.rows)) == d.n1
     # systematic prefix carries the current message verbatim
     for c in range(d.l_prime):
         assert list(pkt.rows[c][: d.k_prime]) == history[-1][c * d.k_prime : (c + 1) * d.k_prime]
