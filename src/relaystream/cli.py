@@ -12,10 +12,11 @@ import sys
 from fractions import Fraction
 
 from .erasure_channel import ChannelConfig
-from .mac_region import MacParams, build_region, emit_region_csv, region_field_size
+from .mac_region import MacParams, _write_region_csv, build_region, region_field_size
 from .scheme_params import SchemeParams, optimal_j, summarize
 from .sim_harness import (
     HorizonTooLarge,
+    _write_csv,
     emit_figure_data,
     exhaustive_verify,
     loss_probability,
@@ -42,6 +43,16 @@ def _default_seed() -> int:
         print(f"relaystream: error: RELAYSTREAM_SEED must be an integer, got {raw!r}",
               file=sys.stderr)
         raise SystemExit(USAGE_ERROR) from None
+
+
+def _check_out(path) -> None:
+    """Raise OSError if ``path`` cannot be opened for writing, leaving it as
+    it was, so that a bad --out fails before the work it would hold."""
+    existed = os.path.exists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _rate(fr: Fraction) -> str:
@@ -136,6 +147,8 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     p = _params_from(args)
     cfg = ChannelConfig(args.alpha, args.beta, args.seed, args.horizon)
+    if args.out:
+        _check_out(args.out)
     est = loss_probability(
         p, cfg, mode=args.mode, trials=args.trials, scheme=args.scheme,
         workers=args.workers,
@@ -147,8 +160,6 @@ def cmd_simulate(args) -> int:
     ]
     header = ("scheme", "mode", "trials", "losses", "loss_probability", "stderr")
     if args.out:
-        from .sim_harness import _write_csv
-
         comment = (f"loss simulation T={p.T} N1={p.N1} N2={p.N2} j={p.j} "
                    f"alpha={args.alpha} beta={args.beta} seed={args.seed} "
                    f"horizon={args.horizon}")
@@ -163,6 +174,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_mac(args) -> int:
     mac = MacParams(args.T, args.N1, args.N2, args.N3, args.j1, args.j2)
+    if args.out:
+        _check_out(args.out)
     region = build_region(mac, args.mix_bound)
     nominal, implemented = region_field_size(mac)
     over, total = region.exceeds_sumrate()
@@ -175,12 +188,13 @@ def cmd_mac(args) -> int:
     print(f"sumrate reference     {_rate(region.sumrate_bound)}; exceeded by {over}/{total} points")
     print(f"field size            nominal {nominal}, implemented {implemented}")
     if args.out:
-        emit_region_csv(mac, args.out, args.mix_bound)
+        _write_region_csv(region, args.out)
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_figure_data(args) -> int:
+    _check_out(args.out)
     kw: dict = {}
     if args.figure in (4, 5):
         kw.update(trials=args.trials, seed=args.seed, horizon=args.horizon,

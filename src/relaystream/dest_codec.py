@@ -7,8 +7,10 @@ every message's transmission plan with the exact code the relay used, slices
 each received relay packet by ``slot_layout`` -- the relay's own per-slot
 rule, applied to the packet's header or to the oracle window -- and files
 every ride alike, by its start in the message's second-hop sequence (the
-queue, then the parity rows).  Once a message holds as many symbols as it
-transmits, it:
+queue, then the parity rows).  ``finalize(now)`` scans the live window once
+per slot, in ascending t, and attempts a message once it holds its plan and
+as many symbols as it transmits, or once its deadline has passed.  An
+attempt:
 
 1. lays its sequence out, None for a lost symbol, and decodes each
    second-hop codeword missing a symbol from any k of its n symbols, the
@@ -32,7 +34,8 @@ transmits, it:
 A message still undecodable after its deadline t+T is FAILED -- a value, not
 an error; a later message whose interference references a FAILED one becomes
 FAILED itself (loss propagation), which the caller sees as MissingDependency
-handled internally.
+handled internally.  ``finalize`` yields each message as it becomes final
+and retires it: its plan and filed symbols are dropped, its outcome kept.
 
 The pattern is held in one store in both modes, ``pattern``, a
 ``source_codec.FirstHop``, which alone knows its bytes.  In header mode the
@@ -54,7 +57,6 @@ memo's one writer, and reads the window it stored.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field as dc_field
 
 from .field_mds import InconsistentSymbols
@@ -130,7 +132,7 @@ class _MessageState:
     start in the message's second-hop sequence (see ``slot_layout``)."""
 
     plan: MessagePlan | None = None
-    # None once retired: a message ``due`` finalized keeps only its outcome
+    # None once retired: a message ``finalize`` yielded keeps only its outcome
     got: dict | None = dc_field(default_factory=dict)  # sequence start -> symbol list
     received: int = 0  # symbols filed; no decode before this reaches len(plan.tx)
     outcome: object = None  # None (pending) | list[int] | FAILED
@@ -175,16 +177,21 @@ class DecoderState:
     a loss, and ``exhaustive_verify`` reports an episode that raises as a
     counterexample.
 
-    Decoding is event-driven: ``due(now)`` yields only the messages whose
-    attempt could succeed (or must fail) since their last one, i.e. those
-    that gained enough symbols, got their plan, saw a dependency finalize, or
-    passed their deadline.  ``try_decode`` itself stays exact for any caller.
+    ``finalize(now)`` decides the messages at slot ``now``: one pass in
+    ascending t from ``_oldest``, the oldest message not yet final, up to
+    ``now``.  An attempt's inputs -- the filed symbols, the plan, the
+    dependencies' outcomes and whether t+T has passed -- change only at a
+    slot, and a message's dependencies are older, so the pass has attempted
+    them before it reaches the message; a message thus finalizes at the
+    first slot where an attempt can succeed.  Every message past its
+    deadline is finalized in the pass, so a pass scans at most T+2
+    messages.  ``try_decode`` itself stays exact for any caller.
 
-    Driven by ``due``, the state stays bounded by the stream window: a
-    message ``due`` yielded and the caller finalized is retired.  It drops
-    its plan and filed symbols, keeps its outcome and decode slot, and
-    files nothing from later rides, such as its remaining parities.  So
-    plans and symbols are held only for messages not past their deadline.
+    Driven by ``finalize``, the state stays bounded by the stream window: a
+    message it yields is retired.  It drops its plan and filed symbols,
+    keeps its outcome and decode slot, and files nothing from later rides,
+    such as its remaining parities.  So plans and symbols are held only for
+    messages not past their deadline.
     What stays O(stream) is small and read by design: each message's outcome
     (``try_decode`` answers for every t, and a later message's cancellation
     reads its dependencies' values) and the first-hop pattern, one byte per
@@ -208,11 +215,7 @@ class DecoderState:
             self.pattern.bits.extend(map(bool, e1_bits))
         self.msgs: dict[int, _MessageState] = {}
         self.last_slot = -1
-        self._due: list[int] = []  # heap of messages to attempt
-        self._flagged: set[int] = set()  # members of _due
-        self._waiters: dict[int, set[int]] = {}  # pending t' -> messages blocked on it
-        self._planless: set[int] = set()  # messages holding symbols but no plan yet
-        self._expired_below = 0  # every t below this was flagged for its deadline
+        self._oldest = 0  # every message before this is final
 
     # -- first-hop pattern knowledge ------------------------------------------
 
@@ -232,49 +235,35 @@ class DecoderState:
             st = self.msgs[t] = _MessageState()
         return st
 
-    # -- decode events --------------------------------------------------------
+    # -- finalizing -------------------------------------------------------------
 
-    def _flag(self, t: int) -> None:
-        if t not in self._flagged:
-            self._flagged.add(t)
-            heapq.heappush(self._due, t)
+    def finalize(self, now: int):
+        """Yield ``(t, outcome)``, in ascending t, for every message that
+        becomes final at slot ``now``, and retire it (see the class).
 
-    def _flag_if_enough(self, t: int, st: _MessageState) -> None:
-        """Flag t once it holds a plan and as many symbols as it transmits.
-
-        Every tx item sits in exactly one codeword, and a codeword decodes
-        only from as many symbols as it has tx items, so fewer symbols than
-        ``len(plan.tx)`` can never decode.
+        A message is attempted once it holds its plan and as many symbols
+        as it transmits -- every tx item sits in exactly one codeword, and a
+        codeword decodes only from as many symbols as it has tx items -- or
+        once ``now`` is past its deadline t+T.
         """
-        if st.outcome is not None:
-            return  # finalized: nothing left to attempt
-        plan = st.plan if st.plan is not None else self.plan(t)
-        if plan is None:
-            self._planless.add(t)
-        elif st.received >= plan.n_tx:
-            self._flag(t)
-
-    def due(self, now: int):
-        """Yield, in ascending t, every pending message worth attempting at
-        slot ``now``.  Messages finalized while the caller iterates flag the
-        later messages blocked on them, which are yielded in the same pass.
-        A yielded message the caller finalized is retired (see the class).
-        """
-        msgs = self.msgs
-        for t in range(self._expired_below, now - self.params.T):
+        msgs, T = self.msgs, self.params.T
+        for t in range(self._oldest, now + 1):
             st = msgs.get(t)
             if st is None or st.outcome is None:
-                self._flag(t)  # deadline t+T passed
-        self._expired_below = max(self._expired_below, now - self.params.T)
-        while self._due:
-            t = heapq.heappop(self._due)
-            self._flagged.discard(t)
-            st = msgs.get(t)
-            if st is None or st.outcome is None:
-                yield t
-                st = msgs.get(t)
-                if st is not None and st.outcome is not None:
-                    st.plan = st.got = None
+                if now <= t + T:
+                    if st is None or not st.received:
+                        continue
+                    plan = st.plan if st.plan is not None else self.plan(t)
+                    if plan is None or st.received < plan.n_tx:
+                        continue
+                outcome = self.try_decode(t, now)
+                if outcome == "pending":
+                    continue
+                st = msgs[t]
+                st.plan = st.got = None
+                yield t, outcome
+            if t == self._oldest:
+                self._oldest += 1
 
     # -- ingest -----------------------------------------------------------------
 
@@ -316,10 +305,6 @@ class DecoderState:
         self.last_slot = max(self.last_slot, slot)
         if self.header_mode:
             self.pattern.cover(slot, bits)
-            for t in list(self._planless):
-                if self.plan(t) is not None:
-                    self._planless.discard(t)
-                    self._flag_if_enough(t, self.msgs[t])
         offset = 0
         for i, _, start, size in rides:
             t = slot - i
@@ -327,7 +312,6 @@ class DecoderState:
             if st.got is not None:  # a retired message files nothing
                 st.got[start] = symbols[offset : offset + size]
                 st.received += size
-                self._flag_if_enough(t, st)
             offset += size
 
     # -- decoding -----------------------------------------------------------------
@@ -356,9 +340,6 @@ class DecoderState:
         st.outcome = result
         if result is not FAILED:
             st.decode_slot = now
-        self._planless.discard(t)
-        for w in self._waiters.pop(t, ()):
-            self._flag(w)
         return result
 
     def _attempt(self, t: int, st: _MessageState):
@@ -367,7 +348,7 @@ class DecoderState:
         if plan is None:
             return None  # pattern bits still missing (header mode)
         if st.received < plan.n_tx:
-            return None  # see _flag_if_enough
+            return None  # too few symbols to decode (see finalize)
         queue = self._queue(plan, st.got)
         if queue is None:
             return None  # a codeword still holds fewer than k symbols
@@ -446,9 +427,7 @@ class DecoderState:
                             f"message {t} needs FAILED message {t + off} for cancellation"
                         )
                     if dep_val is None:
-                        # dependency still pending; its deadline is earlier
-                        self._waiters.setdefault(t + off, set()).add(t)
-                        return None
+                        return None  # dependency still pending; its deadline is earlier
                     terms.append((row, dep_val, pos))
             layer = flat - flat % k
             for row, dep_val, pos in terms:

@@ -22,6 +22,7 @@ from typing import Iterable, Optional
 
 from .erasure_channel import _burst_family
 from .scheme_params import InvalidParams, SchemeParams, _prime_power_at_least, derive_dims
+from .sim_harness import _write_csv
 
 __all__ = [
     "MacParams",
@@ -29,7 +30,6 @@ __all__ = [
     "MacSpotReport",
     "pp_capacity",
     "build_region",
-    "pareto_frontier",
     "region_field_size",
     "emit_region_csv",
     "interleaved_spot_check",
@@ -127,11 +127,6 @@ def _maximal(ranked) -> list:
     return best
 
 
-def pareto_frontier(points: Iterable[RatePair]) -> tuple[RatePair, ...]:
-    """Maximal elements under componentwise >=, sorted by decreasing R1."""
-    return tuple(_maximal((r2, (r1, r2)) for r1, r2 in sorted(points, reverse=True)))
-
-
 def _per_user_sizes(p: SchemeParams) -> tuple[int, int, int]:
     """(message symbols, first-link packet symbols, worst relay payload)."""
     d = derive_dims(p)
@@ -227,11 +222,12 @@ def emit_region_csv(mac: MacParams, path, mix_bound: int = 64) -> None:
     self-describing; rates are exact-fraction strings to keep the file
     byte-stable and lossless.
     """
-    # imported here to keep the numpy-heavy simulation module out of
-    # pure-arithmetic use of this one
-    from .sim_harness import _write_csv
+    _write_region_csv(build_region(mac, mix_bound), path)
 
-    region = build_region(mac, mix_bound)
+
+def _write_region_csv(region: RateRegion, path) -> None:
+    """Write ``region`` as ``emit_region_csv`` does, without building it."""
+    mac, mix_bound = region.mac, region.mix_bound
     frontier = set(region.frontier)
     comment = (
         f"two-user region T={mac.T} N1={mac.N1} N2={mac.N2} N3={mac.N3} "
@@ -281,6 +277,8 @@ def interleaved_spot_check(
     its own budget) up to `budget` episodes, split evenly between the two
     users (user 1 gets the odd one), and reports any failure.
     """
+    # resolved at call time, not imported with the module, so that a test
+    # patching sim_harness.run_episode reaches the episodes run here
     from .sim_harness import run_episode
 
     T = mac.T

@@ -153,10 +153,8 @@ def run_episode(
         if payload > d.n2_star:
             violations.append(("payload-bound", s, payload))
         dest.ingest(s, None if bits2[s] else rp.wire_symbols())
-        # only messages whose decode could have changed since their last try
-        for t in dest.due(s):
-            r = dest.try_decode(t, now=s)
-            if r is FAILED or r == "pending":
+        for t, r in dest.finalize(s):
+            if r is FAILED:
                 continue
             decode_slots[t] = s
             if t >= n_assess:

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import relaystream.cli as cli
+import relaystream.mac_region as mac_region
 import relaystream.relay_codec as relay_codec
 from relaystream.cli import USAGE_ERROR, VERIFY_FAILURE, main
 
@@ -251,6 +253,63 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, argv):
     assert code == USAGE_ERROR
     assert err.startswith("error:") and str(path) in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (("simulate", "--T", "5", "--N1", "2", "--N2", "3", "--j", "0", "--alpha", "0.1",
+          "--beta", "0.1", "--mode", "codec"), "loss_probability"),
+        (("mac", "--T", "7", "--N1", "3", "--N2", "2", "--N3", "4", "--j1", "2", "--j2", "1"),
+         "build_region"),
+        (("figure-data", "--figure", "4"), "emit_figure_data"),
+    ],
+    ids=["simulate", "mac", "figure-data"],
+)
+def test_unwritable_out_path_fails_before_the_work(tmp_path, capsys, monkeypatch, argv, work):
+    """A bad --out exits 1 before any trial runs and before any summary
+    line prints: the command's work function is never called."""
+
+    def not_reached(*args, **kw):
+        raise AssertionError(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(cli, work, not_reached)
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == USAGE_ERROR and out == ""
+    assert err.startswith("error:") and str(path) in err
+
+
+def test_out_check_leaves_no_file_behind(tmp_path, capsys):
+    """Checking --out creates nothing: a run that then fails leaves no file."""
+    path = tmp_path / "x.csv"
+    code, _, err = run(
+        capsys, "simulate", "--T", "5", "--N1", "2", "--N2", "3", "--j", "0",
+        "--alpha", "0.1", "--beta", "0.1", "--trials", "100", "--workers", "0",
+        "--out", str(path),
+    )
+    assert code == USAGE_ERROR and "workers must be >= 1" in err
+    assert not path.exists()
+
+
+def test_mac_out_builds_the_region_once(tmp_path, capsys, monkeypatch):
+    """``mac --out`` prints the summary and writes the CSV from one region."""
+    calls = []
+    real = mac_region.build_region
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cli, "build_region", counted)
+    monkeypatch.setattr(mac_region, "build_region", counted)
+    name = "region_T7_N1_3_N2_2_N3_4_j1_2_j2_1.csv"
+    code, _, _ = run(
+        capsys, "mac", "--T", "7", "--N1", "3", "--N2", "2", "--N3", "4",
+        "--j1", "2", "--j2", "1", "--out", str(tmp_path / name),
+    )
+    assert code == 0 and len(calls) == 1
+    assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
 
 
 def test_env_seed_matches_explicit_seed(capsys, monkeypatch):

@@ -136,8 +136,7 @@ def drive(p, bits1, known, seed):
         wire = packet.wire_symbols()
         for dest in dests:
             dest.ingest(s, wire if dest.header_mode else wire[len(packet.header) :])
-            for t in dest.due(s):
-                dest.try_decode(t, s)
+            list(dest.finalize(s))
     return dests, messages, masked
 
 

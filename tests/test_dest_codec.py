@@ -222,10 +222,10 @@ def test_header_mode_matches_oracle_mode():
 
 def _filed_state(dest):
     """What ingesting a slot may change: every message's filed symbols and
-    the decoder's pattern and decode-event stores."""
+    the decoder's pattern."""
     copy = lambda store: None if store is None else dict(store)
     filed = {t: (copy(st.got), st.received) for t, st in dest.msgs.items()}
-    return filed, bytes(dest.pattern.bits), set(dest._planless), list(dest._due)
+    return filed, bytes(dest.pattern.bits)
 
 
 def test_malformed_packet_lengths():
@@ -259,8 +259,7 @@ def test_malformed_packet_lengths():
                     assert _filed_state(dest) == before, (p, header_mode, s, len(bad))
                 for d in (dest, clean):
                     d.ingest(s, wire)
-                    for t in d.due(s):
-                        d.try_decode(t, now=s)
+                    list(d.finalize(s))
             for t in range(horizon - p.T):
                 got = (dest.try_decode(t), dest.msgs[t].decode_slot)
                 assert got == (clean.try_decode(t), clean.msgs[t].decode_slot), (p, t)
@@ -368,8 +367,7 @@ def test_plan_ready_matches_the_scan_across_a_header_gap():
             assert dest._plan_ready(t) == scan, (s, t)
             ready_before_gap += scan and hi < 24
             ready_past_gap += scan and hi >= 24
-        for t in dest.due(s):
-            dest.try_decode(t, now=s)
+        list(dest.finalize(s))
     assert not header_covered(dest, 24)  # the gap
     assert ready_before_gap and ready_past_gap
 
@@ -473,8 +471,10 @@ def test_failure_propagates_through_interference():
 
 def _decode_both_ways(p, bits1, bits2, messages, header_mode):
     """Feed one relay's packets to two decoders: one attempts every pending
-    message on every slot, the other only what ``due`` yields.  Returns the
-    (outcome, decode slot) per message of each."""
+    message on every slot, the other is driven by ``finalize``.  Returns the
+    (outcome, decode slot) per message of the first, the list of ``(t,
+    (outcome, decode slot))`` that ``finalize`` yielded, and the second
+    decoder."""
     horizon = len(bits1)
     relay = RelayState(p, header_mode=header_mode)
 
@@ -484,7 +484,7 @@ def _decode_both_ways(p, bits1, bits2, messages, header_mode):
         return DecoderState(p, e1_bits=bits1)
 
     polled, driven = decoder(), decoder()
-    seen = {"polled": {}, "driven": {}}
+    seen = {"polled": {}, "driven": []}
     pending = []
     for s in range(horizon):
         relay.ingest_source(s, None if bits1[s] else encode_source(p, messages, s))
@@ -498,19 +498,21 @@ def _decode_both_ways(p, bits1, bits2, messages, header_mode):
             if r != "pending":
                 seen["polled"][t] = (r, s)
         pending = [t for t in pending if t not in seen["polled"]]
-        for t in driven.due(s):
-            r = driven.try_decode(t, now=s)
-            if r != "pending":
-                seen["driven"][t] = (r, s)
-    return seen["polled"], seen["driven"]
+        for t, r in driven.finalize(s):
+            seen["driven"].append((t, (r, s)))
+    return seen["polled"], seen["driven"], driven
 
 
-@pytest.mark.parametrize("p", [P523, P623, SchemeParams(7, 3, 1, 1)])
+@pytest.mark.parametrize(
+    "p", [P523, P623, SchemeParams(7, 3, 1, 1), SchemeParams(12, 3, 4, 1)]
+)
 @pytest.mark.parametrize("header_mode", [False, True])
 def test_event_driven_decoding_matches_polling(p, header_mode):
-    """Attempting only flagged messages finalizes every message with the same
-    outcome in the same slot as attempting all of them, including losses
-    through dependencies and past deadlines (i.i.d. loss, often inadmissible)."""
+    """Finalizing by ``finalize``'s scan finalizes every message with the
+    same outcome in the same slot as attempting all of them, including losses
+    through dependencies and past deadlines (i.i.d. loss, often inadmissible);
+    it yields each message once and retires it.  At (12,3,4,1), k'=6, the
+    dependency chains are the deepest."""
     horizon = 40
     messages = episode_messages(p, horizon, seed=53)
     failed = decoded = 0
@@ -518,8 +520,10 @@ def test_event_driven_decoding_matches_polling(p, header_mode):
         rng = np.random.default_rng([seed, p.T, header_mode])
         bits1 = (rng.random(horizon) < 0.2).astype(int).tolist()
         bits2 = (rng.random(horizon) < 0.25).astype(int).tolist()
-        polled, driven = _decode_both_ways(p, bits1, bits2, messages, header_mode)
-        assert list(driven.items()) == list(polled.items()), (bits1, bits2)
+        polled, driven, dest = _decode_both_ways(p, bits1, bits2, messages, header_mode)
+        assert driven == list(polled.items()), (bits1, bits2)
+        assert len({t for t, _ in driven}) == len(driven)
+        assert all(dest.msgs[t].plan is None and dest.msgs[t].got is None for t, _ in driven)
         failed += sum(r is FAILED for r, _ in polled.values())
         decoded += sum(r is not FAILED for r, _ in polled.values())
     assert failed and decoded

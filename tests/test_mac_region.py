@@ -8,6 +8,7 @@ import csv
 import dataclasses
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +17,13 @@ from hypothesis import strategies as st
 from relaystream import sim_harness
 from relaystream.mac_region import (
     MacParams,
+    RatePair,
     RateRegion,
+    _maximal,
     _per_user_sizes,
     build_region,
     emit_region_csv,
     interleaved_spot_check,
-    pareto_frontier,
     pp_capacity,
     region_field_size,
 )
@@ -30,6 +32,11 @@ from relaystream.scheme_params import InvalidParams, SchemeParams
 MAC = MacParams(T=7, N1=3, N2=2, N3=4, j1=2, j2=1)
 OTHER_MAC = MacParams(T=10, N1=2, N2=4, N3=3, j1=1, j2=2)
 DATA = Path(__file__).parent / "data"
+
+
+def pareto_frontier(points: Iterable[RatePair]) -> tuple[RatePair, ...]:
+    """Maximal elements under componentwise >=, sorted by decreasing R1."""
+    return tuple(_maximal((r2, (r1, r2)) for r1, r2 in sorted(points, reverse=True)))
 
 
 def test_pp_capacity_values():
