@@ -71,7 +71,7 @@ from .erasure_channel import (
     is_admissible,
     pattern_from_bits,
 )
-from .source_codec import encode_source
+from .source_codec import EpisodeMessages, encode_source
 from .relay_codec import RelayState, build_message_plan, slot_layout
 from .dest_codec import FAILED, DecoderState
 
@@ -116,13 +116,14 @@ def run_episode(
     ``len(e1)``) slots.  Decoded messages are compared with ground truth as
     they are finalized; failures and invariant violations are recorded in
     the report rather than raised, so inadmissible patterns degrade into
-    FAILED messages instead of crashes.  The messages are one list ``rows``
-    (s_t is ``rows[t]``), which the source encodes from and the audit reads.
-    The relay and the decoder keep state for the messages in flight only;
-    what grows with the horizon is the report (decode slots, failures and
-    payloads, one entry per message or slot), ``rows``, the decoder's
-    outcomes, and the first-hop bits the relay and the decoder each hold as
-    one byte per slot.
+    FAILED messages instead of crashes.  The messages are one int array,
+    drawn at once and wrapped in ``EpisodeMessages``: the source encodes
+    from it a block of slots at a time, and the audit reads s_t from it as
+    Python ints.  The relay and the decoder keep state for the messages in
+    flight only; what grows with the horizon is the report (decode slots,
+    failures and payloads, one entry per message or slot), the message
+    array, the decoder's outcomes, and the first-hop bits the relay and the
+    decoder each hold as one byte per slot.
     """
     bits1, bits2 = pattern_from_bits(e1), pattern_from_bits(e2)
     horizon = len(bits1) if horizon is None else horizon
@@ -132,7 +133,7 @@ def run_episode(
     bits1, bits2 = bits1[:horizon], bits2[:horizon]
     d = derive_dims(p)
     rng = np.random.default_rng([seed, 0x5E_ED])
-    rows = rng.integers(0, implemented_field_size(p), size=(horizon, d.k_src)).tolist()
+    messages = EpisodeMessages(rng.integers(0, implemented_field_size(p), size=(horizon, d.k_src)))
 
     relay = RelayState(p, header_mode=header_mode)
     dest = (
@@ -146,7 +147,7 @@ def run_episode(
     violations: list[tuple] = []
     audits: dict[int, tuple] = {}  # t -> wrong-value or late violation
     for s in range(horizon):
-        relay.ingest_source(s, None if bits1[s] else encode_source(p, rows, s))
+        relay.ingest_source(s, None if bits1[s] else encode_source(p, messages, s))
         rp = relay.emit(s)
         payload = rp.payload_symbols
         payloads.append(payload)
@@ -159,7 +160,7 @@ def run_episode(
             decode_slots[t] = s
             if t >= n_assess:
                 continue  # past the last assessable message
-            if r != rows[t]:
+            if r != messages[t]:
                 audits[t] = ("wrong-value", t)
             elif s > t + p.T:
                 audits[t] = ("late", t, s)

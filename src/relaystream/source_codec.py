@@ -41,8 +41,14 @@ that the three stages compile for it, each memo bounded by the set's window
 or layer code.  The entry also names how far a plan's window reaches
 before its message, ``plan_past`` = 2(k'-1) slots, which the plan engine,
 the relay and the destination read.  Both encoders run programs compiled
-into it: the first hop's diagonal program, built with the entry, and the
-second hop's parity programs, one per codeword layout
+into it.  The first hop's diagonal program is int tables built with the
+entry: per parity row and position, the MUL row of the diagonal
+coefficient times q, an offset into the flattened ADD table.
+``encode_source`` runs it as one numpy pass over a block of slots
+(``_encode_block``): ``EpisodeMessages``, an episode's messages as one int
+array, encodes B = ``_BLOCK`` slots at a time and holds only that block's
+packets and messages, and any other sequence is a block of one slot.  The second hop
+runs parity programs, one per codeword layout
 (``relay_codec.build_parity_groups``).
 The destination's second-hop decode runs one too, per codeword layout and
 set of symbols held (``dest_codec``).  Each estimate structure has one
@@ -71,9 +77,9 @@ class OutOfOrder(ValueError):
 class _Entry:
     """Everything the codec keeps for one parameter set."""
 
-    __slots__ = ("dims", "plan_past", "field", "code", "diagonals", "second_codes", "shapes",
-                 "layouts", "shared", "parity_programs", "headers", "windows", "programs",
-                 "decode_programs")
+    __slots__ = ("dims", "plan_past", "field", "code", "diagonals", "sums", "zeros",
+                 "second_codes", "shapes", "layouts", "shared", "parity_programs", "headers",
+                 "windows", "programs", "decode_programs")
 
     def __init__(self, p: SchemeParams):
         d = self.dims = derive_dims(p)
@@ -85,13 +91,21 @@ class _Entry:
         assert nominal_field_size(p) >= max(d.n_prime, d.n_dprime, p.T + 1 - p.N1)
         self.field = make_field(implemented_field_size(p))
         self.code = MdsCode(self.field, d.n_prime, d.k_prime)  # first hop, per layer
-        # per parity row m, (message offset, position, MUL row) along its
-        # diagonal: row m at t combines s_{t-k'-m+pos}[., pos]
-        k = d.k_prime
-        self.diagonals = tuple(
-            tuple((k + m - pos, pos, col[pos]) for pos in range(k))
-            for m, col in zip(range(p.N1), self.code.parity_mul)
-        )
+        # the first hop's diagonal program, as int tables for one numpy pass
+        # over a block of slots (``_encode_block``).  Parity row m at t
+        # combines s_{t-k'-m+pos}[., pos] over pos; diagonals[m][pos] is the
+        # MUL row of that coefficient times q, so a product plus a running
+        # sum indexes ``sums``, the ADD table flattened (a product alone
+        # indexes its sum with 0), and prime and extension fields run one
+        # program.  ``zeros`` are the rows before time 0 of a window: it
+        # holds the k'+N1-1 slots before its block
+        import numpy as np  # on first use: see _encode_block
+
+        q, k = self.field.q, d.k_prime
+        mul_q = np.array(self.code.parity_mul, dtype=np.intp) * q
+        self.diagonals = tuple(tuple(row) for row in mul_q)
+        self.sums = np.array(self.field.ADD, dtype=np.intp).reshape(-1)
+        self.zeros = np.zeros((k + p.N1 - 1, d.k_src), dtype=np.intp)
         self.second_codes: dict[tuple[int, int], MdsCode] = {}  # second hop, by (n, k)
         self.shapes: dict[bytes, object] = {}  # plan window bits -> relay_codec._PlanShape
         self.layouts: dict[bytes, tuple] = {}  # slot's T+1 bits -> rides, in offsets
@@ -128,38 +142,105 @@ class SourcePacket:
     rows: tuple[tuple[int, ...], ...]
 
 
+_BLOCK = 128  # slots per encoding pass of an episode's messages
+
+
+def _encode_block(entry: _Entry, rows, lo: int) -> list:
+    """The packets of a block of slots as nested lists of Python ints, one
+    (l', n') list per slot.  ``rows`` holds the messages of slots max(lo,
+    0) on, one row each: the k'+N1-1 before the block, then the block's
+    own.  The window is ``rows`` after a zero row for each slot before 0,
+    and a zero symbol contributes nothing, so a term before time 0 drops
+    out.  Each term of the diagonal program is one pass over the block,
+    and the block one ``tolist``.
+
+    numpy is imported here and in ``_Entry``, on first use: imported while
+    the package's other modules were still to be compiled, it raised the
+    peak RSS of a fresh interpreter without a bytecode cache by about 1 MB.
+    """
+    import numpy as np
+
+    window = np.asarray(rows)
+    if lo < 0:
+        window = np.concatenate((entry.zeros[:-lo], window))
+    k, l, reach = entry.code.k, entry.dims.l_prime, len(entry.zeros)
+    n = len(window) - reach
+    window = window.reshape(len(window), l, k)
+    out = np.empty((n, l, entry.code.n), dtype=window.dtype)
+    out[:, :, :k] = window[reach:]
+    sums = entry.sums
+    for m, row in enumerate(entry.diagonals):
+        acc = None
+        for pos, mul in enumerate(row):
+            start = reach - k - m + pos  # slot b reads window row b + start
+            term = mul[window[start : start + n, :, pos]]
+            acc = sums[term if acc is None else term + acc]
+        out[:, :, k + m] = acc
+    return out.tolist()
+
+
+class EpisodeMessages:
+    """An episode's messages, s_t the row t of one int array, and the source
+    packets of one block of slots.
+
+    ``encode_source`` reads it a block at a time: asked for a slot outside
+    the block it holds, it encodes [t, t+B) (B = ``_BLOCK``, cut at the
+    last message) in one pass over the block and the k'+N1-1 rows before
+    it, and keeps only that block's packets and messages, so what it holds
+    beyond the array is bounded by B.  ``messages[t]`` is s_t as a list of
+    Python ints: the block's, or one row of the array outside it.
+    """
+
+    __slots__ = ("array", "_entry", "_lo", "_block", "_rows")
+
+    def __init__(self, array):
+        self.array = array
+        self._entry, self._lo, self._block, self._rows = None, 0, (), ()
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, t: int) -> list:
+        b = t - self._lo
+        return self._rows[b] if 0 <= b < len(self._rows) else self.array[t].tolist()
+
+    def _packet(self, entry: _Entry, t: int) -> SourcePacket:
+        b = t - self._lo
+        if entry is not self._entry or not 0 <= b < len(self._block):
+            self._block = self._rows = ()  # the old block goes before the new one comes
+            lo = t - len(entry.zeros)
+            block = _encode_block(entry, self.array[max(lo, 0) : t + _BLOCK], lo)
+            self._entry, self._lo, self._block, b = entry, t, block, 0
+            self._rows = self.array[t : t + _BLOCK].tolist()
+        return SourcePacket(t, tuple(map(tuple, self._block[b])))
+
+
 def encode_source(p: SchemeParams, messages, t: int) -> SourcePacket:
     """Packet for time t; messages[i] is message s_i.
 
     The packet reads (and checks) only s_i for i in [t-k'-N1+1, t], so its
     cost does not depend on how many messages ``messages`` holds; messages
     before time 0 are implicitly all-zero.  The parity rows run the
-    diagonal program of ``p``'s store entry, compiled with the entry: a
-    term whose message offset exceeds t lies before time 0 and drops out.
+    diagonal program of ``p``'s store entry (``_encode_block``), one numpy
+    pass over a block of slots.  ``EpisodeMessages`` encodes a block of B
+    slots from t on and answers the next slots from it; any other sequence
+    of messages is encoded as a block of one slot, over its window.
     """
     entry = _entry(p)
-    k, k_src = entry.code.k, entry.dims.k_src
+    k_src, lo = entry.dims.k_src, t - len(entry.zeros)
     if not 0 <= t < len(messages):
         raise DimensionMismatch(f"no message s_{t} among {len(messages)} messages")
-    for i in range(max(0, t - k - p.N1 + 1), t + 1):
-        if len(messages[i]) != k_src:
+    if type(messages) is EpisodeMessages:
+        if messages.array.shape[1] != k_src:
             raise DimensionMismatch(
-                f"message {i} has {len(messages[i])} symbols, expected {k_src}"
+                f"messages have {messages.array.shape[1]} symbols, expected {k_src}"
             )
-
-    add, diagonals, now = entry.field.ADD, entry.diagonals, messages[t]
-    if t < k + p.N1 - 1:  # the longest diagonals reach before time 0
-        diagonals = [[term for term in diag if term[0] <= t] for diag in diagonals]
-    rows = []
-    for lo in range(0, k_src, k):
-        row = list(now[lo : lo + k])
-        for diag in diagonals:
-            acc = 0
-            for off, pos, mul in diag:
-                acc = add[acc][mul[messages[t - off][lo + pos]]]
-            row.append(acc)
-        rows.append(tuple(row))
-    return SourcePacket(t, tuple(rows))
+        return messages._packet(entry, t)
+    window = [messages[i] for i in range(max(0, lo), t + 1)]
+    for i, message in enumerate(window, max(0, lo)):
+        if len(message) != k_src:
+            raise DimensionMismatch(f"message {i} has {len(message)} symbols, expected {k_src}")
+    return SourcePacket(t, tuple(map(tuple, _encode_block(entry, window, lo)[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ callable-keyed plan, the lambda/mu valuation of
 program of every structural key is checked against ``emission_coefficients``
 and ``interference_terms``.  The two encoders run programs compiled into the
 same store entry: the source's diagonal program and the relay's parity
-programs, checked against ``encode_source_reference`` and
+programs, checked against ``encode_source_reference`` (the first at the
+edges of its blocks too, ``source_blocks``) and
 ``build_parity_groups_reference``.  The destination's second-hop decode
 runs programs compiled into the entry too, checked against
 ``queue_reference``.  The memos are bounded by the layer code or the
@@ -30,6 +31,7 @@ from codec_reference import (
     make_codes,
 )
 from decode_programs import check_bound, check_sets
+from source_blocks import check_sets as check_blocks
 from relaystream import dest_codec, relay_codec, sim_harness, source_codec
 from relaystream.dest_codec import DecoderState, interference_terms
 from relaystream.relay_codec import RelayState, build_message_plan
@@ -379,6 +381,37 @@ def test_compiled_encoders_match_the_reference(monkeypatch):
         values = [1] * plan.n_tx
         got = real_parities(p, plan, values)
         assert got.rows == () and got == build_parity_groups_reference(p, plan, values), erased
+
+
+def test_block_encoder_matches_the_reference_at_the_block_edges(monkeypatch):
+    """``source_blocks.check_sets`` over all_valid_params(4), (12,3,4,1)
+    and the GF(8), GF(9) and GF(27) sets of ENCODER_SETS: horizons 1, B-1,
+    B, B+1 and 3B+5, slots asked for in ascending, sparse and random order,
+    slots t < k'+N1-1 included, every packet equal to the reference's and
+    every symbol a Python int.  Then one episode per set at eps 0.3 on both
+    hops: every symbol that reaches the relay is a Python int."""
+    extension = [p for p in ENCODER_SETS if implemented_field_size(p) in (8, 9, 27)]
+    sets = [*all_valid_params(4), P12, *extension]
+    counts = check_blocks(sets)
+    assert counts["sets"] == len(sets) and counts["early"] > 0, counts
+    assert {"GF(8)", "GF(9)", "GF(27)"} <= set(counts), counts
+
+    real_ingest = RelayState.ingest_source
+    seen = []
+
+    def ingest_source(self, slot, packet):
+        if packet is not None:
+            assert all(type(sym) is int for row in packet.rows for sym in row), (self.params, slot)
+            seen.append(slot)
+        return real_ingest(self, slot, packet)
+
+    monkeypatch.setattr(RelayState, "ingest_source", ingest_source)
+    rng = np.random.default_rng(71)
+    horizon = source_codec._BLOCK + 1
+    for p in (P12, *extension):
+        e1, e2 = random_bits(rng, horizon, 0.3), random_bits(rng, horizon, 0.3)
+        run_episode(p, e1, e2, horizon, seed=3)
+    assert len(seen) > len(extension) * horizon // 2, len(seen)
 
 
 def codeword_layouts(p):
