@@ -34,8 +34,10 @@ attempt:
 A message still undecodable after its deadline t+T is FAILED -- a value, not
 an error; a later message whose interference references a FAILED one becomes
 FAILED itself (loss propagation), which the caller sees as MissingDependency
-handled internally.  ``finalize`` yields each message as it becomes final
-and retires it: its plan and filed symbols are dropped, its outcome kept.
+handled internally.  A final message's outcome -- its value, or FAILED --
+is all a later attempt reads of it, so it is kept in ``outcomes``, apart
+from the live store ``msgs``; ``finalize`` yields each message as it becomes
+final and retires it: it leaves ``msgs``, its plan and filed symbols with it.
 
 The pattern is held in one store in both modes, ``pattern``, a
 ``source_codec.FirstHop``, which alone knows its bytes.  In header mode the
@@ -128,15 +130,13 @@ def _decode_program(p: SchemeParams, entry: _Entry, key: tuple) -> tuple:
 
 @dataclass(slots=True)
 class _MessageState:
-    """A message's plan once built, and every ride filed in ``got`` by its
-    start in the message's second-hop sequence (see ``slot_layout``)."""
+    """A message not yet final: its plan once built, and every ride filed in
+    ``got`` by its start in the message's second-hop sequence (see
+    ``slot_layout``)."""
 
     plan: MessagePlan | None = None
-    # None once retired: a message ``finalize`` yielded keeps only its outcome
-    got: dict | None = dc_field(default_factory=dict)  # sequence start -> symbol list
+    got: dict = dc_field(default_factory=dict)  # sequence start -> symbol list
     received: int = 0  # symbols filed; no decode before this reaches len(plan.tx)
-    outcome: object = None  # None (pending) | list[int] | FAILED
-    decode_slot: int | None = None
 
 
 class DecoderState:
@@ -187,15 +187,16 @@ class DecoderState:
     deadline is finalized in the pass, so a pass scans at most T+2
     messages.  ``try_decode`` itself stays exact for any caller.
 
-    Driven by ``finalize``, the state stays bounded by the stream window: a
-    message it yields is retired.  It drops its plan and filed symbols,
-    keeps its outcome and decode slot, and files nothing from later rides,
-    such as its remaining parities.  So plans and symbols are held only for
-    messages not past their deadline.
-    What stays O(stream) is small and read by design: each message's outcome
-    (``try_decode`` answers for every t, and a later message's cancellation
-    reads its dependencies' values) and the first-hop pattern, one byte per
-    slot that any later plan may read.
+    Driven by ``finalize``, the live store ``msgs`` stays bounded by the
+    stream window: a message it yields is retired, that is, it leaves
+    ``msgs`` with its plan and filed symbols, and ``ingest`` files nothing
+    for it from later rides, such as its remaining parities.  So ``msgs``
+    holds only messages not yet final, at most the T+1 of [now-T, now]
+    after ``finalize(now)``.
+    What stays O(stream) is small and read by design: ``outcomes``, each
+    final message's value or FAILED (``try_decode`` answers for every t, and
+    a later message's cancellation reads its dependencies' values), and the
+    first-hop pattern, one byte per slot that any later plan may read.
     """
 
     def __init__(self, p: SchemeParams, e1_bits=None, header_mode: bool = False):
@@ -213,7 +214,8 @@ class DecoderState:
             self._delta = header_overhead(p)
         else:
             self.pattern.bits.extend(map(bool, e1_bits))
-        self.msgs: dict[int, _MessageState] = {}
+        self.msgs: dict[int, _MessageState] = {}  # messages not yet final
+        self.outcomes: dict[int, object] = {}  # final message -> list[int] | FAILED
         self.last_slot = -1
         self._oldest = 0  # every message before this is final
 
@@ -246,11 +248,11 @@ class DecoderState:
         codeword decodes only from as many symbols as it has tx items -- or
         once ``now`` is past its deadline t+T.
         """
-        msgs, T = self.msgs, self.params.T
+        msgs, outcomes, T = self.msgs, self.outcomes, self.params.T
         for t in range(self._oldest, now + 1):
-            st = msgs.get(t)
-            if st is None or st.outcome is None:
+            if t not in outcomes:
                 if now <= t + T:
+                    st = msgs.get(t)
                     if st is None or not st.received:
                         continue
                     plan = st.plan if st.plan is not None else self.plan(t)
@@ -259,8 +261,7 @@ class DecoderState:
                 outcome = self.try_decode(t, now)
                 if outcome == "pending":
                     continue
-                st = msgs[t]
-                st.plan = st.got = None
+                del msgs[t]
                 yield t, outcome
             if t == self._oldest:
                 self._oldest += 1
@@ -305,11 +306,11 @@ class DecoderState:
         self.last_slot = max(self.last_slot, slot)
         if self.header_mode:
             self.pattern.cover(slot, bits)
-        offset = 0
+        offset, outcomes = 0, self.outcomes
         for i, _, start, size in rides:
             t = slot - i
-            st = self._state(t)
-            if st.got is not None:  # a retired message files nothing
+            if t not in outcomes:  # a final message files nothing
+                st = self._state(t)
                 st.got[start] = symbols[offset : offset + size]
                 st.received += size
             offset += size
@@ -324,22 +325,19 @@ class DecoderState:
         Callers should attempt pending messages in ascending t so that
         interference dependencies resolve first.
         """
-        p = self.params
+        outcome = self.outcomes.get(t)
+        if outcome is not None:
+            return outcome
         now = self.last_slot if now is None else now
-        st = self._state(t)
-        if st.outcome is not None:
-            return st.outcome
         try:
-            result = self._attempt(t, st)
+            result = self._attempt(t, self._state(t))
         except MissingDependency:
             result = FAILED
         if result is None:
-            if now <= t + p.T:
+            if now <= t + self.params.T:
                 return "pending"
             result = FAILED
-        st.outcome = result
-        if result is not FAILED:
-            st.decode_slot = now
+        self.outcomes[t] = result
         return result
 
     def _attempt(self, t: int, st: _MessageState):
@@ -420,8 +418,7 @@ class DecoderState:
                 terms = resolved[e] = []
                 _, _, kept = _emission_program(p, entry, plan.emissions[e])
                 for row, off, pos in kept:
-                    dep = self.msgs.get(t + off)
-                    dep_val = dep.outcome if dep is not None else None
+                    dep_val = self.outcomes.get(t + off)
                     if dep_val is FAILED:
                         raise MissingDependency(
                             f"message {t} needs FAILED message {t + off} for cancellation"

@@ -275,8 +275,11 @@ def interleaved_spot_check(
     deadline when the relay-link erasures are drawn from the *shared* budget
     N3.  This probes burst patterns on all three links (each admissible for
     its own budget) up to `budget` episodes, split evenly between the two
-    users (user 1 gets the odd one), and reports any failure.
+    users (user 1 gets the odd one), and reports any failure.  A budget
+    below 2 would leave a user unchecked, so it raises ``InvalidParams``.
     """
+    if budget < 2:
+        raise InvalidParams(f"budget must be >= 2 to check both users, got {budget}")
     # resolved at call time, not imported with the module, so that a test
     # patching sim_harness.run_episode reaches the episodes run here
     from .sim_harness import run_episode

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -284,15 +283,6 @@ def attainable_payload(p: SchemeParams) -> int:
     return d.k_dprime * f + d.l_dprime * (p.T + 1 - p.j - f)
 
 
-def _admissible_windows(T: int, N1: int):
-    for n_err in range(N1 + 1):
-        for pos in itertools.combinations(range(T + 1), n_err):
-            w = [0] * (T + 1)
-            for x in pos:
-                w[x] = 1
-            yield tuple(w)
-
-
 def _sample_admissible(T: int, N: int, horizon: int, rng):
     """One seeded admissible pattern, biased toward heavy loss."""
     target = N / (T + 1)
@@ -395,7 +385,7 @@ def exhaustive_verify(
     notes = []
 
     # -- structural certificate over local windows
-    windows = list(_admissible_windows(p.T, p.N1))
+    windows = list(enumerate_admissible(p.T, p.N1, p.T + 1))
     if randomized and len(windows) > _VERIFY_WINDOW_BUDGET:
         idx = rng.choice(len(windows), _VERIFY_WINDOW_BUDGET, replace=False)
         notes.append(f"windows sampled {_VERIFY_WINDOW_BUDGET}/{len(windows)}")

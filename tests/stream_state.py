@@ -36,7 +36,7 @@ from relaystream.sim_harness import run_episode
 P523 = SchemeParams(5, 2, 3, 0)
 P12 = SchemeParams(12, 3, 4, 1)
 GROWTH_BOUND = 600  # bytes per slot
-# From 2000 to 8000 slots (12,3,4,1) reads about 1190 B per slot, most of it
+# From 2000 to 8000 slots (12,3,4,1) reads about 1005 B per slot, most of it
 # stores that grow with the stream by contract: run_episode's messages and
 # the decoder's outcomes hold k_src = 48 symbols per slot each
 GROWTH_BOUNDS = {P523: GROWTH_BOUND, P12: 1400}

@@ -46,8 +46,10 @@ def episode_messages(p, horizon, seed):
     return [list(map(int, rng.integers(0, field.q, d.k_src))) for _ in range(horizon)]
 
 
-def run_pipeline(p, bits1, bits2, messages, header_mode=False):
-    """Drive an episode; returns the decoder after the last slot."""
+def run_pipeline(p, bits1, bits2, messages, header_mode=False, decode_slots=None):
+    """Drive an episode; returns the decoder after the last slot.  If
+    ``decode_slots`` is a dict, it gets each message's slot of its first
+    ``try_decode`` that was not pending."""
     horizon = len(bits1)
     relay = RelayState(p, header_mode=header_mode)
     if header_mode:
@@ -61,7 +63,8 @@ def run_pipeline(p, bits1, bits2, messages, header_mode=False):
         dest_ingest(dest, s, None if bits2[s] else rp.wire_symbols())
         # attempt in ascending t so interference dependencies resolve first
         for t in range(0, s + 1):
-            dest.try_decode(t)
+            if dest.try_decode(t) != "pending" and decode_slots is not None:
+                decode_slots.setdefault(t, s)
     return dest
 
 
@@ -80,11 +83,12 @@ def test_worked_example_decodes_under_every_parity_erasure_triple():
     messages = episode_messages(p, horizon, seed=31)
     for erased_slots in itertools.combinations(range(5, 11), 3):
         bits2 = [1 if s in erased_slots else 0 for s in range(horizon)]
-        dest = run_pipeline(p, bits1, bits2, messages)
+        decode_slots = {}
+        dest = run_pipeline(p, bits1, bits2, messages, decode_slots=decode_slots)
         got = dest.try_decode(4)
         assert got == messages[4], erased_slots
         # decoded by the deadline, not after it
-        assert dest.msgs[4].decode_slot <= 4 + p.T, erased_slots
+        assert decode_slots[4] <= 4 + p.T, erased_slots
         # every other assessable message decodes too (the pattern stays
         # admissible for the second hop)
         for t in range(horizon - p.T):
@@ -223,8 +227,7 @@ def test_header_mode_matches_oracle_mode():
 def _filed_state(dest):
     """What ingesting a slot may change: every message's filed symbols and
     the decoder's pattern."""
-    copy = lambda store: None if store is None else dict(store)
-    filed = {t: (copy(st.got), st.received) for t, st in dest.msgs.items()}
+    filed = {t: (dict(st.got), st.received) for t, st in dest.msgs.items()}
     return filed, bytes(dest.pattern.bits)
 
 
@@ -246,6 +249,7 @@ def test_malformed_packet_lengths():
             relay = RelayState(p, header_mode=header_mode)
             kw = {"header_mode": True} if header_mode else {"e1_bits": bits1}
             dest, clean = DecoderState(p, **kw), DecoderState(p, **kw)
+            yielded = {dest: [], clean: []}  # (t, slot) per message finalize yields
             for s in range(horizon):
                 relay.ingest_source(s, None if bits1[s] else encode_source(p, messages, s))
                 packet = relay.emit(s)
@@ -259,11 +263,12 @@ def test_malformed_packet_lengths():
                     assert _filed_state(dest) == before, (p, header_mode, s, len(bad))
                 for d in (dest, clean):
                     d.ingest(s, wire)
-                    list(d.finalize(s))
+                    yielded[d] += [(t, s) for t, _ in d.finalize(s)]
+            assert yielded[dest] == yielded[clean], (p, header_mode)
             for t in range(horizon - p.T):
-                got = (dest.try_decode(t), dest.msgs[t].decode_slot)
-                assert got == (clean.try_decode(t), clean.msgs[t].decode_slot), (p, t)
-                assert got[0] == messages[t], (p, header_mode, t)
+                got = dest.try_decode(t)
+                assert got == clean.try_decode(t), (p, t)
+                assert got == messages[t], (p, header_mode, t)
 
 
 def test_payload_symbol_outside_the_field_is_malformed():
@@ -360,7 +365,7 @@ def test_plan_ready_matches_the_scan_across_a_header_gap():
         wire = relay.emit(s).wire_symbols()
         dest.ingest(s, None if bits2[s] else wire)
         for t in range(s + 1):
-            if dest._state(t).outcome is not None:
+            if t in dest.outcomes:
                 continue
             lo, hi = max(0, t - 2 * (k - 1)), t + p.T - p.N2
             scan = all(header_covered(dest, x) for x in range(lo, hi + 1))
@@ -523,7 +528,7 @@ def test_event_driven_decoding_matches_polling(p, header_mode):
         polled, driven, dest = _decode_both_ways(p, bits1, bits2, messages, header_mode)
         assert driven == list(polled.items()), (bits1, bits2)
         assert len({t for t, _ in driven}) == len(driven)
-        assert all(dest.msgs[t].plan is None and dest.msgs[t].got is None for t, _ in driven)
+        assert all(t not in dest.msgs and t in dest.outcomes for t, _ in driven)
         failed += sum(r is FAILED for r, _ in polled.values())
         decoded += sum(r is not FAILED for r, _ in polled.values())
     assert failed and decoded

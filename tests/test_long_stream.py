@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from relaystream import sim_harness, source_codec
-from relaystream.dest_codec import MissingDependency
+from relaystream.dest_codec import FAILED, MissingDependency
 from relaystream.relay_codec import RelayState, _entry_shape
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import all_valid_params, run_episode
@@ -54,7 +54,9 @@ LEDGER_STORES = ("packets",)
 def run_stream(name):
     """The report of one case, with the relay and the decoder that ran it.
     The relay records, after every slot it emits, how many slots each
-    ledger store holds and how far back the oldest one lies."""
+    ledger store holds and how far back the oldest one lies; the decoder,
+    after every ``finalize``, how many messages its live store holds and
+    how many of them are final."""
     p, e1, e2, horizon, seed, header_mode = stream_cases()[name]
     made = []
 
@@ -77,7 +79,13 @@ def run_stream(name):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.dependency_losses = 0  # cancellations that met a FAILED message
+            self.live_held = self.final_live = 0
             made.append(self)
+
+        def finalize(self, now):
+            yield from super().finalize(now)
+            self.live_held = max(self.live_held, len(self.msgs))
+            self.final_live += sum(t in self.outcomes for t in self.msgs)
 
         def _cancel(self, t, plan, queue):
             try:
@@ -109,8 +117,8 @@ def test_long_stream_report_is_pinned(name):
 
 def test_the_oracle_stream_loses_through_dependencies():
     """The (12,3,4,1) pin is not vacuous: messages fail, and some fail
-    because their cancellation met a FAILED message, which had been
-    retired to its outcome by then."""
+    because their cancellation met a FAILED message, which had left the
+    live store for ``outcomes`` by then."""
     rep, _, dest = run_stream("1234-oracle-eps0.1-3000")
     assert len(rep.failed) > 20
     assert dest.dependency_losses > 5
@@ -186,19 +194,22 @@ def test_a_ledger_that_forgets_one_slot_more_raises(p):
 
 @pytest.mark.parametrize("name", sorted(STREAM_PINS))
 def test_decoder_holds_plans_and_symbols_only_near_the_last_slot(name):
-    """After 3000 slots the decoder holds plans and filed symbols only for
-    messages within T+1+2(k'-1) of the last slot; every older message kept
-    its outcome, and its decode slot if it decoded."""
+    """After every ``finalize`` of the 3000 slots, the decoder's live store
+    holds no final message and at most the T+1 messages of [now-T, now].
+    After the last slot it holds plans and filed symbols only for messages
+    within T+1+2(k'-1) of it; every older message is final, with an outcome
+    that decoded exactly when the report has its decode slot."""
     rep, _, dest = run_stream(name)
+    assert dest.final_live == 0
+    assert 0 < dest.live_held <= rep.params.T + 1, dest.live_held
     p, k = rep.params, derive_dims(rep.params).k_prime
     reach = p.T + 1 + 2 * (k - 1)
     live = [t for t, st in dest.msgs.items() if st.plan is not None or st.got]
     assert live and min(live) >= dest.last_slot - reach, min(live)
     assert len(live) <= reach + 1
     for t in range(dest.last_slot - p.T):  # past their deadline
-        st = dest.msgs[t]
-        assert st.outcome is not None, t
-        assert st.decode_slot == rep.decode_slots.get(t), t
+        assert t in dest.outcomes, t
+        assert (dest.outcomes[t] is not FAILED) == (t in rep.decode_slots), t
 
 
 def test_codec_state_grows_by_at_most_600_bytes_per_slot():

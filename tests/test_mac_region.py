@@ -236,6 +236,16 @@ def test_interleaved_spot_check_splits_budget_between_users():
     assert rep.episodes == 10
     odd = interleaved_spot_check(MAC, budget=3)
     assert odd.user_episodes == (2, 1)
+    assert interleaved_spot_check(MAC, budget=2).user_episodes == (1, 1)
+
+
+@pytest.mark.parametrize("budget", [0, 1, -3])
+def test_interleaved_spot_check_rejects_a_budget_that_skips_a_user(budget):
+    """Below 2 episodes one user would go unchecked (or, below 0, the split
+    would be negative), so the spot check refuses the budget rather than
+    pass with no episode of that user."""
+    with pytest.raises(InvalidParams, match="budget"):
+        interleaved_spot_check(MAC, budget=budget)
 
 
 def test_interleaved_spot_check_reports_every_failed_episode(monkeypatch):
