@@ -2,8 +2,8 @@
 Monte-Carlo loss simulation, the two-user region, and figure-data export.
 
 Exit status: 0 success, 1 usage/validation error, 2 verification failure.
-The default RNG seed comes from $RELAYSTREAM_SEED (else 0; a non-integer is a
-usage error); every subcommand is deterministic given its flags and seed.
+Every subcommand is deterministic given its flags: where one draws random
+values, its seed is --seed (default 0, and 1 for figure-data).
 """
 
 import argparse
@@ -35,16 +35,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("RELAYSTREAM_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        print(f"relaystream: error: RELAYSTREAM_SEED must be an integer, got {raw!r}",
-              file=sys.stderr)
-        raise SystemExit(USAGE_ERROR) from None
-
-
 def _check_out(path) -> None:
     """Raise OSError if ``path`` cannot be opened for writing, leaving it as
     it was, so that a bad --out fails before the work it would hold."""
@@ -66,15 +56,14 @@ def _params_from(args) -> SchemeParams:
     return SchemeParams(args.T, args.N1, args.N2, j)
 
 
-def _add_params(sub, with_j: bool = True):
+def _add_params(sub):
     sub.add_argument("--T", type=int, required=True, help="decoding deadline in slots")
     sub.add_argument("--N1", type=int, required=True, help="first-link erasure budget per window")
     sub.add_argument("--N2", type=int, required=True, help="second-link erasure budget per window")
-    if with_j:
-        sub.add_argument(
-            "--j", type=int, default=None,
-            help="adaptation threshold (default: the rate-optimal j)",
-        )
+    sub.add_argument(
+        "--j", type=int, default=None,
+        help="adaptation threshold (default: the rate-optimal j)",
+    )
 
 
 def cmd_rates(args) -> int:
@@ -211,7 +200,6 @@ def build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
 
     pr = sub.add_parser("rates", help="achievable rates, field and packet sizes")
     _add_params(pr)
@@ -225,7 +213,7 @@ def build_parser() -> _Parser:
     _add_params(pv)
     pv.add_argument("--horizon", type=int, default=None,
                     help="slots per episode (default 2(T+1))")
-    pv.add_argument("--seed", type=int, default=seed)
+    pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--randomized", action="store_true",
                     help="sampled windows/episodes (required for T > 7)")
     pv.add_argument("--episode-budget", type=int, default=48, metavar="B", help="sizes, not "
@@ -238,7 +226,7 @@ def build_parser() -> _Parser:
     pm.add_argument("--alpha", type=float, required=True, help="first-link i.i.d. erasure rate")
     pm.add_argument("--beta", type=float, required=True, help="second-link i.i.d. erasure rate")
     pm.add_argument("--trials", type=int, default=10**5, help="assessed messages")
-    pm.add_argument("--seed", type=int, default=seed)
+    pm.add_argument("--seed", type=int, default=0)
     pm.add_argument("--horizon", type=int, default=512, help="slots per pattern chunk")
     pm.add_argument("--mode", choices=("analytic", "codec"), default="analytic")
     pm.add_argument("--scheme", choices=("adaptive", "nonadaptive", "both"), default="both")
@@ -262,7 +250,7 @@ def build_parser() -> _Parser:
     pf.add_argument("--figure", type=int, choices=(2, 3, 4, 5), required=True)
     pf.add_argument("--out", required=True)
     pf.add_argument("--trials", type=int, default=10**5)
-    pf.add_argument("--seed", type=int, default=max(seed, 1))
+    pf.add_argument("--seed", type=int, default=1)
     pf.add_argument("--horizon", type=int, default=512)
     pf.add_argument("--mode", choices=("analytic", "codec"), default="analytic")
     pf.add_argument("--workers", type=int, default=1)

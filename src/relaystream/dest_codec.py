@@ -62,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .field_mds import InconsistentSymbols
-from .scheme_params import SchemeParams, derive_dims, header_overhead
+from .scheme_params import SchemeParams, derive_dims
 from .source_codec import FirstHop, _Entry, _emission_program, _entry
 from .source_codec import interference_terms  # noqa: F401  (resolved here by perfbench and tests)
 from .relay_codec import (
@@ -151,8 +151,9 @@ class DecoderState:
     that needs bits not yet covered simply waits.
 
     ``ingest`` checks a slot whole, then files it: a malformed slot (a
-    symbol outside the field, a header no window has, a payload length the
-    slot's rides do not carry) raises ``MalformedPacket`` before any change.
+    symbol that is not an int in [0, q), a header no window has, a payload
+    length the slot's rides do not carry) raises ``MalformedPacket`` before
+    any change.
 
     Each slot's rides are read in offsets through ``_slot_rides``, from the
     parameter set's store entry resolved once at construction, and a plan is
@@ -210,10 +211,9 @@ class DecoderState:
         self.field = self._entry.field
         self.header_mode = header_mode
         self.pattern = FirstHop(p.T, None if header_mode else 0)
-        if header_mode:
-            self._delta = header_overhead(p)
-        else:
+        if not header_mode:
             self.pattern.bits.extend(map(bool, e1_bits))
+        self._in_field = bytes(range(self.field.q))  # every symbol a slot may hold
         self.msgs: dict[int, _MessageState] = {}  # messages not yet final
         self.outcomes: dict[int, object] = {}  # final message -> list[int] | FAILED
         self.last_slot = -1
@@ -226,7 +226,10 @@ class DecoderState:
         return self.pattern.known(t - self._entry.plan_past, t + self.params.T - self.params.N2)
 
     def plan(self, t: int) -> MessagePlan | None:
-        st = self._state(t)
+        """Message t's plan, None while pattern bits it needs are unknown.  A
+        final message's plan is built afresh and not stored: ``msgs`` holds
+        only messages not yet final."""
+        st = _MessageState() if t in self.outcomes else self._state(t)
         if st.plan is None and self._plan_ready(t):
             st.plan = build_message_plan(self.params, self.pattern, t)
         return st.plan
@@ -275,13 +278,18 @@ class DecoderState:
             self.last_slot = max(self.last_slot, slot)
             return
         symbols = list(wire)
-        # symbols index the field's tables: a slot holding one outside
-        # [0, q) files nothing
-        if symbols and (min(symbols) < 0 or max(symbols) >= self.field.q):
-            raise MalformedPacket(f"slot {slot}: symbol outside [0, {self.field.q})")
+        # symbols index the field's tables: a slot holding anything but ints
+        # in [0, q) files nothing.  q <= 256, so bytes() holds every valid
+        # symbol and raises on any other type or on an int outside [0, 256)
+        try:
+            raw = bytes(symbols)
+        except (TypeError, ValueError):
+            raw = None
+        if raw is None or raw.translate(None, self._in_field):
+            raise MalformedPacket(f"slot {slot}: a symbol is not an int in [0, {self.field.q})")
         if self.header_mode:
-            delta, windows = self._delta, self._entry.windows
-            header = tuple(symbols[:delta])
+            delta, windows = self.dims.delta, self._entry.windows
+            header = raw[:delta]
             bits = windows.get(header)
             if bits is None:  # decode_header fills the memo, or rejects the header
                 try:

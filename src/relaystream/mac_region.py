@@ -18,7 +18,7 @@ import itertools
 from math import gcd
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .erasure_channel import _burst_family
 from .scheme_params import InvalidParams, SchemeParams, _prime_power_at_least, derive_dims
@@ -259,12 +259,7 @@ class MacSpotReport:
         return not self.failures
 
 
-def interleaved_spot_check(
-    mac: MacParams,
-    horizon: Optional[int] = None,
-    seed: int = 0,
-    budget: int = 48,
-) -> MacSpotReport:
+def interleaved_spot_check(mac: MacParams, budget: int = 48) -> MacSpotReport:
     """Run both users' codecs end to end against a shared relay-link pattern.
 
     In a mixed deployment every relay packet concatenates both users'
@@ -277,6 +272,7 @@ def interleaved_spot_check(
     its own budget) up to `budget` episodes, split evenly between the two
     users (user 1 gets the odd one), and reports any failure.  A budget
     below 2 would leave a user unchecked, so it raises ``InvalidParams``.
+    Each episode spans 2(T+1) slots and draws its messages from seed 0.
     """
     if budget < 2:
         raise InvalidParams(f"budget must be >= 2 to check both users, got {budget}")
@@ -285,9 +281,8 @@ def interleaved_spot_check(
     from .sim_harness import run_episode
 
     T = mac.T
-    if horizon is None:
-        horizon = 2 * (T + 1)
     window = T + 1
+    horizon = 2 * window
 
     shared = _burst_family(
         horizon, mac.N3, list(range(0, horizon - mac.N3 + 1, max(1, window // 2)))
@@ -301,7 +296,7 @@ def interleaved_spot_check(
         first = _burst_family(horizon, first_budget, [0, p.j + 1, T])
         pairs = list(itertools.islice(itertools.product(shared, first), share))
         for e3, e1 in pairs:
-            ep = run_episode(p, e1, e3, horizon=horizon, seed=seed)
+            ep = run_episode(p, e1, e3, horizon=horizon, seed=0)
             if not ep.ok:
                 failures.append((which, tuple(e1), tuple(e3), ep.failed, ep.violations))
         per_user.append(len(pairs))

@@ -598,14 +598,21 @@ def encode_header(p: SchemeParams, window_bits) -> tuple[int, ...]:
 
 
 def decode_header(p: SchemeParams, symbols) -> tuple[int, ...]:
-    """Inverse of encode_header; ValueError on symbols no header holds.
+    """Inverse of encode_header; ValueError on symbols no header holds,
+    among them any symbol that is not an int in [0, q).
 
-    Memoized per parameter set on the symbols, at most 2^(T+1) headers: a
-    malformed header is never stored, so it raises on every occurrence.
-    The memo holds the window as ``bytes``, one 0/1 byte per slot, which
-    the destination reads directly; it calls this only on a miss.
+    Memoized per parameter set on the symbols as ``bytes``, at most 2^(T+1)
+    headers: a malformed header is never stored, so it raises on every
+    occurrence.  The memo holds the window as ``bytes``, one 0/1 byte per
+    slot, which the destination reads directly; it calls this only on a
+    miss.
     """
-    key = tuple(symbols)
+    # q <= 256, so bytes() holds every symbol of the field; through iter(),
+    # a bare int is not taken for a length
+    try:
+        key = bytes(iter(symbols))
+    except TypeError:  # not an int; bytes() raises ValueError for one outside [0, 256)
+        raise ValueError(f"header symbols must be a sequence of ints, got {symbols!r}") from None
     windows = _entry(p).windows
     bits = windows.get(key)
     if bits is None:
@@ -615,7 +622,7 @@ def decode_header(p: SchemeParams, symbols) -> tuple[int, ...]:
             raise ValueError(f"expected {delta} header symbols, got {len(key)}")
         x = 0
         for s in reversed(key):
-            if not 0 <= s < q:
+            if s >= q:
                 raise ValueError(f"header symbol {s} outside [0, {q})")
             x = x * q + s
         if x >> (p.T + 1):

@@ -120,9 +120,9 @@ def rate_r2(p: SchemeParams, include_header: bool = False) -> Fraction:
     return Fraction(d.k_src, d.n2_star + (d.delta if include_header else 0))
 
 
-def scheme_rate(p: SchemeParams, include_header: bool = False) -> Fraction:
+def scheme_rate(p: SchemeParams) -> Fraction:
     """Overall rate min(R1, R2)."""
-    return min(rate_r1(p.T, p.N1, p.N2), rate_r2(p, include_header))
+    return min(rate_r1(p.T, p.N1, p.N2), rate_r2(p))
 
 
 def nonadaptive_rate(T: int, N1: int, N2: int) -> Fraction:

@@ -422,9 +422,9 @@ def exhaustive_verify(
     )
 
 
-def all_valid_params(t_max: int = VERIFY_T_LIMIT, t_min: int = 1):
+def all_valid_params(t_max: int = VERIFY_T_LIMIT):
     """Every (T, N1, N2, j) the verifier sweeps: N1 >= 1, N1+N2 <= T, j < N1."""
-    for T in range(t_min, t_max + 1):
+    for T in range(1, t_max + 1):
         for n1 in range(1, T + 1):
             for n2 in range(0, T - n1 + 1):
                 for j in range(n1):
@@ -638,13 +638,21 @@ def _fmt(x) -> str:
 
 
 def emit_figure_data(figure: int, path: str, **kw) -> str:
-    """Deterministic CSV for one of the standard comparison datasets.
+    """Deterministic CSV for one of the standard comparison datasets, each
+    at fixed points:
 
-    2: achievable rates vs T (series: subset j=0, subset j=j*, nonadaptive,
-       fully adaptive where reference constants exist);
-    3: relay packet sizes vs T (bits and bytes per scheme);
-    4: loss probability vs alpha=beta at fixed parameters;
-    5: loss probability vs scheme rate at fixed (alpha, beta).
+    2: achievable rates for T = 5..15 at N1=2, N2=3 (series: subset j=0,
+       subset j=j*, nonadaptive, fully adaptive where reference constants
+       exist);
+    3: relay packet sizes for T = 10..15 at (N1, N2, j) = (4, 6, 0) (bits
+       and bytes per scheme);
+    4: loss probability of (5,2,3,0) at alpha = beta in {0.02, 0.04, 0.06,
+       0.08, 0.1};
+    5: loss probability against scheme rate of (7,2,N2,0) for N2 = 2..5 at
+       alpha = 0.05, beta = 0.08.
+
+    Figures 4 and 5 take ``trials``, ``seed``, ``horizon``, ``mode`` and
+    ``workers`` as keywords, passed on to ``loss_probability``.
     """
     if figure == 2:
         return _figure_rates(path, **kw)
@@ -657,13 +665,10 @@ def emit_figure_data(figure: int, path: str, **kw) -> str:
     raise ValueError(f"no figure {figure}; choose 2, 3, 4 or 5")
 
 
-def _figure_rates(path, t_values=None, n1: int = 2, n2: int = 3) -> str:
-    if t_values is None:
-        t_values = list(range(5, 16))
+def _figure_rates(path) -> str:
+    n1, n2 = 2, 3
     rows = []
-    for T in t_values:
-        if T < n1 + n2:
-            continue
+    for T in range(5, 16):
         base = SchemeParams(T, n1, n2, 0)
         jstar, _ = optimal_j(T, n1, n2)
         best = SchemeParams(T, n1, n2, jstar)
@@ -680,13 +685,10 @@ def _figure_rates(path, t_values=None, n1: int = 2, n2: int = 3) -> str:
     )
 
 
-def _figure_sizes(path, t_values=None, n1: int = 4, n2: int = 6, j: int = 0) -> str:
-    if t_values is None:
-        t_values = list(range(10, 16))
+def _figure_sizes(path) -> str:
+    n1, n2, j = 4, 6, 0
     rows = []
-    for T in t_values:
-        if T + 1 - n1 - n2 < 1 or j >= n1:
-            continue
+    for T in range(10, 16):
         p = SchemeParams(T, n1, n2, j)
         sub_bits = packet_size_bits(p, "relay")
         na_bits = packet_size_bits(p, "nonadaptive-baseline")
@@ -705,27 +707,22 @@ def _figure_sizes(path, t_values=None, n1: int = 4, n2: int = 6, j: int = 0) -> 
 
 def _figure_loss_sweep(
     path,
-    params: SchemeParams | None = None,
-    probs=None,
     trials: int = 10**5,
     seed: int = 1,
     horizon: int = 512,
     mode: str = "analytic",
     workers: int = 1,
 ) -> str:
-    if params is None:
-        params = SchemeParams(5, 2, 3, 0)
-    if probs is None:
-        probs = [0.02, 0.04, 0.06, 0.08, 0.1]
+    params = SchemeParams(5, 2, 3, 0)
     rows = []
-    for pr in probs:
+    for pr in (0.02, 0.04, 0.06, 0.08, 0.1):
         cfg = ChannelConfig(pr, pr, seed, horizon)
         est = loss_probability(params, cfg, mode=mode, trials=trials, scheme="both",
                                workers=workers)
         for tag in ("adaptive", "nonadaptive"):
             e = est[tag]
             rows.append(
-                [_fmt(float(pr)), tag, e.mode, e.trials, e.losses,
+                [_fmt(pr), tag, e.mode, e.trials, e.losses,
                  _fmt(e.probability), _fmt(e.stderr)]
             )
     return _write_csv(
@@ -738,22 +735,19 @@ def _figure_loss_sweep(
 
 def _figure_loss_vs_rate(
     path,
-    param_list=None,
-    alpha: float = 0.05,
-    beta: float = 0.08,
     trials: int = 10**5,
     seed: int = 1,
     horizon: int = 512,
     mode: str = "analytic",
     workers: int = 1,
 ) -> str:
-    if param_list is None:
-        # N2 sweep at fixed T, N1: each scheme traces loss against its own
-        # rate; the interesting comparison is between curves at matched rate
-        param_list = [SchemeParams(7, 2, n2, 0) for n2 in (2, 3, 4, 5)]
+    alpha, beta = 0.05, 0.08
+    cfg = ChannelConfig(alpha, beta, seed, horizon)
     rows = []
-    for p in param_list:
-        cfg = ChannelConfig(alpha, beta, seed, horizon)
+    # N2 sweep at fixed T, N1: each scheme traces loss against its own
+    # rate; the interesting comparison is between curves at matched rate
+    for n2 in (2, 3, 4, 5):
+        p = SchemeParams(7, 2, n2, 0)
         est = loss_probability(p, cfg, mode=mode, trials=trials, scheme="both",
                                workers=workers)
         rows.append(

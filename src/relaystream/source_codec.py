@@ -112,7 +112,7 @@ class _Entry:
         self.shared: dict = {}  # one copy of each equal shape, ride and tuple in them
         self.parity_programs: dict[tuple, tuple] = {}  # codeword layout -> parity program
         self.headers: dict[bytes, tuple] = {}  # slot's T+1 bits -> header symbols
-        self.windows: dict[tuple, bytes] = {}  # valid header symbols -> T+1 bits
+        self.windows: dict[bytes, bytes] = {}  # valid header symbols -> T+1 bits
         self.programs: dict[tuple, tuple] = {}  # _structure_key -> emission program
         # (n, k, codeword's queue items, held mask) -> second-hop decode program
         self.decode_programs: dict[tuple, tuple] = {}

@@ -24,10 +24,9 @@ def run(capsys, *argv):
 DATA = Path(__file__).parent / "data"
 
 
-def test_quick_start_stdout_matches_golden_files(capsys, monkeypatch):
+def test_quick_start_stdout_matches_golden_files(capsys):
     """The README quick start's exhaustive and randomized ``verify`` and its
     ``mac`` command print, byte for byte, the golden files in tests/data."""
-    monkeypatch.delenv("RELAYSTREAM_SEED", raising=False)
     golden = {
         "verify_T5_N1_2_N2_3_j0.txt": "verify --T 5 --N1 2 --N2 3 --j 0",
         "verify_T12_N1_3_N2_4_j1_randomized.txt":
@@ -312,23 +311,17 @@ def test_mac_out_builds_the_region_once(tmp_path, capsys, monkeypatch):
     assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
 
 
-def test_env_seed_matches_explicit_seed(capsys, monkeypatch):
+@pytest.mark.parametrize("value", ["abc", "1.5", "", "123"])
+def test_output_does_not_read_the_environment(capsys, monkeypatch, value):
+    """The seed is --seed alone: with RELAYSTREAM_SEED set to anything,
+    ``simulate`` without --seed prints what --seed 0 prints, and ``rates``,
+    which takes no seed, runs."""
     argv_tail = (
         "simulate", "--T", "5", "--N1", "2", "--N2", "3", "--j", "0",
         "--alpha", "0.15", "--beta", "0.15", "--trials", "3000", "--horizon", "128",
     )
-    monkeypatch.setenv("RELAYSTREAM_SEED", "123")
-    _, out_env, _ = run(capsys, *argv_tail)
-    monkeypatch.delenv("RELAYSTREAM_SEED")
-    _, out_flag, _ = run(capsys, *argv_tail, "--seed", "123")
-    assert out_env == out_flag
-
-
-@pytest.mark.parametrize("value", ["abc", "1.5", ""])
-def test_malformed_env_seed_is_a_usage_error(capsys, monkeypatch, value):
+    _, out_flag, _ = run(capsys, *argv_tail, "--seed", "0")
     monkeypatch.setenv("RELAYSTREAM_SEED", value)
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--T", "5", "--N1", "2", "--N2", "3", "--alpha", "0.1",
-              "--beta", "0.1", "--trials", "100"])
-    assert exc.value.code == USAGE_ERROR
-    assert "RELAYSTREAM_SEED" in capsys.readouterr().err
+    code, out_env, _ = run(capsys, *argv_tail)
+    assert code == 0 and out_env == out_flag
+    assert run(capsys, "rates", "--T", "5", "--N1", "2", "--N2", "3", "--j", "0")[0] == 0

@@ -235,7 +235,9 @@ def test_malformed_packet_lengths():
     """At every slot of seeded episodes, in oracle and header mode, a
     payload one symbol short or one symbol long is one malformed slot: it
     raises before filing a ride or recording a header bit, the real packet
-    then ingests, and every message decodes as in an unperturbed run."""
+    then ingests, and every message decodes as in an unperturbed run.  So
+    is a slot with a symbol that is not an int: a float last (payload)
+    symbol, a float first (in header mode, header) symbol, or None."""
     cases = [
         (P523, 30, [3, 4, 15, 22], [10, 11, 25]),
         (SchemeParams(12, 3, 4, 1), 40, [2, 5, 6, 20, 33], [9, 10, 28]),
@@ -254,7 +256,11 @@ def test_malformed_packet_lengths():
                 relay.ingest_source(s, None if bits1[s] else encode_source(p, messages, s))
                 packet = relay.emit(s)
                 wire = None if bits2[s] else packet.wire_symbols()
-                for bad in [] if wire is None else [wire[:-1], wire + [0]]:
+                bads = [] if wire is None else [wire[:-1], wire + [0]]
+                if wire:
+                    bads += [wire[:-1] + [wire[-1] + 0.5], [wire[0] + 0.5] + wire[1:],
+                             wire[:-1] + [None]]
+                for bad in bads:
                     if bad == wire:
                         continue  # an empty payload has no symbol to cut
                     before = _filed_state(dest)
@@ -269,6 +275,29 @@ def test_malformed_packet_lengths():
                 got = dest.try_decode(t)
                 assert got == clean.try_decode(t), (p, t)
                 assert got == messages[t], (p, header_mode, t)
+
+
+def test_plan_of_a_final_message_leaves_the_live_store_as_it_was():
+    """``plan(t)`` still answers for a final message, which the oracle
+    tests rebuild from it, but puts nothing back into ``msgs``: after a
+    header-mode episode driven by ``finalize``, asking for the plan of every
+    final message leaves the live store as it was."""
+    p, horizon = P523, 40
+    bits1 = [int(s in (3, 4, 15, 22, 33)) for s in range(horizon)]
+    assert is_admissible(bits1, p.T, p.N1)
+    messages = episode_messages(p, horizon, seed=43)
+    relay, dest = RelayState(p, header_mode=True), DecoderState(p, header_mode=True)
+    final = []
+    for s in range(horizon):
+        relay.ingest_source(s, None if bits1[s] else encode_source(p, messages, s))
+        dest.ingest(s, relay.emit(s).wire_symbols())
+        final += [t for t, _ in dest.finalize(s)]
+    assert set(range(horizon - p.T)) <= set(final)
+    live = dict(dest.msgs)
+    for t in final:
+        assert dest.plan(t) is not None, t
+        assert dest.try_decode(t) == messages[t], t
+    assert dest.msgs == live
 
 
 def test_payload_symbol_outside_the_field_is_malformed():

@@ -1,10 +1,12 @@
 """Byte pins for the seeded loss CSVs.
 
-``data/figure_pins.json`` holds the SHA-256 of the figure-4/5 datasets, of
-two CLI ``simulate`` CSVs in analytic mode and of one in codec mode.  The determinism tests only
-compare two runs of the same code; these pins compare against the bytes
-recorded before the analytic model counted its windows on padded prefix
-sums, so a change that moves a single loss count in a seeded CSV fails here.
+``data/figure_pins.json`` holds the SHA-256 of the figure-2 to figure-5
+datasets, of two CLI ``simulate`` CSVs in analytic mode and of one in codec
+mode.  The determinism tests only compare two runs of the same code; these
+pins compare against recorded bytes: the loss pins from before the analytic
+model counted its windows on padded prefix sums, so a change that moves a
+single loss count in a seeded CSV fails here, and the rate and size pins
+from before each figure's dataset became fixed in its function.
 """
 
 import hashlib
@@ -19,6 +21,8 @@ from relaystream.sim_harness import emit_figure_data
 PINS = json.loads((Path(__file__).parent / "data" / "figure_pins.json").read_text())
 
 FIGURE_CASES = {
+    "figure-2-defaults": (2, {}),
+    "figure-3-defaults": (3, {}),
     "figure-4-defaults": (4, {}),
     "figure-5-defaults": (5, {}),
     "figure-4-trials2000-seed3-horizon128": (4, {"trials": 2000, "seed": 3, "horizon": 128}),
@@ -56,9 +60,7 @@ def test_cli_figure_data_passes_the_loss_flags(tmp_path, capsys):
     assert _sha256(path) == PINS["figure-4-trials2000-seed3-horizon128"]
 
 
-def test_cli_simulate_csv_is_pinned(tmp_path, monkeypatch, capsys):
-    # the CLI's default seed comes from the environment
-    monkeypatch.delenv("RELAYSTREAM_SEED", raising=False)
+def test_cli_simulate_csv_is_pinned(tmp_path, capsys):
     path = tmp_path / "loss.csv"
     argv = ("simulate --T 12 --N1 3 --N2 4 --j 1 --alpha 0.05 --beta 0.05 "
             "--trials 100000 --mode analytic --out").split() + [str(path)]
@@ -67,11 +69,10 @@ def test_cli_simulate_csv_is_pinned(tmp_path, monkeypatch, capsys):
     assert _sha256(path) == PINS["cli-simulate-12341-analytic"]
 
 
-def test_cli_simulate_csv_across_blocks_is_pinned(tmp_path, monkeypatch, capsys):
+def test_cli_simulate_csv_across_blocks_is_pinned(tmp_path, capsys):
     # 40000 messages of 123 per chunk: 326 chunks, more than one block of
     # chunks, the last one partial.  Recorded before the estimate batched
     # chunks into blocks.
-    monkeypatch.delenv("RELAYSTREAM_SEED", raising=False)
     path = tmp_path / "loss.csv"
     argv = ("simulate --T 5 --N1 2 --N2 3 --j 0 --alpha 0.1 --beta 0.1 "
             "--horizon 128 --trials 40000 --mode analytic --out").split() + [str(path)]
@@ -80,11 +81,10 @@ def test_cli_simulate_csv_across_blocks_is_pinned(tmp_path, monkeypatch, capsys)
     assert _sha256(path) == PINS["cli-simulate-5230-analytic-horizon128"]
 
 
-def test_cli_simulate_codec_csv_is_pinned(tmp_path, monkeypatch, capsys):
+def test_cli_simulate_codec_csv_is_pinned(tmp_path, capsys):
     # the figure-4 set in codec mode: 2000 messages of 116 per chunk, 18
     # chunks.  Recorded before the relay and the destination kept each
     # message's symbols in queue order.
-    monkeypatch.delenv("RELAYSTREAM_SEED", raising=False)
     path = tmp_path / "loss.csv"
     argv = ("simulate --T 12 --N1 3 --N2 4 --j 1 --alpha 0.1 --beta 0.1 "
             "--horizon 128 --trials 2000 --mode codec --out").split() + [str(path)]

