@@ -9,8 +9,8 @@ rule, applied to the packet's header or to the oracle window -- and files
 every ride alike, by its start in the message's second-hop sequence (the
 queue, then the parity rows).  ``finalize(now)`` scans the live window once
 per slot, in ascending t, and attempts a message once it holds its plan and
-as many symbols as it transmits, or once its deadline has passed.  An
-attempt:
+as many symbols as it transmits (``_ready``, the one statement of that
+gate), or once its deadline has passed.  An attempt:
 
 1. lays its sequence out, None for a lost symbol, and decodes each
    second-hop codeword missing a symbol from any k of its n symbols, the
@@ -33,11 +33,13 @@ attempt:
 
 A message still undecodable after its deadline t+T is FAILED -- a value, not
 an error; a later message whose interference references a FAILED one becomes
-FAILED itself (loss propagation), which the caller sees as MissingDependency
-handled internally.  A final message's outcome -- its value, or FAILED --
-is all a later attempt reads of it, so it is kept in ``outcomes``, apart
-from the live store ``msgs``; ``finalize`` yields each message as it becomes
-final and retires it: it leaves ``msgs``, its plan and filed symbols with it.
+FAILED itself (loss propagation): the cancellation returns FAILED as it
+returns None for a dependency still pending.  A final message's outcome --
+its value, or FAILED -- is all a later attempt reads of it, so it is kept
+in ``outcomes``, apart from the live store ``msgs``.  ``try_decode`` alone
+makes a message final: it records the outcome and retires the message,
+which leaves ``msgs`` with its plan and filed symbols, whether ``finalize``
+or another caller asked; ``finalize`` yields what it decides.
 
 The pattern is held in one store in both modes, ``pattern``, a
 ``source_codec.FirstHop``, which alone knows its bytes.  In header mode the
@@ -79,10 +81,6 @@ FAILED = "FAILED"
 class MalformedPacket(ValueError):
     """Relay packet disagrees with the reconstructed schedule, the header
     alphabet or the field."""
-
-
-class MissingDependency(ValueError):
-    """Interference cancellation needs a message that was never decoded."""
 
 
 def _decode_program(p: SchemeParams, entry: _Entry, key: tuple) -> tuple:
@@ -188,12 +186,13 @@ class DecoderState:
     deadline is finalized in the pass, so a pass scans at most T+2
     messages.  ``try_decode`` itself stays exact for any caller.
 
-    Driven by ``finalize``, the live store ``msgs`` stays bounded by the
-    stream window: a message it yields is retired, that is, it leaves
+    Whatever drives it, ``finalize`` or ``try_decode`` polled in ascending
+    t, the live store ``msgs`` stays bounded by the stream window: the
+    message ``try_decode`` finalizes is retired, that is, it leaves
     ``msgs`` with its plan and filed symbols, and ``ingest`` files nothing
     for it from later rides, such as its remaining parities.  So ``msgs``
     holds only messages not yet final, at most the T+1 of [now-T, now]
-    after ``finalize(now)``.
+    once every message up to now-T-1 has been asked for.
     What stays O(stream) is small and read by design: ``outcomes``, each
     final message's value or FAILED (``try_decode`` answers for every t, and
     a later message's cancellation reads its dependencies' values), and the
@@ -227,44 +226,45 @@ class DecoderState:
 
     def plan(self, t: int) -> MessagePlan | None:
         """Message t's plan, None while pattern bits it needs are unknown.  A
-        final message's plan is built afresh and not stored: ``msgs`` holds
-        only messages not yet final."""
-        st = _MessageState() if t in self.outcomes else self._state(t)
-        if st.plan is None and self._plan_ready(t):
-            st.plan = build_message_plan(self.params, self.pattern, t)
-        return st.plan
-
-    def _state(self, t: int) -> _MessageState:
+        message with no live state -- a final one among them -- gets its plan
+        built afresh and not stored: ``msgs`` holds only messages not yet
+        final, and only ``ingest`` adds one."""
         st = self.msgs.get(t)
-        if st is None:
-            st = self.msgs[t] = _MessageState()
-        return st
+        if st is not None and st.plan is not None:
+            return st.plan
+        if not self._plan_ready(t):
+            return None
+        plan = build_message_plan(self.params, self.pattern, t)
+        if st is not None:
+            st.plan = plan
+        return plan
+
+    def _ready(self, t: int, st: _MessageState | None) -> MessagePlan | None:
+        """Message t's plan once an attempt can succeed, else None: the plan
+        is held and at least as many symbols are filed as it transmits --
+        every tx item sits in exactly one codeword, and a codeword decodes
+        only from as many symbols as it has tx items."""
+        if st is None:  # nothing filed: a ride carries at least one symbol
+            return None
+        plan = st.plan if st.plan is not None else self.plan(t)
+        return plan if plan is not None and st.received >= plan.n_tx else None
 
     # -- finalizing -------------------------------------------------------------
 
     def finalize(self, now: int):
         """Yield ``(t, outcome)``, in ascending t, for every message that
-        becomes final at slot ``now``, and retire it (see the class).
-
-        A message is attempted once it holds its plan and as many symbols
-        as it transmits -- every tx item sits in exactly one codeword, and a
-        codeword decodes only from as many symbols as it has tx items -- or
-        once ``now`` is past its deadline t+T.
+        ``try_decode`` finalizes at slot ``now``.  A message is attempted
+        once ``_ready`` holds for it, or once ``now`` is past its deadline
+        t+T.
         """
         msgs, outcomes, T = self.msgs, self.outcomes, self.params.T
         for t in range(self._oldest, now + 1):
             if t not in outcomes:
-                if now <= t + T:
-                    st = msgs.get(t)
-                    if st is None or not st.received:
-                        continue
-                    plan = st.plan if st.plan is not None else self.plan(t)
-                    if plan is None or st.received < plan.n_tx:
-                        continue
+                if now <= t + T and self._ready(t, msgs.get(t)) is None:
+                    continue
                 outcome = self.try_decode(t, now)
                 if outcome == "pending":
                     continue
-                del msgs[t]
                 yield t, outcome
             if t == self._oldest:
                 self._oldest += 1
@@ -314,11 +314,13 @@ class DecoderState:
         self.last_slot = max(self.last_slot, slot)
         if self.header_mode:
             self.pattern.cover(slot, bits)
-        offset, outcomes = 0, self.outcomes
+        offset, msgs, outcomes = 0, self.msgs, self.outcomes
         for i, _, start, size in rides:
             t = slot - i
             if t not in outcomes:  # a final message files nothing
-                st = self._state(t)
+                st = msgs.get(t)
+                if st is None:
+                    st = msgs[t] = _MessageState()
                 st.got[start] = symbols[offset : offset + size]
                 st.received += size
             offset += size
@@ -328,34 +330,33 @@ class DecoderState:
     def try_decode(self, t: int, now: int | None = None):
         """Attempt to finalize message t: list | "pending" | FAILED.
 
-        FAILED is permanent and only reached once ``now`` passes the deadline
-        t+T (or a dependency is FAILED, which dooms this message too).
-        Callers should attempt pending messages in ascending t so that
-        interference dependencies resolve first.
+        The one place a message becomes final: its outcome goes into
+        ``outcomes`` and the message leaves ``msgs``, its plan and filed
+        symbols with it, whoever calls.  A final message answers from
+        ``outcomes``; no call creates live state.  FAILED is permanent and
+        only reached once ``now`` (default: the last slot ingested) passes
+        the deadline t+T, or once a dependency is FAILED, which dooms this
+        message too.  Callers should attempt pending messages in ascending
+        t so that interference dependencies resolve first.
         """
         outcome = self.outcomes.get(t)
         if outcome is not None:
             return outcome
         now = self.last_slot if now is None else now
-        try:
-            result = self._attempt(t, self._state(t))
-        except MissingDependency:
-            result = FAILED
+        st = self.msgs.get(t)
+        plan = self._ready(t, st)
+        result = None if plan is None else self._attempt(t, plan, st.got)
         if result is None:
             if now <= t + self.params.T:
                 return "pending"
             result = FAILED
         self.outcomes[t] = result
+        self.msgs.pop(t, None)
         return result
 
-    def _attempt(self, t: int, st: _MessageState):
+    def _attempt(self, t: int, plan: MessagePlan, got: dict):
         d = self.dims
-        plan = st.plan if st.plan is not None else self.plan(t)
-        if plan is None:
-            return None  # pattern bits still missing (header mode)
-        if st.received < plan.n_tx:
-            return None  # too few symbols to decode (see finalize)
-        queue = self._queue(plan, st.got)
+        queue = self._queue(plan, got)
         if queue is None:
             return None  # a codeword still holds fewer than k symbols
 
@@ -415,7 +416,8 @@ class DecoderState:
 
     def _cancel(self, t: int, plan: MessagePlan, queue: list[int]):
         """Subtract interference using already-decoded messages, resolving
-        each emission's terms once for all its layers."""
+        each emission's terms once for all its layers: None while a
+        dependency is pending, FAILED once one is FAILED."""
         p, entry, k = self.params, self._entry, self.dims.k_prime
         sub = self.field.SUB
         out = [0] * self.dims.k_src
@@ -427,12 +429,8 @@ class DecoderState:
                 _, _, kept = _emission_program(p, entry, plan.emissions[e])
                 for row, off, pos in kept:
                     dep_val = self.outcomes.get(t + off)
-                    if dep_val is FAILED:
-                        raise MissingDependency(
-                            f"message {t} needs FAILED message {t + off} for cancellation"
-                        )
-                    if dep_val is None:
-                        return None  # dependency still pending; its deadline is earlier
+                    if dep_val is None or dep_val is FAILED:
+                        return dep_val  # None: pending, its deadline is earlier
                     terms.append((row, dep_val, pos))
             layer = flat - flat % k
             for row, dep_val, pos in terms:

@@ -500,15 +500,13 @@ def _analytic_losses(p: SchemeParams, e1: np.ndarray, e2: np.ndarray, n_assess: 
     return adaptive_lost, nonadaptive_lost
 
 
-def _codec_losses(p: SchemeParams, bits1, bits2, horizon: int, seed: int, n_assess: int):
+def _codec_losses(p: SchemeParams, bits1, bits2, horizon: int, seed: int,
+                  n_assess: int) -> set[int]:
+    """The messages below ``n_assess`` one codec episode loses: the FAILED
+    ones and the ones decoded to a wrong value, each counted once."""
     rep = run_episode(p, bits1, bits2, horizon, seed=seed)
-    lost = np.zeros(n_assess, dtype=bool)
-    for t in rep.failed:
-        if t < n_assess:
-            lost[t] = True
-    for v in rep.violations:
-        if v[0] == "wrong-value" and v[1] < n_assess:
-            lost[v[1]] = True
+    lost = {t for t in rep.failed if t < n_assess}
+    lost.update(v[1] for v in rep.violations if v[0] == "wrong-value" and v[1] < n_assess)
     return lost
 
 
@@ -547,7 +545,7 @@ def _block_losses(p: SchemeParams, config: ChannelConfig, mode: str, scheme: str
             lost = _codec_losses(p, e1[i].tolist(), e2[i].tolist(),
                                  config.horizon, config.seed + chunk,
                                  min(per_chunk, trials - i * per_chunk))
-            a += int(lost.sum())
+            a += len(lost)
     return a, na
 
 

@@ -65,7 +65,7 @@ def chunk_losses_reference(p, config, mode, trials):
         else:
             lost = _codec_losses(p, e1.astype(int).tolist(), e2.astype(int).tolist(),
                                  config.horizon, config.seed + chunk, n_assess)
-            losses["adaptive"] += int(lost.sum())
+            losses["adaptive"] += len(lost)
         done += n_assess
         chunk += 1
     return losses

@@ -12,7 +12,8 @@ and one zero-padded ``MdsCode.encode`` per codeword.  ``queue_reference`` is
 the destination's second-hop decode without its programs: one
 ``MdsCode.erasure_decode`` per codeword missing a systematic symbol.
 ``cancel_interference`` is the standalone form of the decoder's cancellation
-step, ``dest_ingest`` feeds a relay packet with an optional side-information
+step, raising ``MissingDependency`` where the decoder's returns FAILED or
+None, ``dest_ingest`` feeds a relay packet with an optional side-information
 cross-check, and ``estimates_available`` is the closed-form count the plan
 engine's availability must match on admissible patterns.  ``make_codes``
 gives a parameter set's field and first-hop layer code.
@@ -21,7 +22,7 @@ gives a parameter set's field and first-hop layer code.
 from __future__ import annotations
 
 from relaystream import source_codec
-from relaystream.dest_codec import FAILED, DecoderState, MissingDependency, interference_terms
+from relaystream.dest_codec import FAILED, DecoderState, interference_terms
 from relaystream.field_mds import (
     DimensionMismatch,
     GaloisField,
@@ -39,6 +40,10 @@ from relaystream.source_codec import (
     SourcePacket,
     emission_coefficients,
 )
+
+
+class MissingDependency(ValueError):
+    """Interference cancellation needs a message that was never decoded."""
 
 
 def make_codes(p: SchemeParams) -> tuple[GaloisField, MdsCode]:
@@ -233,18 +238,14 @@ def estimates_available(ledger: EstimateLedger, t: int, now: int) -> int:
 # structured decoder whenever the latter succeeds.
 
 
-def oracle_decode(p: SchemeParams, plan: MessagePlan, state: DecoderState, history: dict):
+def oracle_decode(p: SchemeParams, plan: MessagePlan, got: dict, history: dict):
     """Decode message plan.t from raw received symbols by solving one linear
-    system, ignoring the codeword structure.  Reads the symbols as the
-    decoder filed them, by start in the message's second-hop sequence:
-    below n_tx a queue item, past it symbol c of parity row m at n_tx +
-    m*len(codewords) + c.  Returns list | None."""
-    field = state.field
+    system, ignoring the codeword structure.  ``got`` holds the symbols as
+    the decoder filed them (``_MessageState.got``), by start in the
+    message's second-hop sequence: below n_tx a queue item, past it symbol
+    c of parity row m at n_tx + m*len(codewords) + c.  Returns list | None."""
+    field, _ = make_codes(p)
     d = derive_dims(p)
-    t = plan.t
-    st = state.msgs.get(t)
-    if st is None:
-        return None
 
     def tx_row(idx: int):
         """Functional of plan.tx[idx] over the unknowns, plus constant."""
@@ -281,8 +282,8 @@ def oracle_decode(p: SchemeParams, plan: MessagePlan, state: DecoderState, histo
 
     n_tx = len(plan.tx)
     rows, rhs = [], []
-    for start, got in sorted(st.got.items()):
-        for idx, v in enumerate(got, start):
+    for start, symbols in sorted(got.items()):
+        for idx, v in enumerate(symbols, start):
             if idx < n_tx:
                 row, const = tx_row(idx)
             else:

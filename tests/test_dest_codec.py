@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from codec_reference import (
+    MissingDependency,
     cancel_interference,
     dest_ingest,
     make_codes,
@@ -22,12 +23,7 @@ from codec_reference import (
 )
 from decode_programs import outcome, same
 from relaystream import source_codec
-from relaystream.dest_codec import (
-    FAILED,
-    DecoderState,
-    MalformedPacket,
-    MissingDependency,
-)
+from relaystream.dest_codec import FAILED, DecoderState, MalformedPacket
 from relaystream.erasure_channel import enumerate_admissible, is_admissible
 from relaystream.field_mds import InconsistentSymbols, MdsCode
 from relaystream.relay_codec import RelayState, second_code, slot_layout
@@ -46,10 +42,12 @@ def episode_messages(p, horizon, seed):
     return [list(map(int, rng.integers(0, field.q, d.k_src))) for _ in range(horizon)]
 
 
-def run_pipeline(p, bits1, bits2, messages, header_mode=False, decode_slots=None):
+def run_pipeline(p, bits1, bits2, messages, header_mode=False, decode_slots=None, filed=None):
     """Drive an episode; returns the decoder after the last slot.  If
     ``decode_slots`` is a dict, it gets each message's slot of its first
-    ``try_decode`` that was not pending."""
+    ``try_decode`` that was not pending.  If ``filed`` is a dict, it gets a
+    copy of each message's filed symbols as they stood when it was last
+    polled, since ``try_decode`` retires them with the message."""
     horizon = len(bits1)
     relay = RelayState(p, header_mode=header_mode)
     if header_mode:
@@ -61,6 +59,8 @@ def run_pipeline(p, bits1, bits2, messages, header_mode=False, decode_slots=None
         relay.ingest_source(s, None if bits1[s] else pkt)
         rp = relay.emit(s)
         dest_ingest(dest, s, None if bits2[s] else rp.wire_symbols())
+        if filed is not None:
+            filed.update((t, dict(st.got)) for t, st in dest.msgs.items())
         # attempt in ascending t so interference dependencies resolve first
         for t in range(0, s + 1):
             if dest.try_decode(t) != "pending" and decode_slots is not None:
@@ -110,14 +110,15 @@ def test_structured_decoder_agrees_with_linear_algebra_oracle(e2_bits):
     horizon = 12
     messages = episode_messages(p, horizon, seed=37)
     for bits1 in enumerate_admissible(p.T, p.N1, horizon):
-        dest = run_pipeline(p, bits1, e2_bits, messages)
+        filed = {}
+        dest = run_pipeline(p, bits1, e2_bits, messages, filed=filed)
         history = {}
         for t in range(horizon - p.T):
             got = dest.try_decode(t)
             assert got == messages[t], (bits1, t)
             history[t] = got
             plan = dest.plan(t)
-            assert oracle_decode(p, plan, dest, history) == messages[t], (bits1, t)
+            assert oracle_decode(p, plan, filed[t], history) == messages[t], (bits1, t)
 
 
 def admissible(bits, T, N):
@@ -160,13 +161,14 @@ def test_queue_decode_agrees_with_the_oracle_over_extension_fields(p, monkeypatc
         for b in range(1, p.N2 + 1):
             for phase in range(p.T + 1 - b):
                 e2_bits = [int((s - phase) % (p.T + 1) < b) for s in range(horizon)]
-                dest = run_pipeline(p, bits1, e2_bits, messages)
+                filed = {}
+                dest = run_pipeline(p, bits1, e2_bits, messages, filed=filed)
                 history = {}
                 for t in range(horizon - p.T):
                     got = dest.try_decode(t)
                     assert got == messages[t], (bits1, e2_bits, t)
                     history[t] = got
-                    want = oracle_decode(p, dest.plan(t), dest, history)
+                    want = oracle_decode(p, dest.plan(t), filed[t], history)
                     assert want == messages[t], (bits1, e2_bits, t)
     assert lost_counts >= set(range(1, p.N2 + 1)), lost_counts
 
@@ -489,7 +491,8 @@ def test_failure_propagates_through_interference():
     bits2 = [0] * horizon
     bits2[5] = bits2[7] = 1  # two erasures in one window: beyond N2=1
     messages = episode_messages(p, horizon, seed=47)
-    dest = run_pipeline(p, bits1, bits2, messages)
+    filed = {}
+    dest = run_pipeline(p, bits1, bits2, messages, filed=filed)
 
     assert dest.try_decode(4) is FAILED  # symbol starvation
     assert dest.try_decode(6) is FAILED  # dependency propagation
@@ -498,7 +501,7 @@ def test_failure_propagates_through_interference():
     truth = {t: messages[t] for t in range(horizon)}
     plan6 = dest.plan(6)
     assert plan6 is not None
-    assert oracle_decode(p, plan6, dest, truth) == messages[6]
+    assert oracle_decode(p, plan6, filed[6], truth) == messages[6]
     # messages clear of both failures still decode
     assert dest.try_decode(10) == messages[10]
 
@@ -507,8 +510,8 @@ def _decode_both_ways(p, bits1, bits2, messages, header_mode):
     """Feed one relay's packets to two decoders: one attempts every pending
     message on every slot, the other is driven by ``finalize``.  Returns the
     (outcome, decode slot) per message of the first, the list of ``(t,
-    (outcome, decode slot))`` that ``finalize`` yielded, and the second
-    decoder."""
+    (outcome, decode slot))`` that ``finalize`` yielded, and the two
+    decoders."""
     horizon = len(bits1)
     relay = RelayState(p, header_mode=header_mode)
 
@@ -534,7 +537,7 @@ def _decode_both_ways(p, bits1, bits2, messages, header_mode):
         pending = [t for t in pending if t not in seen["polled"]]
         for t, r in driven.finalize(s):
             seen["driven"].append((t, (r, s)))
-    return seen["polled"], seen["driven"], driven
+    return seen["polled"], seen["driven"], polled, driven
 
 
 @pytest.mark.parametrize(
@@ -545,8 +548,10 @@ def test_event_driven_decoding_matches_polling(p, header_mode):
     """Finalizing by ``finalize``'s scan finalizes every message with the
     same outcome in the same slot as attempting all of them, including losses
     through dependencies and past deadlines (i.i.d. loss, often inadmissible);
-    it yields each message once and retires it.  At (12,3,4,1), k'=6, the
-    dependency chains are the deepest."""
+    it yields each message once and retires it.  A message polled to its
+    outcome is retired too, so the polled decoder's live store ends with no
+    final message and at most the T+1 of the last window.  At (12,3,4,1),
+    k'=6, the dependency chains are the deepest."""
     horizon = 40
     messages = episode_messages(p, horizon, seed=53)
     failed = decoded = 0
@@ -554,10 +559,14 @@ def test_event_driven_decoding_matches_polling(p, header_mode):
         rng = np.random.default_rng([seed, p.T, header_mode])
         bits1 = (rng.random(horizon) < 0.2).astype(int).tolist()
         bits2 = (rng.random(horizon) < 0.25).astype(int).tolist()
-        polled, driven, dest = _decode_both_ways(p, bits1, bits2, messages, header_mode)
+        polled, driven, polled_dest, dest = _decode_both_ways(
+            p, bits1, bits2, messages, header_mode
+        )
         assert driven == list(polled.items()), (bits1, bits2)
         assert len({t for t, _ in driven}) == len(driven)
         assert all(t not in dest.msgs and t in dest.outcomes for t, _ in driven)
+        assert not polled_dest.msgs.keys() & polled_dest.outcomes.keys(), (bits1, bits2)
+        assert len(polled_dest.msgs) <= p.T + 1, (bits1, bits2)
         failed += sum(r is FAILED for r, _ in polled.values())
         decoded += sum(r is not FAILED for r, _ in polled.values())
     assert failed and decoded

@@ -1,8 +1,9 @@
 """Long streams: pinned reports and codec state bounded by the stream window.
 
 The relay prunes its ledger behind the oldest slot an in-flight message can
-still read, and the destination retires each message ``finalize`` yields, so
-what the codec holds per message must not grow with the stream.  The two
+still read, and the destination retires each message ``try_decode``
+finalizes, so what the codec holds per message must not grow with the
+stream.  The two
 3000-slot reports are pinned from the codec that kept every packet, plan and
 filed symbol for the whole stream: pruning may not change one decode slot,
 failure, violation or payload.  The (12,3,4,1) stream is i.i.d. at eps=0.1,
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from relaystream import sim_harness, source_codec
-from relaystream.dest_codec import FAILED, MissingDependency
+from relaystream.dest_codec import FAILED
 from relaystream.relay_codec import RelayState, _entry_shape
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import all_valid_params, run_episode
@@ -88,11 +89,9 @@ def run_stream(name):
             self.final_live += sum(t in self.outcomes for t in self.msgs)
 
         def _cancel(self, t, plan, queue):
-            try:
-                return super()._cancel(t, plan, queue)
-            except MissingDependency:
-                self.dependency_losses += 1
-                raise
+            out = super()._cancel(t, plan, queue)
+            self.dependency_losses += out is FAILED
+            return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim_harness, "RelayState", TrackedRelay)
