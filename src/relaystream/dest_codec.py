@@ -22,7 +22,9 @@ gate), or once its deadline has passed.  An attempt:
    from ``MdsCode.erasure_decode`` of the base's unit vectors and
    ``MdsCode.encode`` of the columns, so an attempt builds no position
    list, dict or sort, and a surplus check runs no ``encode``;
-2. maps the queue back to flat message indices through the plan's tx order;
+2. maps the queue back to flat message indices: a received message's by
+   one ``operator.itemgetter``, the ``scatter`` its plan's shape holds, an
+   erased message's through the plan's tx order as step 3 cancels;
 3. cancels estimate interference using messages it already decoded, walking
    forward in time so dependencies are always resolved first.  Which terms
    an emission carries, each a (MUL row, message offset, position) triple,
@@ -69,10 +71,10 @@ from .source_codec import FirstHop, _Entry, _emission_program, _entry
 from .source_codec import interference_terms  # noqa: F401  (resolved here by perfbench and tests)
 from .relay_codec import (
     MessagePlan,
+    _second_code,
     _slot_rides,
     build_message_plan,
     decode_header,
-    second_code,
 )
 
 FAILED = "FAILED"
@@ -105,7 +107,7 @@ def _decode_program(p: SchemeParams, entry: _Entry, key: tuple) -> tuple:
     if program is not None:
         return program
     n, k, m, held = key
-    code, mul, shared = second_code(p, n, k), entry.field.MUL, entry.shared
+    code, mul, shared = _second_code(entry, n, k), entry.field.MUL, entry.shared
     # codeword positions held: item r at r, padding in [m, k), parity i at k+i
     positions = [r for r in range(m) if held[r]] + list(range(m, k))
     positions += [k + i for i in range(len(held) - m) if held[m + i]]
@@ -300,7 +302,9 @@ class DecoderState:
             symbols = symbols[delta:]
         else:
             bits = self.pattern.slice(slot - T, T + 1)  # [slot-T, slot]
-        rides = _slot_rides(p, self._entry, bits)
+        rides = self._entry.layouts.get(bits)
+        if rides is None:
+            rides = _slot_rides(p, self._entry, bits)
         if slot < T:
             rides = [ride for ride in rides if ride[0] <= slot]  # none before slot 0
         carried = 0
@@ -355,19 +359,14 @@ class DecoderState:
         return result
 
     def _attempt(self, t: int, plan: MessagePlan, got: dict):
-        d = self.dims
         queue = self._queue(plan, got)
         if queue is None:
             return None  # a codeword still holds fewer than k symbols
-
-        if plan.erased:
-            if plan.n_tx < d.k_src:
-                return None  # relay never forwarded a full message (inadmissible hop)
-            return self._cancel(t, plan, queue)
-        out = [0] * d.k_src
-        for (flat, _, _), value in zip(plan.shape.tx, queue):
-            out[flat] = value
-        return out
+        if not plan.erased:
+            return list(plan.shape.scatter(queue))  # the queue in flat order
+        if plan.n_tx < self.dims.k_src:
+            return None  # relay never forwarded a full message (inadmissible hop)
+        return self._cancel(t, plan, queue)
 
     def _queue(self, plan: MessagePlan, got: dict):
         """The message's queue from its filed rides ``got``, each lost

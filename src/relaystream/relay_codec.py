@@ -59,21 +59,32 @@ memoizes ``encode_header`` (window -> symbols) and ``decode_header``
 (symbols -> window), each at most 2^(T+1) valid headers; a malformed header
 is never stored.  Each message goes out as one second-hop sequence, its
 queue then its N2 parity rows, which alpha cuts into subpackets (see
-``slot_layout``).  The relay builds that sequence as one list: an
-estimate's values are worked out by the ledger when the relay first sends
-it, and the parity rows are appended at the first parity slot, once the
-plan's window has closed; the sequence is then kept as a tuple.  The rows
-run a parity program memoized in the entry per codeword layout, at most
-2(k_src+1) layouts: per parity row and codeword, a (queue item, MUL row)
-pair per systematic symbol, its coefficients the parities
+``slot_layout``).  A received message's tx items and codewords read no
+first-hop bit after its slot, so the relay builds its whole sequence, a
+tuple, at its first ride: the queue is one ``operator.itemgetter`` over its
+packet's rows (the shape's ``gather``), the parity rows follow.  An erased
+message's sequence is a list: an estimate's values are worked out by the
+ledger when the relay first sends it, and the parity rows are appended at
+the first parity slot, once the plan's window has closed; the sequence is
+then kept as a tuple.  A ride of a whole sequence is one slice of it.  The
+rows run a parity program memoized in the entry per codeword layout, at
+most 2(k_src+1) layouts, and held by every shape of that layout, which
+compiles it when the shape is built: per parity row and codeword, a (queue
+item, MUL row) pair per systematic symbol, its coefficients the parities
 ``MdsCode.encode`` gives the unit vectors of the (n, k) code.  So a
 message's parities are N2 dot products per codeword over its queue values.
+The destination puts a received message's queue back in flat order with
+one more itemgetter, the shape's ``scatter``.  The records a slot passes
+along, ``SourcePacket``, ``ParityGroups`` and ``RelayPacket``, are named
+tuples: one tuple each, read-only, compared and hashed by their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
+from typing import NamedTuple
 
 from .field_mds import MdsCode
 from .scheme_params import SchemeParams, derive_dims, header_overhead, implemented_field_size
@@ -177,12 +188,24 @@ class CodewordSpec:
 @dataclass(frozen=True)
 class _PlanShape:
     """A plan in slot offsets from its message t, shared by every message
-    whose window [t, t+T-N2] reads the same first-hop bits."""
+    whose window [t, t+T-N2] reads the same first-hop bits.
+
+    The last three fields are its second-hop programs, compiled with the
+    shape and left out of its equality, hash and repr, which stay
+    structural: ``parity``, the parity program of its codeword layout
+    (``_parity_program``), and for a received message ``gather``, its
+    packet's rows joined into one tuple -> its queue, and ``scatter``, its
+    queue -> the message in flat order, each an ``operator.itemgetter``
+    giving a tuple (None for an erased message, and for a queue that does
+    not hold each flat index once, which only a broken schedule gives)."""
 
     schedule: Schedule  # at t = 0
     emissions: tuple[PosEmission, ...]  # at t = 0, without interference
     tx: tuple[tuple[int, int, int], ...]  # flat, offset, emission index (-1: systematic)
     codewords: tuple[tuple[int, int, tuple[int, ...]], ...]  # n, k, sys_items
+    parity: tuple = field(compare=False, repr=False)
+    gather: itemgetter | None = field(compare=False, repr=False)
+    scatter: itemgetter | None = field(compare=False, repr=False)
 
     def __hash__(self) -> int:  # interning slot rides hashes a shape often
         return self._hash
@@ -192,10 +215,12 @@ class _PlanShape:
         return hash((self.schedule, self.emissions, self.tx, self.codewords))
 
 
-def _plan_shape(p: SchemeParams, bits: bytes, shared: dict) -> _PlanShape:
-    """Build the shape for window bits ``bits`` (bits[i] is slot t+i).  Equal
-    tuples, which most shapes share, are stored once through ``shared``."""
-    d = derive_dims(p)
+def _plan_shape(p: SchemeParams, bits: bytes, entry: _Entry) -> _PlanShape:
+    """Build the shape for window bits ``bits`` (bits[i] is slot t+i), its
+    programs compiled in ``entry``, the entry of ``p``.  Equal tuples,
+    which most shapes share, are stored once through the entry's
+    ``shared``."""
+    d, shared = derive_dims(p), entry.shared
 
     def one(x):
         return shared.setdefault(x, x)
@@ -226,7 +251,18 @@ def _plan_shape(p: SchemeParams, bits: bytes, shared: dict) -> _PlanShape:
     end = min(len(tx), k_code * step)
     codewords = tuple(one((n_code, k_code, tuple(range(c, end, step)))) for c in range(step))
 
-    return _PlanShape(one(sched), one(emissions), one(tx), one(codewords))
+    gather = scatter = None
+    if not erased_msg and sorted(f for f, _, _ in tx) == list(range(d.k_src)):
+        # tx covers each flat index once (a schedule that does not is a
+        # certificate failure, ``sim_harness._plan_problems``), and k_src >=
+        # l' >= 2, so each itemgetter gives a tuple; packet row f // k'
+        # holds f at f % k'
+        k, n = d.k_prime, d.n_prime
+        gather = itemgetter(*[f // k * n + f % k for f, _, _ in tx])
+        order = {f: i for i, (f, _, _) in enumerate(tx)}
+        scatter = itemgetter(*[order[f] for f in range(d.k_src)])
+    parity = _parity_program(entry, codewords)
+    return _PlanShape(one(sched), one(emissions), one(tx), one(codewords), parity, gather, scatter)
 
 
 def _place(p: SchemeParams, t: int, window: bytes, em: PosEmission) -> PosEmission:
@@ -284,7 +320,7 @@ def _entry_shape(p: SchemeParams, entry: _Entry, key: bytes) -> _PlanShape:
     """The shape of window bits ``key`` in ``entry``, the entry of ``p``."""
     shape = entry.shapes.get(key)
     if shape is None:
-        shape = entry.shapes[key] = _plan_shape(p, key, entry.shared)
+        shape = entry.shapes[key] = _plan_shape(p, key, entry)
     return shape
 
 
@@ -306,7 +342,8 @@ def build_message_plan(p: SchemeParams, erased_fn, t: int) -> MessagePlan:
         window = erased_fn.slice(t - lag, lag + p.T - p.N2 + 1)
     else:
         window = bytes(s >= 0 and bool(erased_fn(s)) for s in range(t - lag, t + p.T - p.N2 + 1))
-    return MessagePlan(p, t, _entry_shape(p, entry, window[lag:]), window)
+    key = window[lag:]
+    return MessagePlan(p, t, entry.shapes.get(key) or _entry_shape(p, entry, key), window)
 
 
 def _slot_rides(p: SchemeParams, entry: _Entry, window: bytes) -> tuple:
@@ -357,18 +394,23 @@ def slot_layout(p: SchemeParams, bits, s: int) -> list[tuple]:
 
 def second_code(p: SchemeParams, n: int, k: int) -> MdsCode:
     """The second-hop (n, k) code over ``p``'s field, kept in its entry."""
-    entry = _entry(p)
-    if (n, k) not in entry.second_codes:
-        entry.second_codes[n, k] = MdsCode(entry.field, n, k)
-    return entry.second_codes[n, k]
+    return _second_code(_entry(p), n, k)
+
+
+def _second_code(entry: _Entry, n: int, k: int) -> MdsCode:
+    """``second_code`` in ``entry``: code compilers are given their entry,
+    so they never look up (and so never re-create) an evicted one."""
+    code = entry.second_codes.get((n, k))
+    if code is None:
+        code = entry.second_codes[n, k] = MdsCode(entry.field, n, k)
+    return code
 
 
 # ---------------------------------------------------------------------------
 # parity groups (value level)
 
 
-@dataclass(frozen=True)
-class ParityGroups:
+class ParityGroups(NamedTuple):
     """Parity symbols for one message: rows[m][i] rides parity slot m."""
 
     t: int
@@ -376,16 +418,17 @@ class ParityGroups:
     rows: tuple[tuple[int, ...], ...]
 
 
-def _parity_program(p: SchemeParams, entry: _Entry, codewords: tuple) -> tuple:
-    """The parity program of codeword layout ``codewords`` in ``entry``, the
-    entry of ``p``: per parity row, per codeword, a (queue item, MUL row)
-    pair per systematic symbol.  A codeword position beyond the queue has
-    no pair: it encodes as zero.  The coefficients are the parities
-    ``MdsCode.encode`` gives the k unit vectors."""
+def _parity_program(entry: _Entry, codewords: tuple) -> tuple:
+    """The parity program of codeword layout ``codewords`` in ``entry``:
+    per parity row, per codeword, a (queue item, MUL row) pair per
+    systematic symbol.  A codeword position beyond the queue has no pair:
+    it encodes as zero.  The coefficients are the parities
+    ``MdsCode.encode`` gives the k unit vectors.  Compiled once per layout,
+    when a shape of it is built, and held by every such shape."""
     program = entry.parity_programs.get(codewords)
     if program is None:
         n, k, _ = codewords[0]  # every codeword of a plan has the same (n, k)
-        encode, mul = second_code(p, n, k).encode, entry.field.MUL
+        encode, mul = _second_code(entry, n, k).encode, entry.field.MUL
         columns = [encode([int(i == x) for x in range(k)])[k:] for i in range(k)]
         program = entry.parity_programs[codewords] = tuple(
             tuple(tuple((item, mul[columns[i][m]]) for i, item in enumerate(items))
@@ -401,15 +444,14 @@ def build_parity_groups(p: SchemeParams, plan: MessagePlan, values: list[int]) -
     values[i] is the value of plan.tx[i].  A codeword position beyond the
     transmitted queue (a plan that fell short of k_src estimates) encodes as
     zero.  Each parity is one dot product over the queue, run from the
-    parity program of the plan's codeword layout (``_parity_program``).
+    parity program the plan's shape holds (``_parity_program``).
     """
     n_tx = plan.n_tx
     if len(values) != n_tx:
         raise IncompleteEstimates(f"{len(values)} values for {n_tx} transmitted symbols")
-    entry = _entry(p)
-    add = entry.field.ADD
+    add = _entry(p).field.ADD
     rows = []
-    for words in _parity_program(p, entry, plan.shape.codewords):
+    for words in plan.shape.parity:
         row = []
         for pairs in words:
             acc = 0
@@ -424,15 +466,11 @@ def build_parity_groups(p: SchemeParams, plan: MessagePlan, values: list[int]) -
 # relay packet assembly
 
 
-@dataclass(frozen=True)
-class RelayPacket:
+class RelayPacket(NamedTuple):
     slot: int
     subpackets: tuple[tuple[int, tuple[int, ...]], ...]  # (t, symbols), oldest first
-    header: tuple[int, ...] = ()
-
-    @property
-    def payload_symbols(self) -> int:
-        return sum(len(s) for _, s in self.subpackets)
+    header: tuple[int, ...]  # () unless in header mode
+    payload_symbols: int  # symbols over all subpackets
 
     def wire_symbols(self) -> list[int]:
         out = list(self.header)
@@ -447,20 +485,23 @@ class RelayState:
     Scheduling is strictly causal: what slot s sends is ``slot_layout`` of
     the T+1 bits the relay has seen up to s.  The relay resolves its
     parameter set's store entry once, at construction, and reads each slot's
-    rides, in offsets, through ``_slot_rides`` keyed by one slice of the
-    ledger's ``pattern``.  ``queues`` holds each message's second-hop
-    sequence: its queue, filled once from the packet rows of a received
-    message, one estimate (l' values, from the ledger) at a time for an
-    erased one, then its parity rows.  Every ride is a slice of it, read
-    through one accessor, ``_queue_values``, which places an estimate not
-    yet valued from the ride's shape and one slice of the ledger's pattern,
-    the plan window as the relay sees it (its past reach is the store
-    entry's ``plan_past``), building no ``MessagePlan``.  The first ride
-    past the queue, when [t, t+T-N2] has closed, appends the parity rows
-    encoded from the queue with the plan ``build_message_plan`` gives for
-    the ledger's pattern, through the parity program of that plan's
-    codeword layout, and keeps the whole sequence as a tuple, so every
-    parity ride is one slice.
+    rides, in offsets, from its layout memo keyed by one slice of the
+    ledger's ``pattern`` (``_slot_rides`` on a miss).  ``queues`` holds
+    each message's second-hop sequence, its queue then its parity rows, and
+    ``emit`` reads a ride of a whole one, a tuple, as one slice.  A
+    received message's sequence is whole from its first ride on: its shape
+    reads no first-hop bit after slot t, so its ``gather`` takes the queue
+    from the packet's rows and the parity rows follow at once
+    (``_with_parities``).  An erased message's sequence grows one estimate
+    (l' values, from the ledger) at a time through ``_queue_values``, which
+    places an estimate not yet valued from the ride's shape and one slice
+    of the ledger's pattern, the plan window as the relay sees it (its past
+    reach is the store entry's ``plan_past``), building no ``MessagePlan``;
+    its first ride past the queue, when [t, t+T-N2] has closed, appends the
+    parity rows and makes it whole.  Either way the parity rows are encoded
+    from the queue by ``build_parity_groups``, with the plan
+    ``build_message_plan`` gives for the ledger's pattern, through the
+    parity program its shape holds.
     The sequence is dropped once slot t+T has been emitted.
 
     The state stays bounded over a stream: after slot s is emitted the
@@ -516,23 +557,27 @@ class RelayState:
     def ingest_source(self, slot: int, packet: SourcePacket | None) -> None:
         self.ledger.ingest(slot, packet)
 
+    def _with_parities(self, t: int, queue) -> tuple[int, ...]:
+        """Message t's whole second-hop sequence from its whole ``queue``:
+        the queue, then the parity rows ``build_parity_groups`` encodes
+        with the plan ``build_message_plan`` gives for the ledger's
+        pattern.  It is kept as the message's sequence."""
+        plan = build_message_plan(self.params, self.ledger.pattern, t)
+        seq = self.queues[t] = sum(build_parity_groups(self.params, plan, queue).rows, tuple(queue))
+        return seq
+
     def _queue_values(self, t: int, shape: _PlanShape, start: int, size: int) -> tuple[int, ...]:
-        """Symbols start .. start+size-1 of message t's second-hop sequence:
-        its queue, in the order its plan's ``shape`` fixes, then its parity
-        rows.  A received message's queue is filled at its first ride; an
-        estimate not held yet is placed (``_place``) from the shape and the
-        plan window, whose slots not yet ingested read erased: interference
-        reads no slot past the estimate's own.  Once its parity rows are
-        appended the sequence is kept as a tuple."""
+        """Symbols start .. start+size-1 of erased message t's second-hop
+        sequence: its queue, in the order its plan's ``shape`` fixes, then
+        its parity rows.  An estimate not held yet is placed (``_place``)
+        from the shape and the plan window, whose slots not yet ingested
+        read erased: interference reads no slot past the estimate's own.
+        Once its parity rows are appended the sequence is kept as a
+        tuple."""
         end = start + size
         values = self.queues.get(t)
         if values is None:
-            if shape.schedule.erased:
-                values = []
-            else:
-                rows, k = self.ledger.packets[t].rows, self.dims.k_prime
-                values = [rows[f // k][f % k] for f, _, _ in shape.tx]
-            self.queues[t] = values
+            values = self.queues[t] = []
         if len(values) < end:
             fill = min(end, len(shape.tx))
             if len(values) < fill:
@@ -547,26 +592,35 @@ class RelayState:
                         )
                     values.extend(self.ledger.estimate(em))
             if len(values) < end:  # the first parity ride: [t, t+T-N2] has closed
-                plan = build_message_plan(self.params, self.ledger.pattern, t)
-                for row in build_parity_groups(self.params, plan, values).rows:
-                    values.extend(row)
-                values = self.queues[t] = tuple(values)
-        return tuple(values[start:end])  # a slice of a tuple is not copied again
+                values = self._with_parities(t, values)
+        return tuple(values[start:end])
 
     def emit(self, slot: int) -> RelayPacket:
         """Relay packet for this slot; first-hop slots <= slot must have been
         ingested already."""
-        p, ledger = self.params, self.ledger
+        p, ledger, queues, entry = self.params, self.ledger, self.queues, self._entry
         bits = ledger.pattern.slice(slot - p.T, p.T + 1)  # [slot-T, slot]
-        subpackets = []
-        for i, shape, start, size in _slot_rides(p, self._entry, bits):
-            if i <= slot:  # else a message before slot 0
-                subpackets.append((slot - i, self._queue_values(slot - i, shape, start, size)))
+        rides = entry.layouts.get(bits)
+        if rides is None:
+            rides = _slot_rides(p, entry, bits)
+        subpackets, payload = [], 0
+        for i, shape, start, size in rides:
+            if i > slot:
+                continue  # a message before slot 0
+            t = slot - i
+            seq = queues.get(t)
+            if seq is None and not shape.schedule.erased:  # a received message's first ride
+                seq = self._with_parities(t, shape.gather(sum(ledger.packets[t].rows, ())))
+            if type(seq) is tuple:  # a whole sequence
+                subpackets.append((t, seq[start : start + size]))
+            else:
+                subpackets.append((t, self._queue_values(t, shape, start, size)))
+            payload += size
         # message slot-T had its last slot
-        self.queues.pop(slot - p.T, None)
+        queues.pop(slot - p.T, None)
         ledger.forget_before(slot - self._ledger_lag)
         header = encode_header(p, bits) if self.header_mode else ()
-        return RelayPacket(slot, tuple(subpackets), header)
+        return RelayPacket(slot, tuple(subpackets), header, payload)
 
 
 # ---------------------------------------------------------------------------

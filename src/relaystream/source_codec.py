@@ -47,9 +47,13 @@ coefficient times q, an offset into the flattened ADD table.
 ``encode_source`` runs it as one numpy pass over a block of slots
 (``_encode_block``): ``EpisodeMessages``, an episode's messages as one int
 array, encodes B = ``_BLOCK`` slots at a time and holds only that block's
-packets and messages, and any other sequence is a block of one slot.  The second hop
-runs parity programs, one per codeword layout
-(``relay_codec.build_parity_groups``).
+packets and messages, and any other sequence is a block of one slot.  A
+packet is a ``SourcePacket``, a named tuple, so it costs one tuple.  The
+second hop runs parity programs, one per codeword layout
+(``relay_codec.build_parity_groups``), and a received message's queue is
+read from its packet and put back in message order by two itemgetters:
+all three are compiled when a plan shape is built, from the entry passed
+in, and the shape holds them (``relay_codec._PlanShape``).
 The destination's second-hop decode runs one too, per codeword layout and
 set of symbols held (``dest_codec``).  Each estimate structure has one
 emission program (``_emission_program``): the split of its leftover
@@ -61,6 +65,7 @@ has one function that stores into it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .field_mds import GaloisField, MdsCode, DimensionMismatch, make_field, solve_linear
 from .scheme_params import SchemeParams, derive_dims, implemented_field_size, nominal_field_size
@@ -107,10 +112,11 @@ class _Entry:
         self.sums = np.array(self.field.ADD, dtype=np.intp).reshape(-1)
         self.zeros = np.zeros((k + p.N1 - 1, d.k_src), dtype=np.intp)
         self.second_codes: dict[tuple[int, int], MdsCode] = {}  # second hop, by (n, k)
-        self.shapes: dict[bytes, object] = {}  # plan window bits -> relay_codec._PlanShape
+        # plan window bits -> relay_codec._PlanShape, its programs included
+        self.shapes: dict[bytes, object] = {}
         self.layouts: dict[bytes, tuple] = {}  # slot's T+1 bits -> rides, in offsets
         self.shared: dict = {}  # one copy of each equal shape, ride and tuple in them
-        self.parity_programs: dict[tuple, tuple] = {}  # codeword layout -> parity program
+        self.parity_programs: dict[tuple, tuple] = {}  # codeword layout -> its shapes' program
         self.headers: dict[bytes, tuple] = {}  # slot's T+1 bits -> header symbols
         self.windows: dict[bytes, bytes] = {}  # valid header symbols -> T+1 bits
         self.programs: dict[tuple, tuple] = {}  # _structure_key -> emission program
@@ -134,8 +140,7 @@ def _entry(p: SchemeParams) -> _Entry:
     return entry
 
 
-@dataclass(frozen=True)
-class SourcePacket:
+class SourcePacket(NamedTuple):
     """One first-hop packet: l' rows of n' symbols (systematic | parity)."""
 
     t: int

@@ -14,8 +14,10 @@ programs, checked against ``encode_source_reference`` (the first at the
 edges of its blocks too, ``source_blocks``) and
 ``build_parity_groups_reference``.  The destination's second-hop decode
 runs programs compiled into the entry too, checked against
-``queue_reference``.  The memos are bounded by the layer code or the
-codeword layouts, not by the stream.
+``queue_reference``.  Each plan shape holds its second-hop programs, the
+parity program and a received message's gather and scatter, checked against
+the per-symbol references (``shape_programs``).  The memos are bounded by
+the layer code or the codeword layouts, not by the stream.
 """
 
 import itertools
@@ -31,6 +33,7 @@ from codec_reference import (
     make_codes,
 )
 from decode_programs import check_bound, check_sets
+from shape_programs import check_sets as check_shapes
 from source_blocks import check_sets as check_blocks
 from relaystream import dest_codec, relay_codec, sim_harness, source_codec
 from relaystream.dest_codec import DecoderState, interference_terms
@@ -334,10 +337,12 @@ def test_compiled_encoders_match_the_reference(monkeypatch):
     included, and every message's parities equal the zero-padded
     ``MdsCode.encode`` of each codeword, grouped plans whose last codeword
     falls short of k included.  The store entry of each set is dropped
-    first: its first stream compiles the programs (cold), the later ones
-    reuse them (warm).  The relay makes no parity ride at N2 = 0, so a set
-    with N2 = 0 is checked by a direct call, on an erased (grouped) and a
-    received plan: it has no parity rows."""
+    first.  A parity program is compiled with the first shape of its
+    codeword layout (cold), and every plan's shape holds the program its
+    entry keeps for that layout, so the distinct programs the messages run
+    are far fewer than the messages (warm).  The relay makes no parity ride
+    at N2 = 0, so a set with N2 = 0 is checked by a direct call, on an
+    erased (grouped) and a received plan: it has no parity rows."""
     real_encode, real_parities = sim_harness.encode_source, relay_codec.build_parity_groups
     counts = dict.fromkeys(("packets", "early", "messages", "padded", "compiled"), 0)
 
@@ -348,15 +353,17 @@ def test_compiled_encoders_match_the_reference(monkeypatch):
         counts["early"] += t < derive_dims(p).k_prime + p.N1 - 1
         return got
 
+    programs = {}  # id -> every distinct program run, held so no id is reused
+
     def parities(p, plan, values):
-        programs = source_codec._entry(p).parity_programs
-        cold = len(programs)
         got = real_parities(p, plan, values)
         assert got == build_parity_groups_reference(p, plan, values), (p, plan.t)
-        codewords = plan.shape.codewords
+        codewords, program = plan.shape.codewords, plan.shape.parity
+        assert program is source_codec._entry(p).parity_programs[codewords], (p, plan.t)
         counts["messages"] += 1
         counts["padded"] += plan.shape.schedule.grouped and len(codewords[-1][2]) < codewords[-1][1]
-        counts["compiled"] += len(programs) > cold
+        counts["compiled"] += id(program) not in programs
+        programs[id(program)] = program
         return got
 
     monkeypatch.setattr(sim_harness, "encode_source", encode)
@@ -381,6 +388,19 @@ def test_compiled_encoders_match_the_reference(monkeypatch):
         values = [1] * plan.n_tx
         got = real_parities(p, plan, values)
         assert got.rows == () and got == build_parity_groups_reference(p, plan, values), erased
+
+
+def test_shape_programs_match_the_per_symbol_references():
+    """``shape_programs.check_sets`` over all_valid_params(6), (12,3,4,1)
+    and the GF(8), GF(9) and GF(27) sets of ENCODER_SETS: every shape's
+    parity program gives ``build_parity_groups_reference``'s rows and is
+    its entry's program for the shape's codeword layout, and every received
+    shape's gather and scatter give the per-symbol reads; an erased shape
+    has neither."""
+    counts = check_shapes(ENCODER_SETS)
+    assert {4, 8, 9, 27} <= counts["fields"], counts
+    assert 0 < counts["received"] < counts["shapes"], counts
+    assert counts["sets"] <= counts["programs"] < counts["shapes"], counts
 
 
 def test_block_encoder_matches_the_reference_at_the_block_edges(monkeypatch):

@@ -400,6 +400,38 @@ def test_plan_reads_only_the_header_mode_window():
     assert at_lower > 0
 
 
+def test_received_layout_reads_no_first_hop_bit_after_its_slot():
+    """A received message's tx items, codewords and parity program, and
+    what its gather and scatter give, equal those of the all-clean window:
+    over every plan window [t, t+T-N2] of all_valid_params(5) whose slot t
+    is received, and 64 sampled ones of (12,3,4,1), each after random bits
+    of [t - plan_past, t-1].  So the relay may build a received message's
+    whole second-hop sequence at its first ride, while the slots after it
+    still read erased."""
+    rng = np.random.default_rng(89)
+    cases = [(p, tail) for p in all_valid_params(5)
+             for tail in itertools.product((0, 1), repeat=p.T - p.N2)]
+    cases += [(P12, tuple(int(b) for b in rng.random(P12.T - P12.N2) < 0.5)) for _ in range(64)]
+    clean, checked = {}, 0
+    for p, tail in cases:
+        d = derive_dims(p)
+        t = source_codec._entry(p).plan_past
+        if p not in clean:
+            rows = [tuple(int(v) for v in rng.integers(0, 4, d.n_prime)) for _ in range(d.l_prime)]
+            queue = [int(v) for v in rng.integers(0, 4, d.k_src)]
+            clean[p] = build_message_plan(p, lambda s: False, t), sum(rows, ()), queue
+        want, packet, queue = clean[p]
+        bits = [int(b) for b in rng.random(t) < 0.5] + [0, *tail]
+        plan = build_message_plan(p, oracle_view(bits), t)
+        assert not plan.erased and plan.emissions == (), (p, bits)
+        assert plan.tx == want.tx and plan.codewords == want.codewords, (p, bits)
+        assert plan.shape.parity is want.shape.parity, (p, bits)
+        assert plan.shape.gather(packet) == want.shape.gather(packet), (p, bits)
+        assert plan.shape.scatter(queue) == want.shape.scatter(queue), (p, bits)
+        checked += 1
+    assert checked == len(cases) > 1000
+
+
 def test_plan_memo_keeps_a_bounded_number_of_parameter_sets():
     """Sweeping all 210 sets of all_valid_params(7) twice keeps at most
     _STORE_SETS sets in the codec's store, the last ones inserted, and
