@@ -1,16 +1,24 @@
 """Destination decoder: replays the relay's plan symbolically and decodes.
 
 The destination never sees the first hop.  It learns the first-hop erasure
-pattern either out of band (oracle side information ``e1_bits``, the
-default) or from the delta-symbol header each relay packet carries, rebuilds
-every message's transmission plan with the exact code the relay used, slices
-each received relay packet by ``slot_layout`` -- the relay's own per-slot
-rule, applied to the packet's header or to the oracle window -- and files
-every ride alike, by its start in the message's second-hop sequence (the
-queue, then the parity rows).  ``finalize(now)`` scans the live window once
-per slot, in ascending t, and attempts a message once it holds its plan and
-as many symbols as it transmits (``_ready``, the one statement of that
-gate), or once its deadline has passed.  An attempt:
+pattern one of two ways, and the one argument ``e1_bits`` says which: given,
+it is oracle side information; None, the pattern comes from the
+delta-symbol header each relay packet carries.  Every per-slot decision is
+then a function of the pattern, each made in one place:
+
+- what a slot carries: the relay's own rule, ``relay_codec._slot_rides``,
+  applied to the packet's header or to the oracle window.  Each ride is
+  filed by its start in the message's second-hop sequence (the queue, then
+  the parity rows);
+- a message's plan: ``plan(t)``, built from the pattern once its window is
+  known;
+- whether a message is ready: ``_ready``, on the message's live record,
+  which stores the plan there once it is built.  A message is ready once
+  it holds its plan and as many symbols as it transmits.
+
+``finalize(now)`` scans the live window once per slot, in ascending t, and
+attempts a message once it is ready, or once its deadline has passed.  An
+attempt:
 
 1. lays its sequence out, None for a lost symbol, and decodes each
    second-hop codeword missing a symbol from any k of its n symbols, the
@@ -49,7 +57,7 @@ decoder writes each header's bits into it (``FirstHop.cover``), and a slot
 no header has covered yet, past its end included, reads erased and not
 known; the oracle's bits (``e1_bits``) are a pattern known everywhere,
 clean past its end.  A slot's T+1 bits are then one ``bytes`` slice -- of
-the pattern, or the decoded header itself -- which keys the layout memo of
+the pattern, or the decoded header itself -- which ``_slot_rides`` reads in
 the store entry the decoder resolved at construction.  A plan is built
 from the pattern passed whole once ``FirstHop.known`` holds over its
 window, [t - plan_past, t+T-N2] with ``plan_past`` the entry's: it takes
@@ -132,7 +140,7 @@ def _decode_program(p: SchemeParams, entry: _Entry, key: tuple) -> tuple:
 class _MessageState:
     """A message not yet final: its plan once built, and every ride filed in
     ``got`` by its start in the message's second-hop sequence (see
-    ``slot_layout``)."""
+    ``slot_layout``).  ``DecoderState._ready`` alone writes ``plan``."""
 
     plan: MessagePlan | None = None
     got: dict = dc_field(default_factory=dict)  # sequence start -> symbol list
@@ -142,13 +150,14 @@ class _MessageState:
 class DecoderState:
     """Destination state across an episode.
 
-    The first-hop pattern lives in ``pattern`` in both modes.  With oracle
-    side information pass it as ``e1_bits``, one 0/1 entry per slot from
-    slot 0; the pattern is known everywhere, and slots past its end read
-    clean.  In header mode pass None; each received header is written into
-    the pattern (``FirstHop.cover``), a slot no header has covered yet,
-    past its end included, reads erased and is not known, and anything
-    that needs bits not yet covered simply waits.
+    The first-hop pattern lives in ``pattern`` in both modes, and
+    ``e1_bits`` alone picks the mode.  With oracle side information pass
+    it, one 0/1 entry per slot from slot 0; the pattern is known
+    everywhere, and slots past its end read clean.  Leave it None for
+    header mode (``header_mode`` is then True): each received header is
+    written into the pattern (``FirstHop.cover``), a slot no header has
+    covered yet, past its end included, reads erased and is not known, and
+    anything that needs bits not yet covered simply waits.
 
     ``ingest`` checks a slot whole, then files it: a malformed slot (a
     symbol that is not an int in [0, q), a header no window has, a payload
@@ -156,20 +165,21 @@ class DecoderState:
     any change.
 
     Each slot's rides are read in offsets through ``_slot_rides``, from the
-    parameter set's store entry resolved once at construction, and a plan is
-    built from the pattern passed whole once ``_plan_ready`` holds, one
-    ``FirstHop.known`` over the plan's window [t - plan_past, t+T-N2], so
-    the window is one slice of known bits, keyed by the slice of
-    [t, t+T-N2].  An emission's interference terms are the ``kept`` terms
-    of its emission program, (MUL row, message offset, position) triples,
-    in the ``programs`` of the same entry on (pos, parity_rows, late, kept
-    positions), compiled on a miss by ``_emission_program`` from
-    ``interference_terms``; in an episode the relay's ledger, which values
-    every emission first, compiles it.  A codeword missing a symbol decodes
-    by a program in ``decode_programs`` of the same entry, keyed by (n, k,
-    queue items, held mask) and compiled on a miss by ``_decode_program``:
-    at most the sum over r >= k of C(n, r) masks per layout, the masks it
-    can decode from.
+    parameter set's store entry resolved once at construction.  ``plan(t)``
+    builds a plan from the pattern passed whole once one ``FirstHop.known``
+    holds over the plan's window [t - plan_past, t+T-N2], so the window is
+    one slice of known bits, keyed by the slice of [t, t+T-N2]; it stores
+    nothing.  ``_ready``, the one readiness gate, keeps the plan on the
+    message's live record.  An emission's interference terms are the
+    ``kept`` terms of its emission program, (MUL row, message offset,
+    position) triples, in the ``programs`` of the same entry on (pos,
+    parity_rows, late, kept positions), compiled on a miss by
+    ``_emission_program`` from ``interference_terms``; in an episode the
+    relay's ledger, which values every emission first, compiles it.  A
+    codeword missing a symbol decodes by a program in ``decode_programs``
+    of the same entry, keyed by (n, k, queue items, held mask) and compiled
+    on a miss by ``_decode_program``: at most the sum over r >= k of
+    C(n, r) masks per layout, the masks it can decode from.
 
     A surplus parity off the decoded codeword raises
     ``InconsistentSymbols`` rather than being taken for an erasure.  The
@@ -201,18 +211,14 @@ class DecoderState:
     first-hop pattern, one byte per slot that any later plan may read.
     """
 
-    def __init__(self, p: SchemeParams, e1_bits=None, header_mode: bool = False):
-        if header_mode and e1_bits is not None:
-            raise ValueError("header mode reconstructs the pattern; do not pass one")
-        if not header_mode and e1_bits is None:
-            raise ValueError("oracle mode needs the first-hop pattern")
+    def __init__(self, p: SchemeParams, e1_bits=None):
         self.params = p
         self.dims = derive_dims(p)
         self._entry = _entry(p)
         self.field = self._entry.field
-        self.header_mode = header_mode
-        self.pattern = FirstHop(p.T, None if header_mode else 0)
-        if not header_mode:
+        self.header_mode = e1_bits is None
+        self.pattern = FirstHop(p.T, None if self.header_mode else 0)
+        if not self.header_mode:
             self.pattern.bits.extend(map(bool, e1_bits))
         self._in_field = bytes(range(self.field.q))  # every symbol a slot may hold
         self.msgs: dict[int, _MessageState] = {}  # messages not yet final
@@ -222,34 +228,25 @@ class DecoderState:
 
     # -- first-hop pattern knowledge ------------------------------------------
 
-    def _plan_ready(self, t: int) -> bool:
-        """All pattern bits a full plan for message t can depend on are known."""
-        return self.pattern.known(t - self._entry.plan_past, t + self.params.T - self.params.N2)
-
     def plan(self, t: int) -> MessagePlan | None:
-        """Message t's plan, None while pattern bits it needs are unknown.  A
-        message with no live state -- a final one among them -- gets its plan
-        built afresh and not stored: ``msgs`` holds only messages not yet
-        final, and only ``ingest`` adds one."""
-        st = self.msgs.get(t)
-        if st is not None and st.plan is not None:
-            return st.plan
-        if not self._plan_ready(t):
+        """Message t's plan, built afresh from the pattern, or None while a
+        bit of its window [t - plan_past, t+T-N2] is unknown.  It stores
+        nothing: a final message's plan, which the oracle tests rebuild,
+        leaves ``msgs`` as it was."""
+        p = self.params
+        if not self.pattern.known(t - self._entry.plan_past, t + p.T - p.N2):
             return None
-        plan = build_message_plan(self.params, self.pattern, t)
-        if st is not None:
-            st.plan = plan
-        return plan
+        return build_message_plan(p, self.pattern, t)
 
-    def _ready(self, t: int, st: _MessageState | None) -> MessagePlan | None:
-        """Message t's plan once an attempt can succeed, else None: the plan
-        is held and at least as many symbols are filed as it transmits --
-        every tx item sits in exactly one codeword, and a codeword decodes
-        only from as many symbols as it has tx items."""
-        if st is None:  # nothing filed: a ride carries at least one symbol
-            return None
-        plan = st.plan if st.plan is not None else self.plan(t)
-        return plan if plan is not None and st.received >= plan.n_tx else None
+    def _ready(self, t: int, st: _MessageState) -> bool:
+        """Whether live message t can be attempted, the one readiness gate
+        and the one writer of ``st.plan``: the plan is held, built once its
+        window is known, and at least as many symbols are filed as it
+        transmits -- every tx item sits in exactly one codeword, and a
+        codeword decodes only from as many symbols as it has tx items."""
+        if st.plan is None:
+            st.plan = self.plan(t)
+        return st.plan is not None and st.received >= st.plan.n_tx
 
     # -- finalizing -------------------------------------------------------------
 
@@ -257,13 +254,16 @@ class DecoderState:
         """Yield ``(t, outcome)``, in ascending t, for every message that
         ``try_decode`` finalizes at slot ``now``.  A message is attempted
         once ``_ready`` holds for it, or once ``now`` is past its deadline
-        t+T.
+        t+T.  A message with nothing filed is not ready: a ride carries at
+        least one symbol.
         """
         msgs, outcomes, T = self.msgs, self.outcomes, self.params.T
         for t in range(self._oldest, now + 1):
             if t not in outcomes:
-                if now <= t + T and self._ready(t, msgs.get(t)) is None:
-                    continue
+                if now <= t + T:
+                    st = msgs.get(t)
+                    if st is None or not self._ready(t, st):
+                        continue
                 outcome = self.try_decode(t, now)
                 if outcome == "pending":
                     continue
@@ -302,11 +302,7 @@ class DecoderState:
             symbols = symbols[delta:]
         else:
             bits = self.pattern.slice(slot - T, T + 1)  # [slot-T, slot]
-        rides = self._entry.layouts.get(bits)
-        if rides is None:
-            rides = _slot_rides(p, self._entry, bits)
-        if slot < T:
-            rides = [ride for ride in rides if ride[0] <= slot]  # none before slot 0
+        rides = _slot_rides(p, self._entry, bits, slot)
         carried = 0
         for _, _, _, size in rides:
             carried += size
@@ -348,8 +344,8 @@ class DecoderState:
             return outcome
         now = self.last_slot if now is None else now
         st = self.msgs.get(t)
-        plan = self._ready(t, st)
-        result = None if plan is None else self._attempt(t, plan, st.got)
+        ready = st is not None and self._ready(t, st)
+        result = self._attempt(t, st.plan, st.got) if ready else None
         if result is None:
             if now <= t + self.params.T:
                 return "pending"

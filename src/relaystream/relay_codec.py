@@ -41,20 +41,23 @@ entry that names the window's past reach; what the ledger and the
 destination then do with an emission's coefficients is one emission
 program memoized on its structure, in slot offsets
 (``source_codec._emission_program``).
-One rule, ``slot_layout(p, bits, s)``, says what rides relay slot s from
-the T+1 header bits of [s-T, s]: the relay emits, the destination slices
-and the verifier bounds the payload by it.  Its rides are memoized too, in
-slot offsets on those T+1 bits, at most 2^(T+1) layouts.  Shapes, layouts, headers and parity programs live
+One rule, ``_slot_rides`` and its public form ``slot_layout(p, bits, s)``,
+says what rides relay slot s from the T+1 header bits of [s-T, s]: the
+relay emits, the destination slices and the verifier bounds the payload by
+it.  Its rides are memoized too, in slot offsets on those T+1 bits, at
+most 2^(T+1) layouts.  Shapes, layouts, headers and parity programs live
 in the parameter set's entry of the codec's one store, read through its one
 accessor, ``source_codec._entry``.
-Every memo is keyed by ``bytes``, one 0/1 byte per slot.  The relay's ledger
-and the destination hold the first hop as a ``source_codec.FirstHop``, so a
-slot's T+1 bits and a plan's window are each one slice, the window's last
-T-N2+1 bytes the shape's key: the relay and the destination pass their
-pattern whole to ``build_message_plan``, which slices it, and read their
-slot's rides, in offsets, from the entry they resolved once at
-construction, so a slot costs one lookup on each side.  In header mode the
-same entry
+Every memo of a pattern is keyed by ``bytes``, one 0/1 byte per slot; the
+layout and header memos read a key that misses with each nonzero byte as
+1, so a hit costs no check.  The relay's ledger and the destination hold
+the first hop as a ``source_codec.FirstHop``, so a slot's T+1 bits and a
+plan's window are each one slice, the window's last T-N2+1 bytes the
+shape's key: the relay and the destination pass their pattern whole to
+``build_message_plan``, which slices it, and read their slot's rides, in
+offsets, from the entry they resolved once at construction through
+``_slot_rides``, the memo's one reader, so a slot costs one lookup on
+each side.  In header mode the same entry
 memoizes ``encode_header`` (window -> symbols) and ``decode_header``
 (symbols -> window), each at most 2^(T+1) valid headers; a malformed header
 is never stored.  Each message goes out as one second-hop sequence, its
@@ -346,60 +349,62 @@ def build_message_plan(p: SchemeParams, erased_fn, t: int) -> MessagePlan:
     return MessagePlan(p, t, entry.shapes.get(key) or _entry_shape(p, entry, key), window)
 
 
-def _slot_rides(p: SchemeParams, entry: _Entry, window: bytes) -> tuple:
-    """The rides of the slot whose T+1 bits are ``window``, in offsets: the
-    message at window[lo] rides at offset i = T-lo as (i, shape,
-    sum(alpha[:i]), alpha[i]), oldest message first.  Memoized in
-    ``entry``, the entry of ``p``; slots after the window read as erased,
-    and each ride is stored once through the entry's shared tuples."""
+def _slot_rides(p: SchemeParams, entry: _Entry, window: bytes, s: int) -> tuple | list:
+    """The rides of slot ``s``, whose T+1 bits are ``window``, in offsets:
+    the message at window[lo] rides at offset i = T-lo as (i, shape,
+    sum(alpha[:i]), alpha[i]), oldest message first, and a message before
+    slot 0 (i > s) rides nothing.  This is the one reader of the layout
+    memo in ``entry``, the entry of ``p``, keyed by 0/1 bytes: a window
+    that misses is read with every nonzero byte erased, so a hit costs one
+    lookup and no check.  Slots after the window read as erased, and each
+    ride is stored once through the entry's shared tuples."""
     rides = entry.layouts.get(window)
-    if rides is not None:
-        return rides
-    width = p.T - p.N2 + 1  # message-phase offsets 0 .. T-N2
-    padded = window + b"\x01" * (width - 1)
-    shared, out = entry.shared, []
-    for lo in range(p.T - p.j + 1):
-        shape = _entry_shape(p, entry, padded[lo : lo + width])
-        i, alpha = p.T - lo, shape.schedule.alpha
-        if alpha[i]:
-            ride = (i, shape, sum(alpha[:i]), alpha[i])
-            out.append(shared.setdefault(ride, ride))
-    rides = entry.layouts[window] = tuple(out)
-    return rides
+    if rides is None:
+        key = bytes(map(bool, window))
+        if key != window:
+            return _slot_rides(p, entry, key, s)
+        width = p.T - p.N2 + 1  # message-phase offsets 0 .. T-N2
+        padded = window + b"\x01" * (width - 1)
+        shared, out = entry.shared, []
+        for lo in range(p.T - p.j + 1):
+            shape = _entry_shape(p, entry, padded[lo : lo + width])
+            i, alpha = p.T - lo, shape.schedule.alpha
+            if alpha[i]:
+                ride = (i, shape, sum(alpha[:i]), alpha[i])
+                out.append(shared.setdefault(ride, ride))
+        rides = entry.layouts[window] = tuple(out)
+    return rides if s >= p.T else [ride for ride in rides if ride[0] <= s]
 
 
 def slot_layout(p: SchemeParams, bits, s: int) -> list[tuple]:
     """Who rides relay slot ``s``, oldest message first.
 
-    ``bits[i]`` is the first-hop bit of slot s-T+i, as in the header.  Slots
-    before 0 count as clean and slots after s as erased, as the relay sees
-    them at slot s; a shape so masked agrees with the full plan up to offset
-    s-t.  Each message t with a nonzero subpacket gives ``(t, shape, start,
-    size)``: symbols start .. start+size-1 of its second-hop sequence, its
-    queue then its N2 parity rows (symbol c of row m at n_tx +
-    m*len(shape.codewords) + c), start the sum of alpha before s-t.
+    ``bits[i]`` is the first-hop bit of slot s-T+i, as in the header, any
+    nonzero value erased.  Slots before 0 count as clean and slots after s
+    as erased, as the relay sees them at slot s; a shape so masked agrees
+    with the full plan up to offset s-t.  Each message t >= 0 with a nonzero
+    subpacket gives ``(t, shape, start, size)``: symbols start ..
+    start+size-1 of its second-hop sequence, its queue then its N2 parity
+    rows (symbol c of row m at n_tx + m*len(shape.codewords) + c), start the
+    sum of alpha before s-t.
 
-    The rides are memoized in slot offsets on the T+1 bits as bytes, next to
-    the shapes of the same parameter set (at most 2^(T+1) layouts); a call
-    places them at s and drops the messages before slot 0.  ``bytes`` bits
-    are the key itself; any other sequence of bits is converted once.  The
-    relay and the destination read the same memo in offsets (``_slot_rides``).
+    The rides are those ``_slot_rides`` reads, the relay's and the
+    destination's rule, memoized in slot offsets on the T+1 bits as 0/1
+    bytes, next to the shapes of the same parameter set (at most 2^(T+1)
+    layouts); a call places them at s.  Bits that are not ``bytes`` are
+    converted once.
     """
     if len(bits) != p.T + 1:
         raise ValueError(f"slot layout reads T+1 = {p.T + 1} bits, got {len(bits)}")
     key = bits if type(bits) is bytes else bytes(map(bool, bits))
-    rides = _slot_rides(p, _entry(p), key)
-    return [(s - i, shape, start, size) for i, shape, start, size in rides if i <= s]
-
-
-def second_code(p: SchemeParams, n: int, k: int) -> MdsCode:
-    """The second-hop (n, k) code over ``p``'s field, kept in its entry."""
-    return _second_code(_entry(p), n, k)
+    rides = _slot_rides(p, _entry(p), key, s)
+    return [(s - i, shape, start, size) for i, shape, start, size in rides]
 
 
 def _second_code(entry: _Entry, n: int, k: int) -> MdsCode:
-    """``second_code`` in ``entry``: code compilers are given their entry,
-    so they never look up (and so never re-create) an evicted one."""
+    """The second-hop (n, k) code over the field of ``entry``, kept in it:
+    code compilers are given their entry, so they never look up (and so
+    never re-create) an evicted one."""
     code = entry.second_codes.get((n, k))
     if code is None:
         code = entry.second_codes[n, k] = MdsCode(entry.field, n, k)
@@ -485,8 +490,8 @@ class RelayState:
     Scheduling is strictly causal: what slot s sends is ``slot_layout`` of
     the T+1 bits the relay has seen up to s.  The relay resolves its
     parameter set's store entry once, at construction, and reads each slot's
-    rides, in offsets, from its layout memo keyed by one slice of the
-    ledger's ``pattern`` (``_slot_rides`` on a miss).  ``queues`` holds
+    rides, in offsets, through ``_slot_rides``, keyed by one slice of the
+    ledger's ``pattern``.  ``queues`` holds
     each message's second-hop sequence, its queue then its parity rows, and
     ``emit`` reads a ride of a whole one, a tuple, as one slice.  A
     received message's sequence is whole from its first ride on: its shape
@@ -600,13 +605,8 @@ class RelayState:
         ingested already."""
         p, ledger, queues, entry = self.params, self.ledger, self.queues, self._entry
         bits = ledger.pattern.slice(slot - p.T, p.T + 1)  # [slot-T, slot]
-        rides = entry.layouts.get(bits)
-        if rides is None:
-            rides = _slot_rides(p, entry, bits)
         subpackets, payload = [], 0
-        for i, shape, start, size in rides:
-            if i > slot:
-                continue  # a message before slot 0
+        for i, shape, start, size in _slot_rides(p, entry, bits, slot):
             t = slot - i
             seq = queues.get(t)
             if seq is None and not shape.schedule.erased:  # a received message's first ride
@@ -630,8 +630,10 @@ class RelayState:
 def encode_header(p: SchemeParams, window_bits) -> tuple[int, ...]:
     """Pack T+1 erasure bits into delta base-q symbols (little-endian).
 
-    Memoized per parameter set on the bits as bytes, at most 2^(T+1)
-    headers: the relay passes the ``bytes`` window it lays the slot out by.
+    Any nonzero bit reads erased.  Memoized per parameter set on the bits
+    as 0/1 bytes, at most 2^(T+1) headers: the relay passes the ``bytes``
+    window it lays the slot out by, so a hit costs one lookup; a key that
+    misses is read with every nonzero byte as 1.
     """
     key = window_bits if type(window_bits) is bytes else bytes(map(bool, window_bits))
     headers = _entry(p).headers
@@ -639,6 +641,7 @@ def encode_header(p: SchemeParams, window_bits) -> tuple[int, ...]:
     if out is None:
         if len(key) != p.T + 1:
             raise ValueError(f"header covers T+1 = {p.T + 1} bits, got {len(key)}")
+        key = bytes(map(bool, key))
         q = implemented_field_size(p)
         x = sum(b << i for i, b in enumerate(key))
         out = []
@@ -647,7 +650,7 @@ def encode_header(p: SchemeParams, window_bits) -> tuple[int, ...]:
             x //= q
         if x:
             raise ValueError("window does not fit the header alphabet")  # pragma: no cover
-        out = headers[key] = tuple(out)
+        out = headers.setdefault(key, tuple(out))
     return out
 
 

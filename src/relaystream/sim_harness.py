@@ -135,11 +135,7 @@ def run_episode(
     messages = EpisodeMessages(rng.integers(0, implemented_field_size(p), size=(horizon, d.k_src)))
 
     relay = RelayState(p, header_mode=header_mode)
-    dest = (
-        DecoderState(p, header_mode=True)
-        if header_mode
-        else DecoderState(p, e1_bits=bits1)
-    )
+    dest = DecoderState(p, None if header_mode else bits1)
     payloads = []
     n_assess = max(0, horizon - p.T)
     decode_slots: dict[int, int] = {}

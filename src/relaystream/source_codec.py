@@ -157,7 +157,9 @@ def _encode_block(entry: _Entry, rows, lo: int) -> list:
     own.  The window is ``rows`` after a zero row for each slot before 0,
     and a zero symbol contributes nothing, so a term before time 0 drops
     out.  Each term of the diagonal program is one pass over the block,
-    and the block one ``tolist``.
+    and the block one ``tolist``.  A symbol that is not an int in [0, q)
+    raises ``ValueError``, one check over the block: the tables it would
+    index wrap a negative symbol round and reject q or a float.
 
     numpy is imported here and in ``_Entry``, on first use: imported while
     the package's other modules were still to be compiled, it raised the
@@ -166,6 +168,8 @@ def _encode_block(entry: _Entry, rows, lo: int) -> list:
     import numpy as np
 
     window = np.asarray(rows)
+    if window.dtype.kind not in "biu" or not 0 <= window.min() <= window.max() < entry.field.q:
+        raise ValueError(f"a message symbol is not an int in [0, {entry.field.q})")
     if lo < 0:
         window = np.concatenate((entry.zeros[:-lo], window))
     k, l, reach = entry.code.k, entry.dims.l_prime, len(entry.zeros)

@@ -16,7 +16,8 @@ step, raising ``MissingDependency`` where the decoder's returns FAILED or
 None, ``dest_ingest`` feeds a relay packet with an optional side-information
 cross-check, and ``estimates_available`` is the closed-form count the plan
 engine's availability must match on admissible patterns.  ``make_codes``
-gives a parameter set's field and first-hop layer code.
+gives a parameter set's field and first-hop layer code, ``second_code`` one
+of its second-hop codes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from relaystream.field_mds import (
     MdsCode,
     solve_linear,
 )
-from relaystream.relay_codec import MessagePlan, ParityGroups, second_code
+from relaystream.relay_codec import MessagePlan, ParityGroups, _second_code
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.source_codec import (
     EstimateLedger,
@@ -50,6 +51,12 @@ def make_codes(p: SchemeParams) -> tuple[GaloisField, MdsCode]:
     """Field and first-hop (n', k') layer code for a parameter set."""
     entry = source_codec._entry(p)
     return entry.field, entry.code
+
+
+def second_code(p: SchemeParams, n: int, k: int) -> MdsCode:
+    """The second-hop (n, k) code over ``p``'s field, the one its store
+    entry keeps."""
+    return _second_code(source_codec._entry(p), n, k)
 
 
 def dest_ingest(state: DecoderState, slot: int, packet, side_info=None) -> DecoderState:

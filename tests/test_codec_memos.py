@@ -127,7 +127,7 @@ def drive(p, bits1, known, seed):
     dests = [
         DecoderState(p, e1_bits=bits1),
         DecoderState(p, e1_bits=bits1[:known]),
-        DecoderState(p, header_mode=True),
+        DecoderState(p),
     ]
     messages, masked = [], 0
     for s, b in enumerate(bits1):
@@ -191,7 +191,7 @@ def first_hop_owner(rule, p, bits1, bits2):
     field, _ = make_codes(p)
     rng = np.random.default_rng(end)
     relay = RelayState(p, header_mode=True)
-    dest = DecoderState(p, header_mode=True)
+    dest = DecoderState(p)
     messages = []
     for s, b in enumerate(bits1):
         messages.append([int(x) for x in rng.integers(0, field.q, d.k_src)])
@@ -210,7 +210,7 @@ def test_first_hop_reads_past_its_end_by_its_owners_rule(rule):
     pattern called and a one-slot ``slice`` agree with the owner's rule --
     clean before 0, however far back; past the end erased at the relay,
     clean at the oracle and unseen in header mode, where an uncovered slot
-    reads erased and blocks ``_plan_ready``.  Every slice of T+1 slots or of
+    reads erased and leaves ``plan`` None.  Every slice of T+1 slots or of
     a plan window's 2(k'-1)+T-N2+1, from every lo in [-3T, end], is the
     slots' bits.  ``known`` over every plan window, from t = -T on, says
     whether each of its slots is covered: always at the relay and the
@@ -245,7 +245,7 @@ def test_first_hop_reads_past_its_end_by_its_owners_rule(rule):
             ready = all(covered(x) for x in window)
             assert pattern.known(window[0], window[-1]) == ready, (p, t)
             if rule != "relay" and t >= 0:
-                assert owner._plan_ready(t) == ready, (p, t)
+                assert (owner.plan(t) is not None) == ready, (p, t)
         for pattern_first in (True, False):
             source_codec._STORE.pop(p, None)
             for _warm in range(2):

@@ -20,13 +20,14 @@ from codec_reference import (
     make_codes,
     oracle_decode,
     queue_reference,
+    second_code,
 )
 from decode_programs import outcome, same
 from relaystream import source_codec
 from relaystream.dest_codec import FAILED, DecoderState, MalformedPacket
 from relaystream.erasure_channel import enumerate_admissible, is_admissible
 from relaystream.field_mds import InconsistentSymbols, MdsCode
-from relaystream.relay_codec import RelayState, second_code, slot_layout
+from relaystream.relay_codec import RelayState, slot_layout
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import run_episode
 from relaystream.source_codec import encode_source
@@ -50,10 +51,7 @@ def run_pipeline(p, bits1, bits2, messages, header_mode=False, decode_slots=None
     polled, since ``try_decode`` retires them with the message."""
     horizon = len(bits1)
     relay = RelayState(p, header_mode=header_mode)
-    if header_mode:
-        dest = DecoderState(p, header_mode=True)
-    else:
-        dest = DecoderState(p, e1_bits=bits1)
+    dest = DecoderState(p, None if header_mode else bits1)
     for s in range(horizon):
         pkt = encode_source(p, messages, s)
         relay.ingest_source(s, None if bits1[s] else pkt)
@@ -251,8 +249,9 @@ def test_malformed_packet_lengths():
         messages = episode_messages(p, horizon, seed=43)
         for header_mode in (True, False):
             relay = RelayState(p, header_mode=header_mode)
-            kw = {"header_mode": True} if header_mode else {"e1_bits": bits1}
-            dest, clean = DecoderState(p, **kw), DecoderState(p, **kw)
+            e1_bits = None if header_mode else bits1
+            dest, clean = DecoderState(p, e1_bits), DecoderState(p, e1_bits)
+            assert dest.header_mode == clean.header_mode == header_mode
             yielded = {dest: [], clean: []}  # (t, slot) per message finalize yields
             for s in range(horizon):
                 relay.ingest_source(s, None if bits1[s] else encode_source(p, messages, s))
@@ -288,7 +287,7 @@ def test_plan_of_a_final_message_leaves_the_live_store_as_it_was():
     bits1 = [int(s in (3, 4, 15, 22, 33)) for s in range(horizon)]
     assert is_admissible(bits1, p.T, p.N1)
     messages = episode_messages(p, horizon, seed=43)
-    relay, dest = RelayState(p, header_mode=True), DecoderState(p, header_mode=True)
+    relay, dest = RelayState(p, header_mode=True), DecoderState(p)
     final = []
     for s in range(horizon):
         relay.ingest_source(s, None if bits1[s] else encode_source(p, messages, s))
@@ -335,7 +334,7 @@ def test_corrupted_header_is_one_malformed_slot():
     messages = episode_messages(p, horizon, seed=47)
     q = make_codes(p)[0].q
     relay = RelayState(p, header_mode=True)
-    dest = DecoderState(p, header_mode=True)
+    dest = DecoderState(p)
     for s in range(horizon):
         relay.ingest_source(s, None if bits1[s] else encode_source(p, messages, s))
         wire = relay.emit(s).wire_symbols()
@@ -381,7 +380,8 @@ def header_covered(dest, x):
 
 
 def test_plan_ready_matches_the_scan_across_a_header_gap():
-    """At every slot, for every pending message, ``_plan_ready`` equals the
+    """At every slot, for every pending message, whether ``plan`` builds a
+    plan equals the
     plain scan of the bits a plan can read, for messages whose window ends
     before the gap and for messages past it, and the episode's report is
     the one the decoder gave before the watermark."""
@@ -389,7 +389,7 @@ def test_plan_ready_matches_the_scan_across_a_header_gap():
     k = derive_dims(p).k_prime
     messages = episode_messages(p, horizon, seed=61)
     relay = RelayState(p, header_mode=True)
-    dest = DecoderState(p, header_mode=True)
+    dest = DecoderState(p)
     ready_before_gap = ready_past_gap = 0
     for s in range(horizon):
         relay.ingest_source(s, None if bits1[s] else encode_source(p, messages, s))
@@ -400,7 +400,7 @@ def test_plan_ready_matches_the_scan_across_a_header_gap():
                 continue
             lo, hi = max(0, t - 2 * (k - 1)), t + p.T - p.N2
             scan = all(header_covered(dest, x) for x in range(lo, hi + 1))
-            assert dest._plan_ready(t) == scan, (s, t)
+            assert (dest.plan(t) is not None) == scan, (s, t)
             ready_before_gap += scan and hi < 24
             ready_past_gap += scan and hi >= 24
         list(dest.finalize(s))
@@ -443,11 +443,12 @@ def test_oracle_pattern_shorter_than_the_horizon_reads_clean_beyond_it():
         assert short.try_decode(t) == full.try_decode(t) == messages[t], t
 
 
-def test_decoder_constructor_guards():
-    with pytest.raises(ValueError):
-        DecoderState(P523)  # oracle mode without a pattern
-    with pytest.raises(ValueError):
-        DecoderState(P523, e1_bits=[], header_mode=True)
+def test_decoder_mode_follows_e1_bits():
+    """No pattern means header mode; a pattern, even an empty one, is
+    oracle side information."""
+    assert DecoderState(P523).header_mode
+    assert not DecoderState(P523, e1_bits=[]).header_mode
+    assert not DecoderState(P523, [0] * 8).header_mode
 
 
 def test_side_info_cross_check():
@@ -516,9 +517,7 @@ def _decode_both_ways(p, bits1, bits2, messages, header_mode):
     relay = RelayState(p, header_mode=header_mode)
 
     def decoder():
-        if header_mode:
-            return DecoderState(p, header_mode=True)
-        return DecoderState(p, e1_bits=bits1)
+        return DecoderState(p, None if header_mode else bits1)
 
     polled, driven = decoder(), decoder()
     seen = {"polled": {}, "driven": []}

@@ -272,18 +272,25 @@ def test_slot_layout_memo_matches_the_reference():
 
 def test_slot_layout_keys_its_memo_by_bytes():
     """Every (T+1)-bit window of every set of all_valid_params(5), at slot T:
-    a list, a tuple of bools and bytes give equal rides, and the memo ends
-    with one layout per window, keyed by bytes, as are the shapes."""
+    bytes whose erased slots hold other nonzero values, given first, cold,
+    then 0/1 bytes, a list and a tuple of bools give equal rides, and the
+    memo ends with one layout per window, keyed by 0/1 bytes only, as the
+    shapes are keyed by bytes.  So at (5,2,3,0) bytes [0,0,0,0,2,1] at slot
+    5 are [0,0,0,0,1,1], four rides."""
     for p in all_valid_params(5):
         source_codec._STORE.pop(p, None)
         for window in itertools.product((0, 1), repeat=p.T + 1):
-            want = slot_layout(p, bytes(window), p.T)
+            want = slot_layout(p, bytes(b * (2 + x % 254) for x, b in enumerate(window)), p.T)
+            assert slot_layout(p, bytes(window), p.T) == want, (p, window)
             assert slot_layout(p, list(window), p.T) == want, (p, window)
             assert slot_layout(p, tuple(map(bool, window)), p.T) == want, (p, window)
         shapes, layouts = source_codec._STORE[p].shapes, source_codec._STORE[p].layouts
         assert len(layouts) == 2 ** (p.T + 1)
-        assert all(type(key) is bytes for key in layouts)
+        assert all(type(key) is bytes and set(key) <= {0, 1} for key in layouts)
         assert all(type(key) is bytes for key in shapes)
+    p = SchemeParams(5, 2, 3, 0)
+    want = slot_layout(p, [0, 0, 0, 0, 1, 1], 5)
+    assert len(want) == 4 and slot_layout(p, bytes([0, 0, 0, 0, 2, 1]), 5) == want
 
 
 def test_slot_layout_callers_cannot_change_the_memo():
@@ -333,7 +340,7 @@ def drive(p, bits1, header_mode, seed):
     rng = np.random.default_rng(seed)
     relay = RelayState(p, header_mode=header_mode)
     dest = (
-        DecoderState(p, header_mode=True)
+        DecoderState(p)
         if header_mode
         else DecoderState(p, e1_bits=bits1)
     )

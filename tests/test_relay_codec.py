@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 import pytest
 
-from codec_reference import make_codes
+from codec_reference import make_codes, second_code
 from plan_reference import InadmissiblePattern, compute_schedule
 from relaystream import source_codec
 from relaystream.erasure_channel import enumerate_admissible
@@ -30,7 +30,6 @@ from relaystream.relay_codec import (
     build_parity_groups,
     decode_header,
     encode_header,
-    second_code,
 )
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import all_valid_params
@@ -307,19 +306,23 @@ def test_header_round_trip_sampled_large():
 
 def test_header_memos_round_trip_every_window():
     """For every (T+1)-bit window of every set of all_valid_params(5), given
-    as bytes or as a list: decoding the encoded header gives the window
-    back, and each header memo ends with one entry per window, the window
-    memo keyed by bytes."""
+    first, cold, as bytes whose erased slots hold other nonzero values,
+    then as 0/1 bytes and as a list: each gives the same header, decoding
+    it gives the window back, and each header memo ends with one entry per
+    window, both keyed by bytes, the header memo by 0/1 bytes only.  So at
+    (5,2,3,0) bytes [0,0,0,0,2,1] are the header of [0,0,0,0,1,1]."""
     for p in all_valid_params(5):
         source_codec._STORE.pop(p, None)
         for window in itertools.product((0, 1), repeat=p.T + 1):
-            syms = encode_header(p, bytes(window))
+            syms = encode_header(p, bytes(b * (2 + x % 254) for x, b in enumerate(window)))
+            assert encode_header(p, bytes(window)) == syms
             assert encode_header(p, list(window)) == syms
             assert decode_header(p, syms) == window
             assert decode_header(p, list(syms)) == window
         headers, windows = source_codec._STORE[p].headers, source_codec._STORE[p].windows
         assert len(headers) == len(windows) == 2 ** (p.T + 1)
-        assert all(type(key) is bytes for key in headers)
+        assert all(type(key) is bytes and set(key) <= {0, 1} for key in headers)
+    assert encode_header(P523, bytes([0, 0, 0, 0, 2, 1])) == encode_header(P523, [0, 0, 0, 0, 1, 1])
 
 
 def test_malformed_header_is_never_memoized():

@@ -22,6 +22,7 @@ from relaystream.relay_codec import build_message_plan
 from relaystream.scheme_params import SchemeParams, derive_dims
 from relaystream.sim_harness import all_valid_params
 from relaystream.source_codec import (
+    EpisodeMessages,
     ErasedKnownTerm,
     EstimateLedger,
     OutOfOrder,
@@ -93,6 +94,24 @@ def test_encode_validates_message_length():
         encode_source(P523, [[1, 2]], 0)
     with pytest.raises(DimensionMismatch):
         encode_source(P523, [], 0)
+
+
+@pytest.mark.parametrize("p", [P523, SchemeParams(7, 2, 3, 0)], ids=["GF7", "GF8"])
+def test_encode_rejects_symbols_outside_the_field(p):
+    """A message symbol of -1, q or a float -- 2.0 among them -- raises
+    ``ValueError`` from a list of messages and from ``EpisodeMessages``,
+    whose check covers the block it encodes; 0 and q-1 encode."""
+    q = make_codes(p)[0].q
+    k_src = derive_dims(p).k_src
+    edge = [[0] * k_src, [q - 1] * k_src]
+    assert encode_source(p, edge, 1) == encode_source(p, EpisodeMessages(np.array(edge)), 1)
+    for bad in (-1, q, 2.5, 2.0):
+        messages = [[1] * k_src for _ in range(6)]
+        messages[3][k_src - 1] = bad
+        with pytest.raises(ValueError, match=r"not an int in \[0, "):
+            encode_source(p, messages, 3)
+        with pytest.raises(ValueError, match=r"not an int in \[0, "):
+            encode_source(p, EpisodeMessages(np.array(messages)), 0)
 
 
 def ingest_pattern(p, history, bits):
